@@ -58,6 +58,18 @@ ctest --test-dir build-ci --output-on-failure -L pool -j "$JOBS"
 step "fleet smoke (multi-session overhead, zero-alloc dispatch + pool gates)"
 ./build-ci/bench/bench_fleet --smoke
 
+step "perfbench correctness smoke (virt_s + digest against reference.tsv)"
+python3 perfbench/run.py --selftest
+for workload in paper_apps trace_replay pool_sessions; do
+  result=$(python3 perfbench/run.py --workload "$workload" --seed 0 \
+    --seconds 2 --trace 0 | tail -n 1)
+  echo "$workload: $result"
+  if [[ "$result" != *'"correct": true'* ]]; then
+    echo "perfbench $workload: pass differs from perfbench/reference.tsv" >&2
+    exit 1
+  fi
+done
+
 if [[ "${AIDE_CI_SKIP_TIDY:-0}" != 1 ]] && command -v clang-tidy >/dev/null; then
   step "clang-tidy"
   # Library and app sources; test files follow gtest idioms tidy dislikes.

@@ -25,12 +25,12 @@ class ByteWriter {
   void write_f64(double v) { write_raw(&v, sizeof v); }
 
   void write_bytes(std::span<const std::uint8_t> bytes) {
-    buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+    write_raw(bytes.data(), bytes.size());
   }
 
   void write_string(std::string_view s) {
     write_u32(static_cast<std::uint32_t>(s.size()));
-    buf_.insert(buf_.end(), s.begin(), s.end());
+    write_raw(s.data(), s.size());
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
@@ -40,9 +40,12 @@ class ByteWriter {
   std::vector<std::uint8_t> take() noexcept { return std::move(buf_); }
 
  private:
+  // Grow, then copy: fixed-size writes compile to a plain store.
   void write_raw(const void* p, std::size_t n) {
-    const auto* bytes = static_cast<const std::uint8_t*>(p);
-    buf_.insert(buf_.end(), bytes, bytes + n);
+    if (n == 0) return;
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, p, n);
   }
 
   std::vector<std::uint8_t> buf_;

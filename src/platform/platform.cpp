@@ -415,25 +415,40 @@ std::optional<OffloadReport> Platform::offload_now(
   // Gather the client-resident objects of every selected component. The
   // monitor's component mapping respects the granularity policy: an
   // object-granularity array moves alone; a class component moves all of its
-  // (class-mapped) objects.
+  // (class-mapped) objects. One bucket per selected component, in the
+  // selection's iteration order; a single id-ordered heap pass fills the
+  // class components' buckets, so each comes out sorted.
+  std::vector<std::vector<ObjectId>> members;
+  std::vector<std::size_t> bucket_of;  // class id -> 1 + bucket index
+  for (const auto& comp : decision.selected.offload) {
+    auto& bucket = members.emplace_back();
+    if (comp.is_object_granularity()) {
+      if (client_->is_local(comp.object)) bucket.push_back(comp.object);
+    } else {
+      if (comp.cls.value() >= bucket_of.size()) {
+        bucket_of.resize(comp.cls.value() + 1, 0);
+      }
+      bucket_of[comp.cls.value()] = members.size();
+    }
+  }
+  if (!bucket_of.empty()) {
+    client_->heap().for_each([&](const vm::Object& o) {
+      if (o.cls.value() >= bucket_of.size()) return;
+      const std::size_t b = bucket_of[o.cls.value()];
+      // Objects promoted to their own component do not move with the class.
+      if (b != 0 && exec_monitor_.component_of(o.cls, o.id) ==
+                        graph::ComponentKey{o.cls}) {
+        members[b - 1].push_back(o.id);
+      }
+    });
+  }
   std::vector<ObjectId> to_move;
   std::vector<std::vector<ObjectId>> groups;
-  for (const auto& comp : decision.selected.offload) {
-    std::vector<ObjectId> members;
-    if (comp.is_object_granularity()) {
-      if (client_->is_local(comp.object)) members.push_back(comp.object);
-    } else {
-      for (const ObjectId id : client_->local_objects_of_class(comp.cls)) {
-        if (exec_monitor_.component_of(comp.cls, id) == comp) {
-          members.push_back(id);
-        }
-      }
-    }
-    std::sort(members.begin(), members.end());
-    to_move.insert(to_move.end(), members.begin(), members.end());
+  for (auto& bucket : members) {
+    to_move.insert(to_move.end(), bucket.begin(), bucket.end());
     // MINCUT put these objects in one component because they are accessed
     // together; that is exactly the read-ahead transport's prefetch unit.
-    if (members.size() > 1) groups.push_back(std::move(members));
+    if (bucket.size() > 1) groups.push_back(std::move(bucket));
   }
   std::sort(to_move.begin(), to_move.end());
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -13,6 +14,18 @@ namespace aide::rpc {
 namespace {
 constexpr std::uint8_t kStatusOk = 0;
 constexpr std::uint8_t kStatusVmError = 1;
+
+// Chaos corruption: wire byte `salt % size` arrives flipped. Copy-on-write,
+// so the shared original (still needed for retransmits) is never touched.
+SharedFrame corrupted_copy(const Frame& frame, std::uint64_t salt) {
+  auto copy = std::make_shared<Frame>(frame);
+  const std::size_t at = salt % copy->size();
+  std::uint8_t& byte = at < kFrameHeaderSize
+                           ? copy->header[at]
+                           : copy->payload[at - kFrameHeaderSize];
+  byte ^= 0xFF;
+  return copy;
+}
 }  // namespace
 
 Endpoint::Endpoint(vm::Vm& local_vm, netsim::Link& link)
@@ -39,15 +52,13 @@ void Endpoint::disconnect() {
     other.peer_ = nullptr;
     other.vm_.set_peer(nullptr);
     other.refs_.clear();
-    other.has_cached_response_ = false;
-    other.cached_response_.clear();
+    other.cached_response_.reset();
     other.drop_transport_state();
   }
   peer_ = nullptr;
   vm_.set_peer(nullptr);
   refs_.clear();
-  has_cached_response_ = false;
-  cached_response_.clear();
+  cached_response_.reset();
   drop_transport_state();
 }
 
@@ -62,14 +73,12 @@ void Endpoint::detach_partitioned() {
     Endpoint& other = *peer_;
     other.peer_ = nullptr;
     other.vm_.set_peer(nullptr);
-    other.has_cached_response_ = false;
-    other.cached_response_.clear();
+    other.cached_response_.reset();
     other.drop_transport_state();
   }
   peer_ = nullptr;
   vm_.set_peer(nullptr);
-  has_cached_response_ = false;
-  cached_response_.clear();
+  cached_response_.reset();
   drop_transport_state();
 }
 
@@ -79,23 +88,19 @@ void Endpoint::drop_transport_state() {
   // the reorder injector go with it, and so do read-ahead snapshots of the
   // peer's objects. The write-behind queue survives: after recovery its
   // targets are local and flush_pending/apply_pending_locally lands it.
-  has_staged_migration_ = false;
-  staged_migration_.clear();
-  has_staged_reconcile_ = false;
-  staged_reconcile_.clear();
-  last_req_frame_.clear();
-  last_resp_frame_.clear();
+  staged_migration_.reset();
+  staged_reconcile_.reset();
+  last_req_frame_.reset();
+  last_resp_frame_.reset();
   invalidate_snapshots();
   // A new connection epoch starts the partition detector fresh: the old
   // link's timeout run and silence window say nothing about the new link.
   detector_.reset(vm_.clock().now());
 }
 
-std::optional<std::vector<std::uint8_t>> Endpoint::take_cached_response(
-    std::uint64_t seq) {
-  if (!has_cached_response_ || seq != last_served_seq_) return std::nullopt;
-  has_cached_response_ = false;
-  return std::move(cached_response_);
+SharedFrame Endpoint::take_cached_response(std::uint64_t seq) {
+  if (seq != last_served_seq_) return nullptr;
+  return std::exchange(cached_response_, nullptr);
 }
 
 // --- reference translation ----------------------------------------------------
@@ -174,42 +179,43 @@ std::vector<std::uint8_t> Endpoint::transact(ByteWriter request,
   // machinery below. The decision must not depend on whether a fault plan
   // is armed: an armed-but-inert plan stays bit-identical to fault-free.
   const bool overlap_reply = pipelined;
-  const auto payload = std::move(request).take();
   stats_.rpcs_sent += 1;
   const std::uint64_t seq = ++next_seq_;
-  const auto frame = make_frame(epoch_, seq, payload);
+  // Sealed once; every attempt (and the retransmit slot) shares this buffer.
+  const SharedFrame frame = seal_frame(epoch_, seq, std::move(request).take());
 
   const int max_attempts = std::max(retry_.max_attempts, 1);
   SimDuration backoff = retry_.backoff_initial;
   for (int attempt = 1;; ++attempt) {
-    bool delivered = false;
-    std::vector<std::uint8_t> resp_payload;
+    SharedFrame reply;  // the accepted reply frame, once one arrives
     SimDuration rtt_sample = 0;
 
-    const auto req_leg = link_.try_one_way(frame.size(), vm_.clock().now(),
+    const auto req_leg = link_.try_one_way(frame->size(), vm_.clock().now(),
                                            netsim::Leg::request);
     if (req_leg.delivered) {
-      stats_.bytes_sent += frame.size();
+      stats_.bytes_sent += frame->size();
       link_.note_ops(ops);
       vm_.clock().advance(req_leg.cost);
 
-      std::optional<std::vector<std::uint8_t>> resp_frame;
+      SharedFrame resp_frame;
       // Snapshot the peer's previous response before serving: a reordered
-      // reply leg presents this stale frame, not the one being produced now.
-      const std::vector<std::uint8_t> prev_resp_frame = peer_->last_resp_frame_;
+      // reply leg presents this stale frame, not the one being produced now
+      // (nor one a nested call-back leaves behind).
+      const SharedFrame prev_resp_frame = peer_->last_resp_frame_;
       try {
         if (req_leg.reordered) {
           // The in-flight frame is delayed past its timeout; what arrives
           // now is a stale retransmit of the previous request, which the
           // peer fences (or dedups from its reply cache) without executing.
-          if (!last_req_frame_.empty()) {
-            (void)peer_->receive_frame(last_req_frame_);
+          // Held locally: a call-back could replace last_req_frame_ while
+          // the peer still reads the stale frame.
+          if (const SharedFrame stale = last_req_frame_; stale != nullptr) {
+            (void)peer_->receive_frame(stale);
           }
         } else {
-          std::vector<std::uint8_t> wire = frame;
-          if (req_leg.corrupted) {
-            wire[req_leg.chaos_salt % wire.size()] ^= 0xFF;
-          }
+          const SharedFrame wire =
+              req_leg.corrupted ? corrupted_copy(*frame, req_leg.chaos_salt)
+                                : frame;
           resp_frame = peer_->receive_frame(wire);
           if (req_leg.duplicated) {
             // The second copy reaches the peer too; its reply cache absorbs
@@ -225,67 +231,55 @@ std::vector<std::uint8_t> Endpoint::transact(ByteWriter request,
         throw PeerUnavailable(seq, "peer failed while serving rpc");
       }
 
-      if (resp_frame.has_value()) {
+      if (resp_frame != nullptr) {
         const auto resp_leg = link_.try_one_way(
             resp_frame->size(), vm_.clock().now(), netsim::Leg::reply);
         if (resp_leg.delivered) {
           // A pipelined flush still pays the reply's link accounting, but the
           // wait overlaps whatever this VM computes next in virtual time.
           if (!overlap_reply) vm_.clock().advance(resp_leg.cost);
-          std::span<const std::uint8_t> resp_wire = *resp_frame;
-          bool arrived = true;
-          if (resp_leg.reordered) {
-            // A stale retransmit of the peer's *previous* response arrives in
-            // place of the in-flight one; the seq/epoch fence rejects it
-            // below and the attempt times out. With no previous response to
-            // retransmit, nothing arrives at all.
-            if (prev_resp_frame.empty()) {
-              arrived = false;
-            } else {
-              resp_wire = prev_resp_frame;
-            }
+          // A reordered leg delivers a stale retransmit of the peer's
+          // *previous* response in place of the in-flight one; the seq/epoch
+          // fence rejects it below and the attempt times out. With no
+          // previous response to retransmit, nothing arrives at all.
+          SharedFrame arrived = resp_leg.reordered ? prev_resp_frame
+                                                   : std::move(resp_frame);
+          if (arrived != nullptr && resp_leg.corrupted) {
+            arrived = corrupted_copy(*arrived, resp_leg.chaos_salt);
           }
-          std::vector<std::uint8_t> corrupted_copy;
-          if (arrived && resp_leg.corrupted) {
-            corrupted_copy.assign(resp_wire.begin(), resp_wire.end());
-            corrupted_copy[resp_leg.chaos_salt % corrupted_copy.size()] ^=
-                0xFF;
-            resp_wire = corrupted_copy;
-          }
-          if (arrived) {
-            stats_.bytes_received += resp_wire.size();
-            const auto view = parse_frame(resp_wire);
+          if (arrived != nullptr) {
+            stats_.bytes_received += arrived->size();
+            const auto view = parse_frame(*arrived);
             if (!view.has_value()) {
               stats_.corrupt_frames_rejected += 1;
             } else if (view->seq != seq || view->epoch != epoch_) {
               stats_.stale_frames_fenced += 1;
             } else {
               if (resp_leg.duplicated) stats_.duplicate_frames_dropped += 1;
-              resp_payload.assign(view->payload.begin(), view->payload.end());
+              reply = std::move(arrived);
               rtt_sample = req_leg.cost + resp_leg.cost;
-              delivered = true;
             }
           }
         }
       }
     }
 
-    if (delivered) {
+    if (reply != nullptr) {
       // Feed the detector with transport time only (remote execution already
       // advanced the clock between the legs and must not inflate the RTO).
       rtt_.sample(rtt_sample);
       last_contact_ = vm_.clock().now();
       detector_.note_delivery(last_contact_);
       last_req_frame_ = frame;
-      ByteReader r(resp_payload);
+      ByteReader r(reply->payload);
       const auto status = r.read_u8();
       if (status == kStatusVmError) {
         const auto code = static_cast<VmErrorCode>(r.read_u8());
         const std::string msg = r.read_string();
         throw VmError(code, "remote: " + msg);
       }
-      // Strip the status byte; hand the remainder to the caller.
-      return {resp_payload.begin() + 1, resp_payload.end()};
+      // The one copy of the reply: its payload minus the status byte.
+      return {reply->payload.begin() + 1, reply->payload.end()};
     }
 
     // No response: the send was refused (link down), a leg was dropped in
@@ -688,10 +682,10 @@ vm::Value Endpoint::recover_invoke(
   // The peer may have executed the call and lost only the response; salvage
   // the cached reply before recovery tears the pair down so the call is not
   // run twice.
-  auto cached = peer_ != nullptr ? peer_->take_cached_response(e.seq())
-                                 : std::nullopt;
-  if (cached.has_value()) {
-    ByteReader r(*cached);
+  const SharedFrame cached =
+      peer_ != nullptr ? peer_->take_cached_response(e.seq()) : nullptr;
+  if (cached != nullptr) {
+    ByteReader r(cached->payload);
     const auto status = r.read_u8();
     // With riders the cached reply is a batch reply: the executed sub-ops
     // (riders first, the invoke last) are authoritative on the peer, so the
@@ -710,7 +704,7 @@ vm::Value Endpoint::recover_invoke(
       // surface it exactly like a remote invoke error.
       sub.emplace(sections.back());
     } else {
-      sub.emplace(*cached);
+      sub.emplace(cached->payload);
     }
     const auto sub_status = sub->read_u8();
     if (sub_status == kStatusVmError) {
@@ -1280,10 +1274,8 @@ bool Endpoint::reconcile_log(const vm::DisconnectLog& log) {
 }
 
 void Endpoint::apply_staged_reconcile() {
-  const std::vector<std::uint8_t> staged = std::move(staged_reconcile_);
-  staged_reconcile_.clear();
-  has_staged_reconcile_ = false;
-  ByteReader sr(staged);
+  const Staged staged = *std::exchange(staged_reconcile_, std::nullopt);
+  ByteReader sr(staged.bytes);
   const auto count = sr.read_u32();
   // Batch-atomic replay: one journal scope covers every entry, so a decode
   // or apply error unwinds the whole log and the initiator can retry it as a
@@ -1323,40 +1315,46 @@ void Endpoint::apply_staged_reconcile() {
 
 // --- serving ---------------------------------------------------------------------
 
-std::optional<std::vector<std::uint8_t>> Endpoint::receive_frame(
-    std::span<const std::uint8_t> wire) {
+SharedFrame Endpoint::receive_frame(const SharedFrame& wire) {
   // An incoming frame means the peer is acting: whatever we read ahead of
   // time may be about to change (and anything we cache while serving goes
   // stale the moment the requester resumes — hence the clear on both ends).
   invalidate_snapshots();
-  const auto view = parse_frame(wire);
+  const auto view = parse_frame(*wire);
   if (!view.has_value()) {
     stats_.corrupt_frames_rejected += 1;
-    return std::nullopt;
+    return nullptr;
   }
   if (view->epoch < epoch_) {
     // A frame from before the current migration epoch: whatever it asks for
     // refers to a placement that no longer exists. Fence it.
     stats_.stale_frames_fenced += 1;
-    return std::nullopt;
+    return nullptr;
   }
   epoch_ = view->epoch;  // adopt the sender's newer fencing token
   if (last_served_seq_ != 0 && view->seq <= last_served_seq_) {
-    if (fault_tolerant() && has_cached_response_ &&
+    if (fault_tolerant() && cached_response_ != nullptr &&
         view->seq == last_served_seq_) {
       // A retry of the request we just served: at-most-once execution
-      // demands we replay the reply, not the side effects.
+      // demands we replay the reply, not the side effects. The cached frame
+      // already carries this (epoch, seq) unless the cache predates the
+      // last serve; only then is its payload sealed afresh.
       stats_.duplicates_served += 1;
-      return make_frame(epoch_, view->seq, cached_response_);
+      const auto cached = parse_frame(*cached_response_);
+      if (cached.has_value() && cached->epoch == epoch_ &&
+          cached->seq == view->seq) {
+        return cached_response_;
+      }
+      return seal_frame(epoch_, view->seq, cached_response_->payload);
     }
     stats_.stale_frames_fenced += 1;
-    return std::nullopt;
+    return nullptr;
   }
 
   serving_depth_ += 1;
   std::vector<std::uint8_t> resp;
   try {
-    resp = serve(view->payload);
+    resp = serve(view->payload, wire);
   } catch (...) {
     serving_depth_ -= 1;
     throw;
@@ -1364,27 +1362,25 @@ std::optional<std::vector<std::uint8_t>> Endpoint::receive_frame(
   serving_depth_ -= 1;
   invalidate_snapshots();
   last_served_seq_ = view->seq;
-  if (fault_tolerant()) {
-    cached_response_ = resp;
-    has_cached_response_ = true;
-  }
   last_contact_ = vm_.clock().now();
-  auto resp_frame = make_frame(epoch_, view->seq, resp);
-  last_resp_frame_ = resp_frame;
-  return resp_frame;
+  // One sealed reply serves as the wire frame, the reorder injector's
+  // retransmit copy and (under a fault plan) the reply cache.
+  last_resp_frame_ = seal_frame(epoch_, view->seq, std::move(resp));
+  if (fault_tolerant()) cached_response_ = last_resp_frame_;
+  return last_resp_frame_;
 }
 
 std::vector<std::uint8_t> Endpoint::serve(
-    std::span<const std::uint8_t> request) {
+    std::span<const std::uint8_t> request, const SharedFrame& carrier) {
   if (!request.empty() && static_cast<Op>(request[0]) == Op::batch) {
-    return serve_batch(request);
+    return serve_batch(request, carrier);
   }
   stats_.rpcs_served += 1;
-  return serve_one(request);
+  return serve_one(request, carrier);
 }
 
 std::vector<std::uint8_t> Endpoint::serve_batch(
-    std::span<const std::uint8_t> request) {
+    std::span<const std::uint8_t> request, const SharedFrame& carrier) {
   ByteWriter out;
   try {
     ByteReader r(request);
@@ -1407,7 +1403,7 @@ std::vector<std::uint8_t> Endpoint::serve_batch(
     try {
       for (const auto op : ops) {
         stats_.rpcs_served += 1;
-        auto reply = serve_one(op);
+        auto reply = serve_one(op, carrier);
         const bool failed = !reply.empty() && reply[0] == kStatusVmError;
         replies.push_back(std::move(reply));
         if (failed) break;
@@ -1433,7 +1429,7 @@ std::vector<std::uint8_t> Endpoint::serve_batch(
 }
 
 std::vector<std::uint8_t> Endpoint::serve_one(
-    std::span<const std::uint8_t> request) {
+    std::span<const std::uint8_t> request, const SharedFrame& carrier) {
   ByteWriter out;
   try {
     ByteReader r(request);
@@ -1583,23 +1579,21 @@ std::vector<std::uint8_t> Endpoint::serve_one(
         // adoption is deferred to COMMIT, so an abort at any message
         // boundary of the transfer leaves this VM exactly as it was. A
         // higher-epoch PREPARE supersedes stale staging from an aborted
-        // earlier migration; disconnect drops it entirely.
-        staged_migration_.assign(request.begin() + 1, request.end());
-        staged_epoch_ = epoch_;
-        has_staged_migration_ = true;
+        // earlier migration; disconnect drops it entirely. Staging keeps
+        // the carrying frame alive rather than copying the batch out of it.
+        staged_migration_ = Staged{carrier, request.subspan(1), epoch_};
         out.write_u8(kStatusOk);
         break;
       }
       case Op::migrate_commit: {
         const auto expected = r.read_u32();
-        if (!has_staged_migration_ || staged_epoch_ != epoch_) {
+        if (!staged_migration_.has_value() ||
+            staged_migration_->epoch != epoch_) {
           throw VmError(VmErrorCode::type_mismatch,
                         "migrate commit without a staged batch");
         }
-        const std::vector<std::uint8_t> staged = std::move(staged_migration_);
-        staged_migration_.clear();
-        has_staged_migration_ = false;
-        ByteReader sr(staged);
+        const Staged staged = *std::exchange(staged_migration_, std::nullopt);
+        ByteReader sr(staged.bytes);
         const auto count = sr.read_u32();
         if (count != expected) {
           throw VmError(VmErrorCode::type_mismatch,
@@ -1649,19 +1643,18 @@ std::vector<std::uint8_t> Endpoint::serve_one(
         // death at any boundary of the reconcile leaves this VM exactly as
         // it was. A higher-epoch PREPARE (a retried reconcile) supersedes
         // stale staging; disconnect drops it entirely.
-        staged_reconcile_.assign(request.begin() + 1, request.end());
-        staged_reconcile_epoch_ = epoch_;
-        has_staged_reconcile_ = true;
+        staged_reconcile_ = Staged{carrier, request.subspan(1), epoch_};
         out.write_u8(kStatusOk);
         break;
       }
       case Op::reconcile_commit: {
         const auto expected = r.read_u32();
-        if (!has_staged_reconcile_ || staged_reconcile_epoch_ != epoch_) {
+        if (!staged_reconcile_.has_value() ||
+            staged_reconcile_->epoch != epoch_) {
           throw VmError(VmErrorCode::type_mismatch,
                         "reconcile commit without a staged log");
         }
-        ByteReader peek(staged_reconcile_);
+        ByteReader peek(staged_reconcile_->bytes);
         if (peek.read_u32() != expected) {
           throw VmError(VmErrorCode::type_mismatch,
                         "reconcile commit count mismatch");

@@ -398,12 +398,12 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
     peer_failure_handler_ = std::move(handler);
   }
 
-  // Retrieves (and consumes) the reply this endpoint served for the peer's
-  // sequence number `seq`, if it is still cached. The recovery path uses it
-  // to salvage an executed-but-undelivered response instead of running the
-  // call twice. In-process stand-in for a recovery-channel cache flush.
-  std::optional<std::vector<std::uint8_t>> take_cached_response(
-      std::uint64_t seq);
+  // Retrieves (and consumes) the reply frame this endpoint served for the
+  // peer's sequence number `seq`, if it is still cached (nullptr if not).
+  // The recovery path uses it to salvage an executed-but-undelivered
+  // response instead of running the call twice. In-process stand-in for a
+  // recovery-channel cache flush.
+  SharedFrame take_cached_response(std::uint64_t seq);
 
   // --- vm::RemotePeer (outgoing operations) --------------------------------
 
@@ -553,21 +553,24 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
 
   // Receiving side of the framed transport: validates the CRC, fences stale
   // seq/epoch frames, replays the cached reply for a retried sequence number
-  // and serves fresh requests. Returns the framed response, or nullopt when
+  // and serves fresh requests. Returns the sealed response, or nullptr when
   // the frame was rejected — indistinguishable from a lost message to the
   // sender, which times out and retries.
-  std::optional<std::vector<std::uint8_t>> receive_frame(
-      std::span<const std::uint8_t> wire);
+  SharedFrame receive_frame(const SharedFrame& wire);
 
   // Serves one request on the receiving side (dispatches multi-op frames to
-  // serve_batch, everything else to serve_one).
-  std::vector<std::uint8_t> serve(std::span<const std::uint8_t> request);
-  std::vector<std::uint8_t> serve_one(std::span<const std::uint8_t> request);
+  // serve_batch, everything else to serve_one). `request` points into
+  // `carrier`, the frame it arrived in; PREPARE staging holds on to it.
+  std::vector<std::uint8_t> serve(std::span<const std::uint8_t> request,
+                                  const SharedFrame& carrier);
+  std::vector<std::uint8_t> serve_one(std::span<const std::uint8_t> request,
+                                      const SharedFrame& carrier);
   // Executes a multi-op frame as a unit: sub-ops run in order inside one
   // journal scope, so an abandoned nested call rolls the whole batch back
   // (no partial application); a sub-op's semantic error stops the batch and
   // travels back in that op's reply section.
-  std::vector<std::uint8_t> serve_batch(std::span<const std::uint8_t> request);
+  std::vector<std::uint8_t> serve_batch(std::span<const std::uint8_t> request,
+                                        const SharedFrame& carrier);
 
   // Clears connection-scoped transport state (staged migration batch,
   // retransmission copies) on disconnect.
@@ -630,24 +633,27 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
   // bumps the initiator's copy and the receiver adopts the higher value from
   // the frame header, so frames from before an offload are always stale.
   std::uint32_t epoch_ = 1;
-  // Single-entry reply cache: execution is synchronous and serial, so only
-  // the most recent request can ever be retried.
+  // Single-entry reply cache (armed fault plans only): execution is
+  // synchronous and serial, so only the most recent request can ever be
+  // retried. Shares the sealed reply with last_resp_frame_.
   std::uint64_t last_served_seq_ = 0;
-  std::vector<std::uint8_t> cached_response_;
-  bool has_cached_response_ = false;
+  SharedFrame cached_response_;
   // Last frames sent in each direction: what a reordered delivery presents
   // to the receiver in place of the in-flight frame.
-  std::vector<std::uint8_t> last_req_frame_;
-  std::vector<std::uint8_t> last_resp_frame_;
+  SharedFrame last_req_frame_;
+  SharedFrame last_resp_frame_;
+  // Bytes a PREPARE staged: a view into the frame that carried them, which
+  // the stage keeps alive, tagged with the epoch it was staged under.
+  struct Staged {
+    SharedFrame carrier;
+    std::span<const std::uint8_t> bytes;
+    std::uint32_t epoch = 0;
+  };
   // PREPARE-staged migration batch: raw encoded bytes, not yet adopted into
   // the heap. Dropped on disconnect, superseded by any higher-epoch PREPARE.
-  std::vector<std::uint8_t> staged_migration_;
-  std::uint32_t staged_epoch_ = 0;
-  bool has_staged_migration_ = false;
+  std::optional<Staged> staged_migration_;
   // PREPARE-staged redo log (reconcile), same lifecycle as staged_migration_.
-  std::vector<std::uint8_t> staged_reconcile_;
-  std::uint32_t staged_reconcile_epoch_ = 0;
-  bool has_staged_reconcile_ = false;
+  std::optional<Staged> staged_reconcile_;
   // Highest reconcile epoch whose COMMIT this endpoint executed, so an
   // initiator whose COMMIT ack was lost can distinguish applied from
   // not-applied (the exactly-once peek, mirroring migration's adopted-peek).

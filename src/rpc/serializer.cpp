@@ -7,31 +7,33 @@
 
 namespace aide::rpc {
 
-std::vector<std::uint8_t> make_frame(std::uint32_t epoch, std::uint64_t seq,
-                                     std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> frame(kFrameHeaderSize + payload.size());
-  std::memcpy(frame.data() + 4, &epoch, sizeof epoch);
-  std::memcpy(frame.data() + 8, &seq, sizeof seq);
-  if (!payload.empty()) {
-    std::memcpy(frame.data() + kFrameHeaderSize, payload.data(),
-                payload.size());
-  }
-  const std::uint32_t crc =
-      crc32(std::span<const std::uint8_t>(frame).subspan(4));
-  std::memcpy(frame.data(), &crc, sizeof crc);
+namespace {
+// The checksum covers the header past the crc field, then the payload.
+std::uint32_t frame_crc(const Frame& frame) noexcept {
+  return crc32(frame.payload,
+               crc32(std::span(frame.header).subspan(sizeof(std::uint32_t))));
+}
+}  // namespace
+
+SharedFrame seal_frame(std::uint32_t epoch, std::uint64_t seq,
+                       std::vector<std::uint8_t> payload) {
+  auto frame = std::make_shared<Frame>();
+  frame->payload = std::move(payload);
+  std::memcpy(frame->header.data() + 4, &epoch, sizeof epoch);
+  std::memcpy(frame->header.data() + 8, &seq, sizeof seq);
+  const std::uint32_t crc = frame_crc(*frame);
+  std::memcpy(frame->header.data(), &crc, sizeof crc);
   return frame;
 }
 
-std::optional<FrameView> parse_frame(
-    std::span<const std::uint8_t> frame) noexcept {
-  if (frame.size() < kFrameHeaderSize) return std::nullopt;
+std::optional<FrameView> parse_frame(const Frame& frame) noexcept {
   std::uint32_t crc = 0;
-  std::memcpy(&crc, frame.data(), sizeof crc);
-  if (crc32(frame.subspan(4)) != crc) return std::nullopt;
+  std::memcpy(&crc, frame.header.data(), sizeof crc);
+  if (frame_crc(frame) != crc) return std::nullopt;
   FrameView view;
-  std::memcpy(&view.epoch, frame.data() + 4, sizeof view.epoch);
-  std::memcpy(&view.seq, frame.data() + 8, sizeof view.seq);
-  view.payload = frame.subspan(kFrameHeaderSize);
+  std::memcpy(&view.epoch, frame.header.data() + 4, sizeof view.epoch);
+  std::memcpy(&view.seq, frame.header.data() + 8, sizeof view.seq);
+  view.payload = frame.payload;
   return view;
 }
 
@@ -141,7 +143,9 @@ void write_object_payload(ByteWriter& w, const vm::Object& obj,
       for (const auto& f : obj.fields) write_value(w, f, tr);
       break;
     case vm::ObjectKind::int_array:
-      for (const auto i : obj.ints) w.write_i64(i);
+      // One block: the same host-order int64s write_i64 would emit one by one.
+      w.write_bytes({reinterpret_cast<const std::uint8_t*>(obj.ints.data()),
+                     obj.ints.size() * sizeof(std::int64_t)});
       break;
     case vm::ObjectKind::char_array:
       w.write_string(obj.chars);
@@ -154,9 +158,13 @@ void read_object_payload(ByteReader& r, vm::Object& obj, RefTranslator& tr) {
     case vm::ObjectKind::plain:
       for (auto& f : obj.fields) f = read_value(r, tr);
       break;
-    case vm::ObjectKind::int_array:
-      for (auto& i : obj.ints) i = r.read_i64();
+    case vm::ObjectKind::int_array: {
+      const auto block = r.read_bytes(obj.ints.size() * sizeof(std::int64_t));
+      if (!block.empty()) {
+        std::memcpy(obj.ints.data(), block.data(), block.size());
+      }
       break;
+    }
     case vm::ObjectKind::char_array:
       obj.chars = r.read_string();
       break;

@@ -8,6 +8,8 @@
 // other's references into its own namespace).
 #pragma once
 
+#include <array>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -31,18 +33,37 @@ namespace aide::rpc {
 // from a lost message to the sender: it times out and retransmits.
 inline constexpr std::size_t kFrameHeaderSize = 16;
 
+// A sealed frame. The header is held apart from the payload it covers, so
+// sealing adopts the encoded payload instead of copying it in behind a
+// header; on the wire the two are contiguous, header first. A sealed frame
+// is immutable and travels by shared reference: the sender's retransmit
+// slot, the receiver's reply cache, the reorder injector's snapshot and a
+// PREPARE-staged batch all hold the one buffer. Whatever must alter the
+// bytes (corruption injection) works on a private copy.
+struct Frame {
+  std::array<std::uint8_t, kFrameHeaderSize> header{};
+  std::vector<std::uint8_t> payload;
+
+  // Wire size: what the link charges for this frame.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return kFrameHeaderSize + payload.size();
+  }
+};
+using SharedFrame = std::shared_ptr<const Frame>;
+
 struct FrameView {
   std::uint32_t epoch = 0;
   std::uint64_t seq = 0;
   std::span<const std::uint8_t> payload;
 };
 
-[[nodiscard]] std::vector<std::uint8_t> make_frame(
-    std::uint32_t epoch, std::uint64_t seq,
-    std::span<const std::uint8_t> payload);
-// Validates the header and CRC; nullopt means corrupt or truncated.
-[[nodiscard]] std::optional<FrameView> parse_frame(
-    std::span<const std::uint8_t> frame) noexcept;
+// Seals `payload` under an (epoch, seq) header with one CRC pass; the
+// payload is moved in, never copied.
+[[nodiscard]] SharedFrame seal_frame(std::uint32_t epoch, std::uint64_t seq,
+                                     std::vector<std::uint8_t> payload);
+// Validates the CRC with one pass; nullopt means the frame is corrupt. The
+// view's payload points into `frame`.
+[[nodiscard]] std::optional<FrameView> parse_frame(const Frame& frame) noexcept;
 
 // A reference as it appears on the wire: the owning node and the owner's
 // export handle, plus enough metadata (identity, class, shape) for the

@@ -1064,13 +1064,4 @@ void Vm::install_stub(ObjectId id, ClassId cls, ObjectKind kind) {
   stubs_.emplace(id, StubInfo{cls, kind, false});
 }
 
-std::vector<ObjectId> Vm::local_objects_of_class(ClassId cls) const {
-  std::vector<ObjectId> out;
-  heap_.for_each([&](const Object& o) {
-    if (o.cls == cls) out.push_back(o.id);
-  });
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 }  // namespace aide::vm

@@ -305,10 +305,6 @@ class Vm {
   // Drops a stub (peer released the object or it migrated here).
   void drop_stub(ObjectId id) { stubs_.erase(id); }
 
-  // All local object ids whose class matches `cls`.
-  [[nodiscard]] std::vector<ObjectId> local_objects_of_class(
-      ClassId cls) const;
-
   // --- incoming remote operations (called by the rpc endpoint) ------------
 
   Value run_incoming_invoke(ObjectId target, MethodId method,

@@ -1,10 +1,14 @@
 // Tests for the common kernel: strong ids, deterministic RNG, the virtual
-// clock, and the byte reader/writer used by the wire codec.
+// clock, the byte reader/writer used by the wire codec, and the frame CRC32.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "common/bytes.hpp"
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/ids.hpp"
 #include "common/rng.hpp"
@@ -156,6 +160,62 @@ TEST(BytesTest, TakeMovesBuffer) {
   w.write_u32(1);
   const auto buf = std::move(w).take();
   EXPECT_EQ(buf.size(), 4u);
+}
+
+// Byte-at-a-time CRC32 straight from the polynomial: the oracle the sliced
+// implementation must match bit for bit.
+std::uint32_t reference_crc32(std::span<const std::uint8_t> data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::uint8_t b : data) {
+    crc ^= b;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u64());
+  return out;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32({reinterpret_cast<const std::uint8_t*>(check.data()),
+                   check.size()}),
+            0xCBF43926u);
+  EXPECT_EQ(crc32({}), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Lengths straddle the 8-byte slice boundary and every start offset
+  // exercises the unaligned head and the byte-wise tail.
+  const auto buf = random_bytes(64 + 8, 0xC3C32);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const auto data = std::span(buf).subspan(offset, len);
+      EXPECT_EQ(crc32(data), reference_crc32(data))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceOnLargeBuffer) {
+  const auto buf = random_bytes(std::size_t{4} << 20, 0xB16C3C);
+  EXPECT_EQ(crc32(buf), reference_crc32(buf));
+}
+
+TEST(Crc32Test, ChainsAcrossSplitPoints) {
+  const auto buf = random_bytes(100, 0x5B117);
+  const std::uint32_t whole = crc32(buf);
+  for (std::size_t cut = 0; cut <= buf.size(); ++cut) {
+    const auto head = std::span(buf).first(cut);
+    const auto tail = std::span(buf).subspan(cut);
+    EXPECT_EQ(crc32(tail, crc32(head)), whole) << "cut at " << cut;
+  }
 }
 
 TEST(ErrorTest, VmErrorCarriesCode) {

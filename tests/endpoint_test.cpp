@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/error.hpp"
@@ -22,6 +24,25 @@ using vm::Value;
 using vm::Vm;
 using vm::VmConfig;
 
+VmConfig client_cfg() {
+  VmConfig c;
+  c.node = NodeId{1};
+  c.name = "client";
+  c.is_client = true;
+  c.heap_capacity = 4 << 20;
+  return c;
+}
+
+VmConfig surrogate_cfg() {
+  VmConfig c;
+  c.node = NodeId{2};
+  c.name = "surrogate";
+  c.is_client = false;
+  c.cpu_speed = 3.5;
+  c.heap_capacity = 32 << 20;
+  return c;
+}
+
 class EndpointTest : public ::testing::Test {
  protected:
   EndpointTest()
@@ -32,24 +53,6 @@ class EndpointTest : public ::testing::Test {
         client_ep_(client_, link_),
         surrogate_ep_(surrogate_, link_) {
     Endpoint::connect(client_ep_, surrogate_ep_);
-  }
-
-  static VmConfig client_cfg() {
-    VmConfig c;
-    c.node = NodeId{1};
-    c.name = "client";
-    c.is_client = true;
-    c.heap_capacity = 4 << 20;
-    return c;
-  }
-  static VmConfig surrogate_cfg() {
-    VmConfig c;
-    c.node = NodeId{2};
-    c.name = "surrogate";
-    c.is_client = false;
-    c.cpu_speed = 3.5;
-    c.heap_capacity = 32 << 20;
-    return c;
   }
 
   // Moves one client object to the surrogate.
@@ -65,6 +68,59 @@ class EndpointTest : public ::testing::Test {
   Vm surrogate_;
   Endpoint client_ep_;
   Endpoint surrogate_ep_;
+};
+
+// A client and an offloaded Chain on a surrogate, over their own link.
+// Chain.poke() calls back into the client-resident Counter the chain holds,
+// then runs `after_callback` (still on the surrogate, before the reply is
+// sealed); Chain.tag() just returns a fixed string.
+struct ChainPair {
+  explicit ChainPair(std::function<void(ChainPair&)> after_callback)
+      : registry(make_test_registry()) {
+    vm::ClassBuilder cb("Chain");
+    cb.field("next");
+    cb.method("tag", [](Vm&, ObjectRef, auto) -> Value {
+      return Value{"a reply of distinctive length"};
+    });
+    cb.method("poke", [this, after = std::move(after_callback)](
+                          Vm& ctx, ObjectRef self, auto) -> Value {
+      const ObjectRef next = ctx.get_field(self, FieldId{0}).as_ref();
+      const Value v = ctx.call(next, "inc");
+      if (after) after(*this);
+      return v;
+    });
+    const ClassId chain_cls = registry->register_class(cb.build());
+    client = std::make_unique<Vm>(client_cfg(), registry, clock);
+    surrogate = std::make_unique<Vm>(surrogate_cfg(), registry, clock);
+    client_ep = std::make_unique<Endpoint>(*client, link);
+    surrogate_ep = std::make_unique<Endpoint>(*surrogate, link);
+    Endpoint::connect(*client_ep, *surrogate_ep);
+
+    chain = client->new_object(chain_cls);
+    counter = client->new_object("Counter");
+    client->put_field(chain, FieldId{0}, Value{counter});
+    client->add_root(chain);
+    client->add_root(counter);
+    const ObjectId ids[] = {chain.id};
+    client_ep->migrate_objects(ids);
+  }
+  // poke() holds `this`.
+  ChainPair(const ChainPair&) = delete;
+  ChainPair& operator=(const ChainPair&) = delete;
+
+  [[nodiscard]] std::int64_t count() {
+    return client->raw_get_field(counter.id, FieldId{0}).as_int();
+  }
+
+  std::shared_ptr<vm::ClassRegistry> registry;
+  SimClock clock;
+  netsim::Link link;
+  std::unique_ptr<Vm> client;
+  std::unique_ptr<Vm> surrogate;
+  std::unique_ptr<Endpoint> client_ep;
+  std::unique_ptr<Endpoint> surrogate_ep;
+  ObjectRef chain;
+  ObjectRef counter;
 };
 
 TEST_F(EndpointTest, MigrationMovesObjectAndLeavesStub) {
@@ -204,37 +260,13 @@ TEST_F(EndpointTest, ManagedStaticRunsOnInvokingVm) {
 }
 
 TEST_F(EndpointTest, ReentrantCallback) {
-  // Client invokes a method on an offloaded Holder whose body calls back
+  // Client invokes a method on an offloaded Chain whose body calls back
   // into a client-resident Counter — client -> surrogate -> client.
-  auto reg = make_test_registry();
-  vm::ClassBuilder cb("Chain");
-  cb.field("next");
-  cb.method("poke", [](Vm& ctx, ObjectRef self, auto) -> Value {
-    const ObjectRef next = ctx.get_field(self, FieldId{0}).as_ref();
-    return ctx.call(next, "inc");
-  });
-  const ClassId chain_cls = reg->register_class(cb.build());
-
-  SimClock clock;
-  netsim::Link link;
-  Vm c(client_cfg(), reg, clock);
-  Vm s(surrogate_cfg(), reg, clock);
-  Endpoint ce(c, link), se(s, link);
-  Endpoint::connect(ce, se);
-
-  const ObjectRef chain = c.new_object(chain_cls);
-  const ObjectRef counter = c.new_object("Counter");
-  c.put_field(chain, FieldId{0}, Value{counter});
-  c.add_root(chain);
-  c.add_root(counter);
-
-  const ObjectId ids[] = {chain.id};
-  ce.migrate_objects(ids);
-
-  EXPECT_EQ(c.call(chain, "poke").as_int(), 1);
-  EXPECT_EQ(c.call(chain, "poke").as_int(), 2);
-  EXPECT_TRUE(c.is_local(counter.id));
-  EXPECT_EQ(c.call(counter, "get").as_int(), 2);
+  ChainPair p(nullptr);
+  EXPECT_EQ(p.client->call(p.chain, "poke").as_int(), 1);
+  EXPECT_EQ(p.client->call(p.chain, "poke").as_int(), 2);
+  EXPECT_TRUE(p.client->is_local(p.counter.id));
+  EXPECT_EQ(p.client->call(p.counter, "get").as_int(), 2);
 }
 
 TEST_F(EndpointTest, RemoteErrorsPropagateWithCode) {
@@ -719,6 +751,94 @@ TEST_F(EndpointTest, StaleEpochBatchIsDiscardedWholesale) {
   client_ep_.advance_epoch();
   EXPECT_EQ(client_.get_field(pair, FieldId{0}).as_int(), 7);
   EXPECT_EQ(client_.get_field(pair, FieldId{1}).as_str(), "x");
+}
+
+// --- frame ownership: sealed frames are shared and immutable -----------------
+
+TEST(FrameOwnershipTest, ReorderedReplyPresentsPreServeResponse) {
+  // poke's serve makes a nested call back to the client, then arms a plan
+  // that reorders every later delivery — starting with poke's own reply leg.
+  // What arrives in its place must be the surrogate's reply from before the
+  // serve (tag's), never the reply the serve just produced.
+  ChainPair p([](ChainPair& pair) {
+    netsim::FaultPlan plan;
+    plan.reorder_probability = 1.0;
+    pair.link.set_fault_plan(plan);
+  });
+  const auto before_tag = p.client_ep->stats().bytes_received;
+  EXPECT_EQ(p.client->call(p.chain, "tag").as_str(),
+            "a reply of distinctive length");
+  const auto tag_reply_bytes =
+      p.client_ep->stats().bytes_received - before_tag;
+
+  const EndpointStats before = p.client_ep->stats();
+  // Every retry's request leg is reordered too, so the call aborts.
+  EXPECT_THROW(p.client->call(p.chain, "poke"), PeerUnavailable);
+  const EndpointStats& after = p.client_ep->stats();
+  // Exactly one reply reached the client: a stale frame the size of tag's
+  // reply, which the sequence fence rejected.
+  EXPECT_EQ(after.bytes_received - before.bytes_received, tag_reply_bytes);
+  EXPECT_EQ(after.stale_frames_fenced - before.stale_frames_fenced, 1u);
+  EXPECT_EQ(after.corrupt_frames_rejected, before.corrupt_frames_rejected);
+  // The serve and its call-back ran once; no retry executed poke again.
+  EXPECT_EQ(p.count(), 1);
+}
+
+TEST_F(EndpointTest, CorruptedLegsLeaveSharedFramesIntact) {
+  const ObjectRef counter = client_.new_object("Counter");
+  client_.add_root(counter);
+  offload(counter);
+
+  // Corruption flips a byte of a private copy of the frame in flight. The
+  // shared originals stay intact, so every corrupted leg costs exactly one
+  // timeout: the next clean attempt retransmits the sealed request and is
+  // accepted, or — when the reply leg was hit — is answered from the reply
+  // cache. A generous attempt budget keeps unlucky runs from aborting.
+  RetryPolicy patient;
+  patient.max_attempts = 16;
+  client_ep_.set_retry_policy(patient);
+  netsim::FaultPlan plan;
+  plan.corrupt_probability = 0.3;
+  plan.chaos_seed = 0xC0FFEE;
+  link_.set_fault_plan(plan);
+
+  constexpr int kCalls = 40;
+  for (int i = 1; i <= kCalls; ++i) {
+    EXPECT_EQ(client_.call(counter, "inc").as_int(), i);
+  }
+  const EndpointStats& cs = client_ep_.stats();
+  const EndpointStats& ss = surrogate_ep_.stats();
+  const std::uint64_t corrupted = link_.stats().messages_corrupted;
+  EXPECT_GE(ss.corrupt_frames_rejected, 1u);  // request legs were hit
+  EXPECT_GE(cs.corrupt_frames_rejected, 1u);  // reply legs were hit
+  EXPECT_EQ(cs.corrupt_frames_rejected + ss.corrupt_frames_rejected,
+            corrupted);
+  EXPECT_EQ(cs.timeouts, corrupted);
+  EXPECT_EQ(cs.aborted_rpcs, 0u);
+  // Each rejected reply was re-served from the cache by a later attempt.
+  EXPECT_EQ(ss.duplicates_served, cs.corrupt_frames_rejected);
+}
+
+TEST(FrameOwnershipTest, DuplicateFrameIsAnsweredFromReplyCache) {
+  // poke's serve (nested call-back included) completes, then its reply leg
+  // meets a 1 ms outage. The retry is a duplicate of the frame already
+  // served: the surrogate must answer it from the reply cache with the
+  // sealed reply — not run poke again, and not a frame from the call-back.
+  ChainPair p([](ChainPair& pair) {
+    netsim::FaultPlan plan;
+    const SimTime now = pair.clock.now();
+    plan.outages.push_back({now, now + sim_ms(1)});
+    pair.link.set_fault_plan(plan);
+  });
+  const EndpointStats before = p.client_ep->stats();
+  EXPECT_EQ(p.client->call(p.chain, "poke").as_int(), 1);
+  EXPECT_EQ(p.count(), 1);
+  const EndpointStats& cs = p.client_ep->stats();
+  EXPECT_EQ(cs.timeouts - before.timeouts, 1u);
+  EXPECT_EQ(p.surrogate_ep->stats().duplicates_served, 1u);
+  // The one reply that arrived is poke's: [header][ok][int tag][i64].
+  EXPECT_EQ(cs.bytes_received - before.bytes_received,
+            kFrameHeaderSize + 1 + 1 + sizeof(std::int64_t));
 }
 
 TEST_F(EndpointTest, ReverseMigrationBringsObjectBack) {

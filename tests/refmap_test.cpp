@@ -37,7 +37,7 @@ TEST(RefMapTest, ResolveInvertsExport) {
 
 TEST(RefMapTest, ResolveUnknownThrows) {
   RefMap map;
-  EXPECT_THROW(map.resolve_export(ExportHandle{999}), VmError);
+  EXPECT_THROW((void)map.resolve_export(ExportHandle{999}), VmError);
 }
 
 TEST(RefMapTest, ReleaseByIdRemovesBothDirections) {
@@ -45,7 +45,7 @@ TEST(RefMapTest, ReleaseByIdRemovesBothDirections) {
   const auto h = map.export_object(ObjectId{5});
   map.release_export(ObjectId{5});
   EXPECT_FALSE(map.is_exported(ObjectId{5}));
-  EXPECT_THROW(map.resolve_export(h), VmError);
+  EXPECT_THROW((void)map.resolve_export(h), VmError);
   map.release_export(ObjectId{5});  // idempotent
 }
 

@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "rpc/serializer.hpp"
 
@@ -172,6 +173,30 @@ INSTANTIATE_TEST_SUITE_P(AllShapes, ObjectCodecTest,
                                            ObjectKind::int_array,
                                            ObjectKind::char_array));
 
+TEST(ObjectCodecTest, IntArrayBlockMatchesPerElementEncoding) {
+  FakeTranslator tr;
+  vm::Object src = make_object(ObjectKind::int_array);
+  for (const std::size_t len : std::vector<std::size_t>{0, 1, 7, 1000}) {
+    src.ints.resize(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      src.ints[i] = static_cast<std::int64_t>(i * 0x9E3779B97F4A7C15ULL);
+    }
+    ByteWriter block;
+    write_object_payload(block, src, tr);
+    ByteWriter each;
+    for (const std::int64_t v : src.ints) each.write_i64(v);
+    EXPECT_EQ(block.data(), each.data()) << "length " << len;
+
+    vm::Object dst;
+    dst.kind = ObjectKind::int_array;
+    dst.ints.assign(len, 0);
+    ByteReader r(block.data());
+    read_object_payload(r, dst, tr);
+    EXPECT_EQ(dst.ints, src.ints);
+    EXPECT_TRUE(r.exhausted());
+  }
+}
+
 TEST(ObjectCodecTest, TwoSectionEncodingToleratesCycles) {
   // Objects A and B reference each other; headers first, then payloads.
   FakeTranslator tr;
@@ -302,7 +327,7 @@ TEST(ObjectCodecTest, NestedObjectGraphFuzzRoundTrip) {
 // and returns the section contents alongside the framed bytes.
 struct FuzzFrame {
   std::vector<std::vector<std::uint8_t>> sections;
-  std::vector<std::uint8_t> frame;
+  SharedFrame frame;
   std::uint32_t epoch = 0;
   std::uint64_t seq = 0;
 };
@@ -321,7 +346,7 @@ FuzzFrame make_fuzz_frame(Rng& rng) {
     write_op_section(w, op);
     f.sections.push_back(std::move(op));
   }
-  f.frame = make_frame(f.epoch, f.seq, w.data());
+  f.frame = seal_frame(f.epoch, f.seq, std::move(w).take());
   return f;
 }
 
@@ -331,7 +356,7 @@ TEST(FrameCodecTest, MultiOpFrameFuzzRoundTrip) {
     SCOPED_TRACE("round " + std::to_string(round));
     const FuzzFrame f = make_fuzz_frame(rng);
 
-    const auto view = parse_frame(f.frame);
+    const auto view = parse_frame(*f.frame);
     ASSERT_TRUE(view.has_value());
     EXPECT_EQ(view->epoch, f.epoch);
     EXPECT_EQ(view->seq, f.seq);
@@ -347,28 +372,54 @@ TEST(FrameCodecTest, MultiOpFrameFuzzRoundTrip) {
   }
 }
 
+// The frame as it goes on the wire: header, then payload.
+std::vector<std::uint8_t> wire_bytes(const Frame& frame) {
+  std::vector<std::uint8_t> out(frame.header.begin(), frame.header.end());
+  out.insert(out.end(), frame.payload.begin(), frame.payload.end());
+  return out;
+}
+
+TEST(FrameCodecTest, SealedFrameKeepsWireLayout) {
+  Rng rng(0x1A10);
+  for (int round = 0; round < 50; ++round) {
+    const FuzzFrame f = make_fuzz_frame(rng);
+    const auto wire = wire_bytes(*f.frame);
+    ASSERT_EQ(wire.size(), f.frame->size());
+    ByteReader r(wire);
+    // [u32 crc][u32 epoch][u64 seq][payload], crc over everything after it.
+    EXPECT_EQ(r.read_u32(), crc32(std::span(wire).subspan(4)));
+    EXPECT_EQ(r.read_u32(), f.epoch);
+    EXPECT_EQ(r.read_u64(), f.seq);
+    EXPECT_EQ(r.remaining(), f.frame->payload.size());
+  }
+}
+
 TEST(FrameCodecTest, TruncatedFramesAreRejected) {
   Rng rng(0x7A11);
   const FuzzFrame f = make_fuzz_frame(rng);
-  // Every proper prefix — headerless stumps and CRC-orphaned payloads alike
-  // — must be rejected, never mis-decoded.
-  for (std::size_t len = 0; len < f.frame.size(); ++len) {
-    EXPECT_FALSE(
-        parse_frame(std::span(f.frame.data(), len)).has_value())
-        << "prefix of " << len << " bytes accepted";
+  // Every proper prefix of the payload under the original header — down to
+  // a bare header — must be rejected, never mis-decoded.
+  for (std::size_t len = 0; len < f.frame->payload.size(); ++len) {
+    Frame cut = *f.frame;
+    cut.payload.resize(len);
+    EXPECT_FALSE(parse_frame(cut).has_value())
+        << "payload prefix of " << len << " bytes accepted";
   }
 }
 
 TEST(FrameCodecTest, BitFlippedFramesAreRejected) {
   Rng rng(0xF11B);
   const FuzzFrame f = make_fuzz_frame(rng);
-  ASSERT_TRUE(parse_frame(f.frame).has_value());
+  ASSERT_TRUE(parse_frame(*f.frame).has_value());
   // CRC32 catches every single-bit error, wherever it lands: header fields
   // (including the stored CRC itself), batch count, or op payload.
-  for (std::size_t byte = 0; byte < f.frame.size(); ++byte) {
+  for (std::size_t byte = 0; byte < f.frame->size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
-      auto copy = f.frame;
-      copy[byte] ^= static_cast<std::uint8_t>(1u << bit);
+      Frame copy = *f.frame;
+      std::uint8_t& b = byte < kFrameHeaderSize
+                            ? copy.header[byte]
+                            : copy.payload[byte - kFrameHeaderSize];
+      b ^= static_cast<std::uint8_t>(1u << bit);
       EXPECT_FALSE(parse_frame(copy).has_value())
           << "flip at byte " << byte << " bit " << bit << " accepted";
     }
