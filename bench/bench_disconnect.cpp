@@ -93,7 +93,7 @@ Sample run(const apps::AppInfo& app, const netsim::FaultPlan& plan) {
   cfg.client_gc_alloc_bytes_divisor = 512;
   cfg.fault_plan = plan;
   cfg.disconnect.enabled = true;
-  cfg.disconnect.probe_interval = sim_ms(20);
+  cfg.probe_interval = sim_ms(20);
   // Detection must not depend on the app's I/O pattern: several apps run
   // long quiet stretches (reads from snapshots, writes deferred) in which
   // only the heartbeat transmits. Same configuration as the chaos families.

@@ -37,8 +37,8 @@ step "graph hot-path smoke (monitor throughput + MINCUT parity)"
 step "VM hot-path smoke (slab heap + call-site cache parity)"
 ./build-ci/bench/bench_vm_hotpath --smoke
 
-step "chaos smoke (crash-consistent offload under seeded schedules)"
-./build-ci/tests/chaos_test --smoke
+step "chaos sweep (all 42 cases: crash-consistent offload under seeded schedules)"
+./build-ci/tests/chaos_test
 
 step "rpc batch smoke (batched vs per-op transport parity + frame reduction)"
 ./build-ci/bench/bench_rpc_batch --smoke

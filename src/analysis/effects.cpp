@@ -8,6 +8,8 @@
 #include <string_view>
 #include <unordered_set>
 
+#include "common/log.hpp"
+
 namespace aide::analysis {
 
 namespace {
@@ -154,8 +156,12 @@ std::string VerifyReport::summary() const {
 // ---------------------------------------------------------------- verify --
 
 VerifyReport verify(const vm::ClassRegistry& registry) {
+  return verify(registry, analyze(registry));
+}
+
+VerifyReport verify(const vm::ClassRegistry& registry, AnalysisReport base) {
   VerifyReport report;
-  report.base = analyze(registry);
+  report.base = std::move(base);
 
   const auto classes = registry.classes();
 
@@ -653,6 +659,38 @@ bool BatchSafety::replay_safe(ClassId cls, MethodId method) const noexcept {
 bool BatchSafety::prefetch_eligible(ClassId cls) const noexcept {
   const std::size_t c = cls.value();
   return c < prefetch_eligible_.size() && prefetch_eligible_[c];
+}
+
+// ------------------------------------------------------------ startup gates
+
+StartupGates run_startup_gates(const vm::ClassRegistry& registry,
+                               bool static_analysis, bool effect_verify) {
+  const auto log_warnings = [](const char* tool, const auto& diags) {
+    for (const Diagnostic& d : diags) {
+      if (d.severity == Severity::warning) AIDE_LOG_WARN(tool, d.format());
+    }
+  };
+  StartupGates gates;
+  if (static_analysis) {
+    gates.analysis = analyze(registry);
+    log_warnings("aidelint", gates.analysis->diagnostics);
+    if (!gates.analysis->ok()) throw AnalysisError(*gates.analysis);
+  }
+  if (effect_verify) {
+    gates.verify =
+        verify(registry, gates.analysis ? *gates.analysis : analyze(registry));
+    log_warnings("aideverify", gates.verify->diagnostics);
+    if (gates.verify->count(Severity::error) > 0) {
+      auto merged = gates.verify->base;
+      merged.diagnostics = gates.verify->diagnostics;
+      throw AnalysisError(merged);
+    }
+    if (gates.verify->methods_total > 0 &&
+        gates.verify->methods_with_ir == gates.verify->methods_total) {
+      gates.batch_safety.emplace(*gates.verify);
+    }
+  }
+  return gates;
 }
 
 }  // namespace aide::analysis

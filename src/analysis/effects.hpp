@@ -38,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -195,6 +196,10 @@ struct VerifyReport {
 // Pure: no VM, no execution. Throws AnalysisError only via analyze()'s
 // contract (callers gate on errors themselves).
 [[nodiscard]] VerifyReport verify(const vm::ClassRegistry& registry);
+// The same inference over an analyze() report the caller already holds for
+// this registry (it becomes VerifyReport::base).
+[[nodiscard]] VerifyReport verify(const vm::ClassRegistry& registry,
+                                  AnalysisReport base);
 
 // The oracle implementation served to src/rpc. Holds an immutable snapshot
 // of the verify verdicts (dense id-indexed tables; queries are O(1) or one
@@ -226,5 +231,33 @@ class BatchSafety final : public BatchSafetyOracle {
   std::vector<std::vector<bool>> pure_;
   std::vector<bool> prefetch_eligible_;
 };
+
+// ------------------------------------------------------------ startup gates
+
+// What the runtimes that execute a registry (Platform, SurrogateServer) keep
+// from the startup gates.
+struct StartupGates {
+  std::optional<AnalysisReport> analysis;  // aidelint ran
+  std::optional<VerifyReport> verify;      // aideverify ran
+  // Only with 100% effect-IR coverage: partial IR proves nothing usable.
+  std::optional<BatchSafety> batch_safety;
+
+  // Verify's hints (a superset: replay/prefetch facts) when it ran, else
+  // aidelint's, else none.
+  [[nodiscard]] const StaticHints* hints() const noexcept {
+    if (verify.has_value()) return &verify->hints;
+    return analysis.has_value() ? &analysis->hints : nullptr;
+  }
+  [[nodiscard]] const BatchSafety* oracle() const noexcept {
+    return batch_safety.has_value() ? &*batch_safety : nullptr;
+  }
+};
+
+// Runs the enabled gates, logging WARN findings. Throws AnalysisError on
+// aidelint ERROR findings, then on aideverify's own (base lint errors stay
+// waivable by turning static_analysis off). analyze() runs once.
+[[nodiscard]] StartupGates run_startup_gates(const vm::ClassRegistry& registry,
+                                             bool static_analysis,
+                                             bool effect_verify);
 
 }  // namespace aide::analysis

@@ -23,13 +23,13 @@
 #include <unordered_set>
 #include <vector>
 
-#include "analysis/analyzer.hpp"
 #include "analysis/effects.hpp"
 #include "common/simclock.hpp"
 #include "monitor/monitor.hpp"
 #include "monitor/resource_monitor.hpp"
 #include "netsim/link.hpp"
 #include "partition/partitioner.hpp"
+#include "platform/link_state.hpp"
 #include "platform/surrogate_registry.hpp"
 #include "rpc/endpoint.hpp"
 #include "vm/vm.hpp"
@@ -44,46 +44,39 @@ struct Enhancements {
   std::int64_t min_array_bytes = 4096;
 };
 
-// Idle-period failure detection: when the client endpoint has been quiet for
-// `idle_after` (checked on client GC ticks, the platform's natural timer), a
-// ping() probes the surrogate so a dead peer is detected before the next
-// application RPC stalls on it. 0 disables heartbeats — the default, which
-// keeps armed-but-inert fault plans bit-identical to fault-free runs.
+// Idle-period failure detection: while connected, every client tick (GC
+// report, invocation exit, data access) checks whether the client endpoint
+// has been quiet for `idle_after`; if so a ping() probes the surrogate, so a
+// dead peer is detected before the next application RPC stalls on it. 0
+// disables heartbeats — the default, which keeps armed-but-inert fault plans
+// bit-identical to fault-free runs.
 struct HeartbeatPolicy {
   SimDuration idle_after = 0;
 };
 
-// Surrogate re-admission: after handle_peer_failure the platform keeps
-// probing the link (on client GC ticks, rate-limited by probe_interval); when
-// a probe gets through it reconnects the endpoint pair under a fresh
-// migration epoch, re-runs the partitioning policy and re-offloads. Off by
-// default: PR 1's permanent-degradation semantics remain the baseline.
+// Surrogate re-admission: after a surrogate death the platform keeps probing
+// the link on client GC ticks; when a probe gets through it reconnects the
+// endpoint pair under a fresh migration epoch, re-runs the partitioning
+// policy and re-offloads (at most kMaxReadmissions times). Off by default:
+// permanent degradation remains the baseline.
 struct ReadmissionPolicy {
   bool enabled = false;
-  SimDuration probe_interval = sim_ms(250);
-  // Payload of one probe message (charged to the link when it delivers).
-  std::uint64_t probe_bytes = 64;
-  std::size_t max_readmissions = 4;
 };
 
 // Disconnected operation: when the client endpoint's partition detector
 // distinguishes a sustained partition from transient loss, the platform
-// enters an explicit Disconnected mode instead of tearing the offload down —
+// enters the disconnected link state instead of tearing the offload down —
 // it hoards replicas of the surrogate-resident working set into the client
 // heap, executes everything locally while journaling intended remote
 // mutations into a coalescing redo log, probes the link, and reconciles the
-// log against the revived surrogate exactly-once before resuming partitioned
-// execution. Off by default: PR 1's teardown semantics remain the baseline.
+// log against the revived surrogate exactly-once (at most kMaxReconciles
+// attempts per episode) before resuming partitioned execution. Off by
+// default: teardown remains the baseline.
 struct DisconnectPolicy {
   bool enabled = false;
   // Partition-detector thresholds (see rpc::PartitionPolicy).
   std::uint32_t consecutive_timeouts = 3;
   SimDuration silence_after = sim_ms(60);
-  // Reconnect probing while disconnected, on client GC ticks (the platform's
-  // deterministic timer), rate-limited like readmission probing.
-  SimDuration probe_interval = sim_ms(250);
-  std::uint64_t probe_bytes = 64;
-  std::size_t max_reconciles = 16;
   // Proactive hoard on a degrading link: while connected and offloaded, if
   // the Jacobson-estimated RTT exceeds this threshold the platform recalls
   // the prefetch-eligible working set (StaticHints: encapsulated-writes
@@ -91,14 +84,10 @@ struct DisconnectPolicy {
   // state. 0 disables the proactive path.
   SimDuration degrade_rtt = 0;
   // Allocation-gravity credit (cut-weight units per byte, scaled by the
-  // platform's edge_weight.bytes_factor) that post-reconcile offload
-  // decisions grant to components of the working tree the program used or
-  // rebuilt while disconnected (harvested from the redo-log watch set at
-  // reconcile). The MINCUT benefit model alone picks the cheapest-to-cut
-  // sliver and strands the rebuilt tree on the client (JavaNote pays +174%
-  // for it); the credit makes the rebuilt tree the preferred candidate.
-  // The seed persists for the connected era — the sites keep allocating
-  // after a short outage — and resets at the next disconnection. 0
+  // platform's edge_weight.bytes_factor) that offload decisions after a
+  // reconcile grant to components of the working tree the program used or
+  // rebuilt while disconnected, so that tree outranks the cheapest-to-cut
+  // sliver (DESIGN.md §11). The seed lasts until the next disconnection. 0
   // restores the unseeded re-offload.
   double reoffload_gravity_credit = 1.0;
 };
@@ -129,9 +118,13 @@ struct PlatformConfig {
   ReadmissionPolicy readmission;
   // Disconnected operation: hoard / journal / reconcile (off by default).
   DisconnectPolicy disconnect;
-  // Recovery-channel cost model for pulling state back from a dead
-  // surrogate: a flat re-handshake latency plus the reclaimed bytes over the
-  // recovery bandwidth.
+  // One timer paces the link: reconnect probes (kProbeBytes each) while the
+  // surrogate is away (dead or disconnected) and proactive recalls while it
+  // is present.
+  SimDuration probe_interval = sim_ms(250);
+  // Recovery-channel cost model for pulling state home on surrogate loss
+  // (reclaim or hoard): a flat re-handshake latency plus the pulled bytes
+  // over the recovery bandwidth.
   SimDuration recovery_latency = sim_ms(200);
   double recovery_bandwidth_bps = 11e6;
 
@@ -255,17 +248,17 @@ class Platform : private vm::VmHooks {
   // The startup static-analysis report (empty when static_analysis is off).
   [[nodiscard]] const std::optional<analysis::AnalysisReport>&
   analysis_report() const noexcept {
-    return analysis_;
+    return gates_.analysis;
   }
   // The startup effect-verify report (empty when effect_verify is off).
   [[nodiscard]] const std::optional<analysis::VerifyReport>& verify_report()
       const noexcept {
-    return verify_;
+    return gates_.verify;
   }
   // The batch-safety oracle serving both endpoints; null unless
   // effect_verify ran over a registry with 100% effect-IR coverage.
   [[nodiscard]] const analysis::BatchSafety* batch_safety() const noexcept {
-    return batch_safety_.has_value() ? &*batch_safety_ : nullptr;
+    return gates_.oracle();
   }
 
   [[nodiscard]] const std::vector<OffloadReport>& offloads() const noexcept {
@@ -276,8 +269,12 @@ class Platform : private vm::VmHooks {
   [[nodiscard]] const std::vector<FailureReport>& failures() const noexcept {
     return failures_;
   }
+  [[nodiscard]] LinkState link_state() const noexcept { return link_state_; }
   [[nodiscard]] bool surrogate_dead() const noexcept {
-    return surrogate_dead_;
+    return link_state_ == LinkState::dead;
+  }
+  [[nodiscard]] bool disconnected() const noexcept {
+    return link_state_ == LinkState::disconnected;
   }
 
   [[nodiscard]] const std::vector<ReadmissionReport>& readmissions()
@@ -285,13 +282,6 @@ class Platform : private vm::VmHooks {
     return readmissions_;
   }
 
-  // --- disconnected operation ----------------------------------------------
-
-  enum class Mode : std::uint8_t { connected, disconnected };
-  [[nodiscard]] Mode mode() const noexcept { return mode_; }
-  [[nodiscard]] bool disconnected() const noexcept {
-    return mode_ == Mode::disconnected;
-  }
   [[nodiscard]] const std::vector<DisconnectReport>& disconnects()
       const noexcept {
     return disconnects_;
@@ -312,11 +302,11 @@ class Platform : private vm::VmHooks {
     registered_surrogate_ = surrogate_id;
   }
 
-  // Graceful degradation: severs the endpoint pair, reclaims every
-  // surviving surrogate-resident object back into the client heap (charging
-  // the recovery channel), suppresses further offload triggers and marks
-  // the surrogate dead in the attached registry. Idempotent; returns true
-  // once the client owns all surviving state.
+  // The peer-lost event: a connected platform pulls the surrogate's state
+  // home — replicas when the policy is armed and the detector says the link
+  // (not the peer) is gone, otherwise the originals, marking the surrogate
+  // dead in the attached registry — and charges the recovery channel.
+  // Idempotent; returns true once the client owns all surviving state.
   bool handle_peer_failure();
 
   // Evaluates the partitioning policy now; migrates and returns a report if a
@@ -329,39 +319,33 @@ class Platform : private vm::VmHooks {
   [[nodiscard]] SimDuration elapsed() const noexcept { return clock_.now(); }
 
  private:
-  // VmHooks: the platform watches client GC reports for the trigger (and,
-  // with the respective policies armed, for heartbeat and re-admission
-  // probing — GC cadence is the platform's deterministic timer).
+  // VmHooks: client GC reports, invocation exits and data accesses are the
+  // link state machine's ticks, all dispatched through tick().
   void on_gc(NodeId vm, const vm::GcReport& report) override;
-  // Disconnected-mode reconcile probing cannot depend on GC cadence alone: a
-  // workload that stops allocating (hot loops over hoarded arrays) would
-  // starve the probe loop and never notice the link returning. Invocation
-  // exit is the densest safe dispatch point; the probe interval gates cost.
   void on_invoke(const vm::InvokeEvent& ev) override;
   void on_access(const vm::AccessEvent& ev) override;
-  // Shared probe/heartbeat dispatch behind the three event hooks above.
-  void link_maintenance(NodeId vm);
+  void tick(NodeId vm, LinkEvent event);
+  // Samples the guards, commits link_step()'s next state, runs its action.
+  void transition(LinkEvent event);
 
-  // Idle-period liveness probe; a failed ping runs handle_peer_failure.
-  void maybe_heartbeat();
-  // Probe the link after a failure; reconnect + re-offload on recovery.
-  void maybe_readmit();
-  void readmit();
-  // Disconnected-mode transitions. enter_disconnected_mode hoards replicas
-  // and installs the redo log; maybe_reconcile probes the link while
-  // disconnected; reconcile replays the log and resumes on success;
-  // maybe_proactive_recall pulls eligible state back over a degrading link.
-  bool enter_disconnected_mode();
-  void maybe_reconcile();
+  // The table's actions. pull_back brings the surrogate's state home on
+  // loss: replicas (partition) or the originals (death).
+  void heartbeat();
+  void maintain();
+  void recall();
+  void probe();
+  void pull_back(bool partition);
   void reconcile();
-  void maybe_proactive_recall();
+  void resume();
+  void readmit();
+
+  // Rate limit shared by probes and recalls; stamps the timer when due.
+  bool probe_due();
   // Pushes redo-log counter deltas into the client endpoint's stats.
   void sync_partition_stats();
-  // max_offloads covers the normal policy; each re-admission is entitled to
-  // one more migration on top of it.
-  [[nodiscard]] std::size_t offload_budget() const noexcept {
-    return config_.max_offloads + readmissions_.size();
-  }
+  // The policy's own constraint first, then any partitioning that frees
+  // something (allocation rescue and readmission).
+  std::optional<OffloadReport> offload_with_fallback();
 
   bool low_memory_rescue(vm::Vm& vm);
   [[nodiscard]] partition::PartitionRequest make_request(
@@ -372,10 +356,8 @@ class Platform : private vm::VmHooks {
   SimClock clock_;
   netsim::Link link_;
   std::shared_ptr<const vm::ClassRegistry> registry_;
-  std::optional<analysis::AnalysisReport> analysis_;
-  std::optional<analysis::VerifyReport> verify_;
-  // Declared before the endpoints: they hold a non-owning pointer to it.
-  std::optional<analysis::BatchSafety> batch_safety_;
+  // Declared before the endpoints: they hold a pointer to its oracle.
+  analysis::StartupGates gates_;
 
   std::unique_ptr<vm::Vm> client_;
   std::unique_ptr<vm::Vm> surrogate_;
@@ -388,34 +370,33 @@ class Platform : private vm::VmHooks {
   std::vector<OffloadReport> offloads_;
   std::vector<FailureReport> failures_;
   std::vector<ReadmissionReport> readmissions_;
-  SimTime last_probe_at_ = 0;
-  std::size_t probes_since_failure_ = 0;
+  std::vector<DisconnectReport> disconnects_;
+  std::vector<RecallReport> recalls_;
   bool offloading_in_progress_ = false;
-  bool surrogate_dead_ = false;
-  // Disconnected-operation state. `mode_` is deliberately separate from
-  // surrogate_dead_: a dead surrogate has no state worth reconciling (it was
-  // pulled back), while a disconnected one keeps its originals as the replay
-  // target. The hoarded ids are the replicas to drop at resume; the synced_*
-  // cursors track which log counters already reached EndpointStats.
-  Mode mode_ = Mode::connected;
+  bool in_op_tick_ = false;  // op ticks never re-enter; GC ticks may
+
+  LinkState link_state_ = LinkState::connected;
+  // The probe timer (see PlatformConfig::probe_interval) and the probe
+  // counts since the last loss; delivered probes bound reconcile attempts.
+  SimTime last_probe_at_ = 0;
+  std::size_t probes_sent_ = 0;
+  std::size_t probes_delivered_ = 0;
+
+  // Disconnected-era state: the redo log, the hoarded replicas to drop at
+  // resume, and the log counters already pushed into EndpointStats.
   vm::DisconnectLog disconnect_log_;
   std::vector<ObjectId> hoarded_ids_;
+  std::uint64_t synced_journaled_ = 0;
+  std::uint64_t synced_coalesced_ = 0;
   // Components of the working tree rebuilt while disconnected, harvested
   // from the redo log's live values just before they ship; seeds the
-  // post-reconcile re-offload with allocation gravity, then clears.
+  // post-reconcile re-offload with allocation gravity until the next
+  // disconnection.
   std::unordered_set<graph::ComponentKey> reoffload_gravity_;
   // Admission threshold of the most recent successful offload, replayed by
   // the post-reconcile re-offload so resume restores the same placement
   // policy that was in effect when the partition hit.
   std::optional<std::int64_t> last_offload_min_free_;
-  std::vector<DisconnectReport> disconnects_;
-  std::vector<RecallReport> recalls_;
-  SimTime last_reconcile_probe_at_ = 0;
-  std::size_t reconcile_attempts_ = 0;
-  bool disconnect_dispatch_ = false;  // reentrancy guard for on_invoke
-  SimTime last_recall_at_ = 0;
-  std::uint64_t synced_journaled_ = 0;
-  std::uint64_t synced_coalesced_ = 0;
   SurrogateRegistry* surrogate_registry_ = nullptr;
   NodeId registered_surrogate_ = NodeId::invalid();
 };

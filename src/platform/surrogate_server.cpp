@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "common/log.hpp"
-
 namespace aide::platform {
 
 namespace {
@@ -92,35 +90,12 @@ SurrogateServer::SurrogateServer(
 
 SurrogateServer::SurrogateServer(
     std::shared_ptr<const vm::ClassRegistry> registry, ServerConfig config)
-    : config_(config), registry_(std::move(registry)) {
-  // The startup gates run once, against the one registry every session
-  // shares; admitting a session never re-analyzes anything.
-  if (config_.static_analysis) {
-    analysis_ = analysis::analyze(*registry_);
-    for (const auto& d : analysis_->diagnostics) {
-      if (d.severity == analysis::Severity::warning) {
-        AIDE_LOG_WARN("aidelint", d.format());
-      }
-    }
-    if (!analysis_->ok()) throw analysis::AnalysisError(*analysis_);
-  }
-  if (config_.effect_verify) {
-    verify_ = analysis::verify(*registry_);
-    for (const auto& d : verify_->diagnostics) {
-      if (d.severity == analysis::Severity::warning) {
-        AIDE_LOG_WARN("aideverify", d.format());
-      }
-    }
-    if (verify_->count(analysis::Severity::error) > 0) {
-      auto merged = verify_->base;
-      merged.diagnostics = verify_->diagnostics;
-      throw analysis::AnalysisError(merged);
-    }
-    if (verify_->methods_total > 0 &&
-        verify_->methods_with_ir == verify_->methods_total) {
-      batch_safety_.emplace(*verify_);
-    }
-  }
+    : config_(config),
+      registry_(std::move(registry)),
+      // The startup gates run once, against the one registry every session
+      // shares; admitting a session never re-analyzes anything.
+      gates_(analysis::run_startup_gates(*registry_, config_.static_analysis,
+                                         config_.effect_verify)) {
   slots_.reserve(config_.max_sessions);
   order_.reserve(config_.max_sessions);
 }
@@ -148,9 +123,8 @@ Session* SurrogateServer::open_session(SessionId id) {
   if (slot == slots_.size()) slots_.emplace_back();
 
   next_session_ = id.value() + 1;
-  slots_[slot] = std::make_unique<Session>(
-      id, registry_, config_, *clock_,
-      batch_safety_.has_value() ? &*batch_safety_ : nullptr);
+  slots_[slot] = std::make_unique<Session>(id, registry_, config_, *clock_,
+                                           gates_.oracle());
   order_.push_back(slot);
   live_ += 1;
   stats_.sessions_opened += 1;

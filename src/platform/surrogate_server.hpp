@@ -44,7 +44,6 @@
 #include <span>
 #include <vector>
 
-#include "analysis/analyzer.hpp"
 #include "analysis/effects.hpp"
 #include "common/simclock.hpp"
 #include "netsim/link.hpp"
@@ -210,10 +209,9 @@ struct ServerStats {
 
 class SurrogateServer {
  public:
-  // Runs the aidelint/aideverify gates once over the shared registry
-  // (throwing analysis::AnalysisError on findings, exactly like Platform)
-  // and derives the shared BatchSafety oracle when the registry carries
-  // full effect-IR coverage.
+  // Runs the startup gates (analysis::run_startup_gates, the same ones
+  // Platform runs) once over the shared registry; every session shares the
+  // resulting BatchSafety oracle.
   SurrogateServer(std::shared_ptr<const vm::ClassRegistry> registry,
                   ServerConfig config = {});
   // Pool form: the server runs on `shared_clock` (not owned, must outlive
@@ -231,14 +229,14 @@ class SurrogateServer {
   [[nodiscard]] ServerStats stats() const;
   [[nodiscard]] const std::optional<analysis::AnalysisReport>&
   analysis_report() const noexcept {
-    return analysis_;
+    return gates_.analysis;
   }
   [[nodiscard]] const std::optional<analysis::VerifyReport>& verify_report()
       const noexcept {
-    return verify_;
+    return gates_.verify;
   }
   [[nodiscard]] const analysis::BatchSafety* batch_safety() const noexcept {
-    return batch_safety_.has_value() ? &*batch_safety_ : nullptr;
+    return gates_.oracle();
   }
 
   // Admission control: opens a new isolated session, or returns nullptr
@@ -287,9 +285,7 @@ class SurrogateServer {
   SimClock own_clock_;
   SimClock* clock_ = &own_clock_;  // pool members point at the shared clock
   std::shared_ptr<const vm::ClassRegistry> registry_;
-  std::optional<analysis::AnalysisReport> analysis_;
-  std::optional<analysis::VerifyReport> verify_;
-  std::optional<analysis::BatchSafety> batch_safety_;
+  analysis::StartupGates gates_;  // sessions hold its oracle: declared first
 
   void do_close(std::size_t slot);
 

@@ -4,42 +4,24 @@
 // them with AIDE_UPDATE_GOLDEN=1 after an intentional format change.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 
 #include "analysis/effects.hpp"
 #include "analysis/report_io.hpp"
 #include "apps/apps.hpp"
+#include "tests/test_util.hpp"
 #include "vm/klass.hpp"
 
 namespace aide::analysis {
 namespace {
 
+using aide::test::check_golden;
 using vm::ClassBuilder;
 using vm::ClassRegistry;
 
 vm::MethodBody noop() {
   return [](vm::Vm&, vm::ObjectRef, auto) { return vm::Value{}; };
-}
-
-void check_golden(const std::string& name, const std::string& actual) {
-  const std::string path = std::string(GOLDEN_DIR) + "/" + name;
-  if (std::getenv("AIDE_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << actual;
-    return;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing golden file " << path
-                         << " — regenerate with AIDE_UPDATE_GOLDEN=1";
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_EQ(actual, buf.str())
-      << "output drifted from " << path
-      << " — if intentional, regenerate with AIDE_UPDATE_GOLDEN=1";
 }
 
 std::string lint_text(const char* app, bool hints) {

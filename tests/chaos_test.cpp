@@ -18,8 +18,8 @@
 //     standalone run, with no stub left dangling on the client.
 //
 // This binary owns its main(): `chaos_test --smoke` runs a 5-schedule subset
-// (the ctest / CI configuration); the bare binary runs the full 25-schedule
-// sweep.
+// (the ctest and sanitizer-job configuration); the bare binary runs the full
+// 25-schedule sweep, which CI's normal job runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -135,7 +135,7 @@ Outcome run(const apps::AppInfo& app, const apps::AppParams& params,
   cfg.fault_plan = plan;
   if (disconnect) {
     cfg.disconnect.enabled = true;
-    cfg.disconnect.probe_interval = sim_ms(20);
+    cfg.probe_interval = sim_ms(20);
   }
   // Several apps run long stretches with zero demanded wire traffic (reads
   // served from snapshots, writes deferred), so a quiet-window outage is

@@ -295,7 +295,7 @@ pf::PlatformConfig disconnect_config() {
   cfg.client_gc_alloc_count_threshold = 8;
   cfg.client_gc_alloc_bytes_divisor = 512;
   cfg.disconnect.enabled = true;
-  cfg.disconnect.probe_interval = sim_ms(10);
+  cfg.probe_interval = sim_ms(10);
   return cfg;
 }
 
@@ -356,7 +356,7 @@ TEST(PlatformDisconnectTest, OutageHoardsJournalsReconcilesAndResumes) {
   // dead; the operation itself completes against the hoarded replica.
   EXPECT_EQ(client.call(counter, "get").as_int(), 5);
   ASSERT_TRUE(p.disconnected());
-  EXPECT_EQ(p.mode(), pf::Platform::Mode::disconnected);
+  EXPECT_EQ(p.link_state(), pf::LinkState::disconnected);
   EXPECT_FALSE(p.surrogate_dead());
   EXPECT_TRUE(p.failures().empty());
   ASSERT_EQ(p.disconnects().size(), 1u);

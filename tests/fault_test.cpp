@@ -393,7 +393,7 @@ TEST(ReadmissionTest, RevivedSurrogateIsReAdmittedAndReOffloaded) {
       probe.offload_done + (probe.end - probe.offload_done) / 4;
   cfg.fault_plan.revive_at = cfg.fault_plan.dead_after + sim_ms(250);
   cfg.readmission.enabled = true;
-  cfg.readmission.probe_interval = sim_ms(1);
+  cfg.probe_interval = sim_ms(1);
 
   // First pass learns the (deterministic) re-admission instant; the second
   // measures the remote-execution fraction from exactly that instant.

@@ -1,14 +1,41 @@
 // Shared helpers for the MiniVM test suites: a small class library with
 // plain data classes, managed methods, statics, and native (pinned /
-// stateless) methods.
+// stateless) methods, plus the golden-file comparison.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "vm/klass.hpp"
 #include "vm/vm.hpp"
 
 namespace aide::test {
+
+// Compares `actual` with tests/golden/<name>. With AIDE_UPDATE_GOLDEN=1 in
+// the environment it rewrites the file instead (after an intentional
+// output change).
+inline void check_golden(const std::string& name, const std::string& actual) {
+  const std::string path = std::string(GOLDEN_DIR) + "/" + name;
+  if (std::getenv("AIDE_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << actual;
+    return;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path
+                         << " — regenerate with AIDE_UPDATE_GOLDEN=1";
+  std::stringstream buf;
+  buf << in.rdbuf();
+  EXPECT_EQ(actual, buf.str())
+      << "output drifted from " << path
+      << " — if intentional, regenerate with AIDE_UPDATE_GOLDEN=1";
+}
 
 inline const vm::Value& arg(std::span<const vm::Value> args, std::size_t i) {
   static const vm::Value nil;
