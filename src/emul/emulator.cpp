@@ -28,26 +28,32 @@ void Emulator::charge_service(SimDuration service, ServiceKind kind,
 }
 
 void Emulator::try_offload(SimTime at, EmulationResult& result) {
-  monitor_->prune_dead_components();
+  const std::vector<NodeIndex> remap = monitor_->prune_dead_components();
+  const graph::ExecGraph& g = monitor_->graph();
+  if (!remap.empty()) {
+    // Carry placement across the renumbering; pruned nodes drop out.
+    std::vector<int> carried(g.node_count(), 0);
+    for (std::size_t i = 0; i < placement_.size(); ++i) {
+      if (remap[i] != graph::ExecGraph::npos) carried[remap[i]] = placement_[i];
+    }
+    placement_ = std::move(carried);
+  }
+  placement_.resize(g.node_count(), 0);
 
   if (!config_.manual_offload_classes.empty()) {
     partition::PartitionDecision manual;
     manual.offload = true;
+    std::uint64_t moved = 0;
     for (const std::string& name : config_.manual_offload_classes) {
       const ClassId cls = registry_->find(name);
-      for (const auto& [key, info] : monitor_->graph().nodes()) {
-        if (key.cls == cls) manual.selected.offload.insert(key);
-      }
-    }
-    std::uint64_t moved = 0;
-    for (const auto& key : manual.selected.offload) {
-      if (placement_of(key) == 0) {
-        if (const auto* node = monitor_->graph().find_node(key)) {
-          moved += static_cast<std::uint64_t>(
-              std::max<std::int64_t>(node->mem_bytes, 0));
-          manual.selected.offload_mem_bytes += node->mem_bytes;
-        }
-        placement_[key] = 1;
+      for (NodeIndex i = 0; i < g.node_count(); ++i) {
+        if (g.key_of(i).cls != cls) continue;
+        manual.selected.offload.insert(g.key_of(i));
+        if (placement_[i] != 0) continue;
+        const std::int64_t mem = g.node_at(i).mem_bytes;
+        moved += static_cast<std::uint64_t>(std::max<std::int64_t>(mem, 0));
+        manual.selected.offload_mem_bytes += mem;
+        placement_[i] = 1;
       }
     }
     if (config_.charge_migration) {
@@ -78,8 +84,7 @@ void Emulator::try_offload(SimTime at, EmulationResult& result) {
   req.charge_migration = config_.charge_migration;
   req.k = std::max<std::size_t>(config_.surrogate_parts, 1);
 
-  const auto decision =
-      partition::decide_partitioning(monitor_->graph(), req);
+  const auto decision = partition::decide_partitioning(g, req);
   if (!decision.offload) {
     result.declined.push_back(decision);
     return;
@@ -102,18 +107,18 @@ void Emulator::try_offload(SimTime at, EmulationResult& result) {
   // that surrogate; the parts-free path keeps the original single batch.
   std::uint64_t moved_bytes = 0;
   std::map<std::size_t, std::uint64_t> moved_by_part;
-  for (const auto& [key, info] : monitor_->graph().nodes()) {
-    const int want = target_part(key);
-    const int current = placement_of(key);
+  for (NodeIndex i = 0; i < g.node_count(); ++i) {
+    const int want = target_part(g.key_of(i));
+    const int current = placement_[i];
     if (want == current) continue;
     const auto bytes = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(info.mem_bytes, 0));
+        std::max<std::int64_t>(g.node_at(i).mem_bytes, 0));
     moved_bytes += bytes;
     // The surrogate end of the move: the destination when offloading (or
     // re-balancing between parts), the source when returning to the client.
     const int surrogate_end = want != 0 ? want : current;
     moved_by_part[static_cast<std::size_t>(surrogate_end - 1)] += bytes;
-    placement_[key] = want;
+    placement_[i] = want;
   }
 
   if (config_.charge_migration) {
@@ -191,8 +196,7 @@ void Emulator::replay_event(const TraceEvent& e) {
     case TraceEventType::method_exit: {
       monitor_->on_method_exit(kEmulatedClient, e.cls_a, e.obj_a, e.method,
                                e.bytes, e.t);
-      const auto comp = monitor_->component_of(e.cls_a, e.obj_a);
-      const int p = placement_of(comp);
+      const int p = placement_of(e.cls_a, e.obj_a);
       const bool on_surrogate = p >= 1;
       const double speed = on_surrogate ? config_.surrogate_speedup : 1.0;
       const auto scaled =
@@ -212,8 +216,7 @@ void Emulator::replay_event(const TraceEvent& e) {
       const bool is_static = (e.flags & kFlagStatic) != 0;
       const bool is_stateless = (e.flags & kFlagStateless) != 0;
 
-      const auto from = monitor_->component_of(e.cls_a, e.obj_a);
-      const int from_p = placement_of(from);
+      const int from_p = placement_of(e.cls_a, e.obj_a);
       int to_p;
       if (is_native) {
         // Natives execute on the client — unless stateless and the
@@ -224,7 +227,7 @@ void Emulator::replay_event(const TraceEvent& e) {
         // Managed statics run on the invoking VM.
         to_p = from_p;
       } else {
-        to_p = placement_of(monitor_->component_of(e.cls_b, e.obj_b));
+        to_p = placement_of(e.cls_b, e.obj_b);
       }
       const bool remote = from_p != to_p;
 
@@ -262,12 +265,9 @@ void Emulator::replay_event(const TraceEvent& e) {
 
     case TraceEventType::access: {
       const bool is_static = (e.flags & kFlagStatic) != 0;
-      const auto from = monitor_->component_of(e.cls_a, e.obj_a);
-      const int from_p = placement_of(from);
+      const int from_p = placement_of(e.cls_a, e.obj_a);
       // Static data lives on the client; object data follows placement.
-      const int to_p =
-          is_static ? 0
-                    : placement_of(monitor_->component_of(e.cls_b, e.obj_b));
+      const int to_p = is_static ? 0 : placement_of(e.cls_b, e.obj_b);
       const bool remote = from_p != to_p;
 
       result_.total_accesses += 1;
@@ -301,11 +301,10 @@ void Emulator::replay_event(const TraceEvent& e) {
       // Emulated client heap: total live bytes minus what has been
       // offloaded to the surrogate.
       std::int64_t offloaded = 0;
-      for (const auto& [key, p] : placement_) {
-        if (p == 0) continue;
-        if (const auto* node = monitor_->graph().find_node(key)) {
-          offloaded += std::max<std::int64_t>(node->mem_bytes, 0);
-        }
+      for (NodeIndex i = 0; i < placement_.size(); ++i) {
+        if (placement_[i] == 0) continue;
+        offloaded += std::max<std::int64_t>(
+            monitor_->graph().node_at(i).mem_bytes, 0);
       }
       const std::int64_t client_live =
           std::max<std::int64_t>(live_bytes_ - offloaded, 0);

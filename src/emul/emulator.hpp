@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "emul/trace.hpp"
@@ -213,9 +212,14 @@ class Emulator {
   }
 
  private:
-  [[nodiscard]] int placement_of(const graph::ComponentKey& key) const {
-    const auto it = placement_.find(key);
-    return it == placement_.end() ? 0 : it->second;
+  using NodeIndex = monitor::ExecutionMonitor::NodeIndex;
+
+  // Part holding the component of (cls, obj) (0 = the client). Nodes
+  // interned since the last offload sit past the vector's end, and npos (not
+  // interned yet) is past every end: both read the client.
+  [[nodiscard]] int placement_of(ClassId cls, ObjectId obj) const {
+    const NodeIndex i = monitor_->index_of(cls, obj);
+    return i < placement_.size() ? placement_[i] : 0;
   }
 
   [[nodiscard]] SimDuration rpc_cost(std::uint64_t bytes) const;
@@ -230,7 +234,11 @@ class Emulator {
   EmulatorConfig config_;
   std::unique_ptr<monitor::ExecutionMonitor> monitor_;
   std::unique_ptr<monitor::ResourceMonitor> resource_;
-  std::unordered_map<graph::ComponentKey, int> placement_;
+  // Dense placement, indexed by the monitor's NodeIndex: the part each node
+  // sits on as of the last offload. prune_dead_components() is the only
+  // renumbering and runs at the top of try_offload, which carries the
+  // vector across it.
+  std::vector<int> placement_;
   SurrogateService* service_ = nullptr;
 
   // Emulated heap model.

@@ -36,21 +36,24 @@ Trace Trace::load_csv(std::istream& is) {
       if (!(ls >> out)) throw std::runtime_error("trace csv: bad field");
       ls >> comma;
     };
-    read_u64(v);
-    e.type = static_cast<TraceEventType>(v);
-    read_u64(v);
-    e.flags = static_cast<std::uint8_t>(v);
+    // A field wider than its event member is rejected, never truncated.
+    auto read_bounded = [&](std::uint64_t max) {
+      read_u64(v);
+      if (v > max) throw std::runtime_error("trace csv: bad field");
+      return v;
+    };
+    constexpr std::uint64_t kMaxU32 = 0xFFFFFFFFu;
+    e.type = static_cast<TraceEventType>(
+        read_bounded(static_cast<std::uint64_t>(TraceEventType::gc)));
+    e.flags = static_cast<std::uint8_t>(read_bounded(0xFF));
     read_i64(e.t);
-    read_u64(v);
-    e.cls_a = ClassId{static_cast<std::uint32_t>(v)};
-    read_u64(v);
-    e.cls_b = ClassId{static_cast<std::uint32_t>(v)};
+    e.cls_a = ClassId{static_cast<std::uint32_t>(read_bounded(kMaxU32))};
+    e.cls_b = ClassId{static_cast<std::uint32_t>(read_bounded(kMaxU32))};
     read_u64(v);
     e.obj_a = ObjectId{v};
     read_u64(v);
     e.obj_b = ObjectId{v};
-    read_u64(v);
-    e.method = MethodId{static_cast<std::uint32_t>(v)};
+    e.method = MethodId{static_cast<std::uint32_t>(read_bounded(kMaxU32))};
     read_i64(e.bytes);
     read_i64(e.aux1);
     read_i64(e.aux2);

@@ -37,9 +37,12 @@ inline constexpr std::uint8_t kFlagStatic = 2;
 inline constexpr std::uint8_t kFlagStateless = 4;
 inline constexpr std::uint8_t kFlagWrite = 8;
 
+// One cache line: `method` fills the padding after `type`/`flags`, so a
+// replay streams 64 bytes per event.
 struct TraceEvent {
   TraceEventType type{};
   std::uint8_t flags = 0;
+  MethodId method;
   SimTime t = 0;
   ClassId cls_a;   // alloc/free/resize/enter/exit: object class; invoke:
                    // caller class; access: source class
@@ -47,12 +50,12 @@ struct TraceEvent {
   ObjectId obj_a;  // alloc/free/resize/enter/exit: the object; invoke: caller
                    // object; access: source object
   ObjectId obj_b;  // invoke: callee object; access: target object
-  MethodId method;
   std::int64_t bytes = 0;  // alloc/free size, interaction bytes,
                            // method_exit self-time, gc used_after
   std::int64_t aux1 = 0;   // gc: capacity; resize: delta
   std::int64_t aux2 = 0;   // gc: freed
 };
+static_assert(sizeof(TraceEvent) == 64);
 
 struct Trace {
   std::vector<TraceEvent> events;

@@ -36,9 +36,9 @@ std::string node_label(const ComponentKey& key,
 
 }  // namespace
 
-void ExecGraph::remove_components(
+std::vector<ExecGraph::NodeIndex> ExecGraph::remove_components(
     const std::unordered_set<ComponentKey>& dead) {
-  if (dead.empty()) return;
+  if (dead.empty()) return {};
 
   // Compact the node arrays, preserving relative order.
   std::vector<NodeIndex> remap(keys_.size(), npos);
@@ -52,7 +52,7 @@ void ExecGraph::remove_components(
     }
     ++live;
   }
-  if (live == keys_.size()) return;  // nothing listed was actually present
+  if (live == keys_.size()) return {};  // nothing listed was actually present
   keys_.resize(live);
   infos_.resize(live);
 
@@ -80,6 +80,7 @@ void ExecGraph::remove_components(
     adj_[a].push_back(AdjEntry{b, s});
     adj_[b].push_back(AdjEntry{a, s});
   }
+  return remap;
 }
 
 std::string ExecGraph::to_dot(

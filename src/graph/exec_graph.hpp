@@ -363,8 +363,11 @@ class ExecGraph {
   // Erases every component in `dead` (with its edges) in one O(V + E)
   // compaction pass. Surviving nodes keep their relative interning order but
   // are assigned new dense indices — callers holding NodeIndex/EdgeSlot
-  // values must re-resolve them afterwards.
-  void remove_components(const std::unordered_set<ComponentKey>& dead);
+  // values must re-resolve them afterwards. Returns the old -> new index map
+  // (npos for an erased node), or an empty vector when nothing listed was
+  // present and every index stands.
+  std::vector<NodeIndex> remove_components(
+      const std::unordered_set<ComponentKey>& dead);
 
   // Renders the graph in Graphviz DOT format. `placement` optionally maps
   // components to a partition index; edges that cross partitions are drawn

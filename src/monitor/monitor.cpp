@@ -15,48 +15,43 @@ ExecutionMonitor::ExecutionMonitor(
 
 graph::ComponentKey ExecutionMonitor::component_of(ClassId cls,
                                                    ObjectId obj) const {
-  // Object-granularity promotion only ever happens under the Array
-  // enhancement, so the common configuration skips the per-event lookup.
-  if (config_.granularity.arrays_as_objects && obj.valid()) {
-    const auto it = object_node_.find(obj);
-    if (it != object_node_.end()) return graph_.key_of(it->second);
-  }
-  return graph::ComponentKey{cls};
+  const NodeIndex i = index_of(cls, obj);
+  return i == graph::ExecGraph::npos ? graph::ComponentKey{cls}
+                                     : graph_.key_of(i);
 }
 
 void ExecutionMonitor::note_class_seen(ClassId cls) {
+  if (cls.value() < class_seen_.size() && class_seen_[cls.value()]) return;
+  // Pinning rule (paper 3.3): classes containing (stateful) native methods
+  // cannot be offloaded and seed the client partition. An explicit
+  // pin_reason (ui, user-pinned) pins the same way. The checked lookup runs
+  // first, so an unknown id throws before anything is written.
+  const bool pinned = registry_->get(cls).is_pinned();
   if (cls.value() >= class_seen_.size()) {
     class_seen_.resize(registry_->size(), false);
   }
-  if (!class_seen_[cls.value()]) {
-    class_seen_[cls.value()] = true;
-    ++classes_seen_count_;
-    counters_.class_events += 1;
-    // Pinning rule (paper 3.3): classes containing (stateful) native methods
-    // cannot be offloaded and seed the client partition. An explicit
-    // pin_reason (ui, user-pinned) pins the same way.
-    graph_.node_at(class_index(cls)).pinned = registry_->get(cls).is_pinned();
-  }
+  class_seen_[cls.value()] = true;
+  ++classes_seen_count_;
+  counters_.class_events += 1;
+  graph_.node_at(class_index(cls)).pinned = pinned;
 }
 
 ExecutionMonitor::NodeIndex ExecutionMonitor::class_index(ClassId cls) {
+  if (cls.value() < class_node_.size() &&
+      class_node_[cls.value()] != graph::ExecGraph::npos) {
+    return class_node_[cls.value()];
+  }
+  (void)registry_->get(cls);  // throws for an id past the registry
   if (cls.value() >= class_node_.size()) {
     class_node_.resize(registry_->size(), graph::ExecGraph::npos);
   }
-  NodeIndex& cached = class_node_[cls.value()];
-  if (cached == graph::ExecGraph::npos) {
-    cached = graph_.intern(graph::ComponentKey{cls});
-  }
-  return cached;
+  return class_node_[cls.value()] = graph_.intern(graph::ComponentKey{cls});
 }
 
 ExecutionMonitor::NodeIndex ExecutionMonitor::resolve_index(ClassId cls,
                                                             ObjectId obj) {
-  if (config_.granularity.arrays_as_objects && obj.valid()) {
-    const auto it = object_node_.find(obj);
-    if (it != object_node_.end()) return it->second;
-  }
-  return class_index(cls);
+  const NodeIndex i = index_of(cls, obj);
+  return i != graph::ExecGraph::npos ? i : class_index(cls);
 }
 
 void ExecutionMonitor::record_edge(NodeIndex from, NodeIndex to,
@@ -92,48 +87,47 @@ void ExecutionMonitor::record_event_slow(ClassId from_cls, ObjectId from_obj,
                                          std::uint64_t bytes) {
   const std::uint64_t sig =
       (static_cast<std::uint64_t>(from_cls.value()) << 32) | to_cls.value();
-  note_class_seen(from_cls);
-  note_class_seen(to_cls);
-  ev_cache_cls_sig_ = sig;
-  ev_cache_from_obj_ = from_obj;
-  ev_cache_to_obj_ = to_obj;
+  constexpr EdgeSlot kNothing = graph::ExecGraph::npos;
 
   // Events whose endpoints resolve to class nodes go through the dense pair
-  // table: one array load instead of an EdgeKey hash probe.
+  // table: one array load instead of the gate and an EdgeKey hash probe.
   const bool class_resolved =
       class_only_ || (!from_obj.valid() && !to_obj.valid());
-  if (class_resolved && ensure_pair_table()) {
-    EdgeSlot& entry =
-        class_pair_slot_[from_cls.value() * class_pair_stride_ +
-                         to_cls.value()];
-    if (entry != graph::ExecGraph::npos) {
-      graph_.bump_edge(entry, is_invocation, bytes);
-      ev_cache_slot_ = entry;
+  EdgeSlot* entry = nullptr;
+  if (class_resolved && ensure_pair_table() &&
+      from_cls.value() < class_pair_stride_ &&
+      to_cls.value() < class_pair_stride_) {
+    entry = &class_pair_slot_[from_cls.value() * class_pair_stride_ +
+                              to_cls.value()];
+    if (*entry != kNothing) {
+      fill_event_cache(sig, from_obj, to_obj, *entry);
+      graph_.bump_edge(*entry, is_invocation, bytes);
       return;
     }
-    const NodeIndex from = class_index(from_cls);
-    const NodeIndex to = class_index(to_cls);
-    if (from == to) {
-      // Self-interactions are never recorded; cache that outcome so repeats
-      // of the pair cost one compare.
-      ev_cache_slot_ = graph::ExecGraph::npos;
-      return;
-    }
-    record_edge(from, to, is_invocation, bytes);
-    // record_edge leaves the (min, max) edge cache at this pair's slot.
-    entry = edge_cache_slot_;
-    ev_cache_slot_ = edge_cache_slot_;
+  }
+  // Self-interactions are never recorded. A seen, interned class has nothing
+  // left to do for its self pair; any other class still runs the gate (and
+  // re-interns a node an external graph() mutation removed).
+  if (class_resolved && from_cls == to_cls &&
+      from_cls.value() < class_seen_.size() &&
+      class_seen_[from_cls.value()] &&
+      index_of(from_cls, ObjectId::invalid()) != graph::ExecGraph::npos) {
+    fill_event_cache(sig, from_obj, to_obj, kNothing);
     return;
   }
 
+  note_class_seen(from_cls);
+  note_class_seen(to_cls);
   const NodeIndex from = resolve_index(from_cls, from_obj);
   const NodeIndex to = resolve_index(to_cls, to_obj);
   if (from == to) {
-    ev_cache_slot_ = graph::ExecGraph::npos;
+    fill_event_cache(sig, from_obj, to_obj, kNothing);
     return;
   }
   record_edge(from, to, is_invocation, bytes);
-  ev_cache_slot_ = edge_cache_slot_;
+  // record_edge leaves the (min, max) edge cache at this pair's slot.
+  if (entry != nullptr) *entry = edge_cache_slot_;
+  fill_event_cache(sig, from_obj, to_obj, edge_cache_slot_);
 }
 
 void ExecutionMonitor::on_method_exit(NodeId, ClassId cls, ObjectId obj,
@@ -234,7 +228,8 @@ MetricsSummary ExecutionMonitor::metrics_summary() const {
   return out;
 }
 
-void ExecutionMonitor::prune_dead_components() {
+std::vector<ExecutionMonitor::NodeIndex>
+ExecutionMonitor::prune_dead_components() {
   // Object-granularity nodes whose objects died carry no future-placement
   // information; drop them (with their edges) before partitioning.
   std::unordered_set<graph::ComponentKey> dead;
@@ -243,9 +238,10 @@ void ExecutionMonitor::prune_dead_components() {
       dead.insert(key);
     }
   }
-  if (dead.empty()) return;
-  graph_.remove_components(dead);
+  if (dead.empty()) return {};
+  std::vector<NodeIndex> remap = graph_.remove_components(dead);
   rebuild_caches();
+  return remap;
 }
 
 void ExecutionMonitor::rebuild_caches() {
@@ -260,7 +256,9 @@ void ExecutionMonitor::rebuild_caches() {
   for (NodeIndex i = 0; i < graph_.node_count(); ++i) {
     const graph::ComponentKey& key = graph_.key_of(i);
     if (key.is_object_granularity()) {
-      object_node_[key.object] = i;
+      // A freed object keeps its node until the next prune, but already
+      // resolves to its class (on_free dropped the mapping).
+      if (graph_.node_at(i).live_objects > 0) object_node_[key.object] = i;
     } else {
       if (key.cls.value() >= class_node_.size()) {
         class_node_.resize(key.cls.value() + 1, graph::ExecGraph::npos);

@@ -78,16 +78,19 @@ struct MetricsSummary {
   std::uint64_t total_interaction_events = 0;
 };
 
-class ExecutionMonitor : public vm::VmHooks {
+class ExecutionMonitor final : public vm::VmHooks {
  public:
+  using NodeIndex = graph::ExecGraph::NodeIndex;
+
   ExecutionMonitor(std::shared_ptr<const vm::ClassRegistry> registry,
                    MonitorConfig config = {});
 
   // --- VmHooks -------------------------------------------------------------
 
-  // The two interaction hooks are defined in-class so a caller holding the
-  // concrete monitor (the VM's instrumentation site, the benches) can inline
-  // the whole cache-hit path into its dispatch loop.
+  // The two interaction hooks are defined in-class, and the class is final,
+  // so a caller holding the concrete monitor (the emulator, the benches)
+  // calls them without virtual dispatch and can inline the whole cache-hit
+  // path into its loop.
   void on_invoke(const vm::InvokeEvent& ev) override {
     counters_.invoke_events += 1;
     if (ev.remote) {
@@ -133,6 +136,21 @@ class ExecutionMonitor : public vm::VmHooks {
   [[nodiscard]] graph::ComponentKey component_of(ClassId cls,
                                                  ObjectId obj) const;
 
+  // Dense graph index of component_of(cls, obj), or ExecGraph::npos while
+  // that component is not interned (including class ids past the registry).
+  // Side-effect free: callers keeping per-node arrays (the emulator's
+  // placement) look components up without building or hashing a key.
+  [[nodiscard]] NodeIndex index_of(ClassId cls, ObjectId obj) const {
+    // Object-granularity promotion only ever happens under the Array
+    // enhancement, so the common configuration skips the object lookup.
+    if (config_.granularity.arrays_as_objects && obj.valid()) {
+      const auto it = object_node_.find(obj);
+      if (it != object_node_.end()) return it->second;
+    }
+    return cls.value() < class_node_.size() ? class_node_[cls.value()]
+                                            : graph::ExecGraph::npos;
+  }
+
   // Class-name labels for DOT rendering.
   [[nodiscard]] std::unordered_map<graph::ComponentKey, std::string>
   component_names() const;
@@ -140,8 +158,10 @@ class ExecutionMonitor : public vm::VmHooks {
   [[nodiscard]] MetricsSummary metrics_summary() const;
 
   // Removes object-granularity components whose objects have all been freed,
-  // so the partitioner never places dead components.
-  void prune_dead_components();
+  // so the partitioner never places dead components. Surviving nodes are
+  // renumbered: returns the old -> new index map (npos for a pruned node),
+  // empty when nothing was pruned and every index stands.
+  std::vector<NodeIndex> prune_dead_components();
 
   // Re-derives the node-index and edge-slot caches from the graph. Must be
   // called after any external mutation through the non-const graph()
@@ -151,15 +171,15 @@ class ExecutionMonitor : public vm::VmHooks {
   void reset();
 
  private:
-  using NodeIndex = graph::ExecGraph::NodeIndex;
   using EdgeSlot = graph::ExecGraph::EdgeSlot;
 
   // First-seen gate: on a class's first event, count it, record the class
-  // event, and apply the pinning rule (which creates the class node).
+  // event, and apply the pinning rule (which creates the class node). Throws
+  // VmError(unknown_class) for an id past the registry, before any write.
   void note_class_seen(ClassId cls);
 
   // Dense index of the class-granularity node for `cls` (interned on first
-  // use, then a vector load).
+  // use, then a vector load). Same unknown-class throw as note_class_seen.
   NodeIndex class_index(ClassId cls);
 
   // Resolves an event's (class, object) pair to its component node under the
@@ -192,14 +212,25 @@ class ExecutionMonitor : public vm::VmHooks {
                       bytes);
   }
 
-  // Event-cache miss: first-seen gate, component resolution, and the edge
-  // lookup (dense pair table, then the (min, max) slot cache, then the edge
-  // hash map), refilling the event cache on the way out.
+  // Event-cache miss. Class-resolved events ask the dense pair table first:
+  // a filled entry proves both classes already passed the first-seen gate
+  // (rebuild_caches() and reset() clear the table), so the event is one edge
+  // bump. A class-resolved self pair whose class is seen and interned
+  // records nothing. Everything else runs the gate, component resolution and
+  // the edge lookup ((min, max) slot cache, then the edge hash map). Each
+  // path refills the event cache on the way out.
   void record_event_slow(ClassId from_cls, ObjectId from_obj, ClassId to_cls,
                          ObjectId to_obj, bool is_invocation,
                          std::uint64_t bytes);
 
   void drop_event_cache() noexcept { ev_cache_cls_sig_ = kNoEventCache; }
+  void fill_event_cache(std::uint64_t sig, ObjectId from_obj, ObjectId to_obj,
+                        EdgeSlot slot) noexcept {
+    ev_cache_cls_sig_ = sig;
+    ev_cache_from_obj_ = from_obj;
+    ev_cache_to_obj_ = to_obj;
+    ev_cache_slot_ = slot;
+  }
 
   // Records one interaction through the single-entry edge-slot cache.
   void record_edge(NodeIndex from, NodeIndex to, bool is_invocation,

@@ -1,0 +1,366 @@
+// Emulation outcomes pinned byte-for-byte.
+//
+// The emulator and fleet suites check properties of trace replay: offloading
+// stretches time, the enhancements cut remote calls, a one-session fleet
+// equals the plain emulator. This test pins the exact outcome of every
+// emulation path instead. It records the five apps at reduced scale and
+// prints one line per case, holding every EmulationResult field and, for
+// every offload and declined evaluation, the decision with its sorted
+// selected component keys and parts. The cases are the Figure 7 policy
+// corners, Figure 10's Native x Array grid for all five apps, a manual
+// offload, repeated repartitioning under the Array enhancement (pruning
+// renumbers the graph's nodes after a placement exists), a two-surrogate
+// split and a pooled fleet. Any change to placement, the monitor's graph or
+// the partitioner's choice moves a number here. Regenerate
+// tests/golden/emulation_trails.txt with AIDE_UPDATE_GOLDEN=1 only after an
+// intended change to emulated outcomes.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <unordered_set>
+#include <vector>
+
+#include "apps/apps.hpp"
+#include "emul/emulator.hpp"
+#include "emul/fleet.hpp"
+#include "emul/recorder.hpp"
+#include "tests/test_util.hpp"
+#include "vm/vm.hpp"
+
+namespace aide::emul {
+namespace {
+
+// fault_test's scaled-down parameters.
+apps::AppParams trail_params() {
+  apps::AppParams p;
+  p.doc_bytes = 48 * 1024;
+  p.edits = 16;
+  p.scrolls = 20;
+  p.image_size = 64;
+  p.layers = 3;
+  p.filter_passes = 3;
+  p.atoms = 80;
+  p.iterations = 4;
+  p.field_size = 49;
+  p.frames = 4;
+  p.columns = 32;
+  p.trace_w = 16;
+  p.trace_h = 12;
+  p.spheres = 6;
+  return p;
+}
+
+struct Recorded {
+  std::string name;
+  std::shared_ptr<vm::ClassRegistry> registry;
+  Trace trace;
+  // Peak of the trace's live bytes: the memory cases size the emulated heap
+  // from it, since the paper's 6 MB never fills at this scale.
+  std::int64_t peak_live = 0;
+};
+
+// Records on a prototype VM with the figure harnesses' GC-report settings.
+// Its heap is scaled down with the apps (4 MB, not 64), so every app still
+// reports GCs densely.
+Recorded record(const std::string& name) {
+  Recorded out;
+  out.name = name;
+  out.registry = std::make_shared<vm::ClassRegistry>();
+  const apps::AppInfo& app = apps::app_by_name(name);
+  app.register_classes(*out.registry);
+  SimClock clock;
+  vm::VmConfig cfg;
+  cfg.name = "prototype";
+  cfg.heap_capacity = std::int64_t{4} << 20;
+  cfg.gc_alloc_count_threshold = 1024;
+  cfg.gc_alloc_bytes_divisor = 256;
+  vm::Vm vm(cfg, out.registry, clock);
+  TraceRecorder recorder;
+  vm.add_hooks(&recorder);
+  (void)app.run(vm, trail_params());
+  out.trace = recorder.take();
+  std::int64_t live = 0;
+  for (const TraceEvent& e : out.trace.events) {
+    if (e.type == TraceEventType::alloc) live += e.bytes;
+    if (e.type == TraceEventType::free_obj) live -= e.bytes;
+    if (e.type == TraceEventType::resize) live += e.aux1;
+    out.peak_live = std::max(out.peak_live, live);
+  }
+  return out;
+}
+
+// The five apps in paper order, recorded once.
+const std::vector<Recorded>& recorded() {
+  static const std::vector<Recorded> apps = [] {
+    std::vector<Recorded> v;
+    for (const apps::AppInfo& app : apps::all_apps()) {
+      v.push_back(record(app.name));
+    }
+    return v;
+  }();
+  return apps;
+}
+
+const Recorded& app(const char* name) {
+  for (const Recorded& r : recorded()) {
+    if (r.name == name) return r;
+  }
+  ADD_FAILURE() << "no recorded app " << name;
+  return recorded().front();
+}
+
+// bench::emulate_memory's configuration on a heap 1/64 above the trace's
+// peak, so the trigger thresholds bite.
+EmulatorConfig memory_config(const Recorded& r, double threshold,
+                             int tolerance, double min_free) {
+  EmulatorConfig cfg;
+  cfg.trigger_mode = TriggerMode::memory_gc;
+  cfg.trigger.low_free_threshold = threshold;
+  cfg.trigger.consecutive_reports = tolerance;
+  cfg.min_free_fraction = min_free;
+  cfg.heap_capacity = r.peak_live + r.peak_live / 64;
+  cfg.objective = partition::Objective::free_memory;
+  cfg.surrogate_speedup = 1.0;
+  cfg.gc_pressure_cost_ns_per_live_byte = 100.0;
+  return cfg;
+}
+
+// bench::emulate_cpu's configuration.
+EmulatorConfig cpu_config(bool native, bool array) {
+  EmulatorConfig cfg;
+  cfg.trigger_mode = TriggerMode::trace_fraction;
+  cfg.eval_at_fraction = 0.25;
+  cfg.objective = partition::Objective::speed_up;
+  cfg.surrogate_speedup = 3.5;
+  cfg.heap_capacity = std::int64_t{64} << 20;
+  cfg.stateless_natives_local = native;
+  cfg.arrays_as_objects = array;
+  return cfg;
+}
+
+void put(std::string& out, const char* fmt, auto... args) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf), fmt, args...);
+  out += buf;
+}
+
+void put_keys(std::string& out,
+              const std::unordered_set<graph::ComponentKey>& keys) {
+  std::vector<graph::ComponentKey> sorted(keys.begin(), keys.end());
+  std::sort(sorted.begin(), sorted.end());
+  out += "[";
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    put(out, i == 0 ? "%" PRIu32 : " %" PRIu32, sorted[i].cls.value());
+    if (sorted[i].is_object_granularity()) {
+      put(out, "#%" PRIu64, sorted[i].object.value());
+    }
+  }
+  out += "]";
+}
+
+void put_decision(std::string& out, const partition::PartitionDecision& d) {
+  const graph::Candidate& c = d.selected;
+  put(out, "decision=%d/%zu/%zu bw=%.9g orig=%" PRId64 " off=%" PRId64
+           " mincut=%zu/%zu hints=%d",
+      d.offload ? 1 : 0, d.candidates_total, d.candidates_feasible,
+      d.predicted_bandwidth_bps, d.predicted_original_time,
+      d.predicted_offloaded_time, d.mincut_nodes, d.mincut_edges,
+      d.hints_applied ? 1 : 0);
+  put(out, " cut=%.9g/%" PRIu64 "/%" PRIu64 "/%" PRIu64 "/%" PRId64
+           "/%" PRId64 " selected=",
+      c.cut_weight, c.cut_bytes, c.cut_invocations, c.cut_accesses,
+      c.offload_mem_bytes, c.offload_self_time);
+  put_keys(out, c.offload);
+  put(out, " cross=%.9g parts=", d.part_cross_weight);
+  for (const auto& part : d.parts) put_keys(out, part);
+}
+
+std::string result_line(const std::string& name, const EmulationResult& r) {
+  std::string out = name;
+  put(out, " base=%" PRId64 " emulated=%" PRId64 " comm=%" PRId64
+           " migration=%" PRId64 " gc=%" PRId64 " queue=%" PRId64,
+      r.base_time, r.emulated_time, r.comm_time, r.migration_time,
+      r.gc_pressure_time, r.queue_time);
+  put(out, " invokes=%" PRIu64 "/%" PRIu64 "/%" PRIu64 " accesses=%" PRIu64
+           "/%" PRIu64 " remote_bytes=%" PRIu64 " peak=%" PRId64,
+      r.total_invocations, r.remote_invocations, r.remote_native_invocations,
+      r.total_accesses, r.remote_accesses, r.remote_bytes,
+      r.peak_client_live);
+  out += " offloads=";
+  for (const OffloadSnapshot& o : r.offloads) {
+    put(out, "{at=%" PRId64 " moved=%" PRIu64 " components=%zu ", o.at,
+        o.migrated_bytes, o.components);
+    put_decision(out, o.decision);
+    out += "}";
+  }
+  out += " declined=";
+  for (const partition::PartitionDecision& d : r.declined) {
+    out += "{";
+    put_decision(out, d);
+    out += "}";
+  }
+  out += "\n";
+  return out;
+}
+
+std::string run_line(const std::string& name, const Recorded& r,
+                     const EmulatorConfig& cfg) {
+  Emulator emu(r.registry, cfg);
+  return result_line(name, emu.run(r.trace));
+}
+
+TEST(EmulationTrailTest, EveryPathMatchesGolden) {
+  std::string out;
+
+  // Figure 7: the corners of the trigger x tolerance x min-free sweep.
+  for (const char* name : {"JavaNote", "Dia", "Biomer"}) {
+    for (const double threshold : {0.02, 0.50}) {
+      for (const int tolerance : {1, 3}) {
+        for (const double min_free : {0.10, 0.80}) {
+          char label[96];
+          std::snprintf(label, sizeof(label), "fig7 %s %.2f x%d %.2f", name,
+                        threshold, tolerance, min_free);
+          out += run_line(label, app(name),
+                          memory_config(app(name), threshold, tolerance,
+                                        min_free));
+        }
+      }
+    }
+  }
+
+  // Figure 10: Native x Array for every app.
+  for (const Recorded& r : recorded()) {
+    for (const bool native : {false, true}) {
+      for (const bool array : {false, true}) {
+        out += run_line("fig10 " + r.name + (native ? " native" : " -") +
+                            (array ? " array" : " -"),
+                        r, cpu_config(native, array));
+      }
+    }
+  }
+
+  // Figure 10's hand-picked Biomer placement.
+  {
+    EmulatorConfig cfg = cpu_config(true, true);
+    cfg.eval_at_fraction = 0.10;
+    cfg.manual_offload_classes = {"Bio.ForceField", "Bio.Atom",
+                                  "Bio.Molecule",   "Bio.Bond",
+                                  "Bio.Analyzer",   "Object[]",
+                                  "int[]"};
+    out += run_line("manual Biomer", app("Biomer"), cfg);
+  }
+
+  // Repeated repartitioning under the Array enhancement on a heap below
+  // Biomer's peak, so the trigger fires three times. No app frees a promoted
+  // array, so the trace gains deaths: right after the first offload, every
+  // other promoted array allocated so far is freed. The next evaluation
+  // prunes those components and renumbers the survivors while the first
+  // offload's placement is in force.
+  {
+    const Recorded& biomer = app("Biomer");
+    EmulatorConfig cfg = memory_config(biomer, 0.50, 1, 0.10);
+    cfg.heap_capacity = biomer.peak_live * 3 / 4;
+    cfg.arrays_as_objects = true;
+    cfg.max_offloads = 3;
+    Emulator probe(biomer.registry, cfg);
+    const EmulationResult first = probe.run(biomer.trace);
+    ASSERT_FALSE(first.offloads.empty());
+
+    Trace trace;
+    std::vector<TraceEvent> arrays;  // promoted allocations, in trace order
+    bool freed = false;
+    for (const TraceEvent& e : biomer.trace.events) {
+      trace.events.push_back(e);
+      if (e.type == TraceEventType::alloc &&
+          e.cls_a == biomer.registry->int_array_class() &&
+          e.bytes >= cfg.min_array_bytes) {
+        arrays.push_back(e);
+      }
+      if (!freed && e.type == TraceEventType::gc &&
+          e.t >= first.offloads.front().at) {
+        freed = true;
+        for (std::size_t i = 0; i < arrays.size(); i += 2) {
+          TraceEvent death = arrays[i];
+          death.type = TraceEventType::free_obj;
+          trace.events.push_back(death);
+        }
+      }
+    }
+    ASSERT_TRUE(freed);
+
+    Emulator emu(biomer.registry, cfg);
+    const EmulationResult r = emu.run(trace);
+    ASSERT_GE(r.offloads.size(), 2u);
+    // A freed array the first offload placed is gone from the final graph,
+    // and an array interned after it survives: a later evaluation pruned
+    // and renumbered with the placement in force.
+    const graph::ExecGraph& g = emu.last_monitor().graph();
+    const auto& placed = r.offloads.front().decision.selected.offload;
+    std::size_t first_pruned = arrays.size();
+    for (std::size_t i = 0; i < arrays.size(); i += 2) {
+      const graph::ComponentKey key{arrays[i].cls_a, arrays[i].obj_a};
+      if (placed.contains(key) && g.find_node(key) == nullptr) {
+        first_pruned = i;
+        break;
+      }
+    }
+    ASSERT_LT(first_pruned, arrays.size());
+    bool later_survives = false;
+    for (std::size_t i = first_pruned + 1; i < arrays.size(); i += 2) {
+      if (g.find_node({arrays[i].cls_a, arrays[i].obj_a}) != nullptr) {
+        later_survives = true;
+      }
+    }
+    EXPECT_TRUE(later_survives);
+    out += result_line("repartition Biomer array x3", r);
+  }
+
+  // Two surrogates: the k = 2 split and its per-part migration batches.
+  for (const char* name : {"Dia", "Biomer"}) {
+    EmulatorConfig cfg = memory_config(app(name), 0.50, 1, 0.10);
+    cfg.surrogate_parts = 2;
+    out += run_line(std::string("parts2 ") + name, app(name), cfg);
+  }
+
+  // A pooled fleet: four sessions on two two-context surrogates, each
+  // session split across two parts.
+  {
+    const Recorded& tracer = app("Tracer");
+    FleetConfig cfg;
+    cfg.session = cpu_config(true, true);
+    cfg.session.surrogate_parts = 2;
+    cfg.pool_size = 2;
+    cfg.surrogate_concurrency = 2;
+    FleetEmulator fleet(tracer.registry, cfg);
+    const FleetResult f = fleet.run(tracer.trace, 4);
+    for (std::size_t i = 0; i < f.sessions.size(); ++i) {
+      out += result_line("fleet Tracer session " + std::to_string(i),
+                         f.sessions[i]);
+    }
+    SimDuration latency_sum = 0;
+    for (const SimDuration d : f.op_latencies) latency_sum += d;
+    put(out, "fleet Tracer makespan=%" PRId64 " busy=%" PRId64
+             " remote_ops=%" PRIu64 " turns=%" PRIu64 " latencies=%zu/%" PRId64
+             " busy_each=",
+        f.makespan, f.surrogate_busy, f.total_remote_ops, f.turns,
+        f.op_latencies.size(), latency_sum);
+    for (const SimDuration b : f.surrogate_busy_each) {
+      put(out, "%" PRId64 " ", b);
+    }
+    out += "placements=";
+    for (const FleetPlacement& p : f.placements) {
+      put(out, "{%zu/%zu->%zu at=%" PRId64 "}", p.session, p.part, p.surrogate,
+          p.at);
+    }
+    out += "\n";
+  }
+
+  test::check_golden("emulation_trails.txt", out);
+}
+
+}  // namespace
+}  // namespace aide::emul

@@ -1,8 +1,10 @@
 // Tests for the trace-driven emulator: time stretching for remote
 // interactions, CPU re-scaling under placement, trigger modes, the native and
-// array enhancements, repeated repartitioning, and the emulated heap model.
+// array enhancements, repeated repartitioning, the emulated heap model, and
+// traces naming unknown class ids.
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "emul/emulator.hpp"
 #include "tests/test_util.hpp"
 
@@ -363,6 +365,37 @@ TEST(EmulatorTest, RepeatedRepartitioningAllowed) {
   const auto result = emu.run(b.trace());
   EXPECT_GE(result.offloads.size() + result.declined.size(), 1u);
   EXPECT_LE(result.offloads.size(), 3u);
+}
+
+TEST(EmulatorTest, UnknownClassIdThrowsBeforeAnyWrite) {
+  // A one-event trace naming a class id past the registry: the monitor's
+  // checked registry lookup throws before its class tables are written.
+  auto reg = make_test_registry();
+  const ClassId known = reg->find("Pair");
+  const ClassId unknown{static_cast<std::uint32_t>(reg->size() + 7)};
+  struct Case {
+    TraceEventType type;
+    ClassId cls_a, cls_b;
+  };
+  for (const Case& c : {Case{TraceEventType::alloc, unknown, known},
+                        Case{TraceEventType::free_obj, unknown, known},
+                        Case{TraceEventType::resize, unknown, known},
+                        Case{TraceEventType::method_exit, unknown, known},
+                        Case{TraceEventType::invoke, unknown, known},
+                        Case{TraceEventType::invoke, known, unknown},
+                        Case{TraceEventType::access, unknown, known},
+                        Case{TraceEventType::access, known, unknown}}) {
+    Trace trace;
+    TraceEvent e;
+    e.type = c.type;
+    e.cls_a = c.cls_a;
+    e.cls_b = c.cls_b;
+    e.bytes = 64;
+    trace.events.push_back(e);
+    Emulator emu(reg, base_config());
+    EXPECT_THROW((void)emu.run(trace), VmError)
+        << "event type " << static_cast<int>(c.type);
+  }
 }
 
 TEST(EmulatorTest, DeterministicAcrossRuns) {

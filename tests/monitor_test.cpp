@@ -1,8 +1,14 @@
 // Tests for the execution monitor: graph construction from VM hook events,
 // pinning of native classes, object-granularity promotion (the "Array"
 // enhancement), memory tracking across alloc/resize/free, the Figure 8
-// remote counters, Table 2 metrics sampling, and dead-component pruning.
+// remote counters, Table 2 metrics sampling, dead-component pruning, and a
+// differential of the monitor's caches against a cache-free replay.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include "monitor/monitor.hpp"
 #include "tests/test_util.hpp"
@@ -66,6 +72,35 @@ TEST_F(MonitorTest, SameClassInteractionNotRecorded) {
   mon.on_invoke(invoke(counter_cls_, counter_cls_, 24));
   EXPECT_EQ(mon.graph().edge_count(), 0u);
   EXPECT_EQ(mon.counters().invoke_events, 1u);  // counted, not graphed
+}
+
+TEST_F(MonitorTest, SelfPairFirstSightingRunsTheGate) {
+  // A class's first event may be a self pair: it is still counted, interned
+  // and pinned, and the repeat (an event-cache miss after another pair)
+  // changes nothing.
+  auto mon = make_monitor();
+  mon.on_invoke(invoke(device_cls_, device_cls_, 8));
+  mon.on_invoke(invoke(counter_cls_, pair_cls_, 8));
+  mon.on_invoke(invoke(device_cls_, device_cls_, 8));
+  const auto* device = mon.graph().find_node(ComponentKey{device_cls_});
+  ASSERT_NE(device, nullptr);
+  EXPECT_TRUE(device->pinned);
+  EXPECT_EQ(mon.counters().class_events, 3u);
+  EXPECT_EQ(mon.graph().node_count(), 3u);
+  EXPECT_EQ(mon.graph().edge_count(), 1u);
+}
+
+TEST_F(MonitorTest, SelfPairReinternsNodeRemovedThroughGraph) {
+  // A seen class whose node was removed through graph() (then
+  // rebuild_caches()) is interned again by its next self pair.
+  auto mon = make_monitor();
+  mon.on_invoke(invoke(counter_cls_, counter_cls_, 8));
+  mon.graph().remove_components({ComponentKey{counter_cls_}});
+  mon.rebuild_caches();
+  ASSERT_EQ(mon.graph().node_count(), 0u);
+  mon.on_invoke(invoke(counter_cls_, counter_cls_, 8));
+  EXPECT_NE(mon.graph().find_node(ComponentKey{counter_cls_}), nullptr);
+  EXPECT_EQ(mon.counters().class_events, 1u);  // seen once, not re-counted
 }
 
 TEST_F(MonitorTest, AccessBuildsEdge) {
@@ -287,6 +322,204 @@ TEST_F(MonitorTest, RecordingWorksAgainAfterReset) {
   ASSERT_NE(cp, nullptr);
   EXPECT_EQ(cp->invocations, 1u);
   EXPECT_EQ(mon.counters().invoke_events, 1u);
+}
+
+// --- differential: cached monitor vs one rebuilt after every event ---------
+
+// Everything observable about a monitor: node keys in index order with their
+// NodeInfo, edges in slot order with their weights, the counters, and the
+// Table 2 summary over the GC samples.
+::testing::AssertionResult same_state(const ExecutionMonitor& a,
+                                      const ExecutionMonitor& b) {
+  const graph::ExecGraph& ga = a.graph();
+  const graph::ExecGraph& gb = b.graph();
+  if (ga.node_count() != gb.node_count()) {
+    return ::testing::AssertionFailure()
+           << "node count " << ga.node_count() << " vs " << gb.node_count();
+  }
+  for (graph::ExecGraph::NodeIndex i = 0; i < ga.node_count(); ++i) {
+    const graph::NodeInfo& x = ga.node_at(i);
+    const graph::NodeInfo& y = gb.node_at(i);
+    if (ga.key_of(i) != gb.key_of(i) || x.mem_bytes != y.mem_bytes ||
+        x.peak_mem_bytes != y.peak_mem_bytes ||
+        x.exec_self_time != y.exec_self_time || x.pinned != y.pinned ||
+        x.live_objects != y.live_objects) {
+      return ::testing::AssertionFailure()
+             << "node " << i << ": " << ga.key_of(i) << " vs "
+             << gb.key_of(i);
+    }
+  }
+  if (ga.edge_count() != gb.edge_count()) {
+    return ::testing::AssertionFailure()
+           << "edge count " << ga.edge_count() << " vs " << gb.edge_count();
+  }
+  for (graph::ExecGraph::EdgeSlot s = 0; s < ga.edge_count(); ++s) {
+    const graph::EdgeInfo& x = ga.edge_at(s);
+    const graph::EdgeInfo& y = gb.edge_at(s);
+    if (ga.edge_ends(s) != gb.edge_ends(s) ||
+        x.invocations != y.invocations || x.accesses != y.accesses ||
+        x.bytes != y.bytes) {
+      return ::testing::AssertionFailure() << "edge slot " << s;
+    }
+  }
+  const MonitorCounters& ca = a.counters();
+  const MonitorCounters& cb = b.counters();
+  if (ca.invoke_events != cb.invoke_events ||
+      ca.access_events != cb.access_events ||
+      ca.class_events != cb.class_events ||
+      ca.objects_created != cb.objects_created ||
+      ca.objects_freed != cb.objects_freed ||
+      ca.remote_invocations != cb.remote_invocations ||
+      ca.remote_native_invocations != cb.remote_native_invocations ||
+      ca.remote_accesses != cb.remote_accesses) {
+    return ::testing::AssertionFailure() << "counters differ";
+  }
+  const MetricsSummary ma = a.metrics_summary();
+  const MetricsSummary mb = b.metrics_summary();
+  if (ma.avg_classes != mb.avg_classes || ma.avg_objects != mb.avg_objects ||
+      ma.avg_links != mb.avg_links || ma.max_classes != mb.max_classes ||
+      ma.max_objects != mb.max_objects || ma.max_links != mb.max_links ||
+      ma.total_classes != mb.total_classes ||
+      ma.total_objects != mb.total_objects ||
+      ma.total_interaction_events != mb.total_interaction_events) {
+    return ::testing::AssertionFailure() << "metrics summary differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Seeded random event streams fed to two monitors: one runs its caches
+// normally (event cache, pair table, self-pair shortcut, class and object
+// node vectors), the other rebuilds every cache after each event, so each of
+// its events resolves from the graph alone. Streams mix allocations
+// (promotable int[] included), frees, resizes, invocations and accesses
+// between object, static and self endpoints, method exits, GC samples and
+// prunes. Like real traces they are bursty: interactions often repeat the
+// previous endpoint pair, frees often hit one of its objects, and endpoints
+// may name the object allocated next, so cached resolutions go stale.
+TEST_F(MonitorTest, CachesMatchRebuildAfterEveryEvent) {
+  constexpr NodeId kVm{1};
+  constexpr std::int64_t kMinArray = 100;
+  using Endpoint = std::pair<ClassId, ObjectId>;
+  struct Live {
+    ObjectId id;
+    ClassId cls;
+    std::int64_t bytes;
+  };
+  for (const bool arrays : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      auto cached = make_monitor(arrays, kMinArray);
+      auto rebuilt = make_monitor(arrays, kMinArray);
+      std::mt19937_64 rng(seed);
+      const auto pick = [&](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+      };
+      const auto any_class = [&] {
+        return ClassId{static_cast<std::uint32_t>(pick(registry_->size()))};
+      };
+      const auto both = [&](auto&& fn) {
+        fn(cached);
+        fn(rebuilt);
+      };
+      std::vector<Live> live;
+      std::vector<Live> dead;
+      std::uint64_t next_id = 1;
+      // A live object, a freed one, the int[] allocated next, or a static.
+      const auto endpoint = [&]() -> Endpoint {
+        const std::size_t kind = pick(9);
+        if (kind < 4 && !live.empty()) {
+          const Live& o = live[pick(live.size())];
+          return {o.cls, o.id};
+        }
+        if (kind == 4 && !dead.empty()) {
+          const Live& o = dead[pick(dead.size())];
+          return {o.cls, o.id};
+        }
+        if (kind == 5) return {int_array_cls_, ObjectId{next_id}};
+        return {any_class(), ObjectId::invalid()};
+      };
+      Endpoint last_from{any_class(), ObjectId::invalid()};
+      Endpoint last_to = last_from;
+      // The next interaction's endpoints: a repeat of the last pair, a self
+      // pair, or a fresh draw.
+      const auto interaction = [&] {
+        if (pick(3) != 0) {
+          last_from = endpoint();
+          last_to = pick(4) == 0 ? last_from : endpoint();
+        }
+      };
+
+      for (int step = 0; step < 3000; ++step) {
+        const std::size_t what = pick(20);
+        if (what < 3) {  // alloc; int[] may be promoted
+          Live o;
+          o.id = ObjectId{next_id++};
+          o.cls = pick(3) == 0 ? int_array_cls_ : any_class();
+          o.bytes = static_cast<std::int64_t>(pick(4) == 0 ? 64 + pick(36)
+                                                           : 100 + pick(400));
+          live.push_back(o);
+          both([&](ExecutionMonitor& m) {
+            m.on_alloc(kVm, o.id, o.cls, o.bytes, step);
+          });
+        } else if (what < 5 && !live.empty()) {  // free
+          std::size_t i = pick(live.size());
+          for (std::size_t j = 0; j < live.size(); ++j) {
+            if (pick(2) == 0 && (live[j].id == last_from.second ||
+                                 live[j].id == last_to.second)) {
+              i = j;
+            }
+          }
+          const Live o = live[i];
+          live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+          dead.push_back(o);
+          both([&](ExecutionMonitor& m) {
+            m.on_free(kVm, o.id, o.cls, o.bytes, step);
+          });
+        } else if (what < 6 && !live.empty()) {  // resize
+          Live& o = live[pick(live.size())];
+          const auto delta = static_cast<std::int64_t>(pick(64)) - 16;
+          o.bytes += delta;
+          both([&](ExecutionMonitor& m) {
+            m.on_resize(kVm, o.id, o.cls, delta);
+          });
+        } else if (what < 12) {  // invoke
+          interaction();
+          InvokeEvent ev = invoke(last_from.first, last_to.first, pick(32),
+                                  pick(3) == 0, pick(4) == 0);
+          ev.caller_obj = last_from.second;
+          ev.callee_obj = last_to.second;
+          ev.is_static = !ev.callee_obj.valid();
+          both([&](ExecutionMonitor& m) { m.on_invoke(ev); });
+        } else if (what < 17) {  // access
+          interaction();
+          AccessEvent ev;
+          ev.vm = kVm;
+          ev.from_cls = last_from.first;
+          ev.from_obj = last_from.second;
+          ev.to_cls = last_to.first;
+          ev.to_obj = last_to.second;
+          ev.is_static = !ev.to_obj.valid();
+          ev.is_write = pick(2) == 0;
+          ev.remote = pick(3) == 0;
+          ev.bytes = pick(16);
+          both([&](ExecutionMonitor& m) { m.on_access(ev); });
+        } else if (what < 19) {  // method exit
+          const Endpoint at = pick(2) == 0 ? last_to : endpoint();
+          const auto self_time = static_cast<SimDuration>(pick(1000));
+          both([&](ExecutionMonitor& m) {
+            m.on_method_exit(kVm, at.first, at.second, MethodId{0}, self_time,
+                             step);
+          });
+        } else if (pick(2) == 0) {
+          both([&](ExecutionMonitor& m) { m.on_gc(kVm, GcReport{}); });
+        } else {
+          both([](ExecutionMonitor& m) { (void)m.prune_dead_components(); });
+        }
+        rebuilt.rebuild_caches();
+        ASSERT_TRUE(same_state(cached, rebuilt))
+            << "arrays=" << arrays << " seed=" << seed << " step=" << step;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
-// Tests for the trace model: recorder fidelity against live VM execution and
-// the CSV round-trip.
+// Tests for the trace model: recorder fidelity against live VM execution,
+// the CSV round-trip, and the CSV loader's rejection of out-of-range fields.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "emul/recorder.hpp"
 #include "emul/trace.hpp"
@@ -200,6 +203,62 @@ TEST(TraceCsvTest, RecordedTraceRoundTrips) {
     EXPECT_EQ(got.events[i].bytes, rec.trace().events[i].bytes);
     EXPECT_EQ(got.events[i].obj_a, rec.trace().events[i].obj_a);
   }
+}
+
+// One valid invoke row with column `col` replaced by `value`.
+Trace load_with_field(std::size_t col, const std::string& value) {
+  std::vector<std::string> fields = {"3", "1", "10", "2", "4",
+                                     "5", "6", "7", "8", "0", "0"};
+  fields[col] = value;
+  std::string csv = "type,flags,t,cls_a,cls_b,obj_a,obj_b,method,bytes,aux1,"
+                    "aux2\n";
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    csv += (i == 0 ? "" : ",") + fields[i];
+  }
+  std::stringstream ss(csv + "\n");
+  return Trace::load_csv(ss);
+}
+
+void expect_bad_field(std::size_t col, const std::string& value) {
+  try {
+    (void)load_with_field(col, value);
+    ADD_FAILURE() << "column " << col << " accepted " << value;
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "trace csv: bad field");
+  }
+}
+
+TEST(TraceCsvTest, ValidRowLoads) {
+  const Trace t = load_with_field(0, "3");
+  ASSERT_EQ(t.size(), 1u);
+  EXPECT_EQ(t.events[0].type, TraceEventType::invoke);
+  EXPECT_EQ(t.events[0].method, MethodId{7});
+}
+
+TEST(TraceCsvTest, RejectsUnknownEventType) {
+  EXPECT_EQ(load_with_field(0, "7").events[0].type, TraceEventType::gc);
+  expect_bad_field(0, "8");
+}
+
+TEST(TraceCsvTest, RejectsFlagsWiderThanAByte) {
+  EXPECT_EQ(load_with_field(1, "255").events[0].flags, 255);
+  expect_bad_field(1, "256");
+}
+
+TEST(TraceCsvTest, RejectsSourceClassIdWiderThan32Bits) {
+  EXPECT_EQ(load_with_field(3, "4294967295").events[0].cls_a,
+            ClassId{0xFFFFFFFFu});
+  expect_bad_field(3, "4294967296");
+}
+
+TEST(TraceCsvTest, RejectsTargetClassIdWiderThan32Bits) {
+  expect_bad_field(4, "4294967296");
+}
+
+TEST(TraceCsvTest, RejectsMethodIdWiderThan32Bits) {
+  EXPECT_EQ(load_with_field(7, "4294967295").events[0].method,
+            MethodId{0xFFFFFFFFu});
+  expect_bad_field(7, "4294967296");
 }
 
 TEST(TraceTest, DurationIsLastEventTime) {
