@@ -2,54 +2,83 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "common/log.hpp"
 
 namespace aide::platform {
 
 namespace {
-constexpr NodeId kClientNode{1};
-constexpr NodeId kSurrogateNode{2};
+
+// A lone platform is nodes 1 and 2; session nodes start above them. NodeId
+// feeds the top 16 bits of every ObjectId the VM mints ((node << 48) |
+// counter), so distinct nodes give every session a disjoint object-id space
+// on top of the RefMap handle namespaces.
+constexpr std::uint32_t kSessionNodeBase = 16;
+
+std::unique_ptr<vm::Vm> make_vm(bool client, const PlatformConfig& config,
+                                std::optional<SessionId> session,
+                                std::shared_ptr<const vm::ClassRegistry> reg,
+                                SimClock& clock) {
+  vm::VmConfig cfg;
+  cfg.name = client ? "client" : "surrogate";
+  cfg.node = NodeId{client ? 1u : 2u};
+  if (session.has_value()) {
+    cfg.node =
+        NodeId{kSessionNodeBase + 2 * session->value() + (client ? 0u : 1u)};
+    cfg.name += '#';
+    cfg.name += std::to_string(session->value());
+  }
+  cfg.is_client = client;
+  cfg.cpu_speed = client ? 1.0 : config.surrogate_speedup;
+  cfg.heap_capacity = client ? config.client_heap : config.surrogate_heap;
+  if (client) {
+    cfg.gc_alloc_count_threshold = config.client_gc_alloc_count_threshold;
+    cfg.gc_alloc_bytes_divisor = config.client_gc_alloc_bytes_divisor;
+  }
+  cfg.stateless_natives_local = config.enhancements.stateless_natives_local;
+  return std::make_unique<vm::Vm>(cfg, std::move(reg), clock);
+}
+
 }  // namespace
 
 Platform::Platform(std::shared_ptr<const vm::ClassRegistry> registry,
                    PlatformConfig config)
-    : config_(config),
-      link_(config.link),
+    : Platform(registry, config, own_clock_, std::nullopt,
+               std::make_shared<const analysis::StartupGates>(
+                   analysis::run_startup_gates(*registry,
+                                               config.static_analysis,
+                                               config.effect_verify)),
+               nullptr) {}
+
+Platform::Platform(std::shared_ptr<const vm::ClassRegistry> registry,
+                   PlatformConfig config, SimClock& clock,
+                   std::optional<SessionId> session,
+                   std::shared_ptr<const analysis::StartupGates> gates,
+                   std::unique_ptr<vm::Vm> device)
+    : config_(std::move(config)),
+      clock_(clock),
+      link_(config_.link),
       registry_(std::move(registry)),
-      gates_(analysis::run_startup_gates(*registry_, config.static_analysis,
-                                         config.effect_verify)),
+      gates_(std::move(gates)),
+      client_(device != nullptr
+                  ? std::move(device)
+                  : make_vm(true, config_, session, registry_, clock_)),
+      surrogate_(make_vm(false, config_, session, registry_, clock_)),
+      client_ep_(std::make_unique<rpc::Endpoint>(*client_, link_)),
+      surrogate_ep_(std::make_unique<rpc::Endpoint>(*surrogate_, link_)),
       exec_monitor_(registry_,
                     monitor::MonitorConfig{monitor::GranularityPolicy{
-                        config.enhancements.arrays_as_objects,
-                        config.enhancements.min_array_bytes,
+                        config_.enhancements.arrays_as_objects,
+                        config_.enhancements.min_array_bytes,
                         {registry_->int_array_class()}}}),
-      resource_monitor_(kClientNode, config.trigger) {
-  vm::VmConfig client_cfg;
-  client_cfg.node = kClientNode;
-  client_cfg.name = "client";
-  client_cfg.is_client = true;
-  client_cfg.cpu_speed = 1.0;
-  client_cfg.heap_capacity = config_.client_heap;
-  client_cfg.gc_alloc_count_threshold =
-      config_.client_gc_alloc_count_threshold;
-  client_cfg.gc_alloc_bytes_divisor = config_.client_gc_alloc_bytes_divisor;
-  client_cfg.stateless_natives_local =
-      config_.enhancements.stateless_natives_local;
-  client_ = std::make_unique<vm::Vm>(client_cfg, registry_, clock_);
-
-  vm::VmConfig surrogate_cfg;
-  surrogate_cfg.node = kSurrogateNode;
-  surrogate_cfg.name = "surrogate";
-  surrogate_cfg.is_client = false;
-  surrogate_cfg.cpu_speed = config_.surrogate_speedup;
-  surrogate_cfg.heap_capacity = config_.surrogate_heap;
-  surrogate_cfg.stateless_natives_local =
-      config_.enhancements.stateless_natives_local;
-  surrogate_ = std::make_unique<vm::Vm>(surrogate_cfg, registry_, clock_);
-
-  client_ep_ = std::make_unique<rpc::Endpoint>(*client_, link_);
-  surrogate_ep_ = std::make_unique<rpc::Endpoint>(*surrogate_, link_);
+      resource_monitor_(client_->node(), config_.trigger) {
+  if (session.has_value()) {
+    // Session-unique handle namespaces must be in place before the first
+    // export, i.e. before any traffic.
+    client_ep_->set_session(*session);
+    surrogate_ep_->set_session(*session);
+  }
   rpc::Endpoint::connect(*client_ep_, *surrogate_ep_);
 
   link_.set_fault_plan(config_.fault_plan);
@@ -57,16 +86,15 @@ Platform::Platform(std::shared_ptr<const vm::ClassRegistry> registry,
   surrogate_ep_->set_retry_policy(config_.retry);
   client_ep_->set_batch_policy(config_.batching);
   surrogate_ep_->set_batch_policy(config_.batching);
-  if (const analysis::BatchSafety* oracle = gates_.oracle()) {
+  if (const analysis::BatchSafety* oracle = gates_->oracle()) {
     client_ep_->set_batch_safety(oracle);
     surrogate_ep_->set_batch_safety(oracle);
   }
-  if (config_.fault_plan.enabled()) {
-    // Exactly-once recovery needs the undo journal; fault-free runs keep it
-    // off so they stay bit-identical to the unjournaled platform.
-    client_->set_journal_enabled(true);
-    surrogate_->set_journal_enabled(true);
-  }
+  // Exactly-once recovery needs the undo journal; fault-free runs keep it
+  // off (an adopted device's too) so they stay bit-identical to the
+  // unjournaled platform.
+  client_->set_journal_enabled(config_.fault_plan.enabled());
+  surrogate_->set_journal_enabled(config_.fault_plan.enabled());
   if (config_.disconnect.enabled) {
     // Arm the partition detector. Passive — counters and timestamps only —
     // so arming it never perturbs a schedule; it only changes what the
@@ -87,16 +115,32 @@ Platform::Platform(std::shared_ptr<const vm::ClassRegistry> registry,
   client_->add_hooks(&resource_monitor_);
   client_->add_hooks(this);
   surrogate_->add_hooks(&exec_monitor_);
+  // A fresh client's heap is empty; an adopted device's live objects predate
+  // this monitor, which must learn them or a later free would drive their
+  // component memory negative.
+  client_->heap().for_each([&](const vm::Object& o) {
+    exec_monitor_.on_alloc(client_->node(), o.id, o.cls, o.size_bytes(),
+                           clock_.now());
+  });
 
   client_->set_low_memory_handler(
       [this](vm::Vm& vm) { return low_memory_rescue(vm); });
 }
 
 Platform::~Platform() {
+  if (client_ != nullptr) (void)release_client();
+  surrogate_->remove_hooks(&exec_monitor_);
+}
+
+std::unique_ptr<vm::Vm> Platform::release_client() {
   client_->remove_hooks(this);
   client_->remove_hooks(&resource_monitor_);
   client_->remove_hooks(&exec_monitor_);
-  surrogate_->remove_hooks(&exec_monitor_);
+  client_->set_low_memory_handler(nullptr);
+  client_->set_extra_roots_provider(nullptr);
+  client_->set_stub_release_handler(nullptr);
+  client_->set_redo_log(nullptr);
+  return std::move(client_);
 }
 
 PlatformConfig Platform::config_for(const SurrogateInfo& surrogate,
@@ -125,7 +169,7 @@ void Platform::on_access(const vm::AccessEvent& ev) {
 }
 
 void Platform::tick(NodeId vm, LinkEvent event) {
-  if (vm != kClientNode || offloading_in_progress_) return;
+  if (vm != client_->node() || offloading_in_progress_) return;
   if (event == LinkEvent::gc_tick) {
     transition(event);
     return;
@@ -351,7 +395,7 @@ partition::PartitionRequest Platform::make_request(
     req.gravity_credit_per_byte = config_.disconnect.reoffload_gravity_credit *
                                   config_.edge_weight.bytes_factor;
   }
-  if (config_.use_static_hints) req.hints = gates_.hints();
+  if (config_.use_static_hints) req.hints = gates_->hints();
   return req;
 }
 
@@ -378,7 +422,7 @@ std::optional<OffloadReport> Platform::offload_now(
   // A pin root may never offload; with hints enabled the whole pinned
   // closure may not either. A violation is a partitioner bug, not a policy
   // outcome — fail loudly.
-  const auto& analysis = gates_.analysis;
+  const auto& analysis = gates_->analysis;
   if (config_.assert_static_verdict && analysis.has_value()) {
     for (const auto& comp : decision.selected.offload) {
       const bool illegal =
@@ -439,16 +483,9 @@ std::optional<OffloadReport> Platform::offload_now(
   report.at = clock_.now();
   report.client_heap_used_before = client_->heap().used();
   if (!to_move.empty()) {
-    try {
-      report.bytes_migrated = client_ep_->migrate_objects(to_move);
-    } catch (const PeerUnavailable&) {
-      // The surrogate died under the migration. migrate_objects already put
-      // the batch wherever it authoritatively lives; reclaim it and carry on
-      // fully local.
-      offloading_in_progress_ = false;
-      handle_peer_failure();
-      return std::nullopt;
-    }
+    const std::optional<std::uint64_t> bytes = migrate(to_move);
+    if (!bytes.has_value()) return std::nullopt;  // carrying on fully local
+    report.bytes_migrated = *bytes;
   }
   report.objects_migrated = to_move.size();
   if (!to_move.empty()) {
@@ -469,6 +506,20 @@ std::optional<OffloadReport> Platform::offload_now(
   last_offload_min_free_ = min_free_override;
   offloading_in_progress_ = false;
   return report;
+}
+
+std::optional<std::uint64_t> Platform::migrate(std::span<const ObjectId> ids) {
+  if (link_state_ != LinkState::connected) return std::nullopt;
+  offloading_in_progress_ = true;
+  std::optional<std::uint64_t> bytes;
+  try {
+    bytes = client_ep_->migrate_objects(ids);
+  } catch (const PeerUnavailable&) {
+    // The surrogate died under the migration; reclaimed below.
+  }
+  offloading_in_progress_ = false;
+  if (!bytes.has_value()) handle_peer_failure();
+  return bytes;
 }
 
 // --- disconnected operation ----------------------------------------------------
@@ -581,7 +632,7 @@ void Platform::recall() {
   // Choose what to hoard with the static hints: prefetch-eligible classes
   // (encapsulated writes) are exactly the objects the client can keep
   // coherent locally, so they come home first while the link still works.
-  const analysis::StaticHints* hints = gates_.hints();
+  const analysis::StaticHints* hints = gates_->hints();
   if (hints == nullptr || hints->prefetch_eligible.empty()) return;
 
   std::vector<ObjectId> ids;

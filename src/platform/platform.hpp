@@ -15,11 +15,17 @@
 // platform partitions the execution graph and migrates the selected
 // components' objects to the surrogate. Execution then transparently follows
 // the objects.
+//
+// A lone Platform owns its clock and runs its own startup gates. A server
+// session (platform::Session) is the same Platform on the server's clock,
+// with a session-derived node pair and handle namespace and the server's
+// shared gates.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -215,6 +221,8 @@ struct RecallReport {
 
 class Platform : private vm::VmHooks {
  public:
+  // A lone platform: its own clock, nodes 1 and 2, plain handles, and the
+  // startup gates run here.
   Platform(std::shared_ptr<const vm::ClassRegistry> registry,
            PlatformConfig config = {});
   ~Platform() override;
@@ -248,17 +256,17 @@ class Platform : private vm::VmHooks {
   // The startup static-analysis report (empty when static_analysis is off).
   [[nodiscard]] const std::optional<analysis::AnalysisReport>&
   analysis_report() const noexcept {
-    return gates_.analysis;
+    return gates_->analysis;
   }
   // The startup effect-verify report (empty when effect_verify is off).
   [[nodiscard]] const std::optional<analysis::VerifyReport>& verify_report()
       const noexcept {
-    return gates_.verify;
+    return gates_->verify;
   }
   // The batch-safety oracle serving both endpoints; null unless
   // effect_verify ran over a registry with 100% effect-IR coverage.
   [[nodiscard]] const analysis::BatchSafety* batch_safety() const noexcept {
-    return gates_.oracle();
+    return gates_->oracle();
   }
 
   [[nodiscard]] const std::vector<OffloadReport>& offloads() const noexcept {
@@ -318,6 +326,30 @@ class Platform : private vm::VmHooks {
   // Total simulated time elapsed.
   [[nodiscard]] SimDuration elapsed() const noexcept { return clock_.now(); }
 
+ protected:
+  // The session form every constructor goes through. `clock` is not owned
+  // and must outlive the platform. A session id fixes the node pair
+  // (16 + 2·id, 17 + 2·id), the VM names (client#id, surrogate#id) and the
+  // RefMap handle namespace (id % 0xFFFE) + 1; none gives the lone
+  // platform's. A non-null `device` is a client VM on `clock` handed over by
+  // release_client(): it keeps its node, heap, roots and object ids.
+  Platform(std::shared_ptr<const vm::ClassRegistry> registry,
+           PlatformConfig config, SimClock& clock,
+           std::optional<SessionId> session,
+           std::shared_ptr<const analysis::StartupGates> gates,
+           std::unique_ptr<vm::Vm> device);
+
+  // Hands the client VM to a successor platform: unhooks it and clears every
+  // callback it holds into this platform, which is left without a client and
+  // may only be destroyed (after its endpoint's disconnect()).
+  [[nodiscard]] std::unique_ptr<vm::Vm> release_client();
+
+  // The one migration path (policy offloads and scripted ones): ships `ids`
+  // to the surrogate while connected and returns the bytes sent. A lost peer
+  // runs the peer-lost transition and returns nullopt; migrate_objects has
+  // already put the batch wherever it authoritatively lives.
+  std::optional<std::uint64_t> migrate(std::span<const ObjectId> ids);
+
  private:
   // VmHooks: client GC reports, invocation exits and data accesses are the
   // link state machine's ticks, all dispatched through tick().
@@ -353,11 +385,12 @@ class Platform : private vm::VmHooks {
   void collect_reoffload_gravity();
 
   PlatformConfig config_;
-  SimClock clock_;
+  SimClock own_clock_;  // a lone platform's; sessions run on the server's
+  SimClock& clock_;
   netsim::Link link_;
   std::shared_ptr<const vm::ClassRegistry> registry_;
   // Declared before the endpoints: they hold a pointer to its oracle.
-  analysis::StartupGates gates_;
+  std::shared_ptr<const analysis::StartupGates> gates_;
 
   std::unique_ptr<vm::Vm> client_;
   std::unique_ptr<vm::Vm> surrogate_;

@@ -122,10 +122,13 @@ std::vector<Replacement> SurrogatePool::kill_surrogate(std::size_t i) {
   stats_.deaths += 1;
 
   // Collect the dead member's sessions in ascending id order (member_of_ is
-  // id-sorted), then re-admit each on the best surviving peer. Re-placement
-  // is re-admission: a fresh session with a fresh pool-unique id whose
-  // driver slot carries over, never a fallback to the client while any peer
-  // remains.
+  // id-sorted), then re-admit each on the best surviving peer, never falling
+  // back to the client while any peer remains. Re-placement is re-admission
+  // under a fresh pool-unique id that adopts the client device: the
+  // victim's own peer-lost transition first reclaims its surrogate-resident
+  // objects into the device heap (charging the recovery channel), then the
+  // device is released before the victim closes, since closing still
+  // disconnects the device's endpoint.
   std::vector<std::uint32_t> victims;
   for (const auto& [id, m] : member_of_) {
     if (m == i) victims.push_back(id);
@@ -133,7 +136,13 @@ std::vector<Replacement> SurrogatePool::kill_surrogate(std::size_t i) {
   for (const std::uint32_t old_raw : victims) {
     const SessionId old_id{old_raw};
     Session* old_s = members_[i]->find_session(old_id);
-    const std::uint64_t carried = old_s != nullptr ? old_s->driver_state : 0;
+    std::uint64_t carried = 0;
+    std::unique_ptr<vm::Vm> device;
+    if (old_s != nullptr) {
+      old_s->handle_peer_failure();
+      carried = old_s->driver_state;
+      device = old_s->release_client();
+    }
     members_[i]->close_session(old_id);
     member_of_.erase(old_raw);
 
@@ -144,7 +153,7 @@ std::vector<Replacement> SurrogatePool::kill_surrogate(std::size_t i) {
     const std::size_t peer = best_member();
     if (peer != members_.size()) {
       const SessionId new_id{next_id_++};
-      Session* fresh = members_[peer]->open_session(new_id);
+      Session* fresh = members_[peer]->open_session(new_id, std::move(device));
       if (fresh != nullptr) {
         fresh->driver_state = carried;
         member_of_.emplace(new_id.value(), peer);

@@ -16,12 +16,13 @@
 //                            the member's offloaded-bytes share of budget.
 //
 // Lower score wins; ties break to the lowest member index, so placement is
-// a pure function of the pool's observable state. On surrogate death the
-// dead member's sessions are re-placed onto the next-best *surviving* peer
-// (never back to the client while a peer remains): re-placement is
-// re-admission — a fresh session (new id, empty heaps) whose driver slot is
-// carried over so the script can rebuild and re-offload, exactly the
-// recovery contract the single-platform surrogate-death path has.
+// a pure function of the pool's observable state. On surrogate death each of
+// the dead member's sessions takes the single-platform surrogate-death path
+// (the link state machine's peer-lost reclaim pulls its offloaded objects
+// into the client heap) and is then re-placed onto the next-best *surviving*
+// peer (never back to the client while a peer remains): re-placement is
+// re-admission — a session with a new id and an empty surrogate heap that
+// adopts the client VM, heap and all, with the driver slot carried over.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +66,8 @@ struct PoolStats {
 };
 
 // One session moved off a dead surrogate: `old_id` closed on member `from`,
-// re-admitted as `new_id` on member `to` (driver_state carried over).
+// re-admitted as `new_id` on member `to` (client VM and driver_state carried
+// over).
 struct Replacement {
   SessionId old_id{0};
   SessionId new_id{0};
@@ -110,12 +112,13 @@ class SurrogatePool {
   void close_session(SessionId id);
   [[nodiscard]] std::size_t session_count() const noexcept;
 
-  // Surrogate death: member `i` stops serving; each of its sessions is
-  // re-admitted on the best surviving peer (next-best placement, never a
-  // local fallback while any peer remains), in ascending session-id order
-  // so the re-placement schedule is deterministic. Returns the old->new
-  // session mapping; sessions that found no peer with a free slot are
-  // reported with `to == size()` and simply closed.
+  // Surrogate death: member `i` stops serving; each of its sessions loses
+  // its peer (reclaiming its offloaded objects into the client heap) and is
+  // re-admitted, client VM included, on the best surviving peer (next-best
+  // placement, never a local fallback while any peer remains), in ascending
+  // session-id order so the re-placement schedule is deterministic. Returns
+  // the old->new session mapping; sessions that found no peer with a free
+  // slot are reported with `to == size()` and simply closed.
   std::vector<Replacement> kill_surrogate(std::size_t i);
 
   // Deterministic pool scheduling: one pool round runs one server round on

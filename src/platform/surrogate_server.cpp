@@ -1,73 +1,22 @@
 #include "platform/surrogate_server.hpp"
 
-#include <algorithm>
-#include <string>
-
 namespace aide::platform {
-
-namespace {
-
-// Session node ids start above the single-platform pair (client 1,
-// surrogate 2). NodeId feeds the top 16 bits of every ObjectId the VM mints
-// ((node << 48) | counter), so distinct nodes give every session a disjoint
-// object-id space on top of the refmap handle namespaces.
-constexpr std::uint32_t kNodeBase = 16;
-
-NodeId client_node(SessionId id) noexcept {
-  return NodeId{kNodeBase + 2 * id.value()};
-}
-NodeId surrogate_node(SessionId id) noexcept {
-  return NodeId{kNodeBase + 2 * id.value() + 1};
-}
-
-}  // namespace
 
 Session::Session(SessionId id,
                  std::shared_ptr<const vm::ClassRegistry> registry,
                  const ServerConfig& cfg, SimClock& clock,
-                 const analysis::BatchSafety* oracle)
-    : id_(id), budget_(cfg.budget), link_(cfg.link) {
-  vm::VmConfig ccfg;
-  ccfg.node = client_node(id);
-  ccfg.name = "client#" + std::to_string(id.value());
-  ccfg.is_client = true;
-  ccfg.cpu_speed = 1.0;
-  ccfg.heap_capacity = cfg.client_heap;
-  client_ = std::make_unique<vm::Vm>(ccfg, registry, clock);
-
-  vm::VmConfig scfg;
-  scfg.node = surrogate_node(id);
-  scfg.name = "surrogate#" + std::to_string(id.value());
-  scfg.is_client = false;
-  scfg.cpu_speed = cfg.surrogate_speedup;
-  scfg.heap_capacity = cfg.session_heap;
-  surrogate_ = std::make_unique<vm::Vm>(scfg, std::move(registry), clock);
-
-  client_ep_ = std::make_unique<rpc::Endpoint>(*client_, link_);
-  surrogate_ep_ = std::make_unique<rpc::Endpoint>(*surrogate_, link_);
-  // Session-unique handle namespaces must be in place before the first
-  // export, i.e. before any traffic.
-  client_ep_->set_session(id);
-  surrogate_ep_->set_session(id);
-  rpc::Endpoint::connect(*client_ep_, *surrogate_ep_);
-
-  client_ep_->set_retry_policy(cfg.retry);
-  surrogate_ep_->set_retry_policy(cfg.retry);
-  client_ep_->set_batch_policy(cfg.batching);
-  surrogate_ep_->set_batch_policy(cfg.batching);
-  if (oracle != nullptr) {
-    // The oracle is immutable and derived from the shared registry: one
-    // instance serves every session's endpoints.
-    client_ep_->set_batch_safety(oracle);
-    surrogate_ep_->set_batch_safety(oracle);
-  }
-}
+                 std::shared_ptr<const analysis::StartupGates> gates,
+                 std::unique_ptr<vm::Vm> device)
+    : Platform(std::move(registry), cfg, clock, id, std::move(gates),
+               std::move(device)),
+      id_(id),
+      budget_(cfg.budget) {}
 
 bool Session::offload(std::span<const ObjectId> ids) {
   // Price the batch before anything moves so a refusal has no side effects.
   std::uint64_t batch_bytes = 0;
   for (const ObjectId id : ids) {
-    if (const vm::Object* o = client_->find_object(id); o != nullptr) {
+    if (const vm::Object* o = client().find_object(id); o != nullptr) {
       batch_bytes += static_cast<std::uint64_t>(o->size_bytes());
     }
   }
@@ -76,7 +25,7 @@ bool Session::offload(std::span<const ObjectId> ids) {
     budget_refusals_ += 1;
     return false;
   }
-  client_ep_->migrate_objects(ids);
+  if (!migrate(ids).has_value()) return false;
   offloaded_bytes_ += batch_bytes;
   return true;
 }
@@ -94,8 +43,9 @@ SurrogateServer::SurrogateServer(
       registry_(std::move(registry)),
       // The startup gates run once, against the one registry every session
       // shares; admitting a session never re-analyzes anything.
-      gates_(analysis::run_startup_gates(*registry_, config_.static_analysis,
-                                         config_.effect_verify)) {
+      gates_(std::make_shared<const analysis::StartupGates>(
+          analysis::run_startup_gates(*registry_, config_.static_analysis,
+                                      config_.effect_verify))) {
   slots_.reserve(config_.max_sessions);
   order_.reserve(config_.max_sessions);
 }
@@ -104,7 +54,8 @@ Session* SurrogateServer::open_session() {
   return open_session(SessionId{next_session_});
 }
 
-Session* SurrogateServer::open_session(SessionId id) {
+Session* SurrogateServer::open_session(SessionId id,
+                                       std::unique_ptr<vm::Vm> device) {
   if (live_ >= config_.max_sessions) {
     stats_.admission_rejections += 1;
     return nullptr;
@@ -124,7 +75,7 @@ Session* SurrogateServer::open_session(SessionId id) {
 
   next_session_ = id.value() + 1;
   slots_[slot] = std::make_unique<Session>(id, registry_, config_, *clock_,
-                                           gates_.oracle());
+                                           gates_, std::move(device));
   order_.push_back(slot);
   live_ += 1;
   stats_.sessions_opened += 1;
@@ -212,7 +163,7 @@ double SurrogateServer::mean_session_srtt() const {
   std::size_t n = 0;
   for (const std::size_t slot : order_) {
     const rpc::RttEstimator& est =
-        slots_[slot]->client_ep_->rtt_estimator();
+        slots_[slot]->client_endpoint().rtt_estimator();
     if (est.primed) {
       sum += est.srtt;
       n += 1;
@@ -224,8 +175,7 @@ double SurrogateServer::mean_session_srtt() const {
 rpc::EndpointStats SurrogateServer::aggregate_stats() const {
   rpc::EndpointStats sum;
   for (const std::size_t slot : order_) {
-    sum += slots_[slot]->client_ep_->stats();
-    sum += slots_[slot]->surrogate_ep_->stats();
+    sum += session_stats(*slots_[slot]);
   }
   return sum;
 }

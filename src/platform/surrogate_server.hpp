@@ -11,12 +11,14 @@
 //                       from it, all computed once at server startup and
 //                       referenced read-only by every session. Opening a
 //                       session pays zero class-metadata cost.
-//   per-session       — everything mutable: the session's client and
+//   per-session       — everything mutable: each session is a Platform
+//                       (platform.hpp) on the server clock — its client and
 //                       surrogate VMs (each with its own slab heap), its
 //                       endpoint pair (refmap tables under a session-unique
 //                       handle namespace, epoch/seq fence state, reply
-//                       cache), and its own link with independent fault and
-//                       jitter streams. Sessions cannot observe each other:
+//                       cache), its own link with independent fault and
+//                       jitter streams, its monitors and its link state
+//                       machine. Sessions cannot observe each other:
 //                       a leaked cross-session handle is rejected at the
 //                       refmap boundary and one session's epoch bumps or
 //                       aborts never fence a neighbor's frames.
@@ -44,11 +46,7 @@
 #include <span>
 #include <vector>
 
-#include "analysis/effects.hpp"
-#include "common/simclock.hpp"
-#include "netsim/link.hpp"
-#include "rpc/endpoint.hpp"
-#include "vm/vm.hpp"
+#include "platform/platform.hpp"
 
 namespace aide::platform {
 
@@ -62,21 +60,12 @@ struct SessionBudget {
   std::uint32_t max_ops_per_turn = 0;
 };
 
-struct ServerConfig {
+// Every session runs the PlatformConfig part; the startup gates it selects
+// run once over the shared registry, never per session.
+struct ServerConfig : PlatformConfig {
   // Admission control: concurrent-session cap.
   std::size_t max_sessions = 64;
-  // Per-session heap capacities (client device heap, surrogate-side slab).
-  std::int64_t client_heap = std::int64_t{6} << 20;
-  std::int64_t session_heap = std::int64_t{64} << 20;
-  double surrogate_speedup = 3.5;
-  netsim::LinkParams link = netsim::LinkParams::wavelan();
-  rpc::RetryPolicy retry;
-  rpc::BatchPolicy batching;
   SessionBudget budget;
-  // Startup gates, identical semantics to PlatformConfig: run once over the
-  // shared registry, never per session.
-  bool static_analysis = true;
-  bool effect_verify = true;
 };
 
 enum class TurnOutcome : std::uint8_t {
@@ -84,32 +73,25 @@ enum class TurnOutcome : std::uint8_t {
   finished,  // session script complete; the server closes the session
 };
 
-// One admitted client session: an isolated client/surrogate VM pair wired
-// through its own endpoint pair and link, sharing only the registry, the
-// analysis artifacts and the server clock.
-class Session {
+// One admitted client session: a Platform on the server clock, sharing only
+// the registry, the startup gates and the clock with its neighbors, plus the
+// server's admission, budget and scheduling state.
+class Session : public Platform {
  public:
+  // A non-null `device` is a failed-over session's client VM, adopted with
+  // its heap (Platform's session form).
   Session(SessionId id, std::shared_ptr<const vm::ClassRegistry> registry,
           const ServerConfig& cfg, SimClock& clock,
-          const analysis::BatchSafety* oracle);
-
-  Session(const Session&) = delete;
-  Session& operator=(const Session&) = delete;
+          std::shared_ptr<const analysis::StartupGates> gates,
+          std::unique_ptr<vm::Vm> device);
 
   [[nodiscard]] SessionId id() const noexcept { return id_; }
-  [[nodiscard]] vm::Vm& client() noexcept { return *client_; }
-  [[nodiscard]] vm::Vm& surrogate() noexcept { return *surrogate_; }
-  [[nodiscard]] rpc::Endpoint& client_endpoint() noexcept {
-    return *client_ep_;
-  }
-  [[nodiscard]] rpc::Endpoint& surrogate_endpoint() noexcept {
-    return *surrogate_ep_;
-  }
-  [[nodiscard]] netsim::Link& link() noexcept { return link_; }
 
   // Budget-checked offload of client objects to this session's surrogate
   // heap. Refuses (returns false, nothing migrates, budget_refusals ticks)
-  // when the batch would push the session past max_offloaded_bytes.
+  // when the batch would push the session past max_offloaded_bytes. Returns
+  // false, counting no bytes, while the surrogate is away or when it is lost
+  // under the migration (the peer-lost transition has then run).
   bool offload(std::span<const ObjectId> ids);
   [[nodiscard]] std::uint64_t offloaded_bytes() const noexcept {
     return offloaded_bytes_;
@@ -149,6 +131,7 @@ class Session {
 
  private:
   friend class SurrogateServer;
+  friend class SurrogatePool;  // failover releases the client VM
 
   void begin_turn() noexcept {
     ops_this_turn_ = 0;
@@ -157,11 +140,6 @@ class Session {
 
   SessionId id_;
   SessionBudget budget_;
-  netsim::Link link_;
-  std::unique_ptr<vm::Vm> client_;
-  std::unique_ptr<vm::Vm> surrogate_;
-  std::unique_ptr<rpc::Endpoint> client_ep_;
-  std::unique_ptr<rpc::Endpoint> surrogate_ep_;
   std::uint64_t offloaded_bytes_ = 0;
   std::uint64_t budget_refusals_ = 0;
   std::uint32_t ops_this_turn_ = 0;
@@ -209,9 +187,9 @@ struct ServerStats {
 
 class SurrogateServer {
  public:
-  // Runs the startup gates (analysis::run_startup_gates, the same ones
-  // Platform runs) once over the shared registry; every session shares the
-  // resulting BatchSafety oracle.
+  // Runs the startup gates (analysis::run_startup_gates, the same ones a
+  // lone Platform runs) once over the shared registry; every session holds
+  // the result.
   SurrogateServer(std::shared_ptr<const vm::ClassRegistry> registry,
                   ServerConfig config = {});
   // Pool form: the server runs on `shared_clock` (not owned, must outlive
@@ -229,14 +207,14 @@ class SurrogateServer {
   [[nodiscard]] ServerStats stats() const;
   [[nodiscard]] const std::optional<analysis::AnalysisReport>&
   analysis_report() const noexcept {
-    return gates_.analysis;
+    return gates_->analysis;
   }
   [[nodiscard]] const std::optional<analysis::VerifyReport>& verify_report()
       const noexcept {
-    return gates_.verify;
+    return gates_->verify;
   }
   [[nodiscard]] const analysis::BatchSafety* batch_safety() const noexcept {
-    return gates_.oracle();
+    return gates_->oracle();
   }
 
   // Admission control: opens a new isolated session, or returns nullptr
@@ -246,8 +224,9 @@ class SurrogateServer {
   // Pool form: admits under an externally minted id so ids stay globally
   // unique (and node/object-id spaces disjoint) across pool members. `id`
   // must be at least this server's next unminted id; the internal mint
-  // advances past it, preserving the ascending-id order of `order_`.
-  Session* open_session(SessionId id);
+  // advances past it, preserving the ascending-id order of `order_`. A
+  // non-null `device` (failover) becomes the session's client VM.
+  Session* open_session(SessionId id, std::unique_ptr<vm::Vm> device = nullptr);
   // Closes a session: severs its endpoint pair and releases its slot. The
   // freed slot is immediately available to a new admission.
   void close_session(SessionId id);
@@ -285,7 +264,7 @@ class SurrogateServer {
   SimClock own_clock_;
   SimClock* clock_ = &own_clock_;  // pool members point at the shared clock
   std::shared_ptr<const vm::ClassRegistry> registry_;
-  analysis::StartupGates gates_;  // sessions hold its oracle: declared first
+  std::shared_ptr<const analysis::StartupGates> gates_;
 
   void do_close(std::size_t slot);
 

@@ -3,8 +3,11 @@
 // Covers the session-isolation guarantees (cross-session references rejected
 // at the refmap boundary, epoch fencing scoped to one session, per-session
 // stats namespacing), the admission/budget layer, deterministic round-robin
-// scheduling, and the emulated fleet (byte-determinism at N=16, exact
+// scheduling, a session's exact parity with a lone Platform on the five
+// paper apps, and the emulated fleet (byte-determinism at N=16, exact
 // single-session parity with the plain emulator).
+#include <array>
+#include <bit>
 #include <memory>
 #include <vector>
 
@@ -159,6 +162,29 @@ TEST(FleetServer, AdmissionCapRefusesAndFreedSlotReadmits) {
   EXPECT_EQ(c->id().value(), 2u);
 }
 
+TEST(FleetServer, OffloadOverALostLinkRunsThePeerLostTransition) {
+  platform::ServerConfig cfg = script_config();
+  cfg.fault_plan.dead_after = 0;  // the link is dead from the start
+  platform::SurrogateServer server(rec_registry(), cfg);
+  platform::Session* s = server.open_session();
+
+  const vm::ObjectRef o = s->client().new_object("Rec");
+  s->client().add_root(o);
+  std::vector<ObjectId> ids{o.id};
+  EXPECT_FALSE(s->offload(ids));  // PeerUnavailable stays inside the turn
+  EXPECT_TRUE(s->surrogate_dead());
+  ASSERT_EQ(s->failures().size(), 1u);
+  EXPECT_EQ(s->offloaded_bytes(), 0u);
+  EXPECT_EQ(s->budget_refusals(), 0u);
+  // The batch was reinstated: the object is still client-local and usable.
+  EXPECT_TRUE(s->client().is_local(o.id));
+  s->client().put_field(o, FieldId{0}, vm::Value{std::int64_t{9}});
+  EXPECT_EQ(s->client().get_field(o, FieldId{0}).as_int(), 9);
+  // With the surrogate gone, later offloads refuse without touching the link.
+  EXPECT_FALSE(s->offload(ids));
+  EXPECT_EQ(s->failures().size(), 1u);
+}
+
 TEST(FleetServer, OffloadedBytesBudgetRefusesWithoutSideEffects) {
   platform::ServerConfig cfg = script_config();
   cfg.budget.max_offloaded_bytes = 1;  // refuse any real batch
@@ -287,9 +313,73 @@ TEST(FleetServer, SharedGatesRunOncePerServer) {
   ASSERT_TRUE(server.verify_report().has_value());
 
   // Admission after the gates is pure construction: no re-analysis, and
-  // every session shares the server's oracle and registry.
-  for (int i = 0; i < 8; ++i) ASSERT_NE(server.open_session(), nullptr);
+  // every session holds the server's reports and oracle themselves.
+  for (int i = 0; i < 8; ++i) {
+    const platform::Session* s = server.open_session();
+    ASSERT_NE(s, nullptr);
+    EXPECT_EQ(&s->analysis_report(), &server.analysis_report());
+    EXPECT_EQ(&s->verify_report(), &server.verify_report());
+    EXPECT_EQ(s->batch_safety(), server.batch_safety());
+  }
+  EXPECT_NE(server.batch_safety(), nullptr);
   EXPECT_EQ(server.stats().sessions_opened, 8u);
+}
+
+// --- a session is a Platform -------------------------------------------------
+
+// Everything observable about one app run on a platform.
+struct AppRun {
+  std::uint64_t checksum = 0;
+  SimDuration elapsed = 0;
+  std::size_t offloads = 0;
+  rpc::EndpointStats client;
+  rpc::EndpointStats surrogate;
+  netsim::LinkStats link;
+};
+
+AppRun run_app(platform::Platform& p, const apps::AppInfo& app) {
+  AppRun r;
+  r.checksum = app.run(p.client(), apps::AppParams{});
+  r.elapsed = p.elapsed();
+  r.offloads = p.offloads().size();
+  r.client = p.client_endpoint().stats();
+  r.surrogate = p.surrogate_endpoint().stats();
+  r.link = p.link().stats();
+  return r;
+}
+
+// EndpointStats is a flat array of uint64 counters (its own layout test).
+using StatsWords = std::array<std::uint64_t, sizeof(rpc::EndpointStats) /
+                                                 sizeof(std::uint64_t)>;
+
+TEST(FleetServer, SessionRunsEachPaperAppExactlyLikeALonePlatform) {
+  // A default session is a default Platform on the server clock: the same
+  // monitor -> MINCUT -> migrate pipeline, only its node pair and handle
+  // namespace differ, and neither reaches the wire's sizes or the app.
+  std::size_t offloading_apps = 0;
+  for (const apps::AppInfo& app : apps::all_apps()) {
+    SCOPED_TRACE(app.name);
+    auto reg = std::make_shared<vm::ClassRegistry>();
+    app.register_classes(*reg);
+    platform::Platform lone(reg);
+    const AppRun want = run_app(lone, app);
+
+    platform::SurrogateServer server(reg);
+    platform::Session* s = server.open_session();
+    ASSERT_NE(s, nullptr);
+    const AppRun got = run_app(*s, app);
+
+    EXPECT_EQ(got.checksum, want.checksum);
+    EXPECT_EQ(got.elapsed, want.elapsed);
+    EXPECT_EQ(got.offloads, want.offloads);
+    EXPECT_EQ(std::bit_cast<StatsWords>(got.client),
+              std::bit_cast<StatsWords>(want.client));
+    EXPECT_EQ(std::bit_cast<StatsWords>(got.surrogate),
+              std::bit_cast<StatsWords>(want.surrogate));
+    EXPECT_EQ(got.link, want.link);
+    if (got.offloads > 0) offloading_apps += 1;
+  }
+  EXPECT_GT(offloading_apps, 0u);
 }
 
 // --- emulated fleet ----------------------------------------------------------

@@ -1,5 +1,6 @@
 // Surrogate-pool tests: deterministic placement policy, failover onto the
-// next-best surviving peer, and the flat-uint64 stats layout contracts.
+// next-best surviving peer with the client's state intact, and the
+// flat-uint64 stats layout contracts.
 //
 // The placement policy must be a pure function of the pool's observable
 // state (score arithmetic pinned against the documented formula, ties to the
@@ -171,6 +172,109 @@ TEST(PoolFailover, VictimsWithNoFreePeerSlotAreClosed) {
   }
   EXPECT_EQ(pool.session_count(), 2u);
   EXPECT_EQ(pool.stats().replacements, 0u);
+}
+
+// The monitor sees every allocation on both VMs (migration moves bytes, it
+// allocates nothing), so its components' memory must add up to the bytes
+// the two heaps hold.
+void expect_memory_accounted(platform::Session& s) {
+  EXPECT_EQ(s.exec_monitor().graph().total_mem_bytes(),
+            s.client().heap().used() + s.surrogate().heap().used());
+}
+
+TEST(PoolFailover, ReplacementsKeepTheClientsOffloadedState) {
+  // Member 1 is fastest and takes all three sessions. Each session offloads
+  // four records, then every turn reads back what the previous turn wrote
+  // and writes fresh values (left queued in the write-behind batch). Member
+  // 1 dies between rounds: every read after the re-placement must still see
+  // the last value written before the kill.
+  constexpr std::size_t kSessions = 3;
+  constexpr std::size_t kRecs = 4;
+  struct Script {
+    std::vector<vm::ObjectRef> recs;
+    std::vector<std::int64_t> last = std::vector<std::int64_t>(kRecs);
+  };
+  std::vector<Script> scripts(kSessions);
+  platform::SurrogatePool pool(rec_registry(), pool_config({2.0, 8.0}));
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    platform::Session* s = pool.open_session();
+    ASSERT_NE(s, nullptr);
+    ASSERT_EQ(pool.member_of(s->id()), 1u);
+    s->driver_state = i;  // the script index rides along on failover
+    std::vector<ObjectId> ids;
+    for (std::size_t k = 0; k < kRecs; ++k) {
+      const vm::ObjectRef o = s->client().new_object("Rec");
+      s->client().add_root(o);
+      s->client().put_field(o, FieldId{0}, vm::Value{std::int64_t{0}});
+      scripts[i].recs.push_back(o);
+      ids.push_back(o.id);
+    }
+    ASSERT_TRUE(s->offload(ids));
+    EXPECT_EQ(s->client().heap().used(), 0);
+  }
+
+  std::int64_t next = 1;
+  std::size_t reads = 0;
+  const auto turn = [&](platform::Session& s) {
+    Script& sc = scripts[s.driver_state];
+    for (std::size_t k = 0; k < kRecs; ++k) {
+      EXPECT_EQ(s.client().get_field(sc.recs[k], FieldId{0}).as_int(),
+                sc.last[k]);
+      reads += 1;
+      sc.last[k] = next++;
+      s.client().put_field(sc.recs[k], FieldId{0}, vm::Value{sc.last[k]});
+    }
+    return platform::TurnOutcome::yielded;
+  };
+  pool.run_rounds(3, turn);
+
+  std::vector<const vm::Vm*> devices;
+  for (std::uint32_t id = 0; id < kSessions; ++id) {
+    platform::Session* s = pool.find_session(SessionId{id});
+    EXPECT_GT(s->client_endpoint().pending_ops(), 0u);
+    devices.push_back(&s->client());
+  }
+  const SimTime killed_at = pool.clock().now();
+  const auto moved = pool.kill_surrogate(1);
+  ASSERT_EQ(moved.size(), kSessions);
+  // Each victim's reclaim charged the recovery channel on the pool clock.
+  EXPECT_GE(pool.clock().now() - killed_at,
+            static_cast<SimDuration>(kSessions) *
+                platform::PlatformConfig{}.recovery_latency);
+  std::vector<platform::Session*> fresh;
+  for (const platform::Replacement& r : moved) {
+    ASSERT_EQ(r.to, 0u);
+    platform::Session* s = pool.find_session(r.new_id);
+    ASSERT_NE(s, nullptr);
+    fresh.push_back(s);
+    // The replacement adopted the victim's device, heap and all.
+    EXPECT_EQ(&s->client(), devices[r.old_id.value()]);
+    EXPECT_GT(s->client().heap().used(), 0);
+    EXPECT_EQ(s->surrogate().heap().used(), 0);
+    EXPECT_TRUE(s->link_state() == platform::LinkState::connected);
+    for (const vm::ObjectRef& o : scripts[s->driver_state].recs) {
+      EXPECT_TRUE(s->client().is_local(o.id));
+    }
+    expect_memory_accounted(*s);
+  }
+
+  pool.run_rounds(2, turn);
+  // Re-offload onto the new member, keep going, then collect.
+  for (platform::Session* s : fresh) {
+    std::vector<ObjectId> ids;
+    for (const vm::ObjectRef& o : scripts[s->driver_state].recs) {
+      ids.push_back(o.id);
+    }
+    EXPECT_TRUE(s->offload(ids));
+  }
+  pool.run_rounds(2, turn);
+  for (platform::Session* s : fresh) {
+    s->client_endpoint().flush_pending();
+    (void)s->client().collect_garbage();
+    EXPECT_GT(s->surrogate().heap().used(), 0);
+    expect_memory_accounted(*s);
+  }
+  EXPECT_EQ(reads, kSessions * kRecs * 7);
 }
 
 // --- whole-pool determinism --------------------------------------------------
