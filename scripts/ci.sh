@@ -58,6 +58,26 @@ ctest --test-dir build-ci --output-on-failure -L pool -j "$JOBS"
 step "fleet smoke (multi-session overhead, zero-alloc dispatch + pool gates)"
 ./build-ci/bench/bench_fleet --smoke
 
+step "virtual-time artefacts (full benches' BENCH_*.json and fig5 DOTs vs committed)"
+# Every number in these files is virtual time, so a full run must rewrite
+# them byte for byte; any difference is a behaviour change.
+root="$PWD"
+artefacts=$(mktemp -d)
+(
+  cd "$artefacts"
+  for bench in chaos fault_recovery disconnect rpc_batch fleet fig5_graph; do
+    "$root/build-ci/bench/bench_$bench" >/dev/null
+  done
+)
+for f in BENCH_chaos.json BENCH_fault.json BENCH_disconnect.json \
+  BENCH_rpc.json BENCH_fleet.json fig5a.dot fig5b.dot; do
+  if ! cmp "$artefacts/$f" "$root/$f"; then
+    echo "$f: differs from the committed copy" >&2
+    exit 1
+  fi
+done
+rm -rf "$artefacts"
+
 step "perfbench correctness smoke (virt_s + digest against reference.tsv)"
 python3 perfbench/run.py --selftest
 for workload in paper_apps trace_replay pool_sessions; do

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
+#include <string>
 
 #include "common/log.hpp"
 
@@ -9,11 +11,32 @@ namespace aide::emul {
 
 namespace {
 constexpr NodeId kEmulatedClient{1};
+
+// Rejects the values whose arithmetic is undefined further down: a negative
+// or NaN fraction cast to an event index, a zero speedup divided into
+// self-time, a zero heap divided into GC-pressure headroom. Every condition
+// is false for NaN.
+const EmulatorConfig& checked(const EmulatorConfig& c) {
+  const auto require = [](bool ok, const char* field) {
+    if (!ok) {
+      throw std::invalid_argument(std::string("EmulatorConfig::") + field +
+                                  " is out of range");
+    }
+  };
+  require(c.eval_at_fraction >= 0.0, "eval_at_fraction");
+  require(c.surrogate_speedup > 0.0, "surrogate_speedup");
+  require(c.heap_capacity > 0, "heap_capacity");
+  require(c.min_free_fraction >= 0.0 && c.min_free_fraction <= 1.0,
+          "min_free_fraction");
+  require(c.gc_pressure_cost_ns_per_live_byte >= 0.0,
+          "gc_pressure_cost_ns_per_live_byte");
+  return c;
+}
 }  // namespace
 
 Emulator::Emulator(std::shared_ptr<const vm::ClassRegistry> registry,
                    EmulatorConfig config)
-    : registry_(std::move(registry)), config_(config) {}
+    : registry_(std::move(registry)), config_(checked(config)) {}
 
 SimDuration Emulator::rpc_cost(std::uint64_t bytes) const {
   // Analytic probe: must never touch a live Link's stats or jitter stream.
@@ -165,9 +188,12 @@ void Emulator::begin(const Trace& trace) {
   compute_raw_ = 0;
   compute_scaled_ = 0;
   gc_cycle_ = 0;
-  eval_index_ = static_cast<std::size_t>(static_cast<double>(trace.size()) *
-                                         config_.eval_at_fraction);
-  fraction_evaluated_ = false;
+  // Any fraction of 1 or more never evaluates; the clamp keeps the cast
+  // defined for huge and infinite ones.
+  eval_index_ = static_cast<std::size_t>(
+      static_cast<double>(trace.size()) *
+      std::min(config_.eval_at_fraction, 1.0));
+  past_horizon_ = config_.max_offloads == 0;
 }
 
 void Emulator::replay_event(const TraceEvent& e) {
@@ -194,8 +220,10 @@ void Emulator::replay_event(const TraceEvent& e) {
       break;
 
     case TraceEventType::method_exit: {
-      monitor_->on_method_exit(kEmulatedClient, e.cls_a, e.obj_a, e.method,
-                               e.bytes, e.t);
+      if (!past_horizon_) {
+        monitor_->on_method_exit(kEmulatedClient, e.cls_a, e.obj_a, e.method,
+                                 e.bytes, e.t);
+      }
       const int p = placement_of(e.cls_a, e.obj_a);
       const bool on_surrogate = p >= 1;
       const double speed = on_surrogate ? config_.surrogate_speedup : 1.0;
@@ -245,6 +273,7 @@ void Emulator::replay_event(const TraceEvent& e) {
                        static_cast<std::size_t>(sp - 1));
         result_.comm_time += cost;
       }
+      if (past_horizon_) break;
 
       vm::InvokeEvent ev;
       ev.vm = kEmulatedClient;
@@ -281,6 +310,7 @@ void Emulator::replay_event(const TraceEvent& e) {
                        static_cast<std::size_t>(sp - 1));
         result_.comm_time += cost;
       }
+      if (past_horizon_) break;
 
       vm::AccessEvent ev;
       ev.vm = kEmulatedClient;
@@ -332,25 +362,25 @@ void Emulator::replay_event(const TraceEvent& e) {
             config_.gc_pressure_cost_ns_per_live_byte);
       }
       alloc_since_gc_ = 0;
+      if (past_horizon_) break;
 
       monitor_->on_gc(kEmulatedClient, rep);
       resource_->feed(rep);
 
       if (config_.trigger_mode == TriggerMode::memory_gc &&
-          resource_->triggered() &&
-          result_.offloads.size() < config_.max_offloads) {
+          resource_->triggered()) {
         resource_->consume_trigger();
         try_offload(e.t, result_);
+        past_horizon_ = result_.offloads.size() >= config_.max_offloads;
       }
       break;
     }
   }
 
-  if (config_.trigger_mode == TriggerMode::trace_fraction &&
-      !fraction_evaluated_ && event_ix_ >= eval_index_ &&
-      result_.offloads.size() < config_.max_offloads) {
-    fraction_evaluated_ = true;
+  if (config_.trigger_mode == TriggerMode::trace_fraction && !past_horizon_ &&
+      event_ix_ >= eval_index_) {
     try_offload(e.t, result_);
+    past_horizon_ = true;  // the mode's one evaluation has run
   }
 }
 

@@ -16,6 +16,14 @@
 // section 5.2 enhancements (stateless natives local, int arrays at object
 // granularity).
 //
+// The execution graph is built only as long as a partitioning decision can
+// still read it. Once the run passes its decision horizon — the
+// max_offloads-th accepted offload in memory_gc mode, the one evaluation in
+// trace_fraction mode, the first event when max_offloads is 0 — the replay
+// keeps the placement lookups and every time and counter accumulator but
+// feeds the monitor only allocations, frees and resizes. Every
+// EmulationResult field is the same as with the full feed.
+//
 // Replay is resumable: begin()/step()/finish() expose the event loop one
 // event at a time so a fleet driver can interleave many sessions' traces in
 // virtual time against one shared surrogate (run() remains the one-shot
@@ -49,6 +57,10 @@ enum class TriggerMode {
   trace_fraction,
 };
 
+// The Emulator constructor throws std::invalid_argument, naming the field,
+// for a NaN or negative eval_at_fraction, a surrogate_speedup that is not
+// positive, a heap_capacity <= 0, a min_free_fraction outside [0, 1] and a
+// NaN or negative gc_pressure_cost_ns_per_live_byte.
 struct EmulatorConfig {
   netsim::LinkParams link = netsim::LinkParams::wavelan();
   // Surrogate/client CPU ratio. Figure 6 uses 1.0 ("the same processor speed
@@ -57,7 +69,8 @@ struct EmulatorConfig {
 
   TriggerMode trigger_mode = TriggerMode::memory_gc;
   monitor::TriggerPolicy trigger;
-  double eval_at_fraction = 0.10;  // trace_fraction mode
+  // trace_fraction mode; 1 or more never evaluates.
+  double eval_at_fraction = 0.10;
 
   partition::Objective objective = partition::Objective::free_memory;
   double min_free_fraction = 0.20;
@@ -206,7 +219,10 @@ class Emulator {
     service_ = svc;
   }
 
-  // The execution graph accumulated during the last run (Figure 5 rendering).
+  // The monitor of the last run (Figure 5 rendering). Edges, self-times,
+  // counters and GC samples stop at the decision horizon, the run's last
+  // possible partitioning evaluation; components that allocate, and every
+  // node's mem_bytes and live objects, stay current to the end of the trace.
   [[nodiscard]] const monitor::ExecutionMonitor& last_monitor() const {
     return *monitor_;
   }
@@ -255,7 +271,11 @@ class Emulator {
   SimDuration compute_scaled_ = 0;  // self-time under the emulated placement
   std::uint32_t gc_cycle_ = 0;
   std::size_t eval_index_ = 0;
-  bool fraction_evaluated_ = false;
+  // Past the decision horizon (header comment); it also gates both modes'
+  // evaluations. alloc/free/resize keep feeding the monitor past it: the GC
+  // event's offloaded-bytes sum reads the placed nodes' mem_bytes, and an
+  // Array promotion changes what index_of answers.
+  bool past_horizon_ = false;
 };
 
 }  // namespace aide::emul

@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -360,6 +361,47 @@ TEST(EmulationTrailTest, EveryPathMatchesGolden) {
   }
 
   test::check_golden("emulation_trails.txt", out);
+}
+
+// The decision horizon on recorded traces. A max_offloads = 0 run is past
+// it from the first event and feeds the monitor no interaction; a run whose
+// evaluation never comes feeds every event. Every result field matches. A
+// trace_fraction run stops feeding right after its one evaluation.
+TEST(EmulationTrailTest, HorizonChangesNoResult) {
+  for (const Recorded& r : recorded()) {
+    EmulatorConfig never_gc = memory_config(r, 0.50, 1, 0.10);
+    never_gc.trigger.consecutive_reports = std::numeric_limits<int>::max();
+    for (const bool array : {false, true}) {
+      EmulatorConfig never_fraction = cpu_config(false, array);
+      never_fraction.eval_at_fraction = 2.0;
+      never_gc.arrays_as_objects = array;
+      for (const EmulatorConfig& never : {never_gc, never_fraction}) {
+        EmulatorConfig none = never;
+        none.max_offloads = 0;
+        Emulator a(r.registry, none);
+        Emulator b(r.registry, never);
+        const std::string label = r.name + (array ? " array" : " -");
+        EXPECT_EQ(result_line(label, a.run(r.trace)),
+                  result_line(label, b.run(r.trace)));
+        EXPECT_EQ(a.last_monitor().counters().interaction_events(), 0u)
+            << label;
+        EXPECT_EQ(a.last_monitor().graph().edge_count(), 0u) << label;
+        EXPECT_EQ(b.last_monitor().counters().interaction_events(),
+                  test::interactions_in(r.trace, r.trace.size()))
+            << label;
+      }
+
+      const EmulatorConfig cfg = cpu_config(false, array);
+      Emulator emu(r.registry, cfg);
+      const EmulationResult result = emu.run(r.trace);
+      EXPECT_EQ(result.offloads.size() + result.declined.size(), 1u);
+      const auto eval_ix = static_cast<std::size_t>(
+          static_cast<double>(r.trace.size()) * cfg.eval_at_fraction);
+      EXPECT_EQ(emu.last_monitor().counters().interaction_events(),
+                test::interactions_in(r.trace, eval_ix + 1))
+          << r.name;
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,13 @@
 // Tests for the trace-driven emulator: time stretching for remote
 // interactions, CPU re-scaling under placement, trigger modes, the native and
-// array enhancements, repeated repartitioning, the emulated heap model, and
-// traces naming unknown class ids.
+// array enhancements, repeated repartitioning, the emulated heap model,
+// traces naming unknown class ids, the decision horizon past which the
+// monitor is no longer fed, and out-of-range configuration values.
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "common/error.hpp"
 #include "emul/emulator.hpp"
@@ -11,6 +16,7 @@
 namespace aide::emul {
 namespace {
 
+using aide::test::interactions_in;
 using aide::test::make_test_registry;
 
 // Builds synthetic traces against the test registry. Class roles:
@@ -134,6 +140,50 @@ Trace memory_trace(const std::shared_ptr<vm::ClassRegistry>& reg) {
     b.self_time(b.counter_, sim_ms(5));
   }
   return b.trace();
+}
+
+// A compute trace for the trace_fraction mode: the pinned device starts
+// Counter, whose heavy self-time alternates with calls into a Pair.
+Trace compute_trace(const std::shared_ptr<vm::ClassRegistry>& reg) {
+  TraceBuilder b(*reg);
+  b.alloc(ObjectId{1}, b.device_, 64);
+  b.alloc(ObjectId{2}, b.counter_, 1024);
+  b.alloc(ObjectId{3}, b.pair_, 1024);
+  b.invoke(b.device_, b.counter_, 16, kFlagNative);
+  for (int i = 0; i < 100; ++i) {
+    b.self_time(b.counter_, sim_ms(100));
+    b.invoke(b.counter_, b.pair_, 8, 0, ObjectId{3});
+  }
+  return b.trace();
+}
+
+EmulatorConfig compute_config() {
+  EmulatorConfig cfg = base_config();
+  cfg.trigger_mode = TriggerMode::trace_fraction;
+  cfg.eval_at_fraction = 0.10;
+  cfg.objective = partition::Objective::speed_up;
+  cfg.surrogate_speedup = 3.5;
+  return cfg;
+}
+
+// Every EmulationResult field. Offloads and declined evaluations compare by
+// count: the runs compared here have none.
+void expect_same_result(const EmulationResult& a, const EmulationResult& b) {
+  EXPECT_EQ(a.base_time, b.base_time);
+  EXPECT_EQ(a.emulated_time, b.emulated_time);
+  EXPECT_EQ(a.comm_time, b.comm_time);
+  EXPECT_EQ(a.migration_time, b.migration_time);
+  EXPECT_EQ(a.gc_pressure_time, b.gc_pressure_time);
+  EXPECT_EQ(a.queue_time, b.queue_time);
+  EXPECT_EQ(a.total_invocations, b.total_invocations);
+  EXPECT_EQ(a.remote_invocations, b.remote_invocations);
+  EXPECT_EQ(a.remote_native_invocations, b.remote_native_invocations);
+  EXPECT_EQ(a.total_accesses, b.total_accesses);
+  EXPECT_EQ(a.remote_accesses, b.remote_accesses);
+  EXPECT_EQ(a.remote_bytes, b.remote_bytes);
+  EXPECT_EQ(a.peak_client_live, b.peak_client_live);
+  EXPECT_EQ(a.offloads.size(), b.offloads.size());
+  EXPECT_EQ(a.declined.size(), b.declined.size());
 }
 
 TEST(EmulatorTest, NoOffloadMeansNoStretch) {
@@ -408,6 +458,221 @@ TEST(EmulatorTest, DeterministicAcrossRuns) {
   EXPECT_EQ(ra.emulated_time, rb.emulated_time);
   EXPECT_EQ(ra.remote_invocations, rb.remote_invocations);
   EXPECT_EQ(ra.offloads.size(), rb.offloads.size());
+}
+
+// --- decision horizon --------------------------------------------------------
+
+TEST(EmulatorHorizonTest, MonitorStopsAtTheLastEvaluation) {
+  auto reg = make_test_registry();
+  {
+    // memory_trace's interactions all precede or follow its run of
+    // allocations and GC reports, and the one offload fires inside that run.
+    const Trace trace = memory_trace(reg);
+    Emulator emu(reg, base_config());
+    const EmulationResult r = emu.run(trace);
+    ASSERT_EQ(r.offloads.size(), 1u);
+    std::size_t first_gc = 0;
+    while (trace.events[first_gc].type != TraceEventType::gc) ++first_gc;
+    const std::uint64_t before = interactions_in(trace, first_gc);
+    EXPECT_LT(before, interactions_in(trace, trace.size()));
+    EXPECT_EQ(emu.last_monitor().counters().interaction_events(), before);
+  }
+  {
+    // trace_fraction evaluates once, right after the event at index
+    // floor(size * eval_at_fraction).
+    const Trace trace = compute_trace(reg);
+    const EmulatorConfig cfg = compute_config();
+    Emulator emu(reg, cfg);
+    const EmulationResult r = emu.run(trace);
+    ASSERT_EQ(r.offloads.size(), 1u);
+    const auto eval_ix = static_cast<std::size_t>(
+        static_cast<double>(trace.size()) * cfg.eval_at_fraction);
+    EXPECT_EQ(emu.last_monitor().counters().interaction_events(),
+              interactions_in(trace, eval_ix + 1));
+  }
+}
+
+TEST(EmulatorHorizonTest, NoOffloadRunFeedsNoInteractionAndChangesNoResult) {
+  // A max_offloads = 0 run is past the horizon from its first event: only
+  // allocations, frees and resizes reach its monitor. A run whose evaluation
+  // never comes feeds every event. Nothing is placed on either side, so
+  // every result field must match.
+  auto reg = make_test_registry();
+  for (const bool memory : {true, false}) {
+    const Trace trace = memory ? memory_trace(reg) : compute_trace(reg);
+    EmulatorConfig never = memory ? base_config() : compute_config();
+    if (memory) {
+      // GC-pressure model on; a trigger that needs INT_MAX consecutive
+      // low-memory reports never fires.
+      never.gc_pressure_cost_ns_per_live_byte = 100.0;
+      never.trigger.consecutive_reports = std::numeric_limits<int>::max();
+    } else {
+      never.eval_at_fraction = 2.0;  // past 1: never evaluates
+    }
+    EmulatorConfig none = never;
+    none.max_offloads = 0;
+    Emulator a(reg, none);
+    Emulator b(reg, never);
+    const EmulationResult ra = a.run(trace);
+    expect_same_result(ra, b.run(trace));
+    if (memory) {
+      EXPECT_GT(ra.gc_pressure_time, 0);
+    }
+    const monitor::ExecutionMonitor& mon = a.last_monitor();
+    EXPECT_EQ(mon.counters().interaction_events(), 0u);
+    EXPECT_EQ(mon.graph().edge_count(), 0u);
+    EXPECT_GT(mon.counters().objects_created, 0u);
+    EXPECT_EQ(b.last_monitor().counters().interaction_events(),
+              interactions_in(trace, trace.size()));
+  }
+}
+
+TEST(EmulatorHorizonTest, AllocationsPastTheHorizonFollowTheirPlacedClass) {
+  // The first trigger offloads Pair, and max_offloads = 1 makes that the
+  // last decision. A 2 MB Pair allocated afterwards lives on the surrogate:
+  // the next GC report must neither count it against the client's peak nor
+  // charge GC pressure for it. Both read the placed Pair node's mem_bytes,
+  // which only on_alloc keeps current.
+  auto reg = make_test_registry();
+  TraceBuilder b(*reg);
+  b.alloc(ObjectId{1}, b.device_, 64);
+  b.invoke(b.device_, b.counter_, 16, kFlagNative);
+  b.invoke(b.counter_, b.pair_, 32);
+  b.alloc(ObjectId{100}, b.pair_, 960 * 1024);
+  for (int i = 0; i < 3; ++i) b.gc();
+  const Trace before_alloc = b.trace();
+  b.alloc(ObjectId{200}, b.pair_, 2 << 20);
+  b.gc();
+
+  EmulatorConfig cfg = base_config();
+  cfg.gc_pressure_cost_ns_per_live_byte = 100.0;
+  Emulator emu(reg, cfg);
+  const EmulationResult r = emu.run(b.trace());
+  ASSERT_EQ(r.offloads.size(), 1u);
+  ASSERT_TRUE(r.offloads[0].decision.selected.offload.contains(
+      graph::ComponentKey{b.pair_}));
+  // The peak is the pre-offload heap, device plus the first Pair.
+  EXPECT_EQ(r.peak_client_live, 64 + 960 * 1024);
+  // The last report's client holds only the device's 64 bytes.
+  Emulator prefix(reg, cfg);
+  const EmulationResult p = prefix.run(before_alloc);
+  const double headroom = static_cast<double>(cfg.heap_capacity - 64);
+  const auto last_charge = static_cast<SimDuration>(
+      static_cast<double>(2 << 20) / headroom * 64.0 *
+      cfg.gc_pressure_cost_ns_per_live_byte);
+  EXPECT_EQ(r.gc_pressure_time - p.gc_pressure_time, last_charge);
+}
+
+TEST(EmulatorHorizonTest, ArrayPromotedPastTheHorizonReadsTheClient) {
+  // Under the Array enhancement small int[]s fold into the int[] class
+  // node, which the one offload places with Counter. A large int[]
+  // allocated past the horizon becomes its own, unplaced node: the device's
+  // calls into it stay local, while its calls into a small int[] still
+  // cross to the surrogate.
+  auto reg = make_test_registry();
+  TraceBuilder b(*reg);
+  b.alloc(ObjectId{1}, b.device_, 64);
+  b.alloc(ObjectId{2}, b.counter_, 680 * 1024);
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    b.alloc(ObjectId{500 + i}, b.int_array_, 3 * 1024);
+  }
+  b.invoke(b.device_, b.counter_, 16, kFlagNative);
+  for (int i = 0; i < 200; ++i) {
+    b.invoke(b.counter_, b.int_array_, 8, 0, ObjectId{500});
+  }
+  for (int i = 0; i < 3; ++i) b.gc();
+  const ObjectId big{900};
+  b.alloc(big, b.int_array_, 8 * 1024);
+  const int kBigCalls = 30, kSmallCalls = 20;
+  for (int i = 0; i < kBigCalls; ++i) {
+    b.invoke(b.device_, b.int_array_, 8, 0, big);
+  }
+  for (int i = 0; i < kSmallCalls; ++i) {
+    b.invoke(b.device_, b.int_array_, 8, 0, ObjectId{501});
+  }
+
+  EmulatorConfig cfg = base_config();
+  cfg.arrays_as_objects = true;
+  cfg.min_array_bytes = 4096;
+  Emulator emu(reg, cfg);
+  const EmulationResult r = emu.run(b.trace());
+  ASSERT_EQ(r.offloads.size(), 1u);
+  ASSERT_TRUE(r.offloads[0].decision.selected.offload.contains(
+      graph::ComponentKey{b.int_array_}));
+  EXPECT_EQ(r.total_invocations,
+            static_cast<std::uint64_t>(201 + kBigCalls + kSmallCalls));
+  EXPECT_EQ(r.remote_invocations, static_cast<std::uint64_t>(kSmallCalls));
+}
+
+// --- configuration checks ----------------------------------------------------
+
+// Constructing an emulator with `cfg` throws std::invalid_argument naming
+// `field`.
+void expect_rejected(const EmulatorConfig& cfg, const std::string& field) {
+  try {
+    const Emulator emu(make_test_registry(), cfg);
+    ADD_FAILURE() << field << " accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(EmulatorConfigTest, EvalAtFractionMustBeANonNegativeNumber) {
+  for (const double v : {-0.25, -kInf, kNaN}) {
+    EmulatorConfig cfg = compute_config();
+    cfg.eval_at_fraction = v;
+    expect_rejected(cfg, "eval_at_fraction");
+  }
+  // Past 1 stays legal and never evaluates, however large.
+  auto reg = make_test_registry();
+  for (const double v : {1.5, 1e300, kInf}) {
+    EmulatorConfig cfg = compute_config();
+    cfg.eval_at_fraction = v;
+    Emulator emu(reg, cfg);
+    const EmulationResult r = emu.run(compute_trace(reg));
+    EXPECT_TRUE(r.offloads.empty() && r.declined.empty()) << v;
+  }
+}
+
+TEST(EmulatorConfigTest, SurrogateSpeedupMustBePositive) {
+  for (const double v : {0.0, -3.5, kNaN}) {
+    EmulatorConfig cfg = compute_config();
+    cfg.surrogate_speedup = v;
+    expect_rejected(cfg, "surrogate_speedup");
+  }
+}
+
+TEST(EmulatorConfigTest, HeapCapacityMustBePositive) {
+  for (const std::int64_t v : {std::int64_t{0}, std::int64_t{-1}}) {
+    EmulatorConfig cfg = base_config();
+    cfg.heap_capacity = v;
+    expect_rejected(cfg, "heap_capacity");
+  }
+}
+
+TEST(EmulatorConfigTest, MinFreeFractionMustLieInTheUnitInterval) {
+  for (const double v : {-0.01, 1.01, kNaN}) {
+    EmulatorConfig cfg = base_config();
+    cfg.min_free_fraction = v;
+    expect_rejected(cfg, "min_free_fraction");
+  }
+  for (const double v : {0.0, 1.0}) {
+    EmulatorConfig cfg = base_config();
+    cfg.min_free_fraction = v;
+    EXPECT_NO_THROW(Emulator(make_test_registry(), cfg)) << v;
+  }
+}
+
+TEST(EmulatorConfigTest, GcPressureCostMustBeANonNegativeNumber) {
+  for (const double v : {-100.0, kNaN}) {
+    EmulatorConfig cfg = base_config();
+    cfg.gc_pressure_cost_ns_per_live_byte = v;
+    expect_rejected(cfg, "gc_pressure_cost_ns_per_live_byte");
+  }
 }
 
 }  // namespace

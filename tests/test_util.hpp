@@ -1,16 +1,19 @@
 // Shared helpers for the MiniVM test suites: a small class library with
 // plain data classes, managed methods, statics, and native (pinned /
-// stateless) methods, plus the golden-file comparison.
+// stateless) methods, the golden-file comparison, and a trace event count.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 
+#include "emul/trace.hpp"
 #include "vm/klass.hpp"
 #include "vm/vm.hpp"
 
@@ -131,6 +134,17 @@ inline std::shared_ptr<vm::ClassRegistry> make_test_registry() {
 
   reg->register_class(ClassBuilder("Holder").field("item").build());
   return reg;
+}
+
+// Invoke and access events among the trace's first `n` events.
+inline std::uint64_t interactions_in(const emul::Trace& trace, std::size_t n) {
+  const auto first = trace.events.begin();
+  return static_cast<std::uint64_t>(
+      std::count_if(first, first + static_cast<std::ptrdiff_t>(n),
+                    [](const emul::TraceEvent& e) {
+                      return e.type == emul::TraceEventType::invoke ||
+                             e.type == emul::TraceEventType::access;
+                    }));
 }
 
 }  // namespace aide::test
