@@ -74,7 +74,7 @@ struct Sample {
   SimTime end = 0;
   bool dead = false;
   std::size_t failures = 0;
-  rpc::MigrationTrace migration;
+  rpc::TransferTrace migration;
   rpc::EndpointStats client;
   rpc::EndpointStats surrogate;
   netsim::LinkStats link;

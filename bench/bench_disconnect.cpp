@@ -119,7 +119,7 @@ Sample run(const apps::AppInfo& app, const netsim::FaultPlan& plan) {
     s.bytes_hoarded += d.bytes_hoarded;
     s.entries_replayed += d.entries_replayed;
   }
-  for (const rpc::ReconcileTrace& t : p.client_endpoint().reconciles()) {
+  for (const rpc::TransferTrace& t : p.client_endpoint().reconciles()) {
     if (t.committed) {
       s.reconcile_cost = t.commit_acked - t.begin;
       break;

@@ -58,21 +58,33 @@ ctest --test-dir build-ci --output-on-failure -L pool -j "$JOBS"
 step "fleet smoke (multi-session overhead, zero-alloc dispatch + pool gates)"
 ./build-ci/bench/bench_fleet --smoke
 
-step "virtual-time artefacts (full benches' BENCH_*.json and fig5 DOTs vs committed)"
+step "virtual-time artefacts (full benches' BENCH_*.json, fig5 DOTs and the examples' output vs committed)"
 # Every number in these files is virtual time, so a full run must rewrite
-# them byte for byte; any difference is a behaviour change.
+# them byte for byte; any difference is a behaviour change. The examples'
+# stdout+stderr (their [platform] log lines go to stderr) is pinned the same
+# way, including JavaNote's reference checksum.
 root="$PWD"
 artefacts=$(mktemp -d)
+examples="quickstart adhoc_surrogates policy_lab raytrace_speedup"
 (
   cd "$artefacts"
   for bench in chaos fault_recovery disconnect rpc_batch fleet fig5_graph; do
     "$root/build-ci/bench/bench_$bench" >/dev/null
+  done
+  for example in $examples; do
+    "$root/build-ci/examples/$example" >"$example.txt" 2>&1
   done
 )
 for f in BENCH_chaos.json BENCH_fault.json BENCH_disconnect.json \
   BENCH_rpc.json BENCH_fleet.json fig5a.dot fig5b.dot; do
   if ! cmp "$artefacts/$f" "$root/$f"; then
     echo "$f: differs from the committed copy" >&2
+    exit 1
+  fi
+done
+for example in $examples; do
+  if ! cmp "$artefacts/$example.txt" "$root/tests/golden/examples/$example.txt"; then
+    echo "examples/$example: output differs from tests/golden/examples/$example.txt" >&2
     exit 1
   fi
 done

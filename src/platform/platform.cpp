@@ -553,7 +553,7 @@ void Platform::reconcile() {
     // The mutations landed exactly once; they must never replay again. A
     // fresh log accumulates whatever the application writes from here on.
     disconnects_.back().reconciles += 1;
-    disconnects_.back().entries_replayed += traces.back().entries;
+    disconnects_.back().entries_replayed += traces.back().items;
     // Harvest allocation gravity while the log still holds its values: the
     // live field entries are the attach points the reconciled roots hold
     // into everything built while disconnected.

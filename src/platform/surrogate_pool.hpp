@@ -55,14 +55,6 @@ struct PoolStats {
   std::uint64_t replacements = 0;          // sessions moved off a dead member
   std::uint64_t admission_rejections = 0;  // every live member refused
   std::uint64_t deaths = 0;                // kill_surrogate calls
-
-  PoolStats& operator+=(const PoolStats& o) noexcept {
-    placements += o.placements;
-    replacements += o.replacements;
-    admission_rejections += o.admission_rejections;
-    deaths += o.deaths;
-    return *this;
-  }
 };
 
 // One session moved off a dead surrogate: `old_id` closed on member `from`,
@@ -128,8 +120,7 @@ class SurrogatePool {
   std::size_t run_rounds(std::size_t max_rounds,
                          const SurrogateServer::TurnFn& turn);
 
-  // Member counters summed via ServerStats::operator+= (the completeness
-  // test pins that every field participates).
+  // Member counters summed via ServerStats::operator+=.
   [[nodiscard]] ServerStats aggregate_server_stats() const;
 
  private:

@@ -46,6 +46,7 @@
 #include <span>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "platform/platform.hpp"
 
 namespace aide::platform {
@@ -155,9 +156,8 @@ class Session : public Platform {
 // session's own endpoint stats.
 //
 // Layout contract (same as rpc::EndpointStats): every field is a uint64_t
-// counter so the struct is byte-orderable as a flat array — operator+= must
-// cover every field, which the pool's aggregation and the bit_cast
-// completeness test both rely on. The last four fields are load gauges
+// counter, so operator+= (the pool's aggregation) sums the struct as a flat
+// array via accumulate_counters. The last four fields are load gauges
 // snapshotted over the live sessions at stats() time; a pool's placement
 // policy reads them as the member's current load.
 struct ServerStats {
@@ -172,16 +172,7 @@ struct ServerStats {
   std::uint64_t throttles = 0;        // gauge: sum over live sessions
 
   ServerStats& operator+=(const ServerStats& o) noexcept {
-    sessions_opened += o.sessions_opened;
-    sessions_closed += o.sessions_closed;
-    admission_rejections += o.admission_rejections;
-    turns += o.turns;
-    rounds += o.rounds;
-    live_sessions += o.live_sessions;
-    offloaded_bytes += o.offloaded_bytes;
-    budget_refusals += o.budget_refusals;
-    throttles += o.throttles;
-    return *this;
+    return accumulate_counters(*this, o);
   }
 };
 

@@ -26,6 +26,38 @@ SharedFrame corrupted_copy(const Frame& frame, std::uint64_t salt) {
   byte ^= 0xFF;
   return copy;
 }
+
+// Consumes a reply's status byte, rethrowing the VmError the peer reported.
+void check_status(ByteReader& r) {
+  if (r.read_u8() == kStatusVmError) {
+    const auto code = static_cast<VmErrorCode>(r.read_u8());
+    throw VmError(code, "remote: " + r.read_string());
+  }
+}
+
+// Walks a batch reply's sections in place and returns the last one's payload
+// past its status byte; `executed` receives the section count. A section's
+// VmError is rethrown: the batch stopped there, so ops after it never ran —
+// the same prefix semantics as issuing the ops one at a time.
+std::span<const std::uint8_t> read_sections(ByteReader& r,
+                                            std::uint32_t& executed) {
+  executed = r.read_u32();
+  std::span<const std::uint8_t> last;
+  for (std::uint32_t i = 0; i < executed; ++i) {
+    last = read_op_section(r);
+    ByteReader sr(last);
+    check_status(sr);
+  }
+  return last.empty() ? last : last.subspan(1);
+}
+
+std::vector<std::uint8_t> error_reply(const VmError& e) {
+  ByteWriter err;
+  err.write_u8(kStatusVmError);
+  err.write_u8(static_cast<std::uint8_t>(e.code()));
+  err.write_string(e.what());
+  return std::move(err).take();
+}
 }  // namespace
 
 Endpoint::Endpoint(vm::Vm& local_vm, netsim::Link& link)
@@ -46,56 +78,36 @@ void Endpoint::connect(Endpoint& a, Endpoint& b) {
   b.vm_.set_peer(&b);
 }
 
-void Endpoint::disconnect() {
-  if (peer_ != nullptr) {
-    Endpoint& other = *peer_;
-    other.peer_ = nullptr;
-    other.vm_.set_peer(nullptr);
-    other.refs_.clear();
-    other.cached_response_.reset();
-    other.drop_transport_state();
-  }
-  peer_ = nullptr;
-  vm_.set_peer(nullptr);
-  refs_.clear();
-  cached_response_.reset();
-  drop_transport_state();
-}
+void Endpoint::disconnect() { sever(/*keep_refs=*/false); }
 
-void Endpoint::detach_partitioned() {
-  // The partition flavor of disconnect(): both heaps survive and will be
-  // reconciled with each other, so every cross-VM reference must keep
-  // resolving after the link returns. Export tables stay registered on both
-  // sides — they are the GC roots that keep referenced objects (including
-  // the surrogate originals the redo log replays into) alive across the
-  // disconnected epoch. Only transport state dies.
-  if (peer_ != nullptr) {
-    Endpoint& other = *peer_;
-    other.peer_ = nullptr;
-    other.vm_.set_peer(nullptr);
-    other.cached_response_.reset();
-    other.drop_transport_state();
-  }
-  peer_ = nullptr;
-  vm_.set_peer(nullptr);
-  cached_response_.reset();
-  drop_transport_state();
-}
+// The partition flavor of disconnect(): both heaps survive and will be
+// reconciled with each other, so every cross-VM reference must keep
+// resolving after the link returns. Export tables stay registered on both
+// sides — they are the GC roots that keep referenced objects (including the
+// surrogate originals the redo log replays into) alive across the
+// disconnected epoch. Only transport state dies.
+void Endpoint::detach_partitioned() { sever(/*keep_refs=*/true); }
 
-void Endpoint::drop_transport_state() {
-  // A PREPARE-staged batch dies with the connection: it never touched the
-  // heap, so dropping the bytes is the rollback. In-flight frame copies for
-  // the reorder injector go with it, and so do read-ahead snapshots of the
-  // peer's objects. The write-behind queue survives: after recovery its
-  // targets are local and flush_pending/apply_pending_locally lands it.
-  staged_migration_.reset();
-  staged_reconcile_.reset();
-  last_req_frame_.reset();
-  last_resp_frame_.reset();
-  invalidate_snapshots();
-  // A new connection epoch starts the partition detector fresh: the old
-  // link's timeout run and silence window say nothing about the new link.
-  detector_.reset(vm_.clock().now());
+void Endpoint::sever(bool keep_refs) {
+  for (Endpoint* side : {peer_, this}) {
+    if (side == nullptr) continue;
+    side->peer_ = nullptr;
+    side->vm_.set_peer(nullptr);
+    if (!keep_refs) side->refs_.clear();
+    // A PREPARE-staged transfer dies with the connection: it never touched
+    // the heap, so dropping the bytes is the rollback. The reply cache, the
+    // reorder injector's frame copies and read-ahead snapshots of the peer's
+    // objects go with it. The write-behind queue survives: after recovery
+    // its targets are local and flush_pending/apply_pending_locally lands it.
+    side->cached_response_.reset();
+    side->staged_.reset();
+    side->last_req_frame_.reset();
+    side->last_resp_frame_.reset();
+    side->invalidate_snapshots();
+    // A new connection epoch starts the partition detector fresh: the old
+    // link's timeout run and silence window say nothing about the new link.
+    side->detector_.reset(side->vm_.clock().now());
+  }
 }
 
 SharedFrame Endpoint::take_cached_response(std::uint64_t seq) {
@@ -272,12 +284,7 @@ std::vector<std::uint8_t> Endpoint::transact(ByteWriter request,
       detector_.note_delivery(last_contact_);
       last_req_frame_ = frame;
       ByteReader r(reply->payload);
-      const auto status = r.read_u8();
-      if (status == kStatusVmError) {
-        const auto code = static_cast<VmErrorCode>(r.read_u8());
-        const std::string msg = r.read_string();
-        throw VmError(code, "remote: " + msg);
-      }
+      check_status(r);
       // The one copy of the reply: its payload minus the status byte.
       return {reply->payload.begin() + 1, reply->payload.end()};
     }
@@ -315,14 +322,20 @@ std::vector<std::uint8_t> Endpoint::transact(ByteWriter request,
   }
 }
 
+void Endpoint::recover_locally() {
+  if (serving_depth_ > 0 || !peer_failure_handler_) throw;
+  if (!peer_failure_handler_()) throw;
+  // Reintegration made every target local; the deferred stores land there.
+  apply_pending_locally();
+  stats_.recovered_rpcs += 1;
+}
+
 std::optional<std::vector<std::uint8_t>> Endpoint::transact_or_recover(
-    ByteWriter request) {
+    ByteWriter op) {
   try {
-    return transact(std::move(request));
+    return transact_with_pending(std::move(op));
   } catch (const PeerUnavailable&) {
-    if (serving_depth_ > 0 || !peer_failure_handler_) throw;
-    if (!peer_failure_handler_()) throw;
-    stats_.recovered_rpcs += 1;
+    recover_locally();
     return std::nullopt;
   }
 }
@@ -420,15 +433,8 @@ void Endpoint::send_queue() {
     // Surface the first rider's semantic error, if any (a pure-write batch
     // carries no demanded value, so this is the only place it can surface).
     ByteReader r(resp);
-    const auto executed = r.read_u32();
-    for (std::uint32_t i = 0; i < executed; ++i) {
-      ByteReader sr(read_op_section(r));
-      const auto status = sr.read_u8();
-      if (status == kStatusVmError) {
-        const auto code = static_cast<VmErrorCode>(sr.read_u8());
-        throw VmError(code, "remote: " + sr.read_string());
-      }
-    }
+    std::uint32_t executed = 0;
+    (void)read_sections(r, executed);
   }
 }
 
@@ -438,10 +444,7 @@ void Endpoint::flush_or_recover() {
   try {
     send_queue();
   } catch (const PeerUnavailable&) {
-    if (serving_depth_ > 0 || !peer_failure_handler_) throw;
-    if (!peer_failure_handler_()) throw;
-    apply_pending_locally();
-    stats_.recovered_rpcs += 1;
+    recover_locally();
   }
 }
 
@@ -464,7 +467,6 @@ void Endpoint::flush_pending() {
 }
 
 void Endpoint::enqueue_pending(PendingOp rec, ByteWriter encoded) {
-  stats_.ops_sent += 1;
   rec.encoded = std::move(encoded).take();
   if (oracle_ != nullptr && pending_proven_) {
     // Incremental proof: the queue stays "proven" only while every pair of
@@ -485,28 +487,28 @@ void Endpoint::enqueue_pending(PendingOp rec, ByteWriter encoded) {
   if (pending_.empty()) pending_proven_ = true;
 }
 
+void Endpoint::apply_locally(const PendingOp& p) {
+  switch (p.kind) {
+    case Op::put_field:
+      vm_.raw_put_field(p.target, FieldId{p.key}, p.value);
+      break;
+    case Op::put_static:
+      vm_.raw_put_static(ClassId{p.key}, p.slot, p.value);
+      break;
+    case Op::array_put:
+      vm_.raw_array_put(p.target, p.index, p.value);
+      break;
+    default:  // chars_write — the only other store
+      vm_.raw_chars_write(p.target, p.index, p.data);
+      break;
+  }
+}
+
 void Endpoint::apply_pending_locally() {
   const auto ops = std::move(pending_);
   pending_.clear();
   pending_proven_ = true;
-  for (const PendingOp& p : ops) {
-    switch (p.kind) {
-      case Op::put_field:
-        vm_.raw_put_field(p.target, FieldId{p.key}, p.value);
-        break;
-      case Op::put_static:
-        vm_.raw_put_static(ClassId{p.key}, p.slot, p.value);
-        break;
-      case Op::array_put:
-        vm_.raw_array_put(p.target, p.index, p.value);
-        break;
-      case Op::chars_write:
-        vm_.raw_chars_write(p.target, p.index, p.data);
-        break;
-      default:
-        break;  // only void stores are ever deferred
-    }
-  }
+  for (const PendingOp& p : ops) apply_locally(p);
   stats_.pending_applied_locally += ops.size();
 }
 
@@ -549,43 +551,14 @@ std::vector<std::uint8_t> Endpoint::transact_with_pending(ByteWriter op) {
   }
 
   ByteReader r(resp);
-  const auto executed = r.read_u32();
-  std::vector<std::span<const std::uint8_t>> sections;
-  sections.reserve(executed);
-  for (std::uint32_t i = 0; i < executed; ++i) {
-    sections.push_back(read_op_section(r));
-  }
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    ByteReader sr(sections[i]);
-    const auto status = sr.read_u8();
-    if (status == kStatusVmError) {
-      // The batch stopped here; ops after it never executed — the same
-      // prefix semantics as issuing the ops one at a time.
-      const auto code = static_cast<VmErrorCode>(sr.read_u8());
-      throw VmError(code, "remote: " + sr.read_string());
-    }
-  }
+  std::uint32_t executed = 0;
+  // The last section is the demanded op's reply.
+  const auto last = read_sections(r, executed);
   if (executed != riders + 1) {
     throw VmError(VmErrorCode::type_mismatch,
                   "batch reply count mismatch without an error");
   }
-  // The last section is the demanded op's reply, status already checked.
-  const auto last = sections.back();
-  return {last.begin() + 1, last.end()};
-}
-
-std::optional<std::vector<std::uint8_t>>
-Endpoint::transact_or_recover_with_pending(ByteWriter op) {
-  try {
-    return transact_with_pending(std::move(op));
-  } catch (const PeerUnavailable&) {
-    if (serving_depth_ > 0 || !peer_failure_handler_) throw;
-    if (!peer_failure_handler_()) throw;
-    // Reintegration made every target local; the deferred stores land there.
-    apply_pending_locally();
-    stats_.recovered_rpcs += 1;
-    return std::nullopt;
-  }
+  return {last.begin(), last.end()};
 }
 
 // --- read-ahead snapshots -----------------------------------------------------
@@ -629,7 +602,7 @@ std::optional<vm::Value> Endpoint::fetch_snapshot(ObjectId target,
   w.write_u32(static_cast<std::uint32_t>(wanted.size()));
   for (const ObjectId id : wanted) write_target(w, id);
 
-  const auto resp = transact_or_recover_with_pending(std::move(w));
+  const auto resp = transact_or_recover(std::move(w));
   if (!resp.has_value()) return vm_.raw_get_field(target, field);
 
   ByteReader r(*resp);
@@ -669,9 +642,9 @@ void Endpoint::write_target(ByteWriter& w, ObjectId id) {
 
 // --- outgoing operations --------------------------------------------------------
 
-vm::Value Endpoint::recover_invoke(
-    const PeerUnavailable& e, std::size_t mark, std::size_t riders,
-    const std::function<vm::Value()>& rerun_local) {
+std::optional<vm::Value> Endpoint::recover_invoke(const PeerUnavailable& e,
+                                                  std::size_t mark,
+                                                  std::size_t riders) {
   if (serving_depth_ > 0 || !peer_failure_handler_) {
     // Not the top level (or nobody to recover us): keep the journal entries
     // for the enclosing scope and let the failure propagate.
@@ -684,60 +657,56 @@ vm::Value Endpoint::recover_invoke(
   // run twice.
   const SharedFrame cached =
       peer_ != nullptr ? peer_->take_cached_response(e.seq()) : nullptr;
-  if (cached != nullptr) {
+  if (cached == nullptr) {
+    // The call never completed remotely: undo the side effects of any
+    // callbacks the partial attempts made into this VM, pull the surviving
+    // state back and apply the write-behind queue to the now-local targets;
+    // the caller then runs the frame locally from the stub.
+    vm_.journal_rollback(mark);
+    recover_locally();
+    return std::nullopt;
+  }
+  vm_.journal_commit();
+  std::optional<vm::Value> ret;
+  try {
     ByteReader r(cached->payload);
-    const auto status = r.read_u8();
-    // With riders the cached reply is a batch reply: the executed sub-ops
-    // (riders first, the invoke last) are authoritative on the peer, so the
-    // write-behind queue is done — recovery must not re-apply it on top of
-    // whatever the invoke computed afterwards.
-    std::optional<ByteReader> sub;
-    if (riders > 0 && status == kStatusOk) {
+    check_status(r);
+    auto reply = std::span<const std::uint8_t>(cached->payload).subspan(1);
+    if (riders > 0) {
+      // A batch reply: the executed sub-ops (riders first, the invoke last)
+      // are authoritative on the peer, so the write-behind queue is done —
+      // recovery must not re-apply it on top of whatever the invoke computed
+      // afterwards. A rider's semantic error stopped the batch before the
+      // invoke ran; it surfaces exactly like a remote invoke error.
       pending_.clear();
-      const auto executed = r.read_u32();
-      std::vector<std::span<const std::uint8_t>> sections;
-      sections.reserve(executed);
-      for (std::uint32_t i = 0; i < executed; ++i) {
-        sections.push_back(read_op_section(r));
-      }
-      // A rider's semantic error stopped the batch before the invoke ran;
-      // surface it exactly like a remote invoke error.
-      sub.emplace(sections.back());
-    } else {
-      sub.emplace(cached->payload);
-    }
-    const auto sub_status = sub->read_u8();
-    if (sub_status == kStatusVmError) {
-      const auto code = static_cast<VmErrorCode>(sub->read_u8());
-      const std::string msg = sub->read_string();
-      vm_.journal_commit();
-      pending_.clear();
-      peer_failure_handler_();
-      stats_.recovered_rpcs += 1;
-      throw VmError(code, "remote: " + msg);
+      std::uint32_t executed = 0;
+      reply = read_sections(r, executed);
     }
     // Decode while translations are still wired; refs the dead peer owned
     // become stubs that reintegration resolves to local objects.
-    const vm::Value ret = read_value(*sub, *this);
-    vm_.journal_commit();
+    ByteReader body(reply);
+    ret = read_value(body, *this);
+  } catch (const VmError&) {
+    pending_.clear();
     peer_failure_handler_();
     stats_.recovered_rpcs += 1;
-    return ret;
+    throw;
   }
-
-  // The call never completed remotely: undo the side effects of any
-  // callbacks the partial attempts made into this VM, pull the surviving
-  // state back, apply the write-behind queue to the now-local targets, and
-  // run the frame locally from the stub.
-  vm_.journal_rollback(mark);
-  if (!peer_failure_handler_()) throw;
-  apply_pending_locally();
+  peer_failure_handler_();
   stats_.recovered_rpcs += 1;
-  return rerun_local();
+  return ret;
 }
 
-vm::Value Endpoint::invoke(ObjectId target, ClassId cls, MethodId method,
-                           std::span<const vm::Value> args) {
+vm::Value Endpoint::run_invoke(Op op, ObjectId target, ClassId cls,
+                               MethodId method,
+                               std::span<const vm::Value> args) {
+  return op == Op::invoke ? vm_.run_incoming_invoke(target, method, args)
+                          : vm_.run_incoming_invoke_static(cls, method, args);
+}
+
+vm::Value Endpoint::invoke_remote(Op op, ObjectId target, ClassId cls,
+                                  MethodId method,
+                                  std::span<const vm::Value> args) {
   stats_.ops_sent += 1;
   // The peer is about to execute code: read-ahead snapshots go stale now.
   invalidate_snapshots();
@@ -747,10 +716,12 @@ vm::Value Endpoint::invoke(ObjectId target, ClassId cls, MethodId method,
     // flush them as their own frame before the call (never as riders).
     stats_.unproven_riders_flushed += 1;
     flush_or_recover();
+    // A drain that lost the peer pulled the callee home: run it here.
+    if (peer_ == nullptr) return run_invoke(op, target, cls, method, args);
   }
   ByteWriter w;
-  w.write_u8(static_cast<std::uint8_t>(Op::invoke));
-  write_target(w, target);
+  w.write_u8(static_cast<std::uint8_t>(op));
+  if (op == Op::invoke) write_target(w, target);
   w.write_u32(cls.value());
   w.write_u32(method.value());
   w.write_u32(static_cast<std::uint32_t>(args.size()));
@@ -765,9 +736,8 @@ vm::Value Endpoint::invoke(ObjectId target, ClassId cls, MethodId method,
     vm_.journal_commit();
     return ret;
   } catch (const PeerUnavailable& e) {
-    return recover_invoke(e, mark, riders, [&] {
-      return vm_.run_incoming_invoke(target, method, args);
-    });
+    if (auto ret = recover_invoke(e, mark, riders)) return *std::move(ret);
+    return run_invoke(op, target, cls, method, args);
   } catch (...) {
     // Semantic errors keep their partial effects (the fault-free contract).
     vm_.journal_commit();
@@ -775,37 +745,32 @@ vm::Value Endpoint::invoke(ObjectId target, ClassId cls, MethodId method,
   }
 }
 
+vm::Value Endpoint::invoke(ObjectId target, ClassId cls, MethodId method,
+                           std::span<const vm::Value> args) {
+  return invoke_remote(Op::invoke, target, cls, method, args);
+}
+
 vm::Value Endpoint::invoke_static(ClassId cls, MethodId method,
                                   std::span<const vm::Value> args) {
+  return invoke_remote(Op::invoke_static, ObjectId{}, cls, method, args);
+}
+
+void Endpoint::store(PendingOp&& rec, ByteWriter encoded) {
   stats_.ops_sent += 1;
-  invalidate_snapshots();
-  if (oracle_ != nullptr && !pending_.empty() &&
-      !oracle_->invoke_accepts_riders(cls, method)) {
-    stats_.unproven_riders_flushed += 1;
+  if (defer_writes()) {
+    if (store_proven_deferrable(rec)) {
+      enqueue_pending(std::move(rec), std::move(encoded));
+      return;
+    }
+    // The oracle refuses this store: drain the queue so program order is
+    // preserved, then write through eagerly (flush earlier, never reorder).
+    stats_.unproven_stores_flushed += 1;
     flush_or_recover();
   }
-  ByteWriter w;
-  w.write_u8(static_cast<std::uint8_t>(Op::invoke_static));
-  w.write_u32(cls.value());
-  w.write_u32(method.value());
-  w.write_u32(static_cast<std::uint32_t>(args.size()));
-  for (const auto& a : args) write_value(w, a, *this);
-
-  const std::size_t riders = pending_.size();
-  const std::size_t mark = vm_.journal_begin();
-  try {
-    const auto resp = transact_with_pending(std::move(w));
-    ByteReader r(resp);
-    const vm::Value ret = read_value(r, *this);
-    vm_.journal_commit();
-    return ret;
-  } catch (const PeerUnavailable& e) {
-    return recover_invoke(e, mark, riders, [&] {
-      return vm_.run_incoming_invoke_static(cls, method, args);
-    });
-  } catch (...) {
-    vm_.journal_commit();
-    throw;
+  // A drain that lost the peer already pulled every target home.
+  if (peer_ == nullptr ||
+      !transact_or_recover(std::move(encoded)).has_value()) {
+    apply_locally(rec);
   }
 }
 
@@ -827,42 +792,30 @@ vm::Value Endpoint::get_field(ObjectId target, FieldId field) {
   write_target(w, target);
   w.write_u32(field.value());
 
-  const auto resp = transact_or_recover_with_pending(std::move(w));
+  const auto resp = transact_or_recover(std::move(w));
   if (!resp.has_value()) return vm_.raw_get_field(target, field);
   ByteReader r(*resp);
   return read_value(r, *this);
 }
 
 void Endpoint::put_field(ObjectId target, FieldId field, const vm::Value& v) {
+  // Keep a warm snapshot coherent with the store (the cache is empty
+  // whenever writes are not deferred).
+  if (const auto it = snapshots_.find(target);
+      it != snapshots_.end() && field.value() < it->second.size()) {
+    it->second[field.value()] = v;
+  }
   ByteWriter w;
   w.write_u8(static_cast<std::uint8_t>(Op::put_field));
   write_target(w, target);
   w.write_u32(field.value());
   write_value(w, v, *this);
-  if (defer_writes()) {
-    // Keep a warm snapshot coherent with the store either way.
-    if (const auto it = snapshots_.find(target);
-        it != snapshots_.end() && field.value() < it->second.size()) {
-      it->second[field.value()] = v;
-    }
-    PendingOp rec;
-    rec.kind = Op::put_field;
-    rec.target = target;
-    rec.key = field.value();
-    rec.value = v;
-    if (store_proven_deferrable(rec)) {
-      enqueue_pending(std::move(rec), std::move(w));
-      return;
-    }
-    // The oracle refuses this store: drain the queue so program order is
-    // preserved, then write through eagerly (flush earlier, never reorder).
-    stats_.unproven_stores_flushed += 1;
-    flush_or_recover();
-  }
-  stats_.ops_sent += 1;
-  if (!transact_or_recover(std::move(w)).has_value()) {
-    vm_.raw_put_field(target, field, v);
-  }
+  PendingOp rec;
+  rec.kind = Op::put_field;
+  rec.target = target;
+  rec.key = field.value();
+  rec.value = v;
+  store(std::move(rec), std::move(w));
 }
 
 vm::Value Endpoint::get_static(ClassId cls, std::uint32_t slot) {
@@ -872,7 +825,7 @@ vm::Value Endpoint::get_static(ClassId cls, std::uint32_t slot) {
   w.write_u32(cls.value());
   w.write_u32(slot);
 
-  const auto resp = transact_or_recover_with_pending(std::move(w));
+  const auto resp = transact_or_recover(std::move(w));
   if (!resp.has_value()) return vm_.raw_get_static(cls, slot);
   ByteReader r(*resp);
   return read_value(r, *this);
@@ -885,23 +838,12 @@ void Endpoint::put_static(ClassId cls, std::uint32_t slot,
   w.write_u32(cls.value());
   w.write_u32(slot);
   write_value(w, v, *this);
-  if (defer_writes()) {
-    PendingOp rec;
-    rec.kind = Op::put_static;
-    rec.key = cls.value();
-    rec.slot = slot;
-    rec.value = v;
-    if (store_proven_deferrable(rec)) {
-      enqueue_pending(std::move(rec), std::move(w));
-      return;
-    }
-    stats_.unproven_stores_flushed += 1;
-    flush_or_recover();
-  }
-  stats_.ops_sent += 1;
-  if (!transact_or_recover(std::move(w)).has_value()) {
-    vm_.raw_put_static(cls, slot, v);
-  }
+  PendingOp rec;
+  rec.kind = Op::put_static;
+  rec.key = cls.value();
+  rec.slot = slot;
+  rec.value = v;
+  store(std::move(rec), std::move(w));
 }
 
 vm::Value Endpoint::array_get(ObjectId target, std::int64_t index) {
@@ -911,7 +853,7 @@ vm::Value Endpoint::array_get(ObjectId target, std::int64_t index) {
   write_target(w, target);
   w.write_i64(index);
 
-  const auto resp = transact_or_recover_with_pending(std::move(w));
+  const auto resp = transact_or_recover(std::move(w));
   if (!resp.has_value()) return vm_.raw_array_get(target, index);
   ByteReader r(*resp);
   return read_value(r, *this);
@@ -924,23 +866,12 @@ void Endpoint::array_put(ObjectId target, std::int64_t index,
   write_target(w, target);
   w.write_i64(index);
   write_value(w, v, *this);
-  if (defer_writes()) {
-    PendingOp rec;
-    rec.kind = Op::array_put;
-    rec.target = target;
-    rec.index = index;
-    rec.value = v;
-    if (store_proven_deferrable(rec)) {
-      enqueue_pending(std::move(rec), std::move(w));
-      return;
-    }
-    stats_.unproven_stores_flushed += 1;
-    flush_or_recover();
-  }
-  stats_.ops_sent += 1;
-  if (!transact_or_recover(std::move(w)).has_value()) {
-    vm_.raw_array_put(target, index, v);
-  }
+  PendingOp rec;
+  rec.kind = Op::array_put;
+  rec.target = target;
+  rec.index = index;
+  rec.value = v;
+  store(std::move(rec), std::move(w));
 }
 
 std::int64_t Endpoint::array_length(ObjectId target) {
@@ -949,7 +880,7 @@ std::int64_t Endpoint::array_length(ObjectId target) {
   w.write_u8(static_cast<std::uint8_t>(Op::array_len));
   write_target(w, target);
 
-  const auto resp = transact_or_recover_with_pending(std::move(w));
+  const auto resp = transact_or_recover(std::move(w));
   if (!resp.has_value()) return vm_.raw_array_length(target);
   ByteReader r(*resp);
   return r.read_i64();
@@ -964,7 +895,7 @@ std::string Endpoint::chars_read(ObjectId target, std::int64_t offset,
   w.write_i64(offset);
   w.write_i64(length);
 
-  const auto resp = transact_or_recover_with_pending(std::move(w));
+  const auto resp = transact_or_recover(std::move(w));
   if (!resp.has_value()) return vm_.raw_chars_read(target, offset, length);
   ByteReader r(*resp);
   return r.read_string();
@@ -977,23 +908,12 @@ void Endpoint::chars_write(ObjectId target, std::int64_t offset,
   write_target(w, target);
   w.write_i64(offset);
   w.write_string(data);
-  if (defer_writes()) {
-    PendingOp rec;
-    rec.kind = Op::chars_write;
-    rec.target = target;
-    rec.index = offset;
-    rec.data = std::string(data);
-    if (store_proven_deferrable(rec)) {
-      enqueue_pending(std::move(rec), std::move(w));
-      return;
-    }
-    stats_.unproven_stores_flushed += 1;
-    flush_or_recover();
-  }
-  stats_.ops_sent += 1;
-  if (!transact_or_recover(std::move(w)).has_value()) {
-    vm_.raw_chars_write(target, offset, data);
-  }
+  PendingOp rec;
+  rec.kind = Op::chars_write;
+  rec.target = target;
+  rec.index = offset;
+  rec.data = std::string(data);
+  store(std::move(rec), std::move(w));
 }
 
 void Endpoint::release(std::span<const ObjectId> ids) {
@@ -1022,23 +942,52 @@ void Endpoint::release(std::span<const ObjectId> ids) {
   }
 }
 
+// --- two-phase transfer ------------------------------------------------------
+
+std::vector<std::uint8_t> Endpoint::two_phase(ByteWriter prepare, Op commit_op,
+                                              std::size_t items,
+                                              std::vector<TransferTrace>& log) {
+  TransferTrace trace;
+  trace.begin = vm_.clock().now();
+  trace.items = items;
+  // A fresh epoch fences every frame still in flight from before this
+  // transfer (and from any earlier, abandoned attempt); the PREPARE carries
+  // it to the peer.
+  advance_epoch();
+  trace.epoch = epoch_;
+  try {
+    (void)transact(std::move(prepare));
+    trace.prepare_acked = vm_.clock().now();
+    ByteWriter commit;
+    commit.write_u8(static_cast<std::uint8_t>(commit_op));
+    commit.write_u32(static_cast<std::uint32_t>(items));
+    auto resp = transact(std::move(commit));
+    trace.commit_acked = vm_.clock().now();
+    trace.committed = true;
+    trace.applied_on_peer = true;
+    log.push_back(trace);
+    return resp;
+  } catch (const PeerUnavailable&) {
+    // A COMMIT records its epoch on the peer only once it has fully applied,
+    // and our epochs strictly rise: a peer holding this epoch ran this COMMIT
+    // and lost only the ack. PREPARE staged raw bytes at most, so anything
+    // short of that left the peer's heap untouched.
+    trace.applied_on_peer =
+        peer_ != nullptr && peer_->last_committed_epoch_ == trace.epoch;
+    log.push_back(trace);
+    throw;
+  }
+}
+
 std::uint64_t Endpoint::migrate_objects(std::span<const ObjectId> ids) {
   if (peer_ == nullptr) {
     throw VmError(VmErrorCode::null_reference, "endpoint not connected");
   }
-  // The epoch bump below fences every frame encoded before it, so the
+  // The transfer's epoch bump fences every frame encoded before it, so the
   // write-behind queue must drain first — strictly: a terminal failure here
   // propagates (queue kept) for the platform's recovery to re-apply.
   invalidate_snapshots();
   send_queue();
-
-  MigrationTrace trace;
-  trace.begin = vm_.clock().now();
-  trace.objects = ids.size();
-  // A fresh epoch fences every frame still in flight from before this
-  // migration; the PREPARE carries it to the peer.
-  advance_epoch();
-  trace.epoch = epoch_;
 
   // Extract everything first so cross-references among the batch serialize
   // consistently (they all become stubs locally).
@@ -1061,42 +1010,20 @@ std::uint64_t Endpoint::migrate_objects(std::span<const ObjectId> ids) {
   stats_.objects_migrated_out += objects.size();
   stats_.bytes_migrated_out += bytes;
 
-  const auto reinstate = [&] {
-    for (auto& obj : objects) vm_.migrate_in(std::move(obj));
-  };
-
-  try {
-    (void)transact(std::move(prepare));
-  } catch (const PeerUnavailable&) {
-    // PREPARE staged raw bytes at most — nothing touched the peer's heap,
-    // so reinstating our extracted copies restores the exact pre-offload
-    // state, no matter which message boundary the link died at.
-    migrations_.push_back(trace);
-    reinstate();
-    throw;
-  }
-  trace.prepare_acked = vm_.clock().now();
-
-  ByteWriter commit;
-  commit.write_u8(static_cast<std::uint8_t>(Op::migrate_commit));
-  commit.write_u32(static_cast<std::uint32_t>(objects.size()));
-
   std::vector<std::uint8_t> resp;
   try {
-    resp = transact(std::move(commit));
+    resp = two_phase(std::move(prepare), Op::migrate_commit, objects.size(),
+                     migrations_);
   } catch (const PeerUnavailable&) {
-    // Adoption is atomic on the serving side: if the peer holds the batch,
-    // the COMMIT applied and only its response was lost — the peer's copies
-    // are authoritative and reintegration will pull them back. Otherwise the
-    // staged bytes die with the connection and we reinstate ours.
-    const bool adopted = peer_ != nullptr && !objects.empty() &&
-                         peer_->vm_.is_local(objects[0]->id);
-    migrations_.push_back(trace);
-    if (!adopted) reinstate();
+    // Adopted but unacked: the peer's copies are authoritative and
+    // reintegration will pull them back. Otherwise reinstating our extracted
+    // copies restores the exact pre-offload state, no matter which message
+    // boundary the link died at.
+    if (!migrations_.back().applied_on_peer) {
+      for (auto& obj : objects) vm_.migrate_in(std::move(obj));
+    }
     throw;
   }
-  trace.commit_acked = vm_.clock().now();
-  trace.committed = true;
 
   ByteReader r(resp);
   const auto count = r.read_u32();
@@ -1110,8 +1037,41 @@ std::uint64_t Endpoint::migrate_objects(std::span<const ObjectId> ids) {
     const ExportHandle h{r.read_u64()};
     refs_.note_import(h, objects[i]->id);
   }
-  migrations_.push_back(trace);
   return bytes;
+}
+
+void Endpoint::adopt_objects(ByteReader& sr, std::uint32_t count,
+                             ByteWriter& out) {
+  std::vector<vm::Object*> adopted;
+  adopted.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const ObjectHeader h = read_object_header(sr);
+    auto obj = std::make_unique<vm::Object>();
+    obj->id = h.id;
+    obj->cls = h.cls;
+    obj->kind = h.kind;
+    obj->fields.assign(h.field_count, vm::Value{});
+    obj->ints.assign(static_cast<std::size_t>(h.ints_len), 0);
+    obj->chars.assign(static_cast<std::size_t>(h.chars_len), '\0');
+    vm::Object* raw = obj.get();
+    refs_.forget_import(h.id);
+    vm_.migrate_in(std::move(obj));
+    // Pin until the whole batch lands: migrate_in may GC to make room, and
+    // earlier adoptees are not yet referenced by anything local.
+    vm_.add_root(vm::ObjectRef{raw->id});
+    adopted.push_back(raw);
+  }
+  for (vm::Object* obj : adopted) {
+    const std::int64_t before = obj->size_bytes();
+    read_object_payload(sr, *obj, *this);
+    // String fields arrive in the payload; account their bytes.
+    vm_.heap().resync_used(*obj, before);
+  }
+  out.write_u32(count);
+  for (vm::Object* obj : adopted) {
+    out.write_u64(refs_.export_object(obj->id).value());
+    vm_.remove_root(vm::ObjectRef{obj->id});
+  }
 }
 
 // --- disconnected-operation reconcile ----------------------------------------
@@ -1220,63 +1180,27 @@ bool Endpoint::reconcile_log(const vm::DisconnectLog& log) {
   if (peer_ == nullptr) {
     throw VmError(VmErrorCode::null_reference, "endpoint not connected");
   }
-  ReconcileTrace trace;
-  trace.begin = vm_.clock().now();
   const auto entries = log.replay_order();
-  trace.entries = entries.size();
-  // A fresh epoch fences every frame from the pre-partition connection (and
-  // from any earlier, abandoned reconcile attempt).
-  advance_epoch();
-  trace.epoch = epoch_;
-
   ByteWriter prepare;
   prepare.write_u8(static_cast<std::uint8_t>(Op::reconcile_prepare));
   prepare.write_u32(static_cast<std::uint32_t>(entries.size()));
   for (const vm::RedoEntry* e : entries) write_redo_entry(prepare, *e, log);
 
   try {
-    (void)transact(std::move(prepare));
+    (void)two_phase(std::move(prepare), Op::reconcile_commit, entries.size(),
+                    reconciles_);
   } catch (const PeerUnavailable&) {
-    // PREPARE staged raw bytes at most; the peer's heap is untouched and the
+    // Applied but unacked: the mutations landed exactly once and the caller
+    // must clear its log. Otherwise the peer's heap is untouched and the
     // caller keeps its log, so a later attempt replays the same mutations.
-    reconciles_.push_back(trace);
-    throw;
+    if (!reconciles_.back().applied_on_peer) throw;
   }
-  trace.prepare_acked = vm_.clock().now();
-
-  ByteWriter commit;
-  commit.write_u8(static_cast<std::uint8_t>(Op::reconcile_commit));
-  commit.write_u32(static_cast<std::uint32_t>(entries.size()));
-
-  try {
-    (void)transact(std::move(commit));
-  } catch (const PeerUnavailable&) {
-    // Replay is atomic on the serving side. If the peer recorded this epoch
-    // as applied, only the ack was lost: the mutations landed exactly once
-    // and the caller must clear its log. Otherwise the staged bytes die
-    // unapplied and the caller retries with the same log later.
-    const bool applied =
-        peer_ != nullptr && peer_->last_applied_reconcile_epoch_ == epoch_;
-    trace.applied_on_peer = applied;
-    reconciles_.push_back(trace);
-    if (!applied) throw;
-    stats_.reconciles_completed += 1;
-    stats_.reconcile_replayed_ops += entries.size();
-    return true;
-  }
-  trace.commit_acked = vm_.clock().now();
-  trace.committed = true;
-  trace.applied_on_peer = true;
-  reconciles_.push_back(trace);
   stats_.reconciles_completed += 1;
   stats_.reconcile_replayed_ops += entries.size();
   return true;
 }
 
-void Endpoint::apply_staged_reconcile() {
-  const Staged staged = *std::exchange(staged_reconcile_, std::nullopt);
-  ByteReader sr(staged.bytes);
-  const auto count = sr.read_u32();
+void Endpoint::replay_redo(ByteReader& sr, std::uint32_t count) {
   // Batch-atomic replay: one journal scope covers every entry, so a decode
   // or apply error unwinds the whole log and the initiator can retry it as a
   // unit. Entries arrive in last-write order and every target is one of our
@@ -1310,7 +1234,6 @@ void Endpoint::apply_staged_reconcile() {
     throw;
   }
   vm_.journal_commit();
-  last_applied_reconcile_epoch_ = epoch_;
 }
 
 // --- serving ---------------------------------------------------------------------
@@ -1419,11 +1342,7 @@ std::vector<std::uint8_t> Endpoint::serve_batch(
     for (const auto& reply : replies) write_op_section(out, reply);
   } catch (const VmError& e) {
     // A malformed batch envelope; no sub-op executed.
-    ByteWriter err;
-    err.write_u8(kStatusVmError);
-    err.write_u8(static_cast<std::uint8_t>(e.code()));
-    err.write_string(e.what());
-    return std::move(err).take();
+    return error_reply(e);
   }
   return std::move(out).take();
 }
@@ -1435,10 +1354,11 @@ std::vector<std::uint8_t> Endpoint::serve_one(
     ByteReader r(request);
     const auto op = static_cast<Op>(r.read_u8());
     switch (op) {
-      case Op::invoke: {
-        const ObjectId target = resolve_target(r);
+      case Op::invoke:
+      case Op::invoke_static: {
+        const ObjectId target =
+            op == Op::invoke ? resolve_target(r) : ObjectId{};
         const ClassId cls{r.read_u32()};
-        (void)cls;
         const MethodId method{r.read_u32()};
         const auto argc = r.read_u32();
         std::vector<vm::Value> args;
@@ -1454,7 +1374,7 @@ std::vector<std::uint8_t> Endpoint::serve_one(
         const std::size_t pmark = pending_.size();
         vm::Value ret;
         try {
-          ret = vm_.run_incoming_invoke(target, method, args);
+          ret = run_invoke(op, target, cls, method, args);
           // The requester resumes when this reply lands and may then read
           // its own state directly: any write-behind ops this invocation
           // queued against it must land first, inside the same rollback
@@ -1463,34 +1383,6 @@ std::vector<std::uint8_t> Endpoint::serve_one(
         } catch (const PeerUnavailable&) {
           vm_.journal_rollback(mark);
           // Deferred writes of the rolled-back execution die with it.
-          if (pending_.size() > pmark) pending_.resize(pmark);
-          throw;
-        } catch (...) {
-          vm_.journal_commit();
-          throw;
-        }
-        vm_.journal_commit();
-        out.write_u8(kStatusOk);
-        write_value(out, ret, *this);
-        break;
-      }
-      case Op::invoke_static: {
-        const ClassId cls{r.read_u32()};
-        const MethodId method{r.read_u32()};
-        const auto argc = r.read_u32();
-        std::vector<vm::Value> args;
-        args.reserve(argc);
-        for (std::uint32_t i = 0; i < argc; ++i) {
-          args.push_back(read_value(r, *this));
-        }
-        const std::size_t mark = vm_.journal_begin();
-        const std::size_t pmark = pending_.size();
-        vm::Value ret;
-        try {
-          ret = vm_.run_incoming_invoke_static(cls, method, args);
-          send_queue();  // see Op::invoke
-        } catch (const PeerUnavailable&) {
-          vm_.journal_rollback(mark);
           if (pending_.size() > pmark) pending_.resize(pmark);
           throw;
         } catch (...) {
@@ -1574,92 +1466,50 @@ std::vector<std::uint8_t> Endpoint::serve_one(
         out.write_u8(kStatusOk);
         break;
       }
-      case Op::migrate_prepare: {
-        // Stage the encoded batch verbatim without touching the heap:
-        // adoption is deferred to COMMIT, so an abort at any message
+      case Op::migrate_prepare:
+      case Op::reconcile_prepare: {
+        // Stage the encoded batch or redo log verbatim without touching the
+        // heap: applying it is deferred to COMMIT, so an abort at any message
         // boundary of the transfer leaves this VM exactly as it was. A
         // higher-epoch PREPARE supersedes stale staging from an aborted
-        // earlier migration; disconnect drops it entirely. Staging keeps
-        // the carrying frame alive rather than copying the batch out of it.
-        staged_migration_ = Staged{carrier, request.subspan(1), epoch_};
+        // earlier transfer; disconnect drops it entirely. Staging keeps the
+        // carrying frame alive rather than copying the bytes out of it.
+        staged_ = Staged{carrier, request.subspan(1), epoch_,
+                         op == Op::migrate_prepare ? Op::migrate_commit
+                                                   : Op::reconcile_commit};
         out.write_u8(kStatusOk);
         break;
       }
-      case Op::migrate_commit: {
+      case Op::migrate_commit:
+      case Op::reconcile_commit: {
+        const bool migrate = op == Op::migrate_commit;
         const auto expected = r.read_u32();
-        if (!staged_migration_.has_value() ||
-            staged_migration_->epoch != epoch_) {
+        if (!staged_.has_value() || staged_->epoch != epoch_ ||
+            staged_->commit != op) {
           throw VmError(VmErrorCode::type_mismatch,
-                        "migrate commit without a staged batch");
+                        migrate ? "migrate commit without a staged batch"
+                                : "reconcile commit without a staged log");
         }
-        const Staged staged = *std::exchange(staged_migration_, std::nullopt);
+        const Staged staged = *std::exchange(staged_, std::nullopt);
         ByteReader sr(staged.bytes);
-        const auto count = sr.read_u32();
-        if (count != expected) {
+        if (sr.read_u32() != expected) {
           throw VmError(VmErrorCode::type_mismatch,
-                        "migrate commit count mismatch");
-        }
-        std::vector<vm::Object*> adopted;
-        adopted.reserve(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const ObjectHeader h = read_object_header(sr);
-          auto obj = std::make_unique<vm::Object>();
-          obj->id = h.id;
-          obj->cls = h.cls;
-          obj->kind = h.kind;
-          obj->fields.assign(h.field_count, vm::Value{});
-          obj->ints.assign(static_cast<std::size_t>(h.ints_len), 0);
-          obj->chars.assign(static_cast<std::size_t>(h.chars_len), '\0');
-          vm::Object* raw = obj.get();
-          refs_.forget_import(h.id);
-          vm_.migrate_in(std::move(obj));
-          // Pin until the whole batch lands: migrate_in may GC to make room,
-          // and earlier adoptees are not yet referenced by anything local.
-          vm_.add_root(vm::ObjectRef{raw->id});
-          adopted.push_back(raw);
-        }
-        for (vm::Object* obj : adopted) {
-          const std::int64_t before = obj->size_bytes();
-          read_object_payload(sr, *obj, *this);
-          // String fields arrive in the payload; account their bytes.
-          vm_.heap().resync_used(*obj, before);
+                        migrate ? "migrate commit count mismatch"
+                                : "reconcile commit count mismatch");
         }
         out.write_u8(kStatusOk);
-        out.write_u32(count);
-        for (vm::Object* obj : adopted) {
-          out.write_u64(refs_.export_object(obj->id).value());
-          vm_.remove_root(vm::ObjectRef{obj->id});
+        if (migrate) {
+          adopt_objects(sr, expected, out);
+        } else {
+          replay_redo(sr, expected);
         }
+        // Recorded only once the transfer fully applied: the initiator's
+        // proof that this COMMIT ran when its ack is lost.
+        last_committed_epoch_ = epoch_;
         break;
       }
       case Op::ping: {
         // Heartbeat probe: prove liveness, touch nothing.
-        out.write_u8(kStatusOk);
-        break;
-      }
-      case Op::reconcile_prepare: {
-        // Stage the encoded redo log verbatim without touching the heap —
-        // the same deferred-adoption shape as migrate_prepare, so a link
-        // death at any boundary of the reconcile leaves this VM exactly as
-        // it was. A higher-epoch PREPARE (a retried reconcile) supersedes
-        // stale staging; disconnect drops it entirely.
-        staged_reconcile_ = Staged{carrier, request.subspan(1), epoch_};
-        out.write_u8(kStatusOk);
-        break;
-      }
-      case Op::reconcile_commit: {
-        const auto expected = r.read_u32();
-        if (!staged_reconcile_.has_value() ||
-            staged_reconcile_->epoch != epoch_) {
-          throw VmError(VmErrorCode::type_mismatch,
-                        "reconcile commit without a staged log");
-        }
-        ByteReader peek(staged_reconcile_->bytes);
-        if (peek.read_u32() != expected) {
-          throw VmError(VmErrorCode::type_mismatch,
-                        "reconcile commit count mismatch");
-        }
-        apply_staged_reconcile();
         out.write_u8(kStatusOk);
         break;
       }
@@ -1696,11 +1546,7 @@ std::vector<std::uint8_t> Endpoint::serve_one(
         throw VmError(VmErrorCode::type_mismatch, "unknown rpc opcode");
     }
   } catch (const VmError& e) {
-    ByteWriter err;
-    err.write_u8(kStatusVmError);
-    err.write_u8(static_cast<std::uint8_t>(e.code()));
-    err.write_string(e.what());
-    return std::move(err).take();
+    return error_reply(e);
   }
   return std::move(out).take();
 }

@@ -20,9 +20,12 @@
 //    corrupted frames are rejected (and retried), duplicated frames are
 //    absorbed by the reply cache, and stale/reordered frames from a previous
 //    exchange or epoch are fenced instead of decoded,
-//  * two-phase object migration (PREPARE stages raw bytes, COMMIT adopts
-//    them atomically) so a link death at any message boundary of a transfer
-//    rolls back to bit-identical pre-offload state,
+//  * one epoch-fenced two-phase transfer, shared by object migration and
+//    the disconnected client's redo-log reconcile: PREPARE stages raw bytes,
+//    COMMIT applies them atomically, so a link death at any message boundary
+//    rolls back to bit-identical pre-transfer state, and a COMMIT whose ack
+//    was lost is proven applied by the epoch the peer records once it has
+//    applied one (TransferTrace::applied_on_peer),
 //  * adaptive failure detection: a Jacobson-style RTT estimator over the
 //    transport legs shortens the retry timeout once samples exist, and
 //    ping() gives the platform an idle-period heartbeat probe,
@@ -34,6 +37,10 @@
 //    their acknowledgement with subsequent compute in virtual time. A
 //    timeout voids and retries a multi-op frame as a unit, and the serving
 //    side executes it inside one journal scope so rollback is batch-atomic.
+//
+// Each mechanism has one routine: the four stores go through store(), both
+// invokes through invoke_remote() (and one serving case), every top-level
+// recovery ends in recover_locally(), and both teardowns in sever().
 //
 // Execution is synchronous and serial, matching the paper's emulator model:
 // "the two VMs do not execute application code simultaneously".
@@ -47,6 +54,7 @@
 #include <vector>
 
 #include "analysis/batch_oracle.hpp"
+#include "common/counters.hpp"
 #include "common/error.hpp"
 #include "netsim/link.hpp"
 #include "rpc/partition_detector.hpp"
@@ -134,39 +142,7 @@ struct EndpointStats {
   // byte-identically, so the single-session output is unchanged by the
   // aggregation layer.
   EndpointStats& operator+=(const EndpointStats& o) noexcept {
-    rpcs_sent += o.rpcs_sent;
-    rpcs_served += o.rpcs_served;
-    bytes_sent += o.bytes_sent;
-    bytes_received += o.bytes_received;
-    releases_sent += o.releases_sent;
-    migrations_sent += o.migrations_sent;
-    objects_migrated_out += o.objects_migrated_out;
-    bytes_migrated_out += o.bytes_migrated_out;
-    retries += o.retries;
-    timeouts += o.timeouts;
-    aborted_rpcs += o.aborted_rpcs;
-    duplicates_served += o.duplicates_served;
-    recovered_rpcs += o.recovered_rpcs;
-    corrupt_frames_rejected += o.corrupt_frames_rejected;
-    stale_frames_fenced += o.stale_frames_fenced;
-    duplicate_frames_dropped += o.duplicate_frames_dropped;
-    heartbeats_sent += o.heartbeats_sent;
-    ops_sent += o.ops_sent;
-    batches_sent += o.batches_sent;
-    batched_ops += o.batched_ops;
-    readahead_hits += o.readahead_hits;
-    snapshots_fetched += o.snapshots_fetched;
-    objects_prefetched += o.objects_prefetched;
-    pending_applied_locally += o.pending_applied_locally;
-    unproven_stores_flushed += o.unproven_stores_flushed;
-    unproven_riders_flushed += o.unproven_riders_flushed;
-    prefetches_filtered += o.prefetches_filtered;
-    disconnects_detected += o.disconnects_detected;
-    ops_journaled += o.ops_journaled;
-    journal_coalesced += o.journal_coalesced;
-    reconciles_completed += o.reconciles_completed;
-    reconcile_replayed_ops += o.reconcile_replayed_ops;
-    return *this;
+    return accumulate_counters(*this, o);
   }
 
   friend bool operator==(const EndpointStats&, const EndpointStats&) = default;
@@ -216,26 +192,16 @@ struct RttEstimator {
   }
 };
 
-// Message-boundary timestamps of one two-phase migration, recorded so the
-// chaos harness can aim link deaths at every boundary of a transfer.
-struct MigrationTrace {
-  std::uint32_t epoch = 0;
-  std::size_t objects = 0;
-  bool committed = false;
-  SimTime begin = 0;          // entering migrate_objects (before PREPARE)
-  SimTime prepare_acked = 0;  // PREPARE response received
-  SimTime commit_acked = 0;   // COMMIT response received
-};
-
-// Message-boundary timestamps of one redo-log reconcile (the disconnected
-// client replaying its DisconnectLog against the revived surrogate), recorded
-// for the same reason: the chaos harness aims link deaths at each boundary.
-struct ReconcileTrace {
-  std::uint32_t epoch = 0;      // fresh epoch this reconcile fenced under
-  std::size_t entries = 0;      // coalesced redo entries shipped
+// Message-boundary timestamps of one epoch-fenced two-phase transfer — a
+// migration (items = objects shipped) or a redo-log reconcile (items =
+// coalesced redo entries) — recorded so the chaos harness can aim link
+// deaths at every boundary of a transfer.
+struct TransferTrace {
+  std::uint32_t epoch = 0;      // fresh epoch the transfer fenced under
+  std::size_t items = 0;        // objects or redo entries shipped
   bool committed = false;       // COMMIT acked
   bool applied_on_peer = false;  // peer applied it (even if the ack was lost)
-  SimTime begin = 0;            // entering reconcile_log (before PREPARE)
+  SimTime begin = 0;            // entering the transfer (before PREPARE)
   SimTime prepare_acked = 0;    // PREPARE response received
   SimTime commit_acked = 0;     // COMMIT response received
 };
@@ -328,8 +294,9 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
   }
 
   // The current migration-epoch fencing token. Frames from older epochs are
-  // rejected; each migrate_objects() bumps it, and the platform bumps it
-  // explicitly when re-admitting a recovered surrogate.
+  // rejected; each two-phase transfer (migrate_objects(), reconcile_log())
+  // bumps it, and the platform bumps it explicitly when re-admitting a
+  // recovered surrogate.
   [[nodiscard]] std::uint32_t epoch() const noexcept { return epoch_; }
   void advance_epoch() noexcept { epoch_ += 1; }
 
@@ -343,7 +310,7 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
 
   // Message-boundary traces of every migration this endpoint initiated
   // (including aborted ones, with committed == false).
-  [[nodiscard]] const std::vector<MigrationTrace>& migrations() const noexcept {
+  [[nodiscard]] const std::vector<TransferTrace>& migrations() const noexcept {
     return migrations_;
   }
 
@@ -377,17 +344,16 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
   // Replays a DisconnectLog against the (reconnected) peer exactly-once via
   // epoch-fenced two-phase PREPARE/COMMIT: a fresh epoch fences every stale
   // frame, PREPARE stages the encoded log with no heap effects, COMMIT
-  // applies it batch-atomically inside one journal scope. Returns true when
-  // the peer applied the log — including the COMMIT-executed-but-ack-lost
-  // case, detected the same way migration detects an adopted batch. Throws
-  // PeerUnavailable when the peer is unreachable with the log NOT applied
-  // (safe to retry later with the same log). Appends a ReconcileTrace either
-  // way.
+  // applies it batch-atomically inside one journal scope — the same transfer
+  // migration uses. Returns true when the peer applied the log, including the
+  // COMMIT-executed-but-ack-lost case. Throws PeerUnavailable when the peer is
+  // unreachable with the log NOT applied (safe to retry later with the same
+  // log). Appends a TransferTrace either way.
   bool reconcile_log(const vm::DisconnectLog& log);
 
   // Message-boundary traces of every reconcile this endpoint initiated
   // (including failed ones, with committed == false).
-  [[nodiscard]] const std::vector<ReconcileTrace>& reconciles() const noexcept {
+  [[nodiscard]] const std::vector<TransferTrace>& reconciles() const noexcept {
     return reconciles_;
   }
 
@@ -493,12 +459,6 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
   std::vector<std::uint8_t> transact(ByteWriter request, std::uint32_t ops = 1,
                                      bool pipelined = false);
 
-  // transact(), but an unrecoverable peer failure at the top level triggers
-  // platform recovery and returns nullopt so the caller completes the
-  // (idempotent) operation against now-local state.
-  std::optional<std::vector<std::uint8_t>> transact_or_recover(
-      ByteWriter request);
-
   // transact() with the write-behind queue riding along: the pending ops and
   // `op` coalesce into one multi-op frame (just `op`, bit-identically, when
   // the queue is empty). Returns the final sub-reply's payload with its
@@ -507,19 +467,36 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
   // way) the queue is cleared; on PeerUnavailable it is kept for recovery.
   std::vector<std::uint8_t> transact_with_pending(ByteWriter op);
 
-  // transact_with_pending() + the recovery contract of transact_or_recover:
-  // after the platform pulls state back, the queued idempotent stores are
-  // re-applied locally and nullopt tells the caller to finish locally too.
-  std::optional<std::vector<std::uint8_t>> transact_or_recover_with_pending(
-      ByteWriter op);
+  // The recovery tail of every top-level operation; must be called from a
+  // PeerUnavailable catch block. Rethrows while serving a peer frame or when
+  // nobody recovers us; otherwise the platform pulls state back and the
+  // queued idempotent stores are re-applied to the now-local targets.
+  void recover_locally();
 
-  // Recovery tail shared by invoke/invoke_static: salvages a cached reply or
-  // rolls back and re-executes locally. `riders` is how many write-behind
-  // ops were coalesced ahead of the invoke in its frame. Must be called from
-  // a catch block.
-  vm::Value recover_invoke(const PeerUnavailable& e, std::size_t mark,
-                           std::size_t riders,
-                           const std::function<vm::Value()>& rerun_local);
+  // transact_with_pending() + recover_locally(): nullopt tells the caller to
+  // complete the (idempotent) operation against now-local state.
+  std::optional<std::vector<std::uint8_t>> transact_or_recover(ByteWriter op);
+
+  // The one client-side invoke path (op is invoke or invoke_static; target
+  // is ignored for the latter), and the one way either side runs a call.
+  vm::Value invoke_remote(Op op, ObjectId target, ClassId cls,
+                          MethodId method, std::span<const vm::Value> args);
+  vm::Value run_invoke(Op op, ObjectId target, ClassId cls, MethodId method,
+                       std::span<const vm::Value> args);
+  // An invoke's recovery: the salvaged reply when the peer executed the call
+  // and only the response was lost, nullopt when the caller must re-run it
+  // locally (the journal since `mark` rolled back). `riders` is how many
+  // write-behind ops were coalesced ahead of the invoke in its frame.
+  std::optional<vm::Value> recover_invoke(const PeerUnavailable& e,
+                                          std::size_t mark,
+                                          std::size_t riders);
+
+  // The one store path (put_field / put_static / array_put / chars_write):
+  // defers `rec` when batching and the oracle allow it; otherwise drains the
+  // queue and writes `encoded` through, landing the store locally when the
+  // peer is lost on the way.
+  void store(PendingOp&& rec, ByteWriter encoded);
+  void apply_locally(const PendingOp& p);
 
   // Write-behind plumbing. send_queue drains strictly (PeerUnavailable
   // propagates, queue kept); flush_or_recover is the top-level form that
@@ -572,9 +549,24 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
   std::vector<std::uint8_t> serve_batch(std::span<const std::uint8_t> request,
                                         const SharedFrame& carrier);
 
-  // Clears connection-scoped transport state (staged migration batch,
-  // retransmission copies) on disconnect.
-  void drop_transport_state();
+  // Severs the pair in both directions, dropping connection-scoped
+  // transport state (staged transfer, reply cache, retransmission copies,
+  // snapshots); the RefMaps too unless `keep_refs`.
+  void sever(bool keep_refs);
+
+  // Epoch-fenced two-phase transfer shared by migration and reconcile: bumps
+  // the epoch, sends `prepare` (staged by the peer with no heap effects),
+  // then a `commit_op` COMMIT naming `items`, and appends the TransferTrace
+  // to `log` either way. Returns the COMMIT reply; PeerUnavailable propagates
+  // with the trace's applied_on_peer telling whether the COMMIT ran.
+  std::vector<std::uint8_t> two_phase(ByteWriter prepare, Op commit_op,
+                                      std::size_t items,
+                                      std::vector<TransferTrace>& log);
+  // COMMIT bodies: adopt a staged migration batch (replying the export
+  // handles), or replay a staged redo log batch-atomically (one journal
+  // scope; any VmError rolls the whole replay back and rethrows).
+  void adopt_objects(ByteReader& sr, std::uint32_t count, ByteWriter& out);
+  void replay_redo(ByteReader& sr, std::uint32_t count);
 
   // Reconcile wire format. Values travel self-described (tag + payload);
   // refs as raw [id][class][kind] rather than export handles — during a
@@ -586,9 +578,6 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
   vm::Value read_redo_value(ByteReader& r);
   void write_redo_entry(ByteWriter& w, const vm::RedoEntry& e,
                         const vm::DisconnectLog& log);
-  // Applies the staged redo log batch-atomically (one journal scope; any
-  // VmError rolls the whole replay back and rethrows).
-  void apply_staged_reconcile();
 
   [[nodiscard]] bool fault_tolerant() const noexcept {
     return link_.fault_plan().enabled();
@@ -629,7 +618,7 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
 
   // Outgoing sequence numbers, carried in the frame header.
   std::uint64_t next_seq_ = 0;
-  // Migration-epoch fencing token. Starts at 1 on both sides; each migration
+  // Migration-epoch fencing token. Starts at 1 on both sides; each transfer
   // bumps the initiator's copy and the receiver adopts the higher value from
   // the frame header, so frames from before an offload are always stale.
   std::uint32_t epoch_ = 1;
@@ -642,27 +631,26 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
   // to the receiver in place of the in-flight frame.
   SharedFrame last_req_frame_;
   SharedFrame last_resp_frame_;
-  // Bytes a PREPARE staged: a view into the frame that carried them, which
-  // the stage keeps alive, tagged with the epoch it was staged under.
+  // Bytes a PREPARE staged (a migration batch or a redo log, not yet
+  // applied): a view into the frame that carried them, which the stage keeps
+  // alive, tagged with the epoch it was staged under and the one COMMIT
+  // opcode that may apply it. Dropped on disconnect, superseded by any
+  // later PREPARE.
   struct Staged {
     SharedFrame carrier;
     std::span<const std::uint8_t> bytes;
     std::uint32_t epoch = 0;
+    Op commit = Op::migrate_commit;
   };
-  // PREPARE-staged migration batch: raw encoded bytes, not yet adopted into
-  // the heap. Dropped on disconnect, superseded by any higher-epoch PREPARE.
-  std::optional<Staged> staged_migration_;
-  // PREPARE-staged redo log (reconcile), same lifecycle as staged_migration_.
-  std::optional<Staged> staged_reconcile_;
-  // Highest reconcile epoch whose COMMIT this endpoint executed, so an
-  // initiator whose COMMIT ack was lost can distinguish applied from
-  // not-applied (the exactly-once peek, mirroring migration's adopted-peek).
-  std::uint32_t last_applied_reconcile_epoch_ = 0;
+  std::optional<Staged> staged_;
+  // Epoch of the last COMMIT this endpoint fully applied, so an initiator
+  // whose COMMIT ack was lost can tell applied from not applied.
+  std::uint32_t last_committed_epoch_ = 0;
   // Adaptive failure detection.
   RttEstimator rtt_;
   SimTime last_contact_ = 0;
-  std::vector<MigrationTrace> migrations_;
-  std::vector<ReconcileTrace> reconciles_;
+  std::vector<TransferTrace> migrations_;
+  std::vector<TransferTrace> reconciles_;
   PartitionDetector detector_;
   // Depth of serve() frames on this endpoint; recovery must only run at the
   // top level, never while a peer frame is live above us on the stack.

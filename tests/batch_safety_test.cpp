@@ -1,10 +1,12 @@
 // Tests for the transport's consumption of a BatchSafetyOracle: refused
 // stores write through eagerly (flush earlier, never reorder), unproven
 // riders force a pre-invoke flush, a fully proven queue may deepen past
-// max_ops up to max_ops_proven, installing an oracle drains the queue, and
-// the read-ahead prefetch filter prunes ineligible group mates.
+// max_ops up to max_ops_proven, installing an oracle drains the queue, the
+// read-ahead prefetch filter prunes ineligible group mates, and a refused
+// store or rider whose drain loses the peer completes locally.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "analysis/batch_oracle.hpp"
@@ -88,6 +90,28 @@ class BatchSafetyEndpointTest : public ::testing::Test {
     return pair;
   }
 
+  // Platform-style recovery at endpoint scale: sever the pair, then
+  // repatriate every surviving surrogate object.
+  void install_recovery() {
+    client_ep_.set_peer_failure_handler([this] {
+      std::vector<ObjectId> ids;
+      surrogate_.heap().for_each(
+          [&](const vm::Object& o) { ids.push_back(o.id); });
+      std::sort(ids.begin(), ids.end());
+      client_ep_.disconnect();
+      for (const ObjectId id : ids) {
+        client_.migrate_in(surrogate_.migrate_out(id));
+      }
+      return true;
+    });
+  }
+
+  void kill_link() {
+    netsim::FaultPlan plan;
+    plan.dead_after = clock_.now();
+    link_.set_fault_plan(plan);
+  }
+
   std::shared_ptr<vm::ClassRegistry> registry_;
   SimClock clock_;
   netsim::Link link_;
@@ -133,6 +157,27 @@ TEST_F(BatchSafetyEndpointTest, RefusedStoreDrainsQueueFirst) {
   EXPECT_EQ(surrogate_.raw_get_field(pair.id, FieldId{1}).as_int(), 2);
 }
 
+TEST_F(BatchSafetyEndpointTest, RefusedStoreLandsLocallyWhenDrainLosesPeer) {
+  client_ep_.set_batch_safety(&oracle_);
+  const ObjectRef pair = offloaded_pair();
+  install_recovery();
+  client_.put_field(pair, FieldId{0}, Value{1});  // deferred
+  ASSERT_EQ(client_ep_.pending_ops(), 1u);
+  kill_link();
+  oracle_.defer = false;
+  try {
+    // Refused: the queue drains first, finds the peer dead and recovers.
+    client_.put_field(pair, FieldId{1}, Value{2});
+  } catch (const VmError& e) {
+    ADD_FAILURE() << "store escaped: " << e.what();
+  }
+  // The pair came home; the queued store and the refused one both landed.
+  EXPECT_TRUE(client_.is_local(pair.id));
+  EXPECT_EQ(client_.raw_get_field(pair.id, FieldId{0}), Value{1});
+  EXPECT_EQ(client_.raw_get_field(pair.id, FieldId{1}), Value{2});
+  EXPECT_EQ(client_ep_.pending_ops(), 0u);
+}
+
 TEST_F(BatchSafetyEndpointTest, UnprovenRidersFlushBeforeInvoke) {
   client_ep_.set_batch_safety(&oracle_);
   const ObjectRef counter = client_.new_object("Counter");
@@ -154,6 +199,34 @@ TEST_F(BatchSafetyEndpointTest, UnprovenRidersFlushBeforeInvoke) {
   EXPECT_EQ(after.rpcs_sent - before.rpcs_sent, 2u);
   EXPECT_EQ(client_ep_.pending_ops(), 0u);
   EXPECT_EQ(surrogate_.raw_get_field(pair.id, FieldId{0}).as_int(), 5);
+}
+
+TEST_F(BatchSafetyEndpointTest, RefusedRidersInvokeLocallyWhenDrainLosesPeer) {
+  client_ep_.set_batch_safety(&oracle_);
+  const ObjectRef counter = client_.new_object("Counter");
+  client_.add_root(counter);
+  const ObjectRef pair = client_.new_object("Pair");
+  client_.add_root(pair);
+  {
+    const ObjectId ids[] = {counter.id, pair.id};
+    client_ep_.migrate_objects(ids);
+  }
+  install_recovery();
+  client_.put_field(pair, FieldId{0}, Value{5});  // deferred
+  ASSERT_EQ(client_ep_.pending_ops(), 1u);
+  kill_link();
+  oracle_.riders = false;
+  Value got;
+  try {
+    // The pre-invoke flush finds the peer dead and recovers.
+    got = client_.call(counter, "inc");
+  } catch (const VmError& e) {
+    ADD_FAILURE() << "invoke escaped: " << e.what();
+  }
+  EXPECT_EQ(got, Value{1});
+  EXPECT_TRUE(client_.is_local(counter.id));
+  EXPECT_EQ(client_.raw_get_field(pair.id, FieldId{0}), Value{5});
+  EXPECT_EQ(client_ep_.pending_ops(), 0u);
 }
 
 TEST_F(BatchSafetyEndpointTest, ProvenRidersStillShareTheFrame) {

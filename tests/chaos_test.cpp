@@ -114,7 +114,7 @@ struct Outcome {
   std::size_t failures = 0;
   std::size_t objects_reclaimed = 0;
   std::size_t stub_count = 0;
-  rpc::MigrationTrace migration;
+  rpc::TransferTrace migration;
   rpc::EndpointStats client;
   rpc::EndpointStats surrogate;
   netsim::LinkStats link;
@@ -124,7 +124,7 @@ struct Outcome {
   std::size_t disconnects = 0;
   bool first_resumed = false;
   std::size_t reconcile_count = 0;
-  rpc::ReconcileTrace reconcile;  // first reconcile attempt's trace
+  rpc::TransferTrace reconcile;  // first reconcile attempt's trace
   std::size_t log_entries_left = 0;
 };
 
@@ -344,7 +344,7 @@ TEST_P(CrashPointSweepTest, LinkDeathAtEveryMigrationBoundaryIsConsistent) {
 
   const Outcome probe = run(app, params, netsim::FaultPlan{});
   ASSERT_TRUE(probe.offloaded);
-  const rpc::MigrationTrace& t = probe.migration;
+  const rpc::TransferTrace& t = probe.migration;
   ASSERT_TRUE(t.committed);
   ASSERT_LT(t.begin, t.prepare_acked);
   ASSERT_LT(t.prepare_acked, t.commit_acked);
@@ -452,7 +452,7 @@ TEST_P(DisconnectChaosTest, LongOutageAtEveryMigrationBoundary) {
   ASSERT_TRUE(probe.offloaded);
   ASSERT_EQ(probe.checksum, expected);
   ASSERT_EQ(probe.disconnects, 0u);
-  const rpc::MigrationTrace& m = probe.migration;
+  const rpc::TransferTrace& m = probe.migration;
 
   const SimTime points[] = {
       m.begin,
@@ -553,10 +553,10 @@ TEST_P(ReconcileCrashPointSweepTest, DeathAtEveryReconcileBoundary) {
   ASSERT_GE(dprobe.disconnects, 1u);
   ASSERT_TRUE(dprobe.first_resumed);
   ASSERT_GE(dprobe.reconcile_count, 1u);
-  const rpc::ReconcileTrace& t = dprobe.reconcile;
+  const rpc::TransferTrace& t = dprobe.reconcile;
   ASSERT_TRUE(t.committed);
   ASSERT_TRUE(t.applied_on_peer);
-  ASSERT_GE(t.entries, 1u);
+  ASSERT_GE(t.items, 1u);
   ASSERT_LT(t.begin, t.prepare_acked);
   ASSERT_LT(t.prepare_acked, t.commit_acked);
 
@@ -643,7 +643,7 @@ TEST_P(ReconcileCrashPointSweepTest, ReconnectWindowLandingMidReconcile) {
                             probe.migration.commit_acked + 1 + sim_ms(1500)});
   const Outcome dprobe = run(app, params, outage, true, kBeat);
   ASSERT_GE(dprobe.reconcile_count, 1u);
-  const rpc::ReconcileTrace& t = dprobe.reconcile;
+  const rpc::TransferTrace& t = dprobe.reconcile;
 
   const SimTime points[] = {t.begin, t.prepare_acked, t.commit_acked};
   const std::size_t n = g_smoke ? 1 : sizeof(points) / sizeof(points[0]);

@@ -1,18 +1,23 @@
 // Tests for the common kernel: strong ids, deterministic RNG, the virtual
-// clock, the byte reader/writer used by the wire codec, and the frame CRC32.
+// clock, the byte reader/writer used by the wire codec, the frame CRC32 and
+// the flat-counter accumulator behind the stats structs' operator+=.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/counters.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/ids.hpp"
 #include "common/rng.hpp"
 #include "common/simclock.hpp"
+#include "platform/surrogate_server.hpp"
+#include "rpc/endpoint.hpp"
 
 namespace aide {
 namespace {
@@ -240,6 +245,31 @@ TEST(SplitMixTest, Deterministic) {
   std::uint64_t s1 = 99, s2 = 99;
   EXPECT_EQ(splitmix64(s1), splitmix64(s2));
   EXPECT_EQ(s1, s2);
+}
+
+// operator+= must sum every field of a flat stats struct: populate each
+// uint64 slot with a distinct nonzero value, accumulate twice into a zeroed
+// struct, and demand each slot doubled (sums, not overwrites or drops).
+template <class Stats>
+class FlatCountersTest : public ::testing::Test {};
+using FlatCounterStructs =
+    ::testing::Types<rpc::EndpointStats, platform::ServerStats>;
+TYPED_TEST_SUITE(FlatCountersTest, FlatCounterStructs);
+
+TYPED_TEST(FlatCountersTest, AccumulateSumsEveryField) {
+  using Raw = CounterArray<TypeParam>;
+  Raw raw{};
+  for (std::size_t i = 0; i < raw.size(); ++i) raw[i] = i + 1;
+  const auto one = std::bit_cast<TypeParam>(raw);
+
+  TypeParam sum{};
+  sum += one;
+  EXPECT_EQ(std::bit_cast<Raw>(sum), raw);
+  sum += one;
+  const Raw twice = std::bit_cast<Raw>(sum);
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    EXPECT_EQ(twice[i], 2 * (i + 1)) << "field index " << i;
+  }
 }
 
 }  // namespace

@@ -1,11 +1,8 @@
 // Disconnected operation (ISSUE 9): the partition detector's threshold
-// behaviour, the coalescing redo log, the EndpointStats aggregation
-// completeness differential, and the platform-level
+// behaviour, the coalescing redo log, and the platform-level
 // hoard / journal / reconcile / resume lifecycle.
 #include <gtest/gtest.h>
 
-#include <array>
-#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -252,37 +249,6 @@ TEST(DisconnectLogTest, ClearEntriesKeepsWatchSetAndCounters) {
   EXPECT_FALSE(log.watches(kObjA));
 }
 
-// --- EndpointStats aggregation completeness -----------------------------------
-
-TEST(EndpointStatsTest, AccumulateSumsEveryField) {
-  // Differential proof that operator+= covers *every* counter: the struct is
-  // all uint64_t, so view it as a flat array, populate each slot with a
-  // distinct nonzero value, accumulate into a zeroed struct, and demand
-  // equality slot-for-slot. A counter added to the struct but forgotten in
-  // operator+= leaves a zero slot and fails here.
-  constexpr std::size_t kFields =
-      sizeof(rpc::EndpointStats) / sizeof(std::uint64_t);
-  static_assert(sizeof(rpc::EndpointStats) == kFields * sizeof(std::uint64_t),
-                "EndpointStats must stay a flat array of uint64_t counters");
-  using Raw = std::array<std::uint64_t, kFields>;
-
-  Raw raw{};
-  for (std::size_t i = 0; i < kFields; ++i) {
-    raw[i] = i + 1;
-  }
-  const auto populated = std::bit_cast<rpc::EndpointStats>(raw);
-
-  rpc::EndpointStats sum{};
-  sum += populated;
-  EXPECT_EQ(std::bit_cast<Raw>(sum), raw);
-
-  sum += populated;  // and again: sums, not overwrites
-  const Raw twice = std::bit_cast<Raw>(sum);
-  for (std::size_t i = 0; i < kFields; ++i) {
-    EXPECT_EQ(twice[i], 2 * (i + 1)) << "field index " << i;
-  }
-}
-
 // --- platform lifecycle -------------------------------------------------------
 
 namespace pf = aide::platform;
@@ -382,10 +348,10 @@ TEST(PlatformDisconnectTest, OutageHoardsJournalsReconcilesAndResumes) {
   force_gc(client);
   ASSERT_FALSE(p.disconnected());
   ASSERT_EQ(p.client_endpoint().reconciles().size(), 1u);
-  const rpc::ReconcileTrace& t = p.client_endpoint().reconciles()[0];
+  const rpc::TransferTrace& t = p.client_endpoint().reconciles()[0];
   EXPECT_TRUE(t.committed);
   EXPECT_TRUE(t.applied_on_peer);
-  EXPECT_GE(t.entries, 1u);
+  EXPECT_GE(t.items, 1u);
   EXPECT_LT(t.begin, t.prepare_acked);
   EXPECT_LT(t.prepare_acked, t.commit_acked);
   EXPECT_TRUE(p.disconnects()[0].resumed);

@@ -459,6 +459,8 @@ TEST_F(EndpointTest, FailedMigrationReinstatesBatchLocally) {
 
   const ObjectId ids[] = {counter.id};
   EXPECT_THROW(client_ep_.migrate_objects(ids), PeerUnavailable);
+  ASSERT_EQ(client_ep_.migrations().size(), 1u);
+  EXPECT_FALSE(client_ep_.migrations().back().applied_on_peer);
   // The batch never left: still local, no stubs, state intact.
   EXPECT_TRUE(client_.is_local(counter.id));
   EXPECT_EQ(client_.stub_count(), 0u);
@@ -594,9 +596,9 @@ TEST_F(EndpointTest, MigrationTraceRecordsTwoPhaseBoundaries) {
   offload(counter);
 
   ASSERT_EQ(client_ep_.migrations().size(), 1u);
-  const MigrationTrace& t = client_ep_.migrations().front();
+  const TransferTrace& t = client_ep_.migrations().front();
   EXPECT_TRUE(t.committed);
-  EXPECT_EQ(t.objects, 1u);
+  EXPECT_EQ(t.items, 1u);
   EXPECT_EQ(t.epoch, 2u);  // both sides boot in epoch 1; PREPARE bumped it
   EXPECT_EQ(client_ep_.epoch(), 2u);
   EXPECT_GE(t.begin, before);
@@ -627,6 +629,63 @@ TEST_F(EndpointTest, AbortedPrepareLeavesNoStagedStateBehind) {
   EXPECT_TRUE(surrogate_.is_local(counter.id));
   EXPECT_TRUE(client_ep_.migrations().back().committed);
   EXPECT_EQ(client_.call(counter, "get").as_int(), 1);
+}
+
+// One Counter (value 1) migrated over a fresh client/surrogate pair whose
+// link follows `plan`; every run starts at virtual time 0, so a fault-free
+// run's trace locates the message boundaries of a faulty one.
+struct MigrationRun {
+  explicit MigrationRun(const netsim::FaultPlan& plan)
+      : registry(make_test_registry()),
+        link(netsim::LinkParams::wavelan()),
+        client(client_cfg(), registry, clock),
+        surrogate(surrogate_cfg(), registry, clock),
+        client_ep(client, link),
+        surrogate_ep(surrogate, link) {
+    Endpoint::connect(client_ep, surrogate_ep);
+    counter = client.new_object("Counter");
+    client.add_root(counter);
+    client.call(counter, "inc");
+    link.set_fault_plan(plan);
+    const ObjectId ids[] = {counter.id};
+    try {
+      client_ep.migrate_objects(ids);
+    } catch (const PeerUnavailable&) {
+      aborted = true;
+    }
+  }
+
+  std::shared_ptr<vm::ClassRegistry> registry;
+  SimClock clock;
+  netsim::Link link;
+  Vm client;
+  Vm surrogate;
+  Endpoint client_ep;
+  Endpoint surrogate_ep;
+  ObjectRef counter;
+  bool aborted = false;
+};
+
+TEST(MigrationAckLossTest, CommitAppliedButUnackedLeavesBatchOnPeer) {
+  const MigrationRun probe{netsim::FaultPlan{}};
+  ASSERT_FALSE(probe.aborted);
+  ASSERT_EQ(probe.client_ep.migrations().size(), 1u);
+
+  // The link dies just after the PREPARE ack: the COMMIT is delivered and
+  // applied, and only its ack is lost.
+  netsim::FaultPlan plan;
+  plan.dead_after = probe.client_ep.migrations().front().prepare_acked + 1;
+  const MigrationRun run{plan};
+  ASSERT_TRUE(run.aborted);
+  ASSERT_EQ(run.client_ep.migrations().size(), 1u);
+  const TransferTrace& t = run.client_ep.migrations().back();
+  EXPECT_FALSE(t.committed);
+  EXPECT_TRUE(t.applied_on_peer);
+  // Nothing is reinstated: the surrogate's copy is authoritative and the
+  // client keeps only a stub for recovery to pull back.
+  EXPECT_TRUE(run.surrogate.is_local(run.counter.id));
+  EXPECT_FALSE(run.client.is_local(run.counter.id));
+  EXPECT_EQ(run.client.stub_count(), 1u);
 }
 
 TEST_F(EndpointTest, PingProbesPeerLiveness) {

@@ -136,7 +136,7 @@ struct RunResult {
   bool readmission_reoffloaded = false;
   std::size_t objects_reclaimed = 0;
   std::size_t stub_count = 0;
-  rpc::MigrationTrace migration;  // first migration's message boundaries
+  rpc::TransferTrace migration;  // first migration's message boundaries
   std::uint64_t invokes_measured = 0;
   double remote_fraction = 0.0;  // of invokes at/after measure_after
   rpc::EndpointStats client_stats;

@@ -1,6 +1,5 @@
-// Surrogate-pool tests: deterministic placement policy, failover onto the
-// next-best surviving peer with the client's state intact, and the
-// flat-uint64 stats layout contracts.
+// Surrogate-pool tests: deterministic placement policy and failover onto the
+// next-best surviving peer with the client's state intact.
 //
 // The placement policy must be a pure function of the pool's observable
 // state (score arithmetic pinned against the documented formula, ties to the
@@ -333,57 +332,6 @@ TEST(PoolDeterminism, IdenticalRunsProduceIdenticalTrails) {
   const ScenarioTrail b = run_scenario();
   ASSERT_FALSE(a.events.empty());
   EXPECT_EQ(a, b);
-}
-
-// --- stats layout contracts --------------------------------------------------
-
-// Same pattern as EndpointStatsTest.AccumulateSumsEveryField: the struct is
-// a flat uint64 array, so a forgotten field in operator+= shows up as a
-// mismatched slot instead of silently dropping a counter.
-TEST(PoolStatsTest, ServerStatsAccumulateSumsEveryField) {
-  using platform::ServerStats;
-  constexpr std::size_t kFields = sizeof(ServerStats) / sizeof(std::uint64_t);
-  static_assert(kFields * sizeof(std::uint64_t) == sizeof(ServerStats),
-                "ServerStats must stay a flat array of uint64 counters");
-  using Raw = std::array<std::uint64_t, kFields>;
-
-  Raw raw{};
-  for (std::size_t i = 0; i < kFields; ++i) {
-    raw[i] = static_cast<std::uint64_t>(i + 1);
-  }
-  const auto one = std::bit_cast<ServerStats>(raw);
-
-  ServerStats sum;
-  sum += one;
-  sum += one;
-  const Raw out = std::bit_cast<Raw>(sum);
-  for (std::size_t i = 0; i < kFields; ++i) {
-    EXPECT_EQ(out[i], 2 * (i + 1)) << "field index " << i
-                                   << " not covered by operator+=";
-  }
-}
-
-TEST(PoolStatsTest, PoolStatsAccumulateSumsEveryField) {
-  using platform::PoolStats;
-  constexpr std::size_t kFields = sizeof(PoolStats) / sizeof(std::uint64_t);
-  static_assert(kFields * sizeof(std::uint64_t) == sizeof(PoolStats),
-                "PoolStats must stay a flat array of uint64 counters");
-  using Raw = std::array<std::uint64_t, kFields>;
-
-  Raw raw{};
-  for (std::size_t i = 0; i < kFields; ++i) {
-    raw[i] = static_cast<std::uint64_t>(i + 1);
-  }
-  const auto one = std::bit_cast<PoolStats>(raw);
-
-  PoolStats sum;
-  sum += one;
-  sum += one;
-  const Raw out = std::bit_cast<Raw>(sum);
-  for (std::size_t i = 0; i < kFields; ++i) {
-    EXPECT_EQ(out[i], 2 * (i + 1)) << "field index " << i
-                                   << " not covered by operator+=";
-  }
 }
 
 }  // namespace

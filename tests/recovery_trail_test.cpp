@@ -178,7 +178,7 @@ struct Timeline {
   SimTime offload_done = 0;
   SimTime commit_acked = 0;
   SimTime end = 0;
-  rpc::ReconcileTrace reconcile;  // first reconcile, when the run has one
+  rpc::TransferTrace reconcile;  // first reconcile, when the run has one
 };
 
 Timeline timeline(const platform::PlatformConfig& cfg) {
