@@ -129,11 +129,8 @@ Cell run_trace(bool batching) {
   rpc::Endpoint ce(client, link);
   rpc::Endpoint se(surrogate, link);
   rpc::Endpoint::connect(ce, se);
-  rpc::BatchPolicy pol;
-  pol.enabled = batching;
-  pol.read_ahead = batching;
-  ce.set_batch_policy(pol);
-  se.set_batch_policy(pol);
+  ce.set_batching(batching);
+  se.set_batching(batching);
 
   constexpr std::size_t kObjects = 16;
   constexpr std::size_t kGroup = 4;
@@ -215,8 +212,7 @@ Cell run_app(const apps::AppInfo& app, const apps::AppParams& params,
   // every stateless Math call into its own surrogate->client round trip and
   // the invoke traffic swamps the data-access traffic batching targets.
   cfg.enhancements.stateless_natives_local = true;
-  cfg.batching.enabled = batching;
-  cfg.batching.read_ahead = batching;
+  cfg.batching = batching;
   auto reg = std::make_shared<vm::ClassRegistry>();
   app.register_classes(*reg);
   platform::Platform p(reg, cfg);

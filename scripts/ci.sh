@@ -58,18 +58,24 @@ ctest --test-dir build-ci --output-on-failure -L pool -j "$JOBS"
 step "fleet smoke (multi-session overhead, zero-alloc dispatch + pool gates)"
 ./build-ci/bench/bench_fleet --smoke
 
-step "virtual-time artefacts (full benches' BENCH_*.json, fig5 DOTs and the examples' output vs committed)"
+step "virtual-time artefacts (full benches' BENCH_*.json, fig5 DOTs and the examples' and benches' output vs committed)"
 # Every number in these files is virtual time, so a full run must rewrite
 # them byte for byte; any difference is a behaviour change. The examples'
-# stdout+stderr (their [platform] log lines go to stderr) is pinned the same
-# way, including JavaNote's reference checksum.
+# and benches' stdout+stderr (the [platform] log lines go to stderr) is
+# pinned the same way, including JavaNote's reference checksum and the
+# paper's tables and figures. bench_sec51_monitoring and
+# bench_partition_hints print wall-clock columns and stay out, as do the
+# wall-clock hot-path and micro benches.
 root="$PWD"
 artefacts=$(mktemp -d)
 examples="quickstart adhoc_surrogates policy_lab raytrace_speedup"
+benches="chaos fault_recovery disconnect rpc_batch fleet fig5_graph
+  fig6_overhead fig7_policy fig8_native fig10_cpu table1_apps table2_metrics
+  sec51_memory ablation_link ablation_mincut"
 (
   cd "$artefacts"
-  for bench in chaos fault_recovery disconnect rpc_batch fleet fig5_graph; do
-    "$root/build-ci/bench/bench_$bench" >/dev/null
+  for bench in $benches; do
+    "$root/build-ci/bench/bench_$bench" >"$bench.txt" 2>&1
   done
   for example in $examples; do
     "$root/build-ci/examples/$example" >"$example.txt" 2>&1
@@ -85,6 +91,12 @@ done
 for example in $examples; do
   if ! cmp "$artefacts/$example.txt" "$root/tests/golden/examples/$example.txt"; then
     echo "examples/$example: output differs from tests/golden/examples/$example.txt" >&2
+    exit 1
+  fi
+done
+for bench in $benches; do
+  if ! cmp "$artefacts/$bench.txt" "$root/tests/golden/benches/$bench.txt"; then
+    echo "bench_$bench: output differs from tests/golden/benches/$bench.txt" >&2
     exit 1
   fi
 done

@@ -1,56 +1,36 @@
 // Batch-safety oracle: the narrow interface between the effect analysis
 // (src/analysis) and the write-behind transport (src/rpc).
 //
-// PR 6 gave the endpoint a pending-op queue: deferred stores ride ahead of
-// the next invoke in one frame (prefix semantics) and flush when the queue
-// reaches BatchPolicy::max_ops. Those mechanics are order-preserving by
-// construction, but *how deep* the queue may safely grow — and whether an
-// invoke may carry riders at all — depends on facts about the program the
-// transport cannot see: which methods are proven pure, which store targets
-// have statically known writers, which pending stores commute.
+// The endpoint keeps a pending-op queue: deferred stores ride ahead of the
+// next invoke in one frame (prefix semantics) and flush at a fixed depth or
+// at a yield point. Those mechanics are order-preserving by construction,
+// but whether a store may wait in the queue at all, and whether an invoke
+// may carry riders, depends on facts about the program the transport cannot
+// see: whether every writer is statically known, and whether the callee's
+// whole call tree has a known effect summary.
 //
-// The effect analyzer proves those facts; this header carries them across
-// the layer boundary. Like hints.hpp it is deliberately ids-only and
-// header-only so aide_rpc can consume verdicts without linking the analyzer.
-// Every query is conservative: "false" always means "flush earlier", never
-// "reorder", so a refusing oracle can only shrink batches — wire behavior
-// with no oracle installed is byte-identical to PR 6.
+// The effect analyzer proves those facts; this header carries the two
+// verdicts the endpoint consults across the layer boundary. Like hints.hpp
+// it is deliberately ids-only and header-only so aide_rpc can consume
+// verdicts without linking the analyzer. Both are conservative: "false"
+// always means "flush earlier", never "reorder", so a refusing oracle can
+// only shrink batches, and an oracle that proves everything leaves the wire
+// byte-identical to no oracle at all.
 #pragma once
-
-#include <cstdint>
 
 #include "common/ids.hpp"
 
 namespace aide::analysis {
 
-// Kind of a deferred store, mirroring the endpoint's pending-op kinds.
-enum class StoreKind : std::uint8_t {
-  field,        // put_field: instance field `member` of an object of `cls`
-  static_slot,  // put_static: static slot `member` of `cls`
-  elems,        // array_put: one element of array class `cls`
-  chars,        // chars_write: a char[] region
-};
-
-// `member` value meaning "any member" (index-addressed arrays, unknown).
-inline constexpr std::uint32_t kAnyMember = 0xFFFFFFFFU;
-
 class BatchSafetyOracle {
  public:
   virtual ~BatchSafetyOracle() = default;
 
-  // True if a store to (cls, kind, member) may sit in the pending queue —
-  // i.e. the analysis knows every writer of that location, so delayed
-  // visibility cannot be observed through an effect it failed to model.
-  // False ⇒ the endpoint flushes the queue and writes through.
-  [[nodiscard]] virtual bool store_deferrable(
-      ClassId cls, StoreKind kind, std::uint32_t member) const noexcept = 0;
-
-  // True if two deferred stores commute (touch provably disjoint
-  // locations) — the proof obligation for growing the queue beyond
-  // BatchPolicy::max_ops up to max_ops_proven.
-  [[nodiscard]] virtual bool stores_commute(
-      ClassId a_cls, StoreKind a_kind, std::uint32_t a_member, ClassId b_cls,
-      StoreKind b_kind, std::uint32_t b_member) const noexcept = 0;
+  // True if stores may sit in the pending queue: the analysis knows every
+  // writer in the program, so delayed visibility cannot be observed through
+  // an effect it failed to model. False ⇒ the endpoint flushes the queue and
+  // writes each store through.
+  [[nodiscard]] virtual bool store_deferrable() const noexcept = 0;
 
   // True if invoking (cls, method) may carry pending stores as riders in
   // its frame. Requires a known effect summary for the whole call tree:
@@ -59,17 +39,6 @@ class BatchSafetyOracle {
   // first (same order, one extra frame).
   [[nodiscard]] virtual bool invoke_accepts_riders(
       ClassId cls, MethodId method) const noexcept = 0;
-
-  // True if (cls, method) is proven pure: replaying it on RPC retry is
-  // indistinguishable from at-most-once delivery.
-  [[nodiscard]] virtual bool replay_safe(ClassId cls,
-                                         MethodId method) const noexcept = 0;
-
-  // True if `cls` has encapsulated writes (only its own methods write its
-  // instance state): a read-ahead snapshot of such an object can only be
-  // invalidated through calls the endpoint itself forwards, making the
-  // class eligible for prefetch groups.
-  [[nodiscard]] virtual bool prefetch_eligible(ClassId cls) const noexcept = 0;
 };
 
 }  // namespace aide::analysis

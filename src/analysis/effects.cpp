@@ -582,63 +582,21 @@ VerifyReport verify(const vm::ClassRegistry& registry, AnalysisReport base) {
 
 // ----------------------------------------------------------- BatchSafety --
 
-BatchSafety::BatchSafety(const VerifyReport& report) {
-  any_unknown_writes_ = report.matrix.any_unknown_writes;
-  std::size_t n_classes = 0;
+BatchSafety::BatchSafety(const VerifyReport& report)
+    : any_unknown_writes_(report.matrix.any_unknown_writes) {
   for (const MethodFacts& f : report.methods) {
-    n_classes = std::max(n_classes, static_cast<std::size_t>(f.cls.value()) + 1);
-  }
-  for (const ClassId cls : report.hints.prefetch_eligible) {
-    n_classes = std::max(n_classes, static_cast<std::size_t>(cls.value()) + 1);
-  }
-  known_.resize(n_classes);
-  pure_.resize(n_classes);
-  prefetch_eligible_.assign(n_classes, false);
-  for (const MethodFacts& f : report.methods) {
-    auto& known = known_[f.cls.value()];
-    auto& pure = pure_[f.cls.value()];
+    const std::size_t c = f.cls.value();
     const std::size_t mi = f.method.value();
-    if (known.size() <= mi) {
-      known.resize(mi + 1, false);
-      pure.resize(mi + 1, false);
-    }
-    known[mi] = !f.summary.unknown;
-    pure[mi] = f.summary.pure();
-  }
-  for (const ClassId cls : report.hints.prefetch_eligible) {
-    prefetch_eligible_[cls.value()] = true;
+    if (known_.size() <= c) known_.resize(c + 1);
+    if (known_[c].size() <= mi) known_[c].resize(mi + 1, false);
+    known_[c][mi] = !f.summary.unknown;
   }
 }
 
-Loc BatchSafety::to_loc(ClassId cls, StoreKind kind,
-                        std::uint32_t member) noexcept {
-  switch (kind) {
-    case StoreKind::field: return Loc{cls, LocKind::field, member};
-    case StoreKind::static_slot:
-      return Loc{cls, LocKind::static_slot, member};
-    case StoreKind::elems:
-    case StoreKind::chars: return Loc{cls, LocKind::elems, kAnyMember};
-  }
-  return Loc{cls, LocKind::field, kAnyMember};
-}
-
-bool BatchSafety::store_deferrable(ClassId cls, StoreKind kind,
-                                   std::uint32_t member) const noexcept {
-  (void)cls;
-  (void)kind;
-  (void)member;
+bool BatchSafety::store_deferrable() const noexcept {
   // With any ⊤ writer in the program the analysis cannot bound who else
-  // observes the location; nothing is provably deferrable.
+  // observes a location; nothing is provably deferrable.
   return !any_unknown_writes_;
-}
-
-bool BatchSafety::stores_commute(ClassId a_cls, StoreKind a_kind,
-                                 std::uint32_t a_member, ClassId b_cls,
-                                 StoreKind b_kind,
-                                 std::uint32_t b_member) const noexcept {
-  if (any_unknown_writes_) return false;
-  return !to_loc(a_cls, a_kind, a_member)
-              .overlaps(to_loc(b_cls, b_kind, b_member));
 }
 
 bool BatchSafety::invoke_accepts_riders(ClassId cls,
@@ -647,18 +605,6 @@ bool BatchSafety::invoke_accepts_riders(ClassId cls,
   if (c >= known_.size()) return false;
   const std::size_t m = method.value();
   return m < known_[c].size() && known_[c][m];
-}
-
-bool BatchSafety::replay_safe(ClassId cls, MethodId method) const noexcept {
-  const std::size_t c = cls.value();
-  if (c >= pure_.size()) return false;
-  const std::size_t m = method.value();
-  return m < pure_[c].size() && pure_[c][m];
-}
-
-bool BatchSafety::prefetch_eligible(ClassId cls) const noexcept {
-  const std::size_t c = cls.value();
-  return c < prefetch_eligible_.size() && prefetch_eligible_[c];
 }
 
 // ------------------------------------------------------------ startup gates

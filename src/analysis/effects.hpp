@@ -27,8 +27,9 @@
 //     call-site annotation is cross-checked against the inferred facts
 //     (Rule::ir_unknown_target .. Rule::stateless_candidate);
 //  2. batch safety — a pairwise conflict matrix over the program's deferred
-//     store locations, served to src/rpc through the BatchSafetyOracle
-//     interface (batch_oracle.hpp);
+//     store locations for the report, and the two transport verdicts
+//     (known writers, known call trees) served to src/rpc through the
+//     BatchSafetyOracle interface (batch_oracle.hpp);
 //  3. hints — pure methods become StaticHints::replay_safe, encapsulated-
 //     write classes become StaticHints::prefetch_eligible.
 //
@@ -60,6 +61,9 @@ enum class LocKind : std::uint8_t { field, static_slot, elems };
   }
   return "?";
 }
+
+// `member` value meaning "any member" (index-addressed arrays, unknown).
+inline constexpr std::uint32_t kAnyMember = 0xFFFFFFFFU;
 
 // One abstract memory location. `member` is a field index (field), a
 // class-local static slot index (static_slot), or kAnyMember; elems
@@ -144,7 +148,7 @@ struct MethodFacts {
 // distinct write locations inferred across all summaries, and which pairs
 // fail to commute (overlap). A store only conflicts with itself unless a
 // kAnyMember row aliases its whole class — the matrix makes that aliasing
-// explicit so the transport's proof obligations are auditable.
+// explicit in aidelint's report.
 struct ConflictMatrix {
   std::vector<Loc> store_locs;  // sorted distinct write locations
   // (i, j) index pairs into store_locs with i < j that overlap.
@@ -202,34 +206,20 @@ struct VerifyReport {
                                   AnalysisReport base);
 
 // The oracle implementation served to src/rpc. Holds an immutable snapshot
-// of the verify verdicts (dense id-indexed tables; queries are O(1) or one
-// small scan), so the endpoint never touches analyzer types.
+// of the verify verdicts (one flag and a dense id-indexed table; queries are
+// O(1)), so the endpoint never touches analyzer types.
 class BatchSafety final : public BatchSafetyOracle {
  public:
   explicit BatchSafety(const VerifyReport& report);
 
-  [[nodiscard]] bool store_deferrable(ClassId cls, StoreKind kind,
-                                      std::uint32_t member)
-      const noexcept override;
-  [[nodiscard]] bool stores_commute(ClassId a_cls, StoreKind a_kind,
-                                    std::uint32_t a_member, ClassId b_cls,
-                                    StoreKind b_kind, std::uint32_t b_member)
-      const noexcept override;
+  [[nodiscard]] bool store_deferrable() const noexcept override;
   [[nodiscard]] bool invoke_accepts_riders(ClassId cls, MethodId method)
       const noexcept override;
-  [[nodiscard]] bool replay_safe(ClassId cls,
-                                 MethodId method) const noexcept override;
-  [[nodiscard]] bool prefetch_eligible(ClassId cls) const noexcept override;
 
  private:
-  [[nodiscard]] static Loc to_loc(ClassId cls, StoreKind kind,
-                                  std::uint32_t member) noexcept;
-
   bool any_unknown_writes_ = false;
-  // Per-class bitsets, indexed by MethodId: summary known / proven pure.
+  // Per-class bitsets, indexed by MethodId: summary known.
   std::vector<std::vector<bool>> known_;
-  std::vector<std::vector<bool>> pure_;
-  std::vector<bool> prefetch_eligible_;
 };
 
 // ------------------------------------------------------------ startup gates

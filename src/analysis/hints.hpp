@@ -22,13 +22,13 @@
 //    they may be merged before MINCUT to shrink the problem.
 //
 // The effect-inference pass (effects.hpp) fills two further sets that the
-// metadata-only analyzer leaves empty:
+// metadata-only analyzer leaves empty (aidelint prints both):
 //  - replay_safe: methods proven pure — re-executing them on RPC retry is
 //    indistinguishable from at-most-once delivery.
 //  - prefetch_eligible: classes with encapsulated writes (only their own
 //    methods write their instance fields) and not in the pinned closure —
-//    read-ahead snapshots of such objects can only be invalidated by calls
-//    the transport itself sees, so they are safe prefetch-group members.
+//    such objects stay coherent when pulled to the client, so the platform's
+//    proactive recall on a degrading link brings exactly these home.
 #pragma once
 
 #include <utility>

@@ -54,6 +54,8 @@ inline constexpr std::size_t kMaxReadmissions = 4;
 inline constexpr std::size_t kMaxReconciles = 16;
 // Size of one reconnect probe, charged to the link when it delivers.
 inline constexpr std::uint64_t kProbeBytes = 64;
+// Bandwidth of the recovery channel that pulls state home on surrogate loss.
+inline constexpr double kRecoveryBandwidthBps = 11e6;
 
 struct LinkStep {
   LinkState next;

@@ -16,6 +16,13 @@ namespace {
 // on top of the RefMap handle namespaces.
 constexpr std::uint32_t kSessionNodeBase = 16;
 
+// Allocation-gravity credit (cut-weight units per byte, scaled by the
+// platform's edge_weight.bytes_factor) that offload decisions after a
+// reconcile grant to components of the working tree the program used or
+// rebuilt while disconnected, so that tree outranks the cheapest-to-cut
+// sliver (DESIGN.md §11). The seed lasts until the next disconnection.
+constexpr double kReoffloadGravityCredit = 1.0;
+
 std::unique_ptr<vm::Vm> make_vm(bool client, const PlatformConfig& config,
                                 std::optional<SessionId> session,
                                 std::shared_ptr<const vm::ClassRegistry> reg,
@@ -84,8 +91,8 @@ Platform::Platform(std::shared_ptr<const vm::ClassRegistry> registry,
   link_.set_fault_plan(config_.fault_plan);
   client_ep_->set_retry_policy(config_.retry);
   surrogate_ep_->set_retry_policy(config_.retry);
-  client_ep_->set_batch_policy(config_.batching);
-  surrogate_ep_->set_batch_policy(config_.batching);
+  client_ep_->set_batching(config_.batching);
+  surrogate_ep_->set_batching(config_.batching);
   if (const analysis::BatchSafety* oracle = gates_->oracle()) {
     client_ep_->set_batch_safety(oracle);
     surrogate_ep_->set_batch_safety(oracle);
@@ -319,8 +326,7 @@ void Platform::pull_back(bool partition) {
   // Charge the recovery channel: loss detection plus shipping state home.
   clock_.advance(config_.recovery_latency +
                  static_cast<SimDuration>(static_cast<double>(bytes) * 8.0 /
-                                          config_.recovery_bandwidth_bps *
-                                          1e9));
+                                          kRecoveryBandwidthBps * 1e9));
 
   // Nowhere to offload to: stop raising triggers.
   resource_monitor_.note_peer_failure();
@@ -385,15 +391,14 @@ partition::PartitionRequest Platform::make_request(
           static_cast<double>(config_.client_heap)));
   req.client_speed = 1.0;
   req.surrogate_speedup = config_.surrogate_speedup;
-  req.min_improvement = config_.min_improvement;
   req.link = config_.link;
   const SimTime since = offloads_.empty() ? 0 : offloads_.back().at;
   req.history_duration = std::max<SimDuration>(clock_.now() - since, 1);
   req.weight = config_.edge_weight;
   if (!reoffload_gravity_.empty()) {
     req.reoffload_gravity = &reoffload_gravity_;
-    req.gravity_credit_per_byte = config_.disconnect.reoffload_gravity_credit *
-                                  config_.edge_weight.bytes_factor;
+    req.gravity_credit_per_byte =
+        kReoffloadGravityCredit * config_.edge_weight.bytes_factor;
   }
   if (config_.use_static_hints) req.hints = gates_->hints();
   return req;
@@ -418,12 +423,12 @@ std::optional<OffloadReport> Platform::offload_now(
     return std::nullopt;
   }
 
-  // Assertion mode: the dynamic decision must agree with the static verdict.
-  // A pin root may never offload; with hints enabled the whole pinned
+  // Whenever aidelint ran, the dynamic decision must agree with its static
+  // verdict. A pin root may never offload; with hints enabled the whole pinned
   // closure may not either. A violation is a partitioner bug, not a policy
   // outcome — fail loudly.
   const auto& analysis = gates_->analysis;
-  if (config_.assert_static_verdict && analysis.has_value()) {
+  if (analysis.has_value()) {
     for (const auto& comp : decision.selected.offload) {
       const bool illegal =
           analysis->is_pin_root(comp.cls) ||
@@ -512,13 +517,19 @@ std::optional<std::uint64_t> Platform::migrate(std::span<const ObjectId> ids) {
   if (link_state_ != LinkState::connected) return std::nullopt;
   offloading_in_progress_ = true;
   std::optional<std::uint64_t> bytes;
+  bool peer_lost = false;
   try {
     bytes = client_ep_->migrate_objects(ids);
   } catch (const PeerUnavailable&) {
     // The surrogate died under the migration; reclaimed below.
+    peer_lost = true;
+  } catch (const VmError& e) {
+    // Refused: the surrogate had no room for the batch and adopted none of
+    // it. The batch is back on the client and the link is fine.
+    if (e.code() != VmErrorCode::out_of_memory) throw;
   }
   offloading_in_progress_ = false;
-  if (!bytes.has_value()) handle_peer_failure();
+  if (peer_lost) handle_peer_failure();
   return bytes;
 }
 
@@ -595,7 +606,6 @@ void Platform::resume() {
 }
 
 void Platform::collect_reoffload_gravity() {
-  if (config_.disconnect.reoffload_gravity_credit <= 0.0) return;
   // BFS over client-local references from the hoarded replicas (still local
   // until the ack) and every live journaled value: the working tree the
   // disconnected program used or rebuilt, even under containers it never
@@ -658,6 +668,10 @@ void Platform::recall() {
     // batch to wherever it authoritatively lives. The peer-lost transition
     // (which may choose disconnected) takes it from here.
     handle_peer_failure();
+  } catch (const VmError& e) {
+    // The client had no room for the batch: recalled nothing, the batch
+    // stays on the surrogate.
+    if (e.code() != VmErrorCode::out_of_memory) throw;
   }
 }
 

@@ -89,13 +89,6 @@ struct DisconnectPolicy {
   // classes) over the still-live link, so an eventual partition strands less
   // state. 0 disables the proactive path.
   SimDuration degrade_rtt = 0;
-  // Allocation-gravity credit (cut-weight units per byte, scaled by the
-  // platform's edge_weight.bytes_factor) that offload decisions after a
-  // reconcile grant to components of the working tree the program used or
-  // rebuilt while disconnected, so that tree outranks the cheapest-to-cut
-  // sliver (DESIGN.md §11). The seed lasts until the next disconnection. 0
-  // restores the unseeded re-offload.
-  double reoffload_gravity_credit = 1.0;
 };
 
 struct PlatformConfig {
@@ -117,7 +110,7 @@ struct PlatformConfig {
   // into multi-op frames plus read-ahead object snapshots seeded with the
   // MINCUT partition groups of each offload. Application-transparent — only
   // frame counts and virtual-time latency change.
-  rpc::BatchPolicy batching;
+  bool batching = true;
   // Idle-period heartbeat probing (off by default).
   HeartbeatPolicy heartbeat;
   // Probe-and-reconnect after a surrogate failure (off by default).
@@ -130,16 +123,14 @@ struct PlatformConfig {
   SimDuration probe_interval = sim_ms(250);
   // Recovery-channel cost model for pulling state home on surrogate loss
   // (reclaim or hoard): a flat re-handshake latency plus the pulled bytes
-  // over the recovery bandwidth.
+  // over kRecoveryBandwidthBps.
   SimDuration recovery_latency = sim_ms(200);
-  double recovery_bandwidth_bps = 11e6;
 
   monitor::TriggerPolicy trigger;                     // paper: <5% free, x3
   // Minimum client-heap fraction an acceptable partitioning must free
   // (paper: at least 20%).
   double min_free_fraction = 0.20;
   partition::Objective objective = partition::Objective::free_memory;
-  double min_improvement = 0.0;  // speed_up objective margin
 
   Enhancements enhancements;
 
@@ -158,12 +149,11 @@ struct PlatformConfig {
   bool effect_verify = true;
   // Feed the analyzer's static hints into the partitioner so the execution
   // graph is pre-contracted before MINCUT. Off by default: the purely
-  // dynamic pipeline stays bit-identical to the paper model.
+  // dynamic pipeline stays bit-identical to the paper model. Whenever
+  // aidelint ran, every runtime migration decision is also cross-checked
+  // against its verdict (defense in depth): offloading a pin root — or, with
+  // hints enabled, any never-migrate class — raises std::logic_error.
   bool use_static_hints = false;
-  // Cross-check every runtime migration decision against the static verdict
-  // (defense in depth): offloading a pin root — or, with hints enabled, any
-  // never-migrate class — raises std::logic_error.
-  bool assert_static_verdict = true;
 
   // React to triggers automatically; otherwise only offload_now() offloads.
   bool auto_offload = true;
@@ -347,7 +337,9 @@ class Platform : private vm::VmHooks {
   // The one migration path (policy offloads and scripted ones): ships `ids`
   // to the surrogate while connected and returns the bytes sent. A lost peer
   // runs the peer-lost transition and returns nullopt; migrate_objects has
-  // already put the batch wherever it authoritatively lives.
+  // already put the batch wherever it authoritatively lives. A surrogate
+  // with no room for the batch refuses it whole: nullopt, still connected,
+  // the batch back on the client.
   std::optional<std::uint64_t> migrate(std::span<const ObjectId> ids);
 
  private:

@@ -14,6 +14,10 @@ namespace aide::rpc {
 namespace {
 constexpr std::uint8_t kStatusOk = 0;
 constexpr std::uint8_t kStatusVmError = 1;
+// Write-behind queue depth that forces a flush, and the group mates one
+// read-ahead miss may prefetch beside the demanded object.
+constexpr std::size_t kMaxOps = 32;
+constexpr std::size_t kPrefetchLimit = 4;
 
 // Chaos corruption: wire byte `salt % size` arrives flipped. Copy-on-write,
 // so the shared original (still needed for retransmits) is never touched.
@@ -342,10 +346,10 @@ std::optional<std::vector<std::uint8_t>> Endpoint::transact_or_recover(
 
 // --- write-behind batching ----------------------------------------------------
 
-void Endpoint::set_batch_policy(BatchPolicy policy) {
-  if (!policy.enabled) flush_pending();
-  batch_ = policy;
-  if (!batch_.read_ahead) invalidate_snapshots();
+void Endpoint::set_batching(bool on) {
+  // flush_pending also drops the read-ahead snapshots.
+  if (!on) flush_pending();
+  batching_ = on;
 }
 
 void Endpoint::set_prefetch_groups(std::vector<std::vector<ObjectId>> groups) {
@@ -360,49 +364,6 @@ void Endpoint::set_batch_safety(const analysis::BatchSafetyOracle* oracle) {
   // Queued proofs were made against the old oracle; drain before switching.
   if (oracle != oracle_) flush_pending();
   oracle_ = oracle;
-  pending_proven_ = true;
-}
-
-void Endpoint::set_prefetch_eligible(std::vector<ClassId> classes) {
-  std::sort(classes.begin(), classes.end());
-  has_prefetch_filter_ = !classes.empty();
-  prefetch_filter_ = std::move(classes);
-}
-
-Endpoint::StoreLoc Endpoint::store_loc_of(const PendingOp& rec) const {
-  switch (rec.kind) {
-    case Op::put_field:
-      return {vm_.class_of(rec.target), analysis::StoreKind::field, rec.key};
-    case Op::put_static:
-      return {ClassId{rec.key}, analysis::StoreKind::static_slot, rec.slot};
-    case Op::array_put:
-      return {vm_.class_of(rec.target), analysis::StoreKind::elems,
-              analysis::kAnyMember};
-    default:  // chars_write — the only other deferred kind
-      return {vm_.class_of(rec.target), analysis::StoreKind::chars,
-              analysis::kAnyMember};
-  }
-}
-
-bool Endpoint::store_proven_deferrable(const PendingOp& rec) const {
-  if (oracle_ == nullptr) return true;  // PR 6 semantics: always defer
-  if (!vm_.knows(rec.target) && rec.kind != Op::put_static) return false;
-  const StoreLoc loc = store_loc_of(rec);
-  return oracle_->store_deferrable(loc.cls, loc.kind, loc.member);
-}
-
-std::size_t Endpoint::effective_max_ops() const noexcept {
-  if (oracle_ != nullptr && pending_proven_ &&
-      batch_.max_ops_proven > batch_.max_ops) {
-    return batch_.max_ops_proven;
-  }
-  return batch_.max_ops;
-}
-
-bool Endpoint::prefetch_mate_eligible(ObjectId id) const {
-  if (!has_prefetch_filter_) return true;
-  return std::binary_search(prefetch_filter_.begin(), prefetch_filter_.end(),
-                            vm_.class_of(id));
 }
 
 // Strict queue drain: the whole queue goes out as one frame (one op as a
@@ -428,7 +389,6 @@ void Endpoint::send_queue() {
     stats_.batched_ops += count;
   }
   pending_.clear();
-  pending_proven_ = true;
   if (count > 1) {
     // Surface the first rider's semantic error, if any (a pure-write batch
     // carries no demanded value, so this is the only place it can surface).
@@ -468,23 +428,8 @@ void Endpoint::flush_pending() {
 
 void Endpoint::enqueue_pending(PendingOp rec, ByteWriter encoded) {
   rec.encoded = std::move(encoded).take();
-  if (oracle_ != nullptr && pending_proven_) {
-    // Incremental proof: the queue stays "proven" only while every pair of
-    // queued stores commutes. One unprovable pair drops the whole queue back
-    // to the base depth cap — never past it, so this can only flush earlier.
-    const StoreLoc loc = store_loc_of(rec);
-    for (const PendingOp& p : pending_) {
-      const StoreLoc other = store_loc_of(p);
-      if (!oracle_->stores_commute(other.cls, other.kind, other.member,
-                                   loc.cls, loc.kind, loc.member)) {
-        pending_proven_ = false;
-        break;
-      }
-    }
-  }
   pending_.push_back(std::move(rec));
-  if (pending_.size() >= effective_max_ops()) flush_or_recover();
-  if (pending_.empty()) pending_proven_ = true;
+  if (pending_.size() >= kMaxOps) flush_or_recover();
 }
 
 void Endpoint::apply_locally(const PendingOp& p) {
@@ -507,7 +452,6 @@ void Endpoint::apply_locally(const PendingOp& p) {
 void Endpoint::apply_pending_locally() {
   const auto ops = std::move(pending_);
   pending_.clear();
-  pending_proven_ = true;
   for (const PendingOp& p : ops) apply_locally(p);
   stats_.pending_applied_locally += ops.size();
 }
@@ -534,7 +478,6 @@ std::vector<std::uint8_t> Endpoint::transact_with_pending(ByteWriter op) {
   // means the peer owns the executed prefix, so the riders are done.
   auto in_flight = std::move(pending_);
   pending_.clear();
-  pending_proven_ = true;
   std::vector<std::uint8_t> resp;
   try {
     resp = transact(std::move(batch), static_cast<std::uint32_t>(riders + 1));
@@ -544,9 +487,6 @@ std::vector<std::uint8_t> Endpoint::transact_with_pending(ByteWriter op) {
                      std::make_move_iterator(pending_.begin()),
                      std::make_move_iterator(pending_.end()));
     pending_ = std::move(in_flight);
-    // The merged queue's pairwise proof is unknown; assume the worst
-    // (only ever flushes earlier than a proven queue would).
-    pending_proven_ = false;
     throw;
   }
 
@@ -579,20 +519,13 @@ std::optional<vm::Value> Endpoint::fetch_snapshot(ObjectId target,
   std::vector<ObjectId> wanted{target};
   if (const auto git = group_of_.find(target); git != group_of_.end()) {
     for (const ObjectId id : groups_[git->second]) {
-      if (wanted.size() > batch_.prefetch_limit) break;
+      if (wanted.size() > kPrefetchLimit) break;
       if (id == target || snapshots_.contains(id) || vm_.is_local(id)) {
         continue;
       }
       // Group tables outlive the distributed GC: a mate whose stub was
       // released (or that migrated home) is no longer addressable from here.
       if (!vm_.knows(id)) continue;
-      // Mates outside the eligibility filter (classes whose fields escape
-      // through aliases the analysis can't track) are never worth a stale
-      // snapshot; the demanded object itself is always fetched.
-      if (!prefetch_mate_eligible(id)) {
-        stats_.prefetches_filtered += 1;
-        continue;
-      }
       wanted.push_back(id);
     }
   }
@@ -757,8 +690,8 @@ vm::Value Endpoint::invoke_static(ClassId cls, MethodId method,
 
 void Endpoint::store(PendingOp&& rec, ByteWriter encoded) {
   stats_.ops_sent += 1;
-  if (defer_writes()) {
-    if (store_proven_deferrable(rec)) {
+  if (batching_live()) {
+    if (oracle_ == nullptr || oracle_->store_deferrable()) {
       enqueue_pending(std::move(rec), std::move(encoded));
       return;
     }
@@ -776,7 +709,7 @@ void Endpoint::store(PendingOp&& rec, ByteWriter encoded) {
 
 vm::Value Endpoint::get_field(ObjectId target, FieldId field) {
   stats_.ops_sent += 1;
-  if (batch_.enabled && batch_.read_ahead && peer_ != nullptr) {
+  if (batching_live()) {
     if (const vm::Value* v = snapshot_lookup(target, field)) {
       stats_.readahead_hits += 1;
       return *v;
@@ -967,11 +900,13 @@ std::vector<std::uint8_t> Endpoint::two_phase(ByteWriter prepare, Op commit_op,
     trace.applied_on_peer = true;
     log.push_back(trace);
     return resp;
-  } catch (const PeerUnavailable&) {
+  } catch (...) {
     // A COMMIT records its epoch on the peer only once it has fully applied,
     // and our epochs strictly rise: a peer holding this epoch ran this COMMIT
-    // and lost only the ack. PREPARE staged raw bytes at most, so anything
-    // short of that left the peer's heap untouched.
+    // and lost only the ack (PeerUnavailable). PREPARE staged raw bytes at
+    // most, and both COMMIT bodies apply all or nothing, so anything short of
+    // that (a lost link, or a VmError refusal) left the peer's heap
+    // untouched.
     trace.applied_on_peer =
         peer_ != nullptr && peer_->last_committed_epoch_ == trace.epoch;
     log.push_back(trace);
@@ -993,11 +928,12 @@ std::uint64_t Endpoint::migrate_objects(std::span<const ObjectId> ids) {
   // consistently (they all become stubs locally).
   std::vector<std::unique_ptr<vm::Object>> objects;
   objects.reserve(ids.size());
-  for (const ObjectId id : ids) {
-    objects.push_back(vm_.migrate_out(id));
-    // The peer's references to this object now resolve locally on the peer.
-    refs_.release_export(id);
-  }
+  for (const ObjectId id : ids) objects.push_back(vm_.migrate_out(id));
+  // Once the peer holds (or may hold) the batch, its references to these
+  // objects resolve locally on the peer.
+  const auto release_exports = [&] {
+    for (const ObjectId id : ids) refs_.release_export(id);
+  };
 
   ByteWriter prepare;
   prepare.write_u8(static_cast<std::uint8_t>(Op::migrate_prepare));
@@ -1019,11 +955,18 @@ std::uint64_t Endpoint::migrate_objects(std::span<const ObjectId> ids) {
     // reintegration will pull them back. Otherwise reinstating our extracted
     // copies restores the exact pre-offload state, no matter which message
     // boundary the link died at.
+    release_exports();
     if (!migrations_.back().applied_on_peer) {
       for (auto& obj : objects) vm_.migrate_in(std::move(obj));
     }
     throw;
+  } catch (const VmError&) {
+    // Refused with nothing adopted over a live link: the batch comes home
+    // still exported, so the peer's stubs of it keep resolving here.
+    for (auto& obj : objects) vm_.migrate_in(std::move(obj));
+    throw;
   }
+  release_exports();
 
   ByteReader r(resp);
   const auto count = r.read_u32();
@@ -1042,8 +985,9 @@ std::uint64_t Endpoint::migrate_objects(std::span<const ObjectId> ids) {
 
 void Endpoint::adopt_objects(ByteReader& sr, std::uint32_t count,
                              ByteWriter& out) {
-  std::vector<vm::Object*> adopted;
-  adopted.reserve(count);
+  std::vector<std::unique_ptr<vm::Object>> batch;
+  batch.reserve(count);
+  std::int64_t bytes = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
     const ObjectHeader h = read_object_header(sr);
     auto obj = std::make_unique<vm::Object>();
@@ -1053,13 +997,20 @@ void Endpoint::adopt_objects(ByteReader& sr, std::uint32_t count,
     obj->fields.assign(h.field_count, vm::Value{});
     obj->ints.assign(static_cast<std::size_t>(h.ints_len), 0);
     obj->chars.assign(static_cast<std::size_t>(h.chars_len), '\0');
-    vm::Object* raw = obj.get();
-    refs_.forget_import(h.id);
+    bytes += obj->size_bytes();
+    batch.push_back(std::move(obj));
+  }
+  // All or nothing: room for the whole batch (after a GC if need be) or an
+  // out_of_memory refusal before anything is adopted. With the room
+  // reserved no adoption can trigger a GC, so the adoptees need no pins
+  // while nothing local references them yet.
+  vm_.reserve(bytes);
+  std::vector<vm::Object*> adopted;
+  adopted.reserve(count);
+  for (auto& obj : batch) {
+    refs_.forget_import(obj->id);
+    adopted.push_back(obj.get());
     vm_.migrate_in(std::move(obj));
-    // Pin until the whole batch lands: migrate_in may GC to make room, and
-    // earlier adoptees are not yet referenced by anything local.
-    vm_.add_root(vm::ObjectRef{raw->id});
-    adopted.push_back(raw);
   }
   for (vm::Object* obj : adopted) {
     const std::int64_t before = obj->size_bytes();
@@ -1070,7 +1021,6 @@ void Endpoint::adopt_objects(ByteReader& sr, std::uint32_t count,
   out.write_u32(count);
   for (vm::Object* obj : adopted) {
     out.write_u64(refs_.export_object(obj->id).value());
-    vm_.remove_root(vm::ObjectRef{obj->id});
   }
 }
 

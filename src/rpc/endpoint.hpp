@@ -29,8 +29,8 @@
 //  * adaptive failure detection: a Jacobson-style RTT estimator over the
 //    transport legs shortens the retry timeout once samples exist, and
 //    ping() gives the platform an idle-period heartbeat probe,
-//  * batched, pipelined transport (BatchPolicy, on by default): void ops are
-//    write-behind and coalesce with the next synchronous op into one
+//  * batched, pipelined transport (set_batching, on by default): void ops
+//    are write-behind and coalesce with the next synchronous op into one
 //    multi-op frame under a single [crc][epoch][seq] header; remote reads
 //    fetch whole-object snapshots plus their MINCUT group neighbors
 //    (read-ahead); pure-write flushes under an inert fault plan overlap
@@ -66,33 +66,6 @@
 
 namespace aide::rpc {
 
-// Write-behind batching and read-ahead policy for one endpoint.
-//
-// With `enabled`, void operations (put_field / put_static / array_put /
-// chars_write) are deferred into a pending queue instead of paying a round
-// trip each: the queue is coalesced into one multi-op frame that goes out
-// when a synchronous operation rides along, when the queue reaches
-// `max_ops`, or at a yield point (GC entry, migration, the end of serving an
-// incoming invoke). A queue of exactly one op flushes as a bit-identical
-// legacy frame; an empty flush sends nothing.
-//
-// With `read_ahead`, a remote get_field miss fetches a snapshot of the whole
-// target object — plus up to `prefetch_limit` not-yet-cached neighbors from
-// its MINCUT partition group — in one frame; subsequent reads of those
-// objects are served locally until the peer next has a chance to execute
-// code (any outgoing invoke, any incoming frame, migration, flush).
-struct BatchPolicy {
-  bool enabled = true;
-  std::size_t max_ops = 32;
-  bool read_ahead = true;
-  std::size_t prefetch_limit = 4;
-  // Proven-deep pipelining: while an installed BatchSafetyOracle proves every
-  // pair of queued stores commutes, the queue may grow to this depth before a
-  // forced flush (values <= max_ops, and the default 0, disable deepening).
-  // Without an oracle the proof never holds, so this knob is inert.
-  std::size_t max_ops_proven = 0;
-};
-
 struct EndpointStats {
   std::uint64_t rpcs_sent = 0;
   std::uint64_t rpcs_served = 0;
@@ -125,7 +98,6 @@ struct EndpointStats {
   // Batch-safety accounting (all zero without a BatchSafetyOracle installed).
   std::uint64_t unproven_stores_flushed = 0;  // stores written through eagerly
   std::uint64_t unproven_riders_flushed = 0;  // pre-invoke queue flushes
-  std::uint64_t prefetches_filtered = 0;  // group mates pruned as ineligible
   // Disconnected-operation accounting (all zero unless the platform's
   // DisconnectPolicy is enabled and a partition actually happens).
   std::uint64_t disconnects_detected = 0;   // partitions the detector tripped
@@ -248,13 +220,25 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
     return retry_;
   }
 
-  // Batching is on by default; turning it off (or lowering max_ops) takes
-  // effect on the next operation. Disabling with ops still pending flushes
-  // them first so nothing is silently dropped.
-  void set_batch_policy(BatchPolicy policy);
-  [[nodiscard]] const BatchPolicy& batch_policy() const noexcept {
-    return batch_;
-  }
+  // Write-behind batching and read-ahead, on by default.
+  //
+  // Void operations (put_field / put_static / array_put / chars_write) are
+  // deferred into a pending queue instead of paying a round trip each: the
+  // queue is coalesced into one multi-op frame that goes out when a
+  // synchronous operation rides along, when the queue reaches 32 ops, or at
+  // a yield point (GC entry, migration, the end of serving an incoming
+  // invoke). A queue of exactly one op flushes as a bit-identical legacy
+  // frame; an empty flush sends nothing.
+  //
+  // A remote get_field miss fetches a snapshot of the whole target object —
+  // plus up to 4 not-yet-cached neighbors from its MINCUT partition group —
+  // in one frame; subsequent reads of those objects are served locally until
+  // the peer next has a chance to execute code (any outgoing invoke, any
+  // incoming frame, migration, flush).
+  //
+  // The switch takes effect on the next operation. Turning it off with ops
+  // still pending flushes them first so nothing is silently dropped.
+  void set_batching(bool on);
 
   // Read-ahead groups (typically the MINCUT components of the last offload):
   // when a get_field misses the snapshot cache, the demanded object's group
@@ -263,9 +247,9 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
   void set_prefetch_groups(std::vector<std::vector<ObjectId>> groups);
 
   // Batch-safety oracle (non-owning; the platform keeps it alive for the
-  // connection's lifetime, nullptr uninstalls). Every oracle verdict is
-  // consumed flush-earlier-only: a refusal sends the same ops in the same
-  // order across more frames, never reorders them — so an oracle that proves
+  // connection's lifetime, nullptr uninstalls). Both verdicts are consumed
+  // flush-earlier-only: a refusal sends the same ops in the same order
+  // across more frames, never reorders them — so an oracle that proves
   // everything leaves the wire byte-identical to no oracle at all. Installing
   // or replacing one flushes the queue first: queued proofs don't transfer.
   void set_batch_safety(const analysis::BatchSafetyOracle* oracle);
@@ -273,12 +257,6 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
       const noexcept {
     return oracle_;
   }
-
-  // Restricts read-ahead prefetch to group mates of the given classes
-  // (sorted; typically StaticHints::prefetch_eligible). The demanded object
-  // itself is always fetched — the filter only prunes the speculative extras.
-  // An empty call clears the filter (all classes eligible again).
-  void set_prefetch_eligible(std::vector<ClassId> classes);
 
   // The number of write-behind ops currently queued (test/bench visibility).
   [[nodiscard]] std::size_t pending_ops() const noexcept {
@@ -405,7 +383,9 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
   // payload bytes shipped. Stubs are left behind; the peer exports the
   // adopted objects back so future references resolve. On PeerUnavailable
   // the batch is reinstated locally (unless the peer already adopted it) and
-  // the error propagates for the platform to handle.
+  // the error propagates for the platform to handle. A COMMIT the peer
+  // refuses (no heap room for the whole batch) adopts nothing: the batch is
+  // reinstated, still exported, and the peer's VmError propagates.
   std::uint64_t migrate_objects(std::span<const ObjectId> ids);
 
  private:
@@ -501,26 +481,13 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
   // Write-behind plumbing. send_queue drains strictly (PeerUnavailable
   // propagates, queue kept); flush_or_recover is the top-level form that
   // falls back to platform recovery plus local re-application.
-  [[nodiscard]] bool defer_writes() const noexcept {
-    return batch_.enabled && peer_ != nullptr;
+  [[nodiscard]] bool batching_live() const noexcept {
+    return batching_ && peer_ != nullptr;
   }
   void enqueue_pending(PendingOp rec, ByteWriter encoded);
   void send_queue();
   void flush_or_recover();
   void apply_pending_locally();
-
-  // Batch-safety queries against the installed oracle. Store locations map
-  // from the pending-op record; with no oracle, stores are trivially
-  // deferrable (PR 6 semantics) and the commute proof is vacuously false.
-  struct StoreLoc {
-    ClassId cls;
-    analysis::StoreKind kind;
-    std::uint32_t member;
-  };
-  [[nodiscard]] StoreLoc store_loc_of(const PendingOp& rec) const;
-  [[nodiscard]] bool store_proven_deferrable(const PendingOp& rec) const;
-  [[nodiscard]] std::size_t effective_max_ops() const noexcept;
-  [[nodiscard]] bool prefetch_mate_eligible(ObjectId id) const;
 
   // Read-ahead plumbing.
   void invalidate_snapshots() noexcept { snapshots_.clear(); }
@@ -557,14 +524,16 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
   // Epoch-fenced two-phase transfer shared by migration and reconcile: bumps
   // the epoch, sends `prepare` (staged by the peer with no heap effects),
   // then a `commit_op` COMMIT naming `items`, and appends the TransferTrace
-  // to `log` either way. Returns the COMMIT reply; PeerUnavailable propagates
-  // with the trace's applied_on_peer telling whether the COMMIT ran.
+  // to `log` whatever the outcome. Returns the COMMIT reply; PeerUnavailable
+  // propagates with the trace's applied_on_peer telling whether the COMMIT
+  // ran, and a VmError (the peer refused the transfer) with nothing applied.
   std::vector<std::uint8_t> two_phase(ByteWriter prepare, Op commit_op,
                                       std::size_t items,
                                       std::vector<TransferTrace>& log);
-  // COMMIT bodies: adopt a staged migration batch (replying the export
-  // handles), or replay a staged redo log batch-atomically (one journal
-  // scope; any VmError rolls the whole replay back and rethrows).
+  // COMMIT bodies, both all-or-nothing: adopt a staged migration batch
+  // (making heap room for all of it before adopting any, and replying the
+  // export handles), or replay a staged redo log batch-atomically (one
+  // journal scope; any VmError rolls the whole replay back and rethrows).
   void adopt_objects(ByteReader& sr, std::uint32_t count, ByteWriter& out);
   void replay_redo(ByteReader& sr, std::uint32_t count);
 
@@ -594,16 +563,10 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
   EndpointStats stats_;
   SessionId session_ = SessionId::invalid();
   RetryPolicy retry_;
-  BatchPolicy batch_;
+  bool batching_ = true;
   std::function<bool()> peer_failure_handler_;
 
-  // Batch-safety state: the installed oracle, whether every pair of queued
-  // stores is proven to commute (true while empty; monotonically falls as
-  // ops join the queue), and the sorted prefetch class filter.
   const analysis::BatchSafetyOracle* oracle_ = nullptr;
-  bool pending_proven_ = true;
-  std::vector<ClassId> prefetch_filter_;
-  bool has_prefetch_filter_ = false;
 
   // Write-behind queue: encoded-but-unsent void ops awaiting coalescing.
   std::vector<PendingOp> pending_;

@@ -63,7 +63,7 @@ ObjectRef Vm::allocate(ClassId cls, ObjectKind kind, std::int64_t ints_len,
   }
 
   maybe_gc_after_alloc(size);
-  ensure_capacity(size);
+  reserve(size);
 
   const ObjectId id = next_object_id();
   Object& obj = heap_.create(
@@ -97,7 +97,7 @@ void Vm::maybe_gc_after_alloc(std::int64_t upcoming_bytes) {
   if (by_count || by_bytes || by_space) collect_garbage();
 }
 
-void Vm::ensure_capacity(std::int64_t bytes) {
+void Vm::reserve(std::int64_t bytes) {
   if (heap_.fits(bytes)) return;
   if (!in_gc_) collect_garbage();
   if (heap_.fits(bytes)) return;
@@ -1053,7 +1053,7 @@ std::unique_ptr<Object> Vm::migrate_out(ObjectId id) {
 
 void Vm::migrate_in(std::unique_ptr<Object> obj) {
   assert(obj != nullptr);
-  ensure_capacity(obj->size_bytes());
+  reserve(obj->size_bytes());
   stubs_.erase(obj->id);
   obj->gc_mark = false;
   heap_.insert(std::move(obj));

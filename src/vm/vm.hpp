@@ -300,6 +300,11 @@ class Vm {
   std::unique_ptr<Object> migrate_out(ObjectId id);
   // Adopts a migrated object; replaces any stub for it.
   void migrate_in(std::unique_ptr<Object> obj);
+  // Makes room for `bytes` more heap: a GC, then the low-memory handler, if
+  // they are needed; throws out_of_memory when even that is not enough.
+  // Lets a migration batch claim its whole footprint before adopting any of
+  // it.
+  void reserve(std::int64_t bytes);
   // Registers a stub for a remote object this VM just learned about.
   void install_stub(ObjectId id, ClassId cls, ObjectKind kind);
   // Drops a stub (peer released the object or it migrated here).
@@ -362,7 +367,6 @@ class Vm {
 
   ObjectRef allocate(ClassId cls, ObjectKind kind, std::int64_t ints_len,
                      std::int64_t chars_len, std::string_view chars_init);
-  void ensure_capacity(std::int64_t bytes);
   void maybe_gc_after_alloc(std::int64_t bytes);
 
   // What the caller already knows about the target's placement: callers that

@@ -114,17 +114,14 @@ apps::AppParams small_params() {
   return p;
 }
 
-platform::PlatformConfig platform_config(bool batching, bool oracle = true,
-                                         std::size_t deepen = 0) {
+platform::PlatformConfig platform_config(bool batching, bool oracle = true) {
   platform::PlatformConfig cfg;
   cfg.client_heap = 64 << 20;
   cfg.surrogate_heap = 64 << 20;
   cfg.auto_offload = false;  // ForcedOffload drives the schedule
   cfg.client_gc_alloc_count_threshold = 4;
   cfg.client_gc_alloc_bytes_divisor = 512;
-  cfg.batching.enabled = batching;
-  cfg.batching.read_ahead = batching;
-  cfg.batching.max_ops_proven = deepen;
+  cfg.batching = batching;
   cfg.effect_verify = oracle;  // on: BatchSafety installed (apps are 100% IR)
   return cfg;
 }
@@ -148,10 +145,10 @@ struct RunOut {
 };
 
 RunOut run_app(const apps::AppInfo& app, const apps::AppParams& params,
-               bool batching, bool oracle = true, std::size_t deepen = 0) {
+               bool batching, bool oracle = true) {
   auto reg = std::make_shared<vm::ClassRegistry>();
   app.register_classes(*reg);
-  platform::Platform p(reg, platform_config(batching, oracle, deepen));
+  platform::Platform p(reg, platform_config(batching, oracle));
   ForcedOffload forced(p);
   EventOrderDigest order;
   p.client().add_hooks(&forced);
@@ -191,11 +188,11 @@ TEST_P(BatchAppParityTest, BatchingPreservesOutputAndEventOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Apps, BatchAppParityTest, ::testing::ValuesIn(kApps));
 
-// With the BatchSafetyOracle installed (effect_verify on, the default) and
-// no deepening requested, every batching decision must be byte-identical to
-// the oracle-free transport: same checksum, same event stream, and the very
-// same frame/op/byte counters. The oracle may only act when a policy knob
-// (max_ops_proven, prefetch filter) asks it to.
+// With the BatchSafetyOracle installed (effect_verify on, the default), every
+// batching decision must be byte-identical to the oracle-free transport: same
+// checksum, same event stream, and the very same frame/op/byte counters. The
+// paper apps are fully annotated, so the oracle proves every store and every
+// rider and never forces an earlier flush.
 TEST_P(BatchAppParityTest, OracleInstallIsByteIdentical) {
   const auto& app = apps::app_by_name(GetParam());
   const auto params = small_params();
@@ -209,25 +206,6 @@ TEST_P(BatchAppParityTest, OracleInstallIsByteIdentical) {
   EXPECT_EQ(with.client, without.client);  // every stat, frame for frame
   EXPECT_EQ(with.client.unproven_stores_flushed, 0u);
   EXPECT_EQ(with.client.unproven_riders_flushed, 0u);
-}
-
-// Proven-deep pipelining: max_ops_proven lets a provably commuting queue
-// run past max_ops. Output and event order must be untouched; the frame
-// count can only improve (or tie, when bursts conflict and never deepen).
-TEST_P(BatchAppParityTest, ProvenDeepeningPreservesOutput) {
-  const auto& app = apps::app_by_name(GetParam());
-  const auto params = small_params();
-  const std::uint64_t expected = standalone_checksum(app, params);
-
-  const RunOut base = run_app(app, params, true);
-  const RunOut deep = run_app(app, params, true, /*oracle=*/true,
-                              /*deepen=*/256);
-
-  EXPECT_EQ(deep.checksum, expected);
-  EXPECT_EQ(deep.events, base.events);
-  EXPECT_EQ(deep.digest, base.digest);
-  EXPECT_LE(deep.client.rpcs_sent, base.client.rpcs_sent);
-  EXPECT_EQ(deep.client.ops_sent, base.client.ops_sent);
 }
 
 // --- seeded sweep ------------------------------------------------------------
@@ -346,8 +324,7 @@ std::uint64_t run_random_on_platform(std::uint64_t seed, bool batching) {
   platform::PlatformConfig cfg;
   cfg.client_heap = 32 << 20;
   cfg.auto_offload = false;  // run_random drives its own offloads
-  cfg.batching.enabled = batching;
-  cfg.batching.read_ahead = batching;
+  cfg.batching = batching;
   platform::Platform p(reg, cfg);
   return run_random(p.client(), seed,
                     [&p] { p.offload_now(std::int64_t{1}); });

@@ -1,9 +1,8 @@
 // Tests for the transport's consumption of a BatchSafetyOracle: refused
 // stores write through eagerly (flush earlier, never reorder), unproven
-// riders force a pre-invoke flush, a fully proven queue may deepen past
-// max_ops up to max_ops_proven, installing an oracle drains the queue, the
-// read-ahead prefetch filter prunes ineligible group mates, and a refused
-// store or rider whose drain loses the peer completes locally.
+// riders force a pre-invoke flush, installing an oracle drains the queue,
+// and a refused store or rider whose drain loses the peer completes locally.
+// Also read-ahead's group prefetch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,24 +27,12 @@ using vm::VmConfig;
 class FakeOracle final : public analysis::BatchSafetyOracle {
  public:
   bool defer = true;
-  bool commute = true;
   bool riders = true;
-  bool eligible = true;
 
-  bool store_deferrable(ClassId, analysis::StoreKind,
-                        std::uint32_t) const noexcept override {
-    return defer;
-  }
-  bool stores_commute(ClassId, analysis::StoreKind, std::uint32_t, ClassId,
-                      analysis::StoreKind, std::uint32_t)
-      const noexcept override {
-    return commute;
-  }
+  bool store_deferrable() const noexcept override { return defer; }
   bool invoke_accepts_riders(ClassId, MethodId) const noexcept override {
     return riders;
   }
-  bool replay_safe(ClassId, MethodId) const noexcept override { return false; }
-  bool prefetch_eligible(ClassId) const noexcept override { return eligible; }
 };
 
 class BatchSafetyEndpointTest : public ::testing::Test {
@@ -248,57 +235,6 @@ TEST_F(BatchSafetyEndpointTest, ProvenRidersStillShareTheFrame) {
   EXPECT_GT(after.batched_ops, before.batched_ops);
 }
 
-TEST_F(BatchSafetyEndpointTest, ProvenQueueDeepensPastMaxOps) {
-  BatchPolicy deep;
-  deep.max_ops = 2;
-  deep.max_ops_proven = 8;
-  client_ep_.set_batch_policy(deep);
-  client_ep_.set_batch_safety(&oracle_);
-  const ObjectRef pair = offloaded_pair();
-  // Five commuting stores: without the proof the cap (2) would have flushed
-  // twice already; with it the queue keeps growing.
-  for (int i = 0; i < 5; ++i) {
-    client_.put_field(pair, FieldId{static_cast<std::uint32_t>(i % 2)},
-                      Value{i});
-  }
-  EXPECT_EQ(client_ep_.pending_ops(), 5u);
-  client_ep_.flush_pending();
-  EXPECT_EQ(surrogate_.raw_get_field(pair.id, FieldId{0}).as_int(), 4);
-  EXPECT_EQ(surrogate_.raw_get_field(pair.id, FieldId{1}).as_int(), 3);
-}
-
-TEST_F(BatchSafetyEndpointTest, UnprovenPairFallsBackToBaseCap) {
-  BatchPolicy deep;
-  deep.max_ops = 2;
-  deep.max_ops_proven = 8;
-  client_ep_.set_batch_policy(deep);
-  client_ep_.set_batch_safety(&oracle_);
-  const ObjectRef pair = offloaded_pair();
-  client_.put_field(pair, FieldId{0}, Value{1});
-  client_.put_field(pair, FieldId{1}, Value{2});
-  client_.put_field(pair, FieldId{0}, Value{3});
-  ASSERT_EQ(client_ep_.pending_ops(), 3u);  // proven so far
-  // The next store's proof fails: the queue is past the base cap already,
-  // so it must flush now rather than keep pipelining unproven.
-  oracle_.commute = false;
-  client_.put_field(pair, FieldId{1}, Value{4});
-  EXPECT_EQ(client_ep_.pending_ops(), 0u);
-  EXPECT_EQ(surrogate_.raw_get_field(pair.id, FieldId{0}).as_int(), 3);
-  EXPECT_EQ(surrogate_.raw_get_field(pair.id, FieldId{1}).as_int(), 4);
-}
-
-TEST_F(BatchSafetyEndpointTest, WithoutOracleMaxOpsProvenIsInert) {
-  BatchPolicy deep;
-  deep.max_ops = 2;
-  deep.max_ops_proven = 8;
-  client_ep_.set_batch_policy(deep);
-  const ObjectRef pair = offloaded_pair();
-  client_.put_field(pair, FieldId{0}, Value{1});
-  client_.put_field(pair, FieldId{1}, Value{2});
-  // No oracle, no proof: the base cap flushed at 2.
-  EXPECT_EQ(client_ep_.pending_ops(), 0u);
-}
-
 TEST_F(BatchSafetyEndpointTest, InstallingOracleFlushesQueue) {
   const ObjectRef pair = offloaded_pair();
   client_.put_field(pair, FieldId{0}, Value{9});
@@ -309,35 +245,7 @@ TEST_F(BatchSafetyEndpointTest, InstallingOracleFlushesQueue) {
   EXPECT_EQ(client_ep_.batch_safety(), &oracle_);
 }
 
-TEST_F(BatchSafetyEndpointTest, PrefetchFilterPrunesIneligibleMates) {
-  const ObjectRef a = client_.new_object("Pair");
-  const ObjectRef b = client_.new_object("Pair");
-  const ObjectRef c = client_.new_object("Holder");
-  client_.add_root(a);
-  client_.add_root(b);
-  client_.add_root(c);
-  client_.put_field(a, FieldId{0}, Value{1});
-  client_.put_field(b, FieldId{0}, Value{2});
-  {
-    const ObjectId ids[] = {a.id, b.id, c.id};
-    client_ep_.migrate_objects(ids);
-  }
-  client_ep_.set_prefetch_groups({{a.id, b.id, c.id}});
-
-  // Only Pair is eligible: the demanded object always fetches, the Pair
-  // mate prefetches, the Holder mate is pruned.
-  client_ep_.set_prefetch_eligible({registry_->find("Pair")});
-  EXPECT_EQ(client_.get_field(a, FieldId{0}).as_int(), 1);
-  const auto stats = client_ep_.stats();
-  EXPECT_EQ(stats.objects_prefetched, 1u);
-  EXPECT_EQ(stats.prefetches_filtered, 1u);
-  // The prefetched mate serves from the snapshot cache, no extra frame.
-  const auto before = client_ep_.stats().rpcs_sent;
-  EXPECT_EQ(client_.get_field(b, FieldId{0}).as_int(), 2);
-  EXPECT_EQ(client_ep_.stats().rpcs_sent, before);
-}
-
-TEST_F(BatchSafetyEndpointTest, EmptyFilterPrefetchesEveryMate) {
+TEST_F(BatchSafetyEndpointTest, ReadAheadPrefetchesEveryMate) {
   const ObjectRef a = client_.new_object("Pair");
   const ObjectRef b = client_.new_object("Holder");
   client_.add_root(a);
@@ -351,7 +259,6 @@ TEST_F(BatchSafetyEndpointTest, EmptyFilterPrefetchesEveryMate) {
   EXPECT_EQ(client_.get_field(a, FieldId{0}).as_int(), 1);
   const auto stats = client_ep_.stats();
   EXPECT_EQ(stats.objects_prefetched, 1u);
-  EXPECT_EQ(stats.prefetches_filtered, 0u);
 }
 
 }  // namespace

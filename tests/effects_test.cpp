@@ -446,24 +446,11 @@ TEST(BatchSafetyTest, FullCoverageVerdicts) {
   const BatchSafety oracle(r);
   const ClassId p = reg.find("P");
   const MethodId set_a = reg.get(p).find_method("setA");
-  const MethodId get_a = reg.get(p).find_method("getA");
 
-  EXPECT_TRUE(oracle.store_deferrable(p, StoreKind::field, 0));
-  EXPECT_TRUE(oracle.stores_commute(p, StoreKind::field, 0,
-                                    p, StoreKind::field, 1));
-  EXPECT_FALSE(oracle.stores_commute(p, StoreKind::field, 0,
-                                     p, StoreKind::field, 0));
-  EXPECT_FALSE(oracle.stores_commute(p, StoreKind::field, kAnyMember,
-                                     p, StoreKind::field, 1));
-  // elems and chars collapse to the same kAnyMember row.
-  EXPECT_FALSE(oracle.stores_commute(p, StoreKind::elems, kAnyMember,
-                                     p, StoreKind::chars, kAnyMember));
+  EXPECT_TRUE(oracle.store_deferrable());
   EXPECT_TRUE(oracle.invoke_accepts_riders(p, set_a));
-  EXPECT_TRUE(oracle.replay_safe(p, get_a));
-  EXPECT_FALSE(oracle.replay_safe(p, set_a));
   // Out-of-range ids answer conservatively.
   EXPECT_FALSE(oracle.invoke_accepts_riders(ClassId{1000}, MethodId{0}));
-  EXPECT_FALSE(oracle.replay_safe(ClassId{1000}, MethodId{0}));
 }
 
 TEST(BatchSafetyTest, UnknownWritesRefuseAllDeferral) {
@@ -476,9 +463,7 @@ TEST(BatchSafetyTest, UnknownWritesRefuseAllDeferral) {
   const VerifyReport r = verify(reg);
   const BatchSafety oracle(r);
   const ClassId q = reg.find("Q");
-  EXPECT_FALSE(oracle.store_deferrable(q, StoreKind::field, 0));
-  EXPECT_FALSE(oracle.stores_commute(q, StoreKind::field, 0,
-                                     q, StoreKind::field, 1));
+  EXPECT_FALSE(oracle.store_deferrable());
   EXPECT_FALSE(
       oracle.invoke_accepts_riders(q, reg.get(q).find_method("dark")));
 }

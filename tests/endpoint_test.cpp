@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -468,6 +469,47 @@ TEST_F(EndpointTest, FailedMigrationReinstatesBatchLocally) {
   EXPECT_EQ(client_.call(counter, "get").as_int(), 1);
 }
 
+// A COMMIT the peer has no heap room for adopts nothing: the batch comes
+// home whole over the still-live link, and the refusal is traced.
+TEST(RefusedCommitTest, FullSurrogateHeapRefusesWholeBatch) {
+  const auto registry = make_test_registry();
+  SimClock clock;
+  netsim::Link link(netsim::LinkParams::wavelan());
+  VmConfig small = surrogate_cfg();
+  small.heap_capacity = 400;  // 16 Counters (24 B each) fit; 40 do not
+  Vm client(client_cfg(), registry, clock);
+  Vm surrogate(small, registry, clock);
+  Endpoint client_ep(client, link);
+  Endpoint surrogate_ep(surrogate, link);
+  Endpoint::connect(client_ep, surrogate_ep);
+
+  std::vector<ObjectId> ids;
+  for (std::int64_t i = 0; i < 40; ++i) {
+    const ObjectRef counter = client.new_object("Counter");
+    client.add_root(counter);
+    client.put_field(counter, FieldId{0}, Value{i});
+    ids.push_back(counter.id);
+  }
+  EXPECT_THROW(client_ep.migrate_objects(ids), VmError);
+
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_TRUE(client.is_local(ids[i])) << "object " << i;
+    EXPECT_EQ(client.raw_get_field(ids[i], FieldId{0}),
+              Value{static_cast<std::int64_t>(i)});
+    EXPECT_FALSE(surrogate.knows(ids[i]));
+  }
+  EXPECT_EQ(client.stub_count(), 0u);
+  EXPECT_EQ(surrogate.heap().used(), 0);
+  ASSERT_EQ(client_ep.migrations().size(), 1u);
+  EXPECT_FALSE(client_ep.migrations().back().committed);
+  EXPECT_FALSE(client_ep.migrations().back().applied_on_peer);
+
+  // The link is fine: a batch that fits still migrates.
+  EXPECT_GT(client_ep.migrate_objects(std::span(ids).first(8)), 0u);
+  EXPECT_TRUE(surrogate.is_local(ids[0]));
+  EXPECT_EQ(client.call(ObjectRef{ids[0]}, "inc").as_int(), 1);
+}
+
 TEST_F(EndpointTest, AdaptiveTimeoutTracksMeasuredRtt) {
   const ObjectRef counter = client_.new_object("Counter");
   client_.add_root(counter);
@@ -723,10 +765,7 @@ TEST_F(EndpointTest, SingleOpBatchFlushMatchesLegacyFrameCost) {
   offload(pair);
 
   // Legacy framing: one remote store, one frame, measured in bytes.
-  BatchPolicy off;
-  off.enabled = false;
-  off.read_ahead = false;
-  client_ep_.set_batch_policy(off);
+  client_ep_.set_batching(false);
   const EndpointStats before_off = client_ep_.stats();
   client_.put_field(pair, FieldId{0}, Value{std::int64_t{41}});
   const std::uint64_t legacy_bytes =
@@ -735,7 +774,7 @@ TEST_F(EndpointTest, SingleOpBatchFlushMatchesLegacyFrameCost) {
 
   // Batched transport, same store: the lone queued op must flush as a
   // bit-identical legacy frame — no batch envelope, no extra bytes.
-  client_ep_.set_batch_policy(BatchPolicy{});
+  client_ep_.set_batching(true);
   const EndpointStats before_on = client_ep_.stats();
   client_.put_field(pair, FieldId{0}, Value{std::int64_t{42}});
   EXPECT_EQ(client_ep_.pending_ops(), 1u);
@@ -745,6 +784,57 @@ TEST_F(EndpointTest, SingleOpBatchFlushMatchesLegacyFrameCost) {
   EXPECT_EQ(client_ep_.stats().bytes_sent - before_on.bytes_sent, legacy_bytes);
   EXPECT_EQ(client_ep_.stats().batches_sent, before_on.batches_sent);
   EXPECT_EQ(client_.get_field(pair, FieldId{0}).as_int(), 42);
+}
+
+TEST_F(EndpointTest, QueueFlushesAsOneFrameAtThirtyTwoOps) {
+  const ObjectRef pair = client_.new_object("Pair");
+  client_.add_root(pair);
+  offload(pair);
+
+  const EndpointStats before = client_ep_.stats();
+  for (std::int64_t i = 0; i < 31; ++i) {
+    client_.put_field(pair, FieldId{0}, Value{i});
+  }
+  // 31 deferred stores stay queued: nothing on the air yet.
+  EXPECT_EQ(client_ep_.pending_ops(), 31u);
+  EXPECT_EQ(client_ep_.stats().rpcs_sent, before.rpcs_sent);
+  // The 32nd fills the queue, which flushes whole as one multi-op frame.
+  client_.put_field(pair, FieldId{0}, Value{std::int64_t{31}});
+  EXPECT_EQ(client_ep_.pending_ops(), 0u);
+  EXPECT_EQ(client_ep_.stats().rpcs_sent - before.rpcs_sent, 1u);
+  EXPECT_EQ(client_ep_.stats().batches_sent - before.batches_sent, 1u);
+  EXPECT_EQ(client_ep_.stats().batched_ops - before.batched_ops, 32u);
+  EXPECT_EQ(surrogate_.raw_get_field(pair.id, FieldId{0}).as_int(), 31);
+}
+
+TEST_F(EndpointTest, SnapshotMissPrefetchesFourGroupMates) {
+  std::vector<ObjectId> group;
+  for (std::int64_t i = 0; i < 7; ++i) {
+    const ObjectRef pair = client_.new_object("Pair");
+    client_.add_root(pair);
+    client_.put_field(pair, FieldId{0}, Value{i});
+    group.push_back(pair.id);
+  }
+  client_ep_.migrate_objects(group);
+  client_ep_.set_prefetch_groups({group});  // ids are minted ascending
+
+  // The miss fetches the demanded object plus the first four mates.
+  const EndpointStats before = client_ep_.stats();
+  EXPECT_EQ(client_.get_field(ObjectRef{group[0]}, FieldId{0}).as_int(), 0);
+  EXPECT_EQ(client_ep_.stats().rpcs_sent - before.rpcs_sent, 1u);
+  EXPECT_EQ(client_ep_.stats().snapshots_fetched - before.snapshots_fetched,
+            5u);
+  EXPECT_EQ(client_ep_.stats().objects_prefetched - before.objects_prefetched,
+            4u);
+  // Those four read from the snapshot cache; the fifth mate misses.
+  for (std::size_t i = 1; i <= 4; ++i) {
+    EXPECT_EQ(client_.get_field(ObjectRef{group[i]}, FieldId{0}).as_int(),
+              static_cast<std::int64_t>(i));
+  }
+  EXPECT_EQ(client_ep_.stats().rpcs_sent - before.rpcs_sent, 1u);
+  EXPECT_EQ(client_ep_.stats().readahead_hits - before.readahead_hits, 4u);
+  EXPECT_EQ(client_.get_field(ObjectRef{group[5]}, FieldId{0}).as_int(), 5);
+  EXPECT_EQ(client_ep_.stats().rpcs_sent - before.rpcs_sent, 2u);
 }
 
 TEST_F(EndpointTest, RtoExpiryVoidsWholeBatchExactlyOnce) {

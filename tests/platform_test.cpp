@@ -92,6 +92,39 @@ TEST(PlatformTest, OffloadNowReportsDecision) {
             report->client_heap_used_before);
 }
 
+// A surrogate without room for the chosen batch refuses it whole: the
+// offload reports nothing, the link stays up and the client keeps every
+// chunk.
+TEST(PlatformTest, SurrogateWithoutRoomRefusesOffloadWhole) {
+  auto cfg = small_config();
+  cfg.surrogate_heap = 32 * 1024;
+  Platform p(make_test_registry(), cfg);
+  vm::Vm& client = p.client();
+  seed_pinned_anchor(p);
+  const ObjectRef holder = client.new_ref_array(8);
+  client.add_root(holder);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    const ObjectRef chunk = client.new_char_array(30 * 1024);
+    client.put_field(holder, FieldId{i}, Value{chunk});
+  }
+  std::optional<OffloadReport> report;
+  try {
+    report = p.offload_now(std::int64_t{60 * 1024});
+  } catch (const VmError& e) {
+    ADD_FAILURE() << "offload escaped: " << e.what();
+  }
+  EXPECT_FALSE(report.has_value());
+  EXPECT_FALSE(p.offloaded());
+  EXPECT_EQ(p.link_state(), LinkState::connected);
+  EXPECT_TRUE(p.failures().empty());
+  EXPECT_EQ(p.surrogate().heap().used(), 0);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    const ObjectRef chunk = client.get_field(holder, FieldId{i}).as_ref();
+    EXPECT_TRUE(client.is_local(chunk.id)) << "chunk " << i;
+    EXPECT_EQ(client.array_length(chunk), 30 * 1024);
+  }
+}
+
 TEST(PlatformTest, NoBeneficialPartitioningReturnsNullopt) {
   // An empty execution history has nothing to offload.
   Platform p(make_test_registry(), small_config());
