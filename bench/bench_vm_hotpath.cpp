@@ -1,28 +1,22 @@
-// Hot-path benchmark: VM field access, method invocation, and heap churn.
+// Hot-path benchmark: the VM operations every Table 1 scenario pays per
+// instrumented op, on the path a Platform's VMs run.
 //
-// Measures the three costs every Table 1 scenario pays per instrumented VM
-// operation, comparing the current execution engine against in-binary
-// replicas of the pre-optimization (seed) pipeline:
+// Three loops — field get+put, int-array get+put and a cached CallSite
+// invoke — run inside a managed method of a driver class, so every op is an
+// interaction between two components, as it is inside an app. Each loop runs
+// on identical inputs twice: on a hook-free VM, and on a VM with an
+// ExecutionMonitor attached the way a Platform attaches one (add_hooks), so
+// every op also updates the execution graph. The monitored/hook-free ratio is
+// the instrumentation overhead the paper measures in section 5.1.
 //
-//  1. field access — slab-heap lookup (two array indexations, event assembly
-//     skipped when no hooks listen) vs the seed's unordered_map probe with an
-//     AccessEvent built on every access;
-//
-//  2. invoke — cached CallSite dispatch (resolve once per registry epoch,
-//     then MethodId) vs the seed's per-call string method scan, a second
-//     map probe for the placement check, a freshly-allocated frame root
-//     vector, and unconditional InvokeEvent assembly;
-//
-//  3. alloc/GC churn — slab create/sweep with pooled slots vs the seed's
-//     make_unique + unordered_map insert/erase per object lifetime.
-//
-// Both sides run in this binary on identical inputs, so speedups are
-// machine-independent ratios. A global operator new/delete counter verifies
-// the new field-access path allocates nothing in steady state. Full runs
-// write BENCH_vm.json; `--smoke` runs a quick subset (CI) without writing.
+// A global operator new counter checks that no timed loop allocates. Exit
+// status is non-zero when a steady-state loop allocates (full and --smoke
+// runs) or, in the full run, when the monitored/hook-free ratio exceeds
+// kMaxMonitoredRatio for field access or invoke. Every figure is wall-clock
+// time on the machine that runs it. The full run writes BENCH_vm.json;
+// `--smoke` runs fewer ops and writes nothing.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,21 +25,16 @@
 #include <memory>
 #include <new>
 #include <string>
-#include <string_view>
-#include <unordered_map>
-#include <utility>
-#include <variant>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "vm/heap.hpp"
-#include "vm/hooks.hpp"
+#include "monitor/monitor.hpp"
 #include "vm/klass.hpp"
 #include "vm/vm.hpp"
 
 // --- allocation counter ------------------------------------------------------
 // The benchmark is single-threaded; a plain counter keeps the overridden
-// operator new cheap enough not to distort the legacy measurements.
+// operator new cheap.
 namespace {
 std::uint64_t g_alloc_count = 0;
 }  // namespace
@@ -70,6 +59,15 @@ using namespace aide::bench;
 
 namespace {
 
+// Monitoring may cost at most this much over the hook-free path (field
+// access and invoke; full run only).
+constexpr double kMaxMonitoredRatio = 2.5;
+
+// Sized like a live app heap: JavaNote alone holds on the order of a
+// thousand objects while editing.
+constexpr std::size_t kObjects = 1024;
+constexpr std::int64_t kArrayLength = 4096;
+
 double now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -87,633 +85,207 @@ double time_best_ms(int repeats, Fn&& fn) {
   return best * 1e3;
 }
 
-// --- seed replica ------------------------------------------------------------
-// Probe-for-probe replica of the pre-slab execution engine: objects behind an
-// ObjectId-keyed unordered_map, per-call string method scans, a fresh frame
-// (with a freshly-allocated root vector) per invocation, and hook events
-// assembled whether or not anyone listens — exactly the seed's Vm, minus the
-// remote/branching arms neither pipeline takes here. The replica carries the
-// seed's own value and object representations (std::variant slots, a
-// field-scanning size_bytes) so the baseline pays the seed's real per-copy
-// and per-footprint costs, not the optimized ones.
-
-// The seed's Value: a std::variant whose copy/assign go through alternative
-// dispatch, unlike the current tagged union.
-class SeedValue {
+// One VM with the benchmark's classes. Bench.Driver.run executes `loop`
+// inside its own frame, so each op inside is a Driver -> target interaction.
+class Fixture {
  public:
-  SeedValue() noexcept : v_(std::monostate{}) {}
-  SeedValue(std::int64_t i) noexcept : v_(i) {}  // NOLINT(google-explicit-constructor)
-  SeedValue(vm::ObjectRef r) noexcept : v_(r) {} // NOLINT(google-explicit-constructor)
-  SeedValue(std::string s) : v_(std::move(s)) {} // NOLINT(google-explicit-constructor)
-
-  [[nodiscard]] bool is_int() const noexcept {
-    return std::holds_alternative<std::int64_t>(v_);
-  }
-  [[nodiscard]] bool is_ref() const noexcept {
-    return std::holds_alternative<vm::ObjectRef>(v_);
-  }
-  [[nodiscard]] bool is_str() const noexcept {
-    return std::holds_alternative<std::string>(v_);
-  }
-  [[nodiscard]] std::int64_t as_int() const {
-    return std::get<std::int64_t>(v_);
-  }
-  [[nodiscard]] vm::ObjectRef as_ref() const {
-    return std::get<vm::ObjectRef>(v_);
-  }
-  [[nodiscard]] const std::string& as_str() const {
-    return std::get<std::string>(v_);
+  explicit Fixture(bool monitored)
+      : registry_(make_registry()),
+        monitor_(registry_),
+        vm_(config(), registry_, clock_) {
+    if (monitored) vm_.add_hooks(&monitor_);
+    driver_ = vm_.new_object("Bench.Driver");
+    vm_.add_root(driver_);
   }
 
-  [[nodiscard]] std::uint64_t wire_size() const noexcept {
-    struct Sizer {
-      std::uint64_t operator()(std::monostate) const noexcept { return 1; }
-      std::uint64_t operator()(bool) const noexcept { return 1; }
-      std::uint64_t operator()(std::int64_t) const noexcept { return 8; }
-      std::uint64_t operator()(double) const noexcept { return 8; }
-      std::uint64_t operator()(vm::ObjectRef) const noexcept { return 8; }
-      std::uint64_t operator()(const std::string& s) const noexcept {
-        return 4 + s.size();
-      }
-    };
-    return std::visit(Sizer{}, v_);
+  [[nodiscard]] vm::Vm& vm() noexcept { return vm_; }
+
+  // Warms the loop up once (interning classes and edges, growing pools),
+  // then times `repeats` runs; returns the best ns per op and counts the
+  // timed runs' allocations into `allocs`.
+  double time_ns_per_op(std::function<void()> loop, std::size_t ops,
+                        int repeats, std::uint64_t& allocs) {
+    loop_ = std::move(loop);
+    run();
+    const std::uint64_t before = g_alloc_count;
+    const double ms = time_best_ms(repeats, [&] { run(); });
+    allocs = g_alloc_count - before;
+    return ms * 1e6 / static_cast<double>(ops);
   }
 
  private:
-  std::variant<std::monostate, bool, std::int64_t, double, vm::ObjectRef,
-               std::string>
-      v_;
-};
-
-// The seed's Object: variant-valued fields and a size_bytes() that scans the
-// fields on every call (the seed had no cached footprint).
-struct SeedObject {
-  ObjectId id;
-  ClassId cls;
-  vm::ObjectKind kind = vm::ObjectKind::plain;
-  std::vector<SeedValue> fields;
-  std::vector<std::int64_t> ints;
-  std::string chars;
-  bool gc_mark = false;
-
-  [[nodiscard]] std::int64_t size_bytes() const noexcept {
-    constexpr std::int64_t header = 16;
-    switch (kind) {
-      case vm::ObjectKind::plain: {
-        std::int64_t sz =
-            header + static_cast<std::int64_t>(fields.size()) * 8;
-        for (const auto& f : fields) {
-          if (f.is_str()) sz += static_cast<std::int64_t>(f.as_str().size());
-        }
-        return sz;
-      }
-      case vm::ObjectKind::int_array:
-        return header + static_cast<std::int64_t>(ints.size()) * 8;
-      case vm::ObjectKind::char_array:
-        return header + static_cast<std::int64_t>(chars.size());
-    }
-    return header;
-  }
-};
-
-class SeedHeap {
- public:
-  SeedObject& insert(std::unique_ptr<SeedObject> obj) {
-    used_ += obj->size_bytes();
-    SeedObject& ref = *obj;
-    objects_[obj->id] = std::move(obj);
-    return ref;
-  }
-
-  [[nodiscard]] SeedObject* find(ObjectId id) {
-    const auto it = objects_.find(id);
-    return it == objects_.end() ? nullptr : it->second.get();
-  }
-
-  [[nodiscard]] bool contains(ObjectId id) const {
-    return objects_.count(id) != 0;
-  }
-
-  [[nodiscard]] std::int64_t used() const { return used_; }
-  [[nodiscard]] std::size_t object_count() const { return objects_.size(); }
-
-  // The seed's sweep: erase every unmarked map entry.
-  std::int64_t sweep() {
-    std::int64_t freed = 0;
-    for (auto it = objects_.begin(); it != objects_.end();) {
-      if (!it->second->gc_mark) {
-        freed += it->second->size_bytes();
-        it = objects_.erase(it);
-      } else {
-        it->second->gc_mark = false;
-        ++it;
-      }
-    }
-    used_ -= freed;
-    return freed;
-  }
-
- private:
-  std::unordered_map<ObjectId, std::unique_ptr<SeedObject>> objects_;
-  std::int64_t used_ = 0;
-};
-
-constexpr std::uint32_t kInvalidIndex = 0xffffffffu;
-
-struct SeedCtx;
-
-struct SeedMethodDef {
-  std::string name;
-  std::function<SeedValue(SeedCtx&, vm::ObjectRef, std::span<const SeedValue>)>
-      body;
-  SimDuration base_cost = 0;
-};
-
-struct SeedClassDef {
-  std::string name;
-  std::vector<SeedMethodDef> methods;
-};
-
-struct SeedFrame {
-  ClassId cls;
-  ObjectId self;
-  std::vector<ObjectId> local_roots;
-  SimTime start = 0;
-  SimDuration child_time = 0;
-};
-
-class NoopHooks final : public vm::VmHooks {};
-
-struct SeedCtx {
-  SeedHeap heap;
-  SimClock clock;
-  std::vector<SeedClassDef> classes;
-  std::vector<SeedFrame> frames;
-  std::vector<ObjectId> driver_roots;
-  std::vector<vm::VmHooks*> hooks;
-  bool journaling = false;
-  double cpu_speed = 1.0;
-  // VmStats counters the seed bumped on every operation.
-  std::uint64_t stats_invocations = 0;
-  std::uint64_t stats_field_accesses = 0;
-
-  SeedCtx() {
-    // Hook registration was a runtime property in the seed too; gating it on
-    // the environment keeps the compiler from proving the vector empty and
-    // sinking the event-assembly stores out of the measured path.
-    static NoopHooks noop;
-    if (std::getenv("BENCH_VM_HOOKED") != nullptr) hooks.push_back(&noop);
-  }
-};
-
-void seed_root_in_frame(SeedCtx& ctx, const SeedValue& v) {
-  if (!v.is_ref() || v.as_ref().is_null()) return;
-  if (!ctx.frames.empty()) {
-    ctx.frames.back().local_roots.push_back(v.as_ref().id);
-  } else {
-    ctx.driver_roots.push_back(v.as_ref().id);
-  }
-}
-
-// The replica entry points are noinline: in the seed these were calls into
-// vm.cpp, a separate translation unit, so app loops never inlined them.
-// Inlining them here would let the optimizer collapse costs the real seed
-// paid on every operation.
-[[gnu::noinline]] SeedValue seed_get_field(SeedCtx& ctx, vm::ObjectRef obj,
-                                           FieldId field) {
-  SeedObject* o = ctx.heap.find(obj.id);
-  if (o == nullptr || field.value() >= o->fields.size()) {
-    std::fprintf(stderr, "FATAL: seed_get_field miss\n");
-    std::exit(1);
-  }
-  SeedValue v = o->fields[field.value()];
-  ctx.stats_field_accesses += 1;
-  // The seed assembled the event unconditionally; only dispatch was gated
-  // on registered hooks.
-  vm::AccessEvent ev;
-  ev.vm = NodeId{1};
-  ev.from_cls = ctx.frames.empty() ? o->cls : ctx.frames.back().cls;
-  ev.from_obj = ctx.frames.empty() ? ObjectId::invalid()
-                                   : ctx.frames.back().self;
-  ev.to_cls = o->cls;
-  ev.to_obj = obj.id;
-  ev.is_write = false;
-  ev.bytes = v.wire_size();
-  ev.t = ctx.clock.now();
-  for (vm::VmHooks* h : ctx.hooks) h->on_access(ev);
-  seed_root_in_frame(ctx, v);
-  return v;
-}
-
-[[gnu::noinline]] void seed_put_field(SeedCtx& ctx, vm::ObjectRef obj,
-                                      FieldId field, const SeedValue& v) {
-  // The seed's write path probed the map three times: contains, class_of,
-  // then require_local inside raw_put_field.
-  if (!ctx.heap.contains(obj.id)) std::exit(1);
-  SeedObject* cls_probe = ctx.heap.find(obj.id);
-  const ClassId tcls = cls_probe->cls;
-  SeedObject* o = ctx.heap.find(obj.id);
-  if (o == nullptr || field.value() >= o->fields.size()) {
-    std::fprintf(stderr, "FATAL: seed_put_field miss\n");
-    std::exit(1);
-  }
-  if (ctx.journaling) std::exit(1);  // never recording in the benchmark
-  const SeedValue& old = o->fields[field.value()];
-  const std::int64_t delta =
-      (v.is_str() ? static_cast<std::int64_t>(v.as_str().size()) : 0) -
-      (old.is_str() ? static_cast<std::int64_t>(old.as_str().size()) : 0);
-  o->fields[field.value()] = v;
-  if (delta != 0) std::exit(1);  // int-only workload never resizes
-  ctx.stats_field_accesses += 1;
-  vm::AccessEvent ev;
-  ev.vm = NodeId{1};
-  ev.from_cls = ctx.frames.empty() ? tcls : ctx.frames.back().cls;
-  ev.from_obj = ctx.frames.empty() ? ObjectId::invalid()
-                                   : ctx.frames.back().self;
-  ev.to_cls = tcls;
-  ev.to_obj = obj.id;
-  ev.is_write = true;
-  ev.bytes = v.wire_size();
-  ev.t = ctx.clock.now();
-  for (vm::VmHooks* h : ctx.hooks) h->on_access(ev);
-}
-
-[[gnu::noinline]] SeedValue seed_call(SeedCtx& ctx, vm::ObjectRef obj,
-                                      std::string_view method,
-                                      std::span<const SeedValue> args) {
-  // class_of: one map probe.
-  SeedObject* o = ctx.heap.find(obj.id);
-  if (o == nullptr) {
-    std::fprintf(stderr, "FATAL: seed_call on unknown object\n");
-    std::exit(1);
-  }
-  // find_method: linear scan with string compares.
-  const SeedClassDef& def = ctx.classes[o->cls.value()];
-  std::uint32_t mid = kInvalidIndex;
-  for (std::uint32_t i = 0; i < def.methods.size(); ++i) {
-    if (def.methods[i].name == method) {
-      mid = i;
-      break;
-    }
-  }
-  if (mid == kInvalidIndex) {
-    std::fprintf(stderr, "FATAL: seed_call unknown method\n");
-    std::exit(1);
-  }
-  // invoke(): the seed's call() resolved class_of for the method lookup and
-  // then invoke() resolved class_of again — a second full map probe per call.
-  SeedObject* o2 = ctx.heap.find(obj.id);
-  if (o2 == nullptr) std::exit(1);
-  // dispatch_invoke: method_def (registry access + bounds check) ...
-  if (mid >= ctx.classes[o->cls.value()].methods.size()) std::exit(1);
-  const SeedMethodDef& m = ctx.classes[o->cls.value()].methods[mid];
-  // ... and the placement check (is_local): a second map probe.
-  if (!ctx.heap.contains(obj.id)) std::exit(1);
-  // Event inputs were gathered before dispatch, hooks or not.
-  const SimTime t0 = ctx.clock.now();
-  std::uint64_t arg_bytes = 0;
-  for (const SeedValue& a : args) arg_bytes += a.wire_size();
-
-  // execute_local: method_def again, then a fresh frame per call — the root
-  // vector's first push is the seed's per-invocation allocation.
-  const SeedMethodDef& m2 = ctx.classes[o->cls.value()].methods[mid];
-  if (!m2.body) std::exit(1);
-  ctx.frames.push_back(SeedFrame{o->cls, obj.id, {}, ctx.clock.now(), 0});
-  const std::size_t frame_ix = ctx.frames.size() - 1;
-  ctx.frames[frame_ix].local_roots.push_back(obj.id);
-  for (const SeedValue& a : args) {
-    if (a.is_ref() && !a.as_ref().is_null()) {
-      ctx.frames[frame_ix].local_roots.push_back(a.as_ref().id);
-    }
-  }
-  for (vm::VmHooks* h : ctx.hooks) {
-    h->on_method_enter(NodeId{1}, o->cls, obj.id, MethodId{mid},
-                       ctx.clock.now());
-  }
-  // work(): the seed divided by cpu_speed unconditionally, even at cost 0.
-  ctx.clock.advance(static_cast<SimDuration>(static_cast<double>(m2.base_cost) /
-                                             ctx.cpu_speed));
-  SeedValue ret = m.body(ctx, obj, args);
-  const SimDuration total = ctx.clock.now() - ctx.frames[frame_ix].start;
-  const SimDuration self_time = total - ctx.frames[frame_ix].child_time;
-  for (vm::VmHooks* h : ctx.hooks) {
-    h->on_method_exit(NodeId{1}, o->cls, obj.id, MethodId{mid}, self_time,
-                      ctx.clock.now());
-  }
-  ctx.frames.pop_back();
-  if (!ctx.frames.empty()) ctx.frames.back().child_time += total;
-  seed_root_in_frame(ctx, ret);
-
-  ctx.stats_invocations += 1;
-  vm::InvokeEvent ev;
-  ev.vm = NodeId{1};
-  ev.caller_cls = o->cls;
-  ev.callee_cls = o->cls;
-  ev.callee_obj = obj.id;
-  ev.method = MethodId{mid};
-  ev.bytes = arg_bytes + ret.wire_size();
-  ev.t = t0;
-  for (vm::VmHooks* h : ctx.hooks) h->on_invoke(ev);
-  return ret;
-}
-
-// --- shared fixtures ---------------------------------------------------------
-
-// Sized like a live app heap: JavaNote alone holds on the order of a
-// thousand objects while editing (600 KB document split into segment
-// objects plus their char-array backings). Object payloads are individually
-// heap-allocated in both pipelines, so payload locality is identical; what
-// the population size exercises is the lookup structure itself — the slab's
-// contiguous entry table versus the seed's pointer-chasing hash nodes —
-// which is exactly the difference under test.
-constexpr std::size_t kObjects = 1024;
-constexpr std::size_t kFields = 4;
-
-ObjectId bench_id(std::uint64_t counter) {
-  return ObjectId{(1ULL << 48) | counter};
-}
-
-std::shared_ptr<vm::ClassRegistry> make_bench_registry() {
-  auto reg = std::make_shared<vm::ClassRegistry>();
-  using vm::ClassBuilder;
-  using vm::ObjectRef;
-  using vm::Value;
-  using vm::Vm;
-
-  reg->register_class(ClassBuilder("Bench.Node")
-                          .field("a")
-                          .field("b")
-                          .field("c")
-                          .field("d")
-                          .build());
-
-  // Several methods ahead of the probed one, like a real app class; the seed
-  // scanned this list per call.
-  ClassBuilder target("Bench.Target");
-  target.field("v");
-  for (const char* name : {"reset", "size", "first", "last", "merge",
-                           "split", "describe"}) {
-    target.method(name, [](Vm&, ObjectRef, auto) -> Value { return Value{}; });
-  }
-  // The probed body is trivial (echo the argument) so the measurement
-  // isolates dispatch overhead; field-access cost has its own part.
-  target.method("probe", [](Vm&, ObjectRef, auto args) -> Value {
-    return args.empty() ? Value{} : Value{args[0]};
-  });
-  reg->register_class(target.build());
-  return reg;
-}
-
-std::unique_ptr<SeedObject> make_seed_object(std::uint64_t counter,
-                                             ClassId cls, std::size_t fields) {
-  auto obj = std::make_unique<SeedObject>();
-  obj->id = bench_id(counter);
-  obj->cls = cls;
-  obj->kind = vm::ObjectKind::plain;
-  obj->fields.assign(fields, SeedValue{});
-  return obj;
-}
-
-// --- part 1: field access ----------------------------------------------------
-
-struct FieldResult {
-  std::size_t ops = 0;
-  double new_ns = 0;
-  double seed_ns = 0;
-  double speedup = 0;
-  std::uint64_t steady_allocs = 0;
-};
-
-FieldResult run_field_part(std::size_t ops, int repeats) {
-  FieldResult out;
-  out.ops = ops;
-
-  // Identical object population and access pattern on both sides; the
-  // pseudo-random walk defeats trivial prefetching without costing either
-  // pipeline measurable harness time.
-  std::int64_t new_sum = 0;
-  std::uint64_t new_allocs = 0;
-  {
-    auto registry = make_bench_registry();
-    SimClock clock;
+  static vm::VmConfig config() {
     vm::VmConfig cfg;
     cfg.node = NodeId{1};
     cfg.name = "bench-vm";
     cfg.heap_capacity = 8 << 20;
-    vm::Vm vm(cfg, registry, clock);
+    return cfg;
+  }
+
+  std::shared_ptr<vm::ClassRegistry> make_registry() {
+    auto reg = std::make_shared<vm::ClassRegistry>();
+    using vm::ClassBuilder;
+    using vm::ObjectRef;
+    using vm::Value;
+    using vm::Vm;
+
+    reg->register_class(ClassBuilder("Bench.Node")
+                            .field("a")
+                            .field("b")
+                            .field("c")
+                            .field("d")
+                            .build());
+    // Several methods ahead of the probed one, like a real app class.
+    ClassBuilder target("Bench.Target");
+    target.field("v");
+    for (const char* name : {"reset", "size", "first", "last", "merge",
+                             "split", "describe"}) {
+      target.method(name,
+                    [](Vm&, ObjectRef, auto) -> Value { return Value{}; });
+    }
+    // The probed body is trivial (echo the argument) so the measurement
+    // isolates dispatch and monitoring.
+    target.method("probe", [](Vm&, ObjectRef, auto args) -> Value {
+      return args.empty() ? Value{} : Value{args[0]};
+    });
+    reg->register_class(target.build());
+    reg->register_class(ClassBuilder("Bench.Driver")
+                            .method("run",
+                                    [this](Vm&, ObjectRef, auto) -> Value {
+                                      loop_();
+                                      return Value{};
+                                    })
+                            .build());
+    return reg;
+  }
+
+  void run() { (void)vm_.call(driver_, "run"); }
+
+  std::shared_ptr<vm::ClassRegistry> registry_;
+  SimClock clock_;
+  monitor::ExecutionMonitor monitor_;
+  vm::Vm vm_;
+  vm::ObjectRef driver_;
+  std::function<void()> loop_;
+};
+
+struct LoopResult {
+  std::size_t ops = 0;
+  double hook_free_ns = 0;
+  double monitored_ns = 0;
+  std::uint64_t allocs = 0;  // both configurations' timed runs
+  [[nodiscard]] double ratio() const { return monitored_ns / hook_free_ns; }
+};
+
+// Runs `make_loop(fixture, sum)` hook-free and monitored; both must compute
+// the same sum.
+template <typename MakeLoop>
+LoopResult measure(const char* what, std::size_t ops, int repeats,
+                   MakeLoop&& make_loop) {
+  LoopResult out;
+  out.ops = ops;
+  std::int64_t sums[2] = {0, 0};
+  for (const bool monitored : {false, true}) {
+    Fixture fx(monitored);
+    std::int64_t& sum = sums[monitored ? 1 : 0];
+    std::uint64_t allocs = 0;
+    const double ns =
+        fx.time_ns_per_op(make_loop(fx, sum), ops, repeats, allocs);
+    (monitored ? out.monitored_ns : out.hook_free_ns) = ns;
+    out.allocs += allocs;
+  }
+  if (sums[0] != sums[1]) {
+    std::fprintf(stderr, "FATAL: %s loops disagree (%lld vs %lld)\n", what,
+                 static_cast<long long>(sums[0]),
+                 static_cast<long long>(sums[1]));
+    std::exit(1);
+  }
+  return out;
+}
+
+// get_field + put_field over a pseudo-random walk of kObjects nodes.
+LoopResult run_field(std::size_t ops, int repeats) {
+  return measure("field", ops, repeats, [ops](Fixture& fx, std::int64_t& sum) {
+    vm::Vm& vm = fx.vm();
     std::vector<vm::ObjectRef> refs;
     for (std::size_t i = 0; i < kObjects; ++i) {
       refs.push_back(vm.new_object("Bench.Node"));
+      vm.add_root(refs.back());
       vm.put_field(refs.back(), FieldId{0},
                    vm::Value{static_cast<std::int64_t>(i * 7)});
     }
-    const auto loop = [&] {
-      new_sum = 0;
+    return [&vm, &sum, ops, refs = std::move(refs)] {
+      sum = 0;
       std::size_t ix = 0;
       for (std::size_t i = 0; i < ops; ++i) {
         const vm::ObjectRef obj = refs[ix];
         const vm::Value got =
             vm.get_field(obj, FieldId{static_cast<std::uint32_t>(i & 3)});
         const std::int64_t v = got.is_int() ? got.as_int() : 0;
-        new_sum += v;
+        sum += v;
         vm.put_field(obj, FieldId{static_cast<std::uint32_t>((i + 1) & 3)},
                      vm::Value{v + static_cast<std::int64_t>(i)});
         ix = (ix * 25 + 13) % kObjects;
       }
     };
-    loop();  // warm up (interns nothing, but faults pages and warms caches)
-    const std::uint64_t allocs_before = g_alloc_count;
-    out.new_ns = time_best_ms(repeats, loop) * 1e6 / static_cast<double>(ops);
-    new_allocs = g_alloc_count - allocs_before;
-  }
-
-  std::int64_t seed_sum = 0;
-  {
-    SeedCtx ctx;
-    ctx.classes.resize(1);
-    ctx.classes[0].name = "Bench.Node";
-    std::vector<vm::ObjectRef> refs;
-    for (std::size_t i = 0; i < kObjects; ++i) {
-      SeedObject& o =
-          ctx.heap.insert(make_seed_object(i + 1, ClassId{0}, kFields));
-      o.fields[0] = SeedValue{static_cast<std::int64_t>(i * 7)};
-      refs.push_back(vm::ObjectRef{o.id});
-    }
-    const auto loop = [&] {
-      seed_sum = 0;
-      std::size_t ix = 0;
-      for (std::size_t i = 0; i < ops; ++i) {
-        const vm::ObjectRef obj = refs[ix];
-        const SeedValue got =
-            seed_get_field(ctx, obj, FieldId{static_cast<std::uint32_t>(i & 3)});
-        const std::int64_t v = got.is_int() ? got.as_int() : 0;
-        seed_sum += v;
-        seed_put_field(ctx, obj,
-                       FieldId{static_cast<std::uint32_t>((i + 1) & 3)},
-                       SeedValue{v + static_cast<std::int64_t>(i)});
-        ix = (ix * 25 + 13) % kObjects;
-      }
-    };
-    loop();
-    out.seed_ns = time_best_ms(repeats, loop) * 1e6 / static_cast<double>(ops);
-  }
-
-  if (new_sum != seed_sum) {
-    std::fprintf(stderr, "FATAL: field pipelines disagree (%lld vs %lld)\n",
-                 static_cast<long long>(new_sum),
-                 static_cast<long long>(seed_sum));
-    std::exit(1);
-  }
-  out.speedup = out.seed_ns / out.new_ns;
-  out.steady_allocs = new_allocs;
-  return out;
+  });
 }
 
-// --- part 2: invoke ----------------------------------------------------------
+// array_get + array_put over a pseudo-random walk of one int array.
+LoopResult run_array(std::size_t ops, int repeats) {
+  return measure("array", ops, repeats, [ops](Fixture& fx, std::int64_t& sum) {
+    vm::Vm& vm = fx.vm();
+    const vm::ObjectRef arr = vm.new_int_array(kArrayLength);
+    vm.add_root(arr);
+    return [&vm, &sum, ops, arr] {
+      sum = 0;
+      std::int64_t ix = 0;
+      for (std::size_t i = 0; i < ops; ++i) {
+        const std::int64_t v = vm.array_get(arr, ix).as_int();
+        sum += v;
+        vm.array_put(arr, (ix + 1) % kArrayLength,
+                     vm::Value{v + static_cast<std::int64_t>(i & 0xFF)});
+        ix = (ix * 25 + 13) % kArrayLength;
+      }
+    };
+  });
+}
 
-struct InvokeResult {
-  std::size_t ops = 0;
-  double new_ns = 0;
-  double seed_ns = 0;
-  double speedup = 0;
-  std::uint64_t new_allocs = 0;
-  std::uint64_t seed_allocs = 0;
-};
-
-InvokeResult run_invoke_part(std::size_t ops, int repeats) {
-  InvokeResult out;
-  out.ops = ops;
-
-  std::int64_t new_sum = 0;
-  {
-    auto registry = make_bench_registry();
-    SimClock clock;
-    vm::VmConfig cfg;
-    cfg.node = NodeId{1};
-    cfg.name = "bench-vm";
-    cfg.heap_capacity = 8 << 20;
-    vm::Vm vm(cfg, registry, clock);
+// Cached CallSite invokes of a trivial echo method.
+LoopResult run_invoke(std::size_t ops, int repeats) {
+  return measure("invoke", ops, repeats, [ops](Fixture& fx, std::int64_t& sum) {
+    vm::Vm& vm = fx.vm();
     const vm::ObjectRef target = vm.new_object("Bench.Target");
-    vm.put_field(target, FieldId{0}, vm::Value{std::int64_t{42}});
-    const vm::CallSite probe{"probe"};
-    const auto loop = [&] {
-      new_sum = 0;
+    vm.add_root(target);
+    auto probe = std::make_shared<const vm::CallSite>("probe");
+    return [&vm, &sum, ops, target, probe] {
+      sum = 0;
       for (std::size_t i = 0; i < ops; ++i) {
-        new_sum += vm.call(target, probe,
-                           {vm::Value{static_cast<std::int64_t>(i)}})
-                       .as_int();
+        sum += vm.call(target, *probe,
+                       {vm::Value{static_cast<std::int64_t>(i)}})
+                   .as_int();
       }
     };
-    loop();
-    const std::uint64_t allocs_before = g_alloc_count;
-    out.new_ns = time_best_ms(repeats, loop) * 1e6 / static_cast<double>(ops);
-    out.new_allocs = g_alloc_count - allocs_before;
-  }
-
-  std::int64_t seed_sum = 0;
-  {
-    SeedCtx ctx;
-    ctx.classes.resize(1);
-    SeedClassDef& def = ctx.classes[0];
-    def.name = "Bench.Target";
-    for (const char* name : {"reset", "size", "first", "last", "merge",
-                             "split", "describe"}) {
-      def.methods.push_back(
-          {name, [](SeedCtx&, vm::ObjectRef, auto) -> SeedValue {
-             return SeedValue{};
-           }});
-    }
-    def.methods.push_back(
-        {"probe", [](SeedCtx&, vm::ObjectRef, auto args) -> SeedValue {
-           return args.empty() ? SeedValue{} : SeedValue{args[0]};
-         }});
-    SeedObject& o = ctx.heap.insert(make_seed_object(1, ClassId{0}, 1));
-    o.fields[0] = SeedValue{std::int64_t{42}};
-    const vm::ObjectRef target{o.id};
-    const auto loop = [&] {
-      seed_sum = 0;
-      for (std::size_t i = 0; i < ops; ++i) {
-        const SeedValue args[] = {SeedValue{static_cast<std::int64_t>(i)}};
-        seed_sum += seed_call(ctx, target, "probe", args).as_int();
-      }
-    };
-    loop();
-    const std::uint64_t allocs_before = g_alloc_count;
-    out.seed_ns = time_best_ms(repeats, loop) * 1e6 / static_cast<double>(ops);
-    out.seed_allocs = g_alloc_count - allocs_before;
-  }
-
-  if (new_sum != seed_sum) {
-    std::fprintf(stderr, "FATAL: invoke pipelines disagree (%lld vs %lld)\n",
-                 static_cast<long long>(new_sum),
-                 static_cast<long long>(seed_sum));
-    std::exit(1);
-  }
-  out.speedup = out.seed_ns / out.new_ns;
-  return out;
+  });
 }
 
-// --- part 3: alloc / GC churn ------------------------------------------------
+void print_loop(const char* title, const LoopResult& r) {
+  std::printf("  %s (%zu ops):\n", title, r.ops);
+  std::printf("    hook-free : %8.2f ns/op\n", r.hook_free_ns);
+  std::printf("    monitored : %8.2f ns/op  (%.2fx)\n", r.monitored_ns,
+              r.ratio());
+  std::printf("    allocations in timed loops: %llu\n",
+              static_cast<unsigned long long>(r.allocs));
+}
 
-struct ChurnResult {
-  std::size_t objects = 0;
-  double new_objs_per_sec = 0;
-  double seed_objs_per_sec = 0;
-  double speedup = 0;
-};
-
-ChurnResult run_churn_part(std::size_t rounds, std::size_t per_round,
-                           int repeats) {
-  ChurnResult out;
-  out.objects = rounds * per_round;
-
-  // Each round allocates a batch of short-lived mixed-shape objects, then an
-  // unmarked sweep frees them — the collector's steady state in every churny
-  // scenario (Biomer's analysis ring, JavaNote's undo snapshots).
-  const double new_ms = time_best_ms(repeats, [&] {
-    vm::Heap heap(64 << 20);
-    std::uint64_t counter = 1;
-    for (std::size_t r = 0; r < rounds; ++r) {
-      for (std::size_t i = 0; i < per_round; ++i) {
-        if (i % 16 == 0) {
-          heap.create(bench_id(counter++), ClassId{1},
-                      vm::ObjectKind::int_array, 0, 32, 0, 16 + 32 * 8);
-        } else {
-          heap.create(bench_id(counter++), ClassId{0}, vm::ObjectKind::plain,
-                      kFields, 0, 0, 16 + kFields * 8);
-        }
-      }
-      heap.sweep(nullptr);
-      if (heap.used() != 0) std::exit(1);
-    }
-  });
-
-  const double seed_ms = time_best_ms(repeats, [&] {
-    SeedHeap heap;
-    std::uint64_t counter = 1;
-    for (std::size_t r = 0; r < rounds; ++r) {
-      for (std::size_t i = 0; i < per_round; ++i) {
-        if (i % 16 == 0) {
-          auto obj = std::make_unique<SeedObject>();
-          obj->id = bench_id(counter++);
-          obj->cls = ClassId{1};
-          obj->kind = vm::ObjectKind::int_array;
-          obj->ints.assign(32, 0);
-          heap.insert(std::move(obj));
-        } else {
-          heap.insert(make_seed_object(counter++, ClassId{0}, kFields));
-        }
-      }
-      heap.sweep();
-      if (heap.used() != 0) std::exit(1);
-    }
-  });
-
-  const auto n = static_cast<double>(out.objects);
-  out.new_objs_per_sec = n / (new_ms / 1e3);
-  out.seed_objs_per_sec = n / (seed_ms / 1e3);
-  out.speedup = out.new_objs_per_sec / out.seed_objs_per_sec;
-  return out;
+void write_loop(std::ofstream& json, const char* name, const LoopResult& r,
+                bool last) {
+  json << "  \"" << name << "\": {\"ops\": " << r.ops
+       << ", \"hook_free_ns_per_op\": " << r.hook_free_ns
+       << ", \"monitored_ns_per_op\": " << r.monitored_ns
+       << ", \"monitored_ratio\": " << r.ratio()
+       << ", \"steady_state_allocs\": " << r.allocs << "}"
+       << (last ? "\n" : ",\n");
 }
 
 }  // namespace
@@ -721,82 +293,52 @@ ChurnResult run_churn_part(std::size_t rounds, std::size_t per_round,
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   print_header(smoke ? "VM hot path (smoke)"
-                     : "VM hot path: field access, invoke, alloc/GC churn");
+                     : "VM hot path: field, array and invoke, hook-free vs "
+                       "monitored");
 
   const std::size_t field_ops = smoke ? 200'000 : 2'000'000;
+  const std::size_t array_ops = smoke ? 200'000 : 2'000'000;
   const std::size_t invoke_ops = smoke ? 50'000 : 500'000;
   const int repeats = smoke ? 3 : 7;
 
-  const FieldResult field = run_field_part(field_ops, repeats);
-  std::printf("  field access (%zu get+put pairs):\n", field.ops);
-  std::printf("    slab fast path : %8.2f ns/op\n", field.new_ns);
-  std::printf("    seed hash path : %8.2f ns/op\n", field.seed_ns);
-  std::printf("    speedup        : %.2fx\n", field.speedup);
-  std::printf("    allocations in timed loop: %llu\n",
-              static_cast<unsigned long long>(field.steady_allocs));
-
-  const InvokeResult invoke = run_invoke_part(invoke_ops, repeats);
-  std::printf("\n  invoke (%zu calls of a trivial echo method):\n",
-              invoke.ops);
-  std::printf("    call-site cache: %8.2f ns/op  (%llu allocs in timed loop)\n",
-              invoke.new_ns,
-              static_cast<unsigned long long>(invoke.new_allocs));
-  std::printf("    seed string scan: %7.2f ns/op  (%llu allocs in timed loop)\n",
-              invoke.seed_ns,
-              static_cast<unsigned long long>(invoke.seed_allocs));
-  std::printf("    speedup        : %.2fx\n", invoke.speedup);
-
-  const ChurnResult churn = run_churn_part(smoke ? 40 : 200, 1024, repeats);
-  std::printf("\n  alloc/GC churn (%zu object lifetimes):\n", churn.objects);
-  std::printf("    slab heap      : %12.0f objs/s\n", churn.new_objs_per_sec);
-  std::printf("    seed map heap  : %12.0f objs/s\n", churn.seed_objs_per_sec);
-  std::printf("    speedup        : %.2fx\n", churn.speedup);
+  const LoopResult field = run_field(field_ops, repeats);
+  print_loop("field access, get+put pairs", field);
+  const LoopResult array = run_array(array_ops, repeats);
+  print_loop("int array, get+put pairs", array);
+  const LoopResult invoke = run_invoke(invoke_ops, repeats);
+  print_loop("invoke, cached call site", invoke);
 
   bool ok = true;
+  for (const auto& [name, r] : {std::pair{"field", &field},
+                                std::pair{"array", &array},
+                                std::pair{"invoke", &invoke}}) {
+    if (r->allocs != 0) {
+      std::printf("  FAIL: %llu allocations in the %s loops\n",
+                  static_cast<unsigned long long>(r->allocs), name);
+      ok = false;
+    }
+  }
   if (!smoke) {
-    // Acceptance gates: >=5x invoke, >=3x field access, and an
-    // allocation-free steady state on the field path.
-    if (invoke.speedup < 5.0) {
-      std::printf("  WARN: invoke speedup %.2fx below 5x gate\n",
-                  invoke.speedup);
-      ok = false;
-    }
-    if (field.speedup < 3.0) {
-      std::printf("  WARN: field speedup %.2fx below 3x gate\n",
-                  field.speedup);
-      ok = false;
-    }
-    if (field.steady_allocs != 0) {
-      std::printf("  WARN: %llu allocations on the field fast path\n",
-                  static_cast<unsigned long long>(field.steady_allocs));
-      ok = false;
+    for (const auto& [name, r] :
+         {std::pair{"field", &field}, std::pair{"invoke", &invoke}}) {
+      if (r->ratio() > kMaxMonitoredRatio) {
+        std::printf("  FAIL: monitored %s path %.2fx the hook-free one "
+                    "(limit %.1fx)\n",
+                    name, r->ratio(), kMaxMonitoredRatio);
+        ok = false;
+      }
     }
 
     std::ofstream json("BENCH_vm.json");
-    json << "{\n  \"field_access\": {\n";
-    json << "    \"ops\": " << field.ops << ",\n";
-    json << "    \"new_ns_per_op\": " << field.new_ns << ",\n";
-    json << "    \"seed_ns_per_op\": " << field.seed_ns << ",\n";
-    json << "    \"speedup\": " << field.speedup << ",\n";
-    json << "    \"steady_state_allocs\": " << field.steady_allocs
-         << "\n  },\n";
-    json << "  \"invoke\": {\n";
-    json << "    \"ops\": " << invoke.ops << ",\n";
-    json << "    \"new_ns_per_op\": " << invoke.new_ns << ",\n";
-    json << "    \"seed_ns_per_op\": " << invoke.seed_ns << ",\n";
-    json << "    \"new_allocs\": " << invoke.new_allocs << ",\n";
-    json << "    \"seed_allocs\": " << invoke.seed_allocs << ",\n";
-    json << "    \"speedup\": " << invoke.speedup << "\n  },\n";
-    json << "  \"alloc_churn\": {\n";
-    json << "    \"objects\": " << churn.objects << ",\n";
-    json << "    \"new_objs_per_sec\": " << std::llround(churn.new_objs_per_sec)
-         << ",\n";
-    json << "    \"seed_objs_per_sec\": "
-         << std::llround(churn.seed_objs_per_sec) << ",\n";
-    json << "    \"speedup\": " << churn.speedup << "\n  }\n}\n";
+    json << "{\n  \"clock\": \"wall\",\n";
+    json << "  \"max_monitored_ratio\": " << kMaxMonitoredRatio << ",\n";
+    write_loop(json, "field_access", field, false);
+    write_loop(json, "array_access", array, false);
+    write_loop(json, "invoke", invoke, false);
+    json << "  \"gate_ok\": " << (ok ? "true" : "false") << "\n}\n";
     std::printf("\n  wrote BENCH_vm.json\n");
   }
 
-  std::printf("  %s\n", ok ? "OK" : "BELOW ACCEPTANCE GATES");
-  return 0;
+  std::printf("  %s\n", ok ? "OK" : "GATE FAILED");
+  return ok ? 0 : 1;
 }

@@ -34,7 +34,7 @@ ctest --test-dir build-ci --output-on-failure -L lint -j "$JOBS"
 step "graph hot-path smoke (monitor throughput + MINCUT parity)"
 ./build-ci/bench/bench_graph_hotpath --smoke
 
-step "VM hot-path smoke (slab heap + call-site cache parity)"
+step "VM hot-path smoke (hook-free vs monitored loops, zero-allocation gate)"
 ./build-ci/bench/bench_vm_hotpath --smoke
 
 step "chaos sweep (all 42 cases: crash-consistent offload under seeded schedules)"

@@ -53,9 +53,6 @@ class VmError : public std::runtime_error {
 };
 
 enum class OffloadErrorCode {
-  no_surrogate,
-  not_beneficial,
-  migration_failed,
   protocol_error,
   peer_unavailable,
 };

@@ -48,12 +48,6 @@ ExecutionMonitor::NodeIndex ExecutionMonitor::class_index(ClassId cls) {
   return class_node_[cls.value()] = graph_.intern(graph::ComponentKey{cls});
 }
 
-ExecutionMonitor::NodeIndex ExecutionMonitor::resolve_index(ClassId cls,
-                                                            ObjectId obj) {
-  const NodeIndex i = index_of(cls, obj);
-  return i != graph::ExecGraph::npos ? i : class_index(cls);
-}
-
 void ExecutionMonitor::record_edge(NodeIndex from, NodeIndex to,
                                    bool is_invocation, std::uint64_t bytes) {
   // Self-interactions are never recorded (paper: "Information is recorded
@@ -128,12 +122,6 @@ void ExecutionMonitor::record_event_slow(ClassId from_cls, ObjectId from_obj,
   // record_edge leaves the (min, max) edge cache at this pair's slot.
   if (entry != nullptr) *entry = edge_cache_slot_;
   fill_event_cache(sig, from_obj, to_obj, edge_cache_slot_);
-}
-
-void ExecutionMonitor::on_method_exit(NodeId, ClassId cls, ObjectId obj,
-                                      MethodId, SimDuration self_time,
-                                      SimTime) {
-  graph_.add_self_time_at(resolve_index(cls, obj), self_time);
 }
 
 void ExecutionMonitor::on_alloc(NodeId, ObjectId obj, ClassId cls,

@@ -87,10 +87,10 @@ class ExecutionMonitor final : public vm::VmHooks {
 
   // --- VmHooks -------------------------------------------------------------
 
-  // The two interaction hooks are defined in-class, and the class is final,
-  // so a caller holding the concrete monitor (the emulator, the benches)
-  // calls them without virtual dispatch and can inline the whole cache-hit
-  // path into its loop.
+  // The interaction and frame-exit hooks are defined in-class, and the class
+  // is final, so a caller holding the concrete monitor (a VM's monitor slot,
+  // the emulator, the benches) calls them without virtual dispatch and can
+  // inline the whole cache-hit path into its loop.
   void on_invoke(const vm::InvokeEvent& ev) override {
     counters_.invoke_events += 1;
     if (ev.remote) {
@@ -107,8 +107,11 @@ class ExecutionMonitor final : public vm::VmHooks {
     record_event(ev.from_cls, ev.from_obj, ev.to_cls, ev.to_obj,
                  /*is_invocation=*/false, ev.bytes);
   }
-  void on_method_exit(NodeId vm, ClassId cls, ObjectId obj, MethodId m,
-                      SimDuration self_time, SimTime t) override;
+  void on_method_exit(NodeId /*vm*/, ClassId cls, ObjectId obj,
+                      MethodId /*m*/, SimDuration self_time,
+                      SimTime /*t*/) override {
+    graph_.add_self_time_at(resolve_index(cls, obj), self_time);
+  }
   void on_alloc(NodeId vm, ObjectId obj, ClassId cls, std::int64_t bytes,
                 SimTime t) override;
   void on_resize(NodeId vm, ObjectId obj, ClassId cls,
@@ -184,7 +187,10 @@ class ExecutionMonitor final : public vm::VmHooks {
 
   // Resolves an event's (class, object) pair to its component node under the
   // granularity policy. Does not run the first-seen gate.
-  NodeIndex resolve_index(ClassId cls, ObjectId obj);
+  NodeIndex resolve_index(ClassId cls, ObjectId obj) {
+    const NodeIndex i = index_of(cls, obj);
+    return i != graph::ExecGraph::npos ? i : class_index(cls);
+  }
 
   // Gate + resolution + edge update for one interaction event. When the raw
   // endpoints repeat, the single-entry event cache resolves the whole event

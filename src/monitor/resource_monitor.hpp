@@ -5,13 +5,16 @@
 // triggered when N successive GC cycles indicate that additional memory
 // cannot be freed or that less than T% of memory is available — the
 // thresholds the Figure 7 policy sweep varies.
+//
+// It is not a VM hook: the platform hands it the client's GC reports, and
+// the trace-driven emulator feeds it recorded ones.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "common/ids.hpp"
-#include "vm/hooks.hpp"
+#include "vm/heap.hpp"
 
 namespace aide::monitor {
 
@@ -29,12 +32,12 @@ struct TriggerPolicy {
   double no_progress_min_used = 0.90;
 };
 
-class ResourceMonitor : public vm::VmHooks {
+class ResourceMonitor {
  public:
   ResourceMonitor(NodeId watched_vm, TriggerPolicy policy)
       : watched_(watched_vm), policy_(policy) {}
 
-  void on_gc(NodeId vm, const vm::GcReport& report) override {
+  void on_gc(NodeId vm, const vm::GcReport& report) {
     if (vm != watched_ || suppressed_) return;
     last_report_ = report;
     ++reports_seen_;

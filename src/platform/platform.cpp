@@ -23,6 +23,22 @@ constexpr std::uint32_t kSessionNodeBase = 16;
 // sliver (DESIGN.md §11). The seed lasts until the next disconnection.
 constexpr double kReoffloadGravityCredit = 1.0;
 
+// Sets a flag for one scope and restores its previous value on every exit,
+// exceptions included.
+class FlagScope {
+ public:
+  explicit FlagScope(bool& flag) noexcept : flag_(flag), prev_(flag) {
+    flag_ = true;
+  }
+  ~FlagScope() { flag_ = prev_; }
+  FlagScope(const FlagScope&) = delete;
+  FlagScope& operator=(const FlagScope&) = delete;
+
+ private:
+  bool& flag_;
+  bool prev_;
+};
+
 std::unique_ptr<vm::Vm> make_vm(bool client, const PlatformConfig& config,
                                 std::optional<SessionId> session,
                                 std::shared_ptr<const vm::ClassRegistry> reg,
@@ -118,9 +134,16 @@ Platform::Platform(std::shared_ptr<const vm::ClassRegistry> registry,
   }
   client_ep_->set_peer_failure_handler([this] { return handle_peer_failure(); });
 
+  // The execution monitor takes both VMs' monitor slots. The platform
+  // observes the client's GC reports, and its op ticks only when they can
+  // act: connected, an op tick is a heartbeat (nothing while idle_after is
+  // 0), and only an armed disconnect policy reaches the disconnected state.
   client_->add_hooks(&exec_monitor_);
-  client_->add_hooks(&resource_monitor_);
-  client_->add_hooks(this);
+  vm::EventMask ticks = vm::kGcEvents;
+  if (config_.heartbeat.idle_after > 0 || config_.disconnect.enabled) {
+    ticks |= vm::kInvokeEvents | vm::kAccessEvents;
+  }
+  client_->add_hooks(this, ticks);
   surrogate_->add_hooks(&exec_monitor_);
   // A fresh client's heap is empty; an adopted device's live objects predate
   // this monitor, which must learn them or a later free would drive their
@@ -141,7 +164,6 @@ Platform::~Platform() {
 
 std::unique_ptr<vm::Vm> Platform::release_client() {
   client_->remove_hooks(this);
-  client_->remove_hooks(&resource_monitor_);
   client_->remove_hooks(&exec_monitor_);
   client_->set_low_memory_handler(nullptr);
   client_->set_extra_roots_provider(nullptr);
@@ -160,7 +182,8 @@ PlatformConfig Platform::config_for(const SurrogateInfo& surrogate,
 
 // --- the link state machine ----------------------------------------------------
 
-void Platform::on_gc(NodeId vm, const vm::GcReport&) {
+void Platform::on_gc(NodeId vm, const vm::GcReport& report) {
+  resource_monitor_.on_gc(vm, report);
   tick(vm, LinkEvent::gc_tick);
 }
 
@@ -184,9 +207,8 @@ void Platform::tick(NodeId vm, LinkEvent event) {
   // Op ticks fire inside a probe's or a reconcile's own traffic and must not
   // re-enter. GC ticks may: see the commit order in transition().
   if (in_op_tick_) return;
-  in_op_tick_ = true;
+  const FlagScope op_tick(in_op_tick_);
   transition(event);
-  in_op_tick_ = false;
 }
 
 void Platform::transition(LinkEvent event) {
@@ -409,7 +431,7 @@ std::optional<OffloadReport> Platform::offload_now(
   if (offloading_in_progress_ || link_state_ != LinkState::connected) {
     return std::nullopt;
   }
-  offloading_in_progress_ = true;
+  const FlagScope busy(offloading_in_progress_);
 
   exec_monitor_.prune_dead_components();
   const auto req = make_request(min_free_override);
@@ -419,7 +441,6 @@ std::optional<OffloadReport> Platform::offload_now(
   if (!decision.offload) {
     AIDE_LOG_INFO("platform", "no beneficial partitioning (",
                   decision.candidates_total, " candidates)");
-    offloading_in_progress_ = false;
     return std::nullopt;
   }
 
@@ -434,7 +455,6 @@ std::optional<OffloadReport> Platform::offload_now(
           analysis->is_pin_root(comp.cls) ||
           (config_.use_static_hints && analysis->in_closure(comp.cls));
       if (illegal) {
-        offloading_in_progress_ = false;
         throw std::logic_error(
             "static/dynamic verdict mismatch: partitioner selected pinned "
             "class '" +
@@ -509,26 +529,26 @@ std::optional<OffloadReport> Platform::offload_now(
 
   offloads_.push_back(report);
   last_offload_min_free_ = min_free_override;
-  offloading_in_progress_ = false;
   return report;
 }
 
 std::optional<std::uint64_t> Platform::migrate(std::span<const ObjectId> ids) {
   if (link_state_ != LinkState::connected) return std::nullopt;
-  offloading_in_progress_ = true;
   std::optional<std::uint64_t> bytes;
   bool peer_lost = false;
-  try {
-    bytes = client_ep_->migrate_objects(ids);
-  } catch (const PeerUnavailable&) {
-    // The surrogate died under the migration; reclaimed below.
-    peer_lost = true;
-  } catch (const VmError& e) {
-    // Refused: the surrogate had no room for the batch and adopted none of
-    // it. The batch is back on the client and the link is fine.
-    if (e.code() != VmErrorCode::out_of_memory) throw;
+  {
+    const FlagScope busy(offloading_in_progress_);
+    try {
+      bytes = client_ep_->migrate_objects(ids);
+    } catch (const PeerUnavailable&) {
+      // The surrogate died under the migration; reclaimed below.
+      peer_lost = true;
+    } catch (const VmError& e) {
+      // Refused: the surrogate had no room for the batch and adopted none
+      // of it. The batch is back on the client and the link is fine.
+      if (e.code() != VmErrorCode::out_of_memory) throw;
+    }
   }
-  offloading_in_progress_ = false;
   if (peer_lost) handle_peer_failure();
   return bytes;
 }

@@ -3,7 +3,8 @@
 // A Platform pairs a resource-constrained client VM with a surrogate VM over
 // a simulated wireless link and wires up the three modules of Figure 4:
 //
-//   Monitor   — ExecutionMonitor + ResourceMonitor attached to both VMs,
+//   Monitor   — the ExecutionMonitor in both VMs' monitor slots, and the
+//               ResourceMonitor fed the client's GC reports,
 //   Partition — modified-MINCUT candidate evaluation against the configured
 //               policy when a low-memory trigger fires (or on demand),
 //   Remote    — rpc::Endpoint pair providing transparent remote invocations,
@@ -344,7 +345,10 @@ class Platform : private vm::VmHooks {
 
  private:
   // VmHooks: client GC reports, invocation exits and data accesses are the
-  // link state machine's ticks, all dispatched through tick().
+  // link state machine's ticks, all dispatched through tick(). GC reports
+  // reach the resource monitor first. The platform subscribes to op ticks
+  // only when a heartbeat or the disconnect policy is armed: otherwise no
+  // state's op-tick action can do anything.
   void on_gc(NodeId vm, const vm::GcReport& report) override;
   void on_invoke(const vm::InvokeEvent& ev) override;
   void on_access(const vm::AccessEvent& ev) override;
@@ -397,6 +401,9 @@ class Platform : private vm::VmHooks {
   std::vector<ReadmissionReport> readmissions_;
   std::vector<DisconnectReport> disconnects_;
   std::vector<RecallReport> recalls_;
+  // Set for the extent of an offload or a migration (FlagScope restores it
+  // on every exit, exceptions included): GC ticks and nested offloads keep
+  // out meanwhile.
   bool offloading_in_progress_ = false;
   bool in_op_tick_ = false;  // op ticks never re-enter; GC ticks may
 

@@ -367,7 +367,8 @@ void Endpoint::set_batch_safety(const analysis::BatchSafetyOracle* oracle) {
 }
 
 // Strict queue drain: the whole queue goes out as one frame (one op as a
-// bit-identical legacy frame) and is cleared once the peer owns it. Throws
+// bit-identical legacy frame) and is cleared once the peer owns it, refused
+// stores included: a store's semantic error surfaces once. Throws
 // PeerUnavailable with the queue intact — every queued op is an idempotent
 // absolute store, so whoever catches can re-apply or re-send safely.
 void Endpoint::send_queue() {
@@ -381,9 +382,16 @@ void Endpoint::send_queue() {
     w.write_u32(static_cast<std::uint32_t>(count));
     for (const PendingOp& p : pending_) write_op_section(w, p.encoded);
   }
-  const auto resp =
-      transact(std::move(w), static_cast<std::uint32_t>(count),
-               /*pipelined=*/true);
+  std::vector<std::uint8_t> resp;
+  try {
+    resp = transact(std::move(w), static_cast<std::uint32_t>(count),
+                    /*pipelined=*/true);
+  } catch (const VmError&) {
+    // The peer ran the lone store and refused it, as it refuses a batch's
+    // first bad rider below.
+    pending_.clear();
+    throw;
+  }
   if (count > 1) {
     stats_.batches_sent += 1;
     stats_.batched_ops += count;

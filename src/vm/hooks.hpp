@@ -2,11 +2,15 @@
 //
 // The paper augments the JVM's code for "method invocations, data field
 // accesses, object creation, and object deletion" (section 3.4). VmHooks is
-// that augmentation surface: the execution monitor, the resource monitor and
-// the trace recorder all implement this interface, and a VM dispatches every
-// instrumented event to its registered hooks.
+// that augmentation surface. A VM delivers every instrumented event to the
+// execution monitor in its one monitor slot first (a direct call, inlined on
+// the field, array and call fast paths), then to the observers subscribed to
+// that event's kind: the platform's link state machine, the trace recorder,
+// tests and benchmark probes. The resource monitor is not a hook; the
+// platform hands it the client's GC reports.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/ids.hpp"
@@ -48,6 +52,18 @@ struct AccessEvent {
   bool is_static = false;
   bool remote = false;
 };
+
+// Event kinds, as a bit set. An observer subscribes to the kinds whose
+// callbacks it overrides (Vm::add_hooks); an op whose kind has no observer
+// stays on the VM's inline path.
+using EventMask = std::uint8_t;
+inline constexpr EventMask kInvokeEvents = 1u << 0;  // on_invoke
+inline constexpr EventMask kAccessEvents = 1u << 1;  // on_access
+inline constexpr EventMask kFrameEvents = 1u << 2;   // on_method_enter/exit
+inline constexpr EventMask kHeapEvents = 1u << 3;    // on_alloc/resize/free
+inline constexpr EventMask kGcEvents = 1u << 4;      // on_gc
+inline constexpr EventMask kAllEvents = 0x1f;
+inline constexpr std::size_t kEventKinds = 5;
 
 class VmHooks {
  public:

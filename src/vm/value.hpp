@@ -104,6 +104,9 @@ class Value {
     return as_real();
   }
 
+  // Bytes an integer, real or reference contributes to a serialized message.
+  static constexpr std::uint64_t kScalarWireSize = 8;
+
   // Bytes this value contributes to a serialized message.
   [[nodiscard]] std::uint64_t wire_size() const noexcept {
     switch (kind_) {
@@ -113,7 +116,7 @@ class Value {
       case Kind::integer:
       case Kind::real:
       case Kind::ref:
-        return 8;
+        return kScalarWireSize;
       case Kind::str:
         return 4 + s_.size();
     }

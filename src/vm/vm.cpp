@@ -15,13 +15,31 @@ Vm::Vm(VmConfig cfg, std::shared_ptr<const ClassRegistry> registry,
       heap_(cfg_.heap_capacity),
       rng_(cfg_.rng_seed) {}
 
-void Vm::add_hooks(VmHooks* hooks) {
-  if (hooks != nullptr) hooks_.push_back(hooks);
+void Vm::add_hooks(monitor::ExecutionMonitor* monitor) {
+  if (monitor_ == nullptr) {
+    monitor_ = monitor;
+  } else {
+    add_hooks(static_cast<VmHooks*>(monitor));
+  }
+}
+
+void Vm::add_hooks(VmHooks* hooks, EventMask events) {
+  if (hooks == nullptr) return;
+  for (std::size_t k = 0; k < kEventKinds; ++k) {
+    if ((events & (1u << k)) != 0) observers_[k].push_back(hooks);
+  }
+  observed_ |= events & kAllEvents;
 }
 
 void Vm::remove_hooks(VmHooks* hooks) {
-  hooks_.erase(std::remove(hooks_.begin(), hooks_.end(), hooks),
-               hooks_.end());
+  if (monitor_ != nullptr && static_cast<VmHooks*>(monitor_) == hooks) {
+    monitor_ = nullptr;
+  }
+  observed_ = 0;
+  for (std::size_t k = 0; k < kEventKinds; ++k) {
+    std::erase(observers_[k], hooks);
+    if (!observers_[k].empty()) observed_ |= static_cast<EventMask>(1u << k);
+  }
 }
 
 // --- allocation -------------------------------------------------------------
@@ -80,7 +98,8 @@ ObjectRef Vm::allocate(ClassId cls, ObjectKind kind, std::int64_t ints_len,
   allocs_since_gc_ += 1;
   alloc_bytes_since_gc_ += size;
 
-  fire([&](VmHooks& h) { h.on_alloc(cfg_.node, id, cls, size, clock_.now()); });
+  emit(kHeapEvents,
+       [&](auto& h) { h.on_alloc(cfg_.node, id, cls, size, clock_.now()); });
 
   const ObjectRef ref{id};
   root_in_frame(ref);
@@ -175,7 +194,7 @@ GcReport Vm::collect_garbage() {
   const SimTime t = clock_.now();
   const std::int64_t freed = heap_.sweep([&](const Object& obj) {
     stats_.frees += 1;
-    fire([&](VmHooks& h) {
+    emit(kHeapEvents, [&](auto& h) {
       h.on_free(cfg_.node, obj.id, obj.cls, obj.size_bytes(), t);
     });
   });
@@ -212,7 +231,7 @@ GcReport Vm::collect_garbage() {
   alloc_bytes_since_gc_ = 0;
   in_gc_ = false;
 
-  fire([&](VmHooks& h) { h.on_gc(cfg_.node, report); });
+  emit(kGcEvents, [&](auto& h) { h.on_gc(cfg_.node, report); });
   return report;
 }
 
@@ -446,8 +465,8 @@ Value Vm::dispatch_invoke(ObjectRef target, ClassId cls, MethodId mid,
   }
 
   // Event assembly (timestamps, wire-size sums) only pays off when someone
-  // is listening; skipping it when no hooks are attached is unobservable.
-  const bool traced = !hooks_.empty();
+  // is listening; skipping it when nobody hears invocations is unobservable.
+  const bool traced = watched(kInvokeEvents);
   const SimTime t0 = traced ? clock_.now() : 0;
   const std::uint64_t arg_bytes = traced ? args_wire_size(args) : 0;
 
@@ -467,20 +486,10 @@ Value Vm::dispatch_invoke(ObjectRef target, ClassId cls, MethodId mid,
 
   stats_.invocations += 1;
   if (traced) {
-    InvokeEvent ev;
-    ev.vm = cfg_.node;
-    ev.caller_cls = current_cls().valid() ? current_cls() : cls;
-    ev.caller_obj = current_obj();
-    ev.callee_cls = cls;
-    ev.callee_obj = is_static ? ObjectId::invalid() : target.id;
-    ev.method = mid;
-    ev.is_native = (m.kind == MethodKind::native);
-    ev.is_static = is_static;
-    ev.is_stateless = m.stateless;
-    ev.remote = !run_here;
-    ev.bytes = arg_bytes + ret.wire_size();
-    ev.t = t0;
-    fire([&](VmHooks& h) { h.on_invoke(ev); });
+    const InvokeEvent ev =
+        invoke_event(cls, target.id, mid, m, is_static, !run_here,
+                     arg_bytes + ret.wire_size(), t0);
+    emit(kInvokeEvents, [&](auto& h) { h.on_invoke(ev); });
   }
 
   return ret;
@@ -514,7 +523,7 @@ Value Vm::execute_local(ObjectRef self, ClassId cls, MethodId mid,
     }
   }
 
-  fire([&](VmHooks& h) {
+  emit(kFrameEvents, [&](auto& h) {
     h.on_method_enter(cfg_.node, cls, self.id, mid, clock_.now());
   });
 
@@ -534,7 +543,7 @@ Value Vm::execute_local(ObjectRef self, ClassId cls, MethodId mid,
 
   const SimDuration total = clock_.now() - frames_[frame_ix].start;
   const SimDuration self_time = total - frames_[frame_ix].child_time;
-  fire([&](VmHooks& h) {
+  emit(kFrameEvents, [&](auto& h) {
     h.on_method_exit(cfg_.node, cls, self.id, mid, self_time, clock_.now());
   });
 
@@ -584,20 +593,7 @@ Value Vm::get_field_slow(ObjectRef obj, FieldId field) {
   }
 
   stats_.field_accesses += 1;
-  if (!hooks_.empty()) {
-    AccessEvent ev;
-    ev.vm = cfg_.node;
-    ev.from_cls = current_cls().valid() ? current_cls() : tcls;
-    ev.from_obj = current_obj();
-    ev.to_cls = tcls;
-    ev.to_obj = obj.id;
-    ev.is_write = false;
-    ev.remote = remote;
-    ev.bytes = v.wire_size();
-    ev.t = clock_.now();
-    fire([&](VmHooks& h) { h.on_access(ev); });
-  }
-
+  note_access(tcls, obj.id, v.wire_size(), /*is_write=*/false, remote);
   root_in_frame(v);
   return v;
 }
@@ -632,19 +628,7 @@ void Vm::put_field_slow(ObjectRef obj, FieldId field, const Value& v) {
   }
 
   stats_.field_accesses += 1;
-  if (!hooks_.empty()) {
-    AccessEvent ev;
-    ev.vm = cfg_.node;
-    ev.from_cls = current_cls().valid() ? current_cls() : tcls;
-    ev.from_obj = current_obj();
-    ev.to_cls = tcls;
-    ev.to_obj = obj.id;
-    ev.is_write = true;
-    ev.remote = remote;
-    ev.bytes = v.wire_size();
-    ev.t = clock_.now();
-    fire([&](VmHooks& h) { h.on_access(ev); });
-  }
+  note_access(tcls, obj.id, v.wire_size(), /*is_write=*/true, remote);
 }
 
 void Vm::put_field(ObjectRef obj, std::string_view field, const Value& v) {
@@ -692,7 +676,8 @@ void Vm::put_field_local(Object& o, FieldId field, const Value& v) {
   }
   if (delta != 0) {
     heap_.adjust_used(o, delta);
-    fire([&](VmHooks& h) { h.on_resize(cfg_.node, o.id, o.cls, delta); });
+    emit(kHeapEvents,
+         [&](auto& h) { h.on_resize(cfg_.node, o.id, o.cls, delta); });
   }
 }
 
@@ -713,19 +698,8 @@ Value Vm::get_static(ClassId cls, std::uint32_t slot) {
   }
 
   stats_.field_accesses += 1;
-  if (!hooks_.empty()) {
-    AccessEvent ev;
-    ev.vm = cfg_.node;
-    ev.from_cls = current_cls().valid() ? current_cls() : cls;
-    ev.from_obj = current_obj();
-    ev.to_cls = cls;
-    ev.is_static = true;
-    ev.remote = remote;
-    ev.bytes = v.wire_size();
-    ev.t = clock_.now();
-    fire([&](VmHooks& h) { h.on_access(ev); });
-  }
-
+  note_access(cls, ObjectId::invalid(), v.wire_size(), /*is_write=*/false,
+              remote);
   root_in_frame(v);
   return v;
 }
@@ -749,19 +723,8 @@ void Vm::put_static(ClassId cls, std::uint32_t slot, const Value& v) {
   }
 
   stats_.field_accesses += 1;
-  if (!hooks_.empty()) {
-    AccessEvent ev;
-    ev.vm = cfg_.node;
-    ev.from_cls = current_cls().valid() ? current_cls() : cls;
-    ev.from_obj = current_obj();
-    ev.to_cls = cls;
-    ev.is_static = true;
-    ev.is_write = true;
-    ev.remote = remote;
-    ev.bytes = v.wire_size();
-    ev.t = clock_.now();
-    fire([&](VmHooks& h) { h.on_access(ev); });
-  }
+  note_access(cls, ObjectId::invalid(), v.wire_size(), /*is_write=*/true,
+              remote);
 }
 
 void Vm::put_static(std::string_view cls, std::string_view slot,
@@ -802,7 +765,7 @@ void check_index(const Object& o, std::int64_t index) {
 }
 }  // namespace
 
-Value Vm::array_get(ObjectRef arr, std::int64_t index) {
+Value Vm::array_get_slow(ObjectRef arr, std::int64_t index) {
   if (arr.is_null()) {
     throw VmError(VmErrorCode::null_reference, "array_get on null");
   }
@@ -821,22 +784,11 @@ Value Vm::array_get(ObjectRef arr, std::int64_t index) {
   }
 
   stats_.field_accesses += 1;
-  if (!hooks_.empty()) {
-    AccessEvent ev;
-    ev.vm = cfg_.node;
-    ev.from_cls = current_cls().valid() ? current_cls() : tcls;
-    ev.from_obj = current_obj();
-    ev.to_cls = tcls;
-    ev.to_obj = arr.id;
-    ev.remote = remote;
-    ev.bytes = v.wire_size();
-    ev.t = clock_.now();
-    fire([&](VmHooks& h) { h.on_access(ev); });
-  }
+  note_access(tcls, arr.id, v.wire_size(), /*is_write=*/false, remote);
   return v;
 }
 
-void Vm::array_put(ObjectRef arr, std::int64_t index, const Value& v) {
+void Vm::array_put_slow(ObjectRef arr, std::int64_t index, const Value& v) {
   if (arr.is_null()) {
     throw VmError(VmErrorCode::null_reference, "array_put on null");
   }
@@ -854,19 +806,7 @@ void Vm::array_put(ObjectRef arr, std::int64_t index, const Value& v) {
   }
 
   stats_.field_accesses += 1;
-  if (!hooks_.empty()) {
-    AccessEvent ev;
-    ev.vm = cfg_.node;
-    ev.from_cls = current_cls().valid() ? current_cls() : tcls;
-    ev.from_obj = current_obj();
-    ev.to_cls = tcls;
-    ev.to_obj = arr.id;
-    ev.is_write = true;
-    ev.remote = remote;
-    ev.bytes = v.wire_size();
-    ev.t = clock_.now();
-    fire([&](VmHooks& h) { h.on_access(ev); });
-  }
+  note_access(tcls, arr.id, v.wire_size(), /*is_write=*/true, remote);
 }
 
 std::int64_t Vm::array_length(ObjectRef arr) {
@@ -904,18 +844,7 @@ std::string Vm::chars_read(ObjectRef arr, std::int64_t offset,
   }
 
   stats_.field_accesses += 1;
-  if (!hooks_.empty()) {
-    AccessEvent ev;
-    ev.vm = cfg_.node;
-    ev.from_cls = current_cls().valid() ? current_cls() : tcls;
-    ev.from_obj = current_obj();
-    ev.to_cls = tcls;
-    ev.to_obj = arr.id;
-    ev.remote = remote;
-    ev.bytes = out.size();
-    ev.t = clock_.now();
-    fire([&](VmHooks& h) { h.on_access(ev); });
-  }
+  note_access(tcls, arr.id, out.size(), /*is_write=*/false, remote);
   return out;
 }
 
@@ -938,19 +867,7 @@ void Vm::chars_write(ObjectRef arr, std::int64_t offset,
   }
 
   stats_.field_accesses += 1;
-  if (!hooks_.empty()) {
-    AccessEvent ev;
-    ev.vm = cfg_.node;
-    ev.from_cls = current_cls().valid() ? current_cls() : tcls;
-    ev.from_obj = current_obj();
-    ev.to_cls = tcls;
-    ev.to_obj = arr.id;
-    ev.is_write = true;
-    ev.remote = remote;
-    ev.bytes = data.size();
-    ev.t = clock_.now();
-    fire([&](VmHooks& h) { h.on_access(ev); });
-  }
+  note_access(tcls, arr.id, data.size(), /*is_write=*/true, remote);
 }
 
 Value Vm::raw_array_get(ObjectId target, std::int64_t index) {

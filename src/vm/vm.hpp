@@ -5,7 +5,8 @@
 //   * an object heap with capacity limits and mark-and-sweep GC whose cycle
 //     reports drive the resource monitor (paper 3.4),
 //   * managed and native methods whose invocations, field accesses and
-//     allocations all flow through hook points (paper 3.4),
+//     allocations all flow through hook points (paper 3.4): the execution
+//     monitor's slot, then per-kind observers,
 //   * transparent remote execution: operations on objects that live on the
 //     peer VM are forwarded through a RemotePeer without the application
 //     noticing (paper 3.2),
@@ -19,6 +20,8 @@
 // scaled by the VM's CPU speed (client 1.0, surrogate 3.5 per the paper).
 #pragma once
 
+#include <array>
+#include <bit>
 #include <functional>
 #include <initializer_list>
 #include <memory>
@@ -32,6 +35,7 @@
 #include "common/ids.hpp"
 #include "common/rng.hpp"
 #include "common/simclock.hpp"
+#include "monitor/monitor.hpp"
 #include "vm/heap.hpp"
 #include "vm/hooks.hpp"
 #include "vm/klass.hpp"
@@ -84,8 +88,17 @@ class Vm {
 
   // --- wiring -------------------------------------------------------------
 
-  void add_hooks(VmHooks* hooks);
+  // An execution monitor fills the VM's one monitor slot: it hears every
+  // event first, through direct calls the inline paths make themselves. A
+  // second monitor, like any other hook, becomes an observer of the event
+  // kinds in `events`, called after the slot in registration order.
+  void add_hooks(monitor::ExecutionMonitor* monitor);
+  void add_hooks(VmHooks* hooks, EventMask events = kAllEvents);
+  // Empties the slot if `hooks` fills it, and drops every subscription.
   void remove_hooks(VmHooks* hooks);
+  [[nodiscard]] monitor::ExecutionMonitor* monitor_slot() const noexcept {
+    return monitor_;
+  }
   void set_peer(RemotePeer* peer) noexcept { peer_ = peer; }
   // Called when an allocation cannot be satisfied even after GC; returns
   // true if memory was freed (e.g. the platform offloaded components).
@@ -146,18 +159,23 @@ class Vm {
   ObjectRef new_char_array(std::int64_t length);
   ObjectRef new_char_array(std::string_view initial);
 
-  // Field access fast paths are inlined: a local object with no hooks
-  // listening is the common case in every scenario's inner loop, and costs a
-  // slab lookup plus the value copy. Everything else — remote objects,
-  // attached monitors, journaling, string payloads (footprint deltas),
-  // errors — drops to the out-of-line slow path, which preserves the full
-  // event/stats behavior.
+  // Field and array access fast paths are inlined: a local object with no
+  // access observer is the common case in every scenario's inner loop, and
+  // costs one slab lookup, the value copy and, with a monitor in the slot,
+  // the monitor's event-cache compare and edge bump. Everything else —
+  // remote objects, access observers, journaling, string payloads
+  // (footprint deltas), errors — drops to the out-of-line slow path, which
+  // preserves the full event/stats behavior.
   Value get_field(ObjectRef obj, FieldId field) {
     if (Object* o = heap_.find(obj.id);
-        o != nullptr && hooks_.empty() &&
+        o != nullptr && (observed_ & kAccessEvents) == 0 &&
         field.value() < o->fields.size()) [[likely]] {
       stats_.field_accesses += 1;
       const Value& v = o->fields[field.value()];
+      if (monitor_ != nullptr) {
+        monitor_->on_access(access_event(o->cls, obj.id, v.wire_size(),
+                                         /*is_write=*/false, /*remote=*/false));
+      }
       if (v.is_ref()) [[unlikely]] {
         root_in_frame(v);
       }
@@ -168,12 +186,18 @@ class Vm {
   Value get_field(ObjectRef obj, std::string_view field);
   void put_field(ObjectRef obj, FieldId field, const Value& v) {
     if (Object* o = heap_.find(obj.id);
-        o != nullptr && hooks_.empty() && !journal_recording() &&
-        redo_log_ == nullptr && field.value() < o->fields.size()) [[likely]] {
+        o != nullptr && (observed_ & kAccessEvents) == 0 &&
+        !journal_recording() && redo_log_ == nullptr &&
+        field.value() < o->fields.size()) [[likely]] {
       Value& slot = o->fields[field.value()];
       if (!v.is_str() && !slot.is_str()) [[likely]] {
         slot = v;
         stats_.field_accesses += 1;
+        if (monitor_ != nullptr) {
+          monitor_->on_access(access_event(o->cls, obj.id, v.wire_size(),
+                                           /*is_write=*/true,
+                                           /*remote=*/false));
+        }
         return;
       }
     }
@@ -192,16 +216,18 @@ class Vm {
   // Cached call sites: the name is resolved to a MethodId once per
   // class/registry-epoch pair and the result is stored in the site itself,
   // so hot loops skip the name lookup entirely. A resolved managed instance
-  // method on a local receiver with no hooks listening dispatches straight
-  // to the method body (monomorphic inline cache hit); anything else —
-  // cache miss, native/static target, remote receiver, attached monitor —
-  // goes through the generic dispatch path.
+  // method on a local receiver with no invoke or frame observer dispatches
+  // straight to the method body (monomorphic inline cache hit), reporting
+  // to the monitor slot directly; anything else — cache miss, native/static
+  // target, remote receiver, an observer — goes through the generic
+  // dispatch path.
   Value call(ObjectRef obj, const CallSite& site,
              std::initializer_list<Value> args = {}) {
     const std::span<const Value> a(args.begin(), args.size());
     if (Object* o = heap_.find(obj.id);
         o != nullptr && site.epoch_ == registry_->epoch() &&
-        site.cls_ == o->cls && site.fast_ok_ && hooks_.empty()) [[likely]] {
+        site.cls_ == o->cls && site.fast_ok_ &&
+        (observed_ & (kInvokeEvents | kFrameEvents)) == 0) [[likely]] {
       return call_fast(obj, site.cls_, site.mid_, *site.mdef_, a);
     }
     return call_site_slow(obj, site, a);
@@ -214,8 +240,45 @@ class Vm {
   void put_static(ClassId cls, std::uint32_t slot, const Value& v);
   void put_static(std::string_view cls, std::string_view slot, const Value& v);
 
-  Value array_get(ObjectRef arr, std::int64_t index);
-  void array_put(ObjectRef arr, std::int64_t index, const Value& v);
+  Value array_get(ObjectRef arr, std::int64_t index) {
+    if (const Object* o = heap_.find(arr.id);
+        o != nullptr && (observed_ & kAccessEvents) == 0 && index >= 0 &&
+        index < o->array_length()) [[likely]] {
+      const std::int64_t element =
+          o->kind == ObjectKind::int_array
+              ? o->ints[index]
+              : static_cast<std::int64_t>(
+                    static_cast<unsigned char>(o->chars[index]));
+      stats_.field_accesses += 1;
+      if (monitor_ != nullptr) {
+        monitor_->on_access(access_event(o->cls, arr.id,
+                                         Value::kScalarWireSize,
+                                         /*is_write=*/false, /*remote=*/false));
+      }
+      return Value{element};
+    }
+    return array_get_slow(arr, index);
+  }
+  void array_put(ObjectRef arr, std::int64_t index, const Value& v) {
+    if (Object* o = heap_.find(arr.id);
+        o != nullptr && (observed_ & kAccessEvents) == 0 &&
+        !journal_recording() && redo_log_ == nullptr && index >= 0 &&
+        index < o->array_length()) [[likely]] {
+      const std::int64_t x = v.as_int();
+      if (o->kind == ObjectKind::int_array) {
+        o->ints[index] = x;
+      } else {
+        o->chars[index] = static_cast<char>(x);
+      }
+      stats_.field_accesses += 1;
+      if (monitor_ != nullptr) {
+        monitor_->on_access(access_event(o->cls, arr.id, v.wire_size(),
+                                         /*is_write=*/true, /*remote=*/false));
+      }
+      return;
+    }
+    array_put_slow(arr, index, v);
+  }
   std::int64_t array_length(ObjectRef arr);
   // Bulk character transfer: one interaction of `length` bytes.
   std::string chars_read(ObjectRef arr, std::int64_t offset,
@@ -382,9 +445,11 @@ class Vm {
 
   // Lean dispatch for a cache-hit CallSite: the receiver is local, the
   // method is a managed instance method with a body (fast_ok_), and no
-  // hooks are attached — so no event can be observed and the event-only
-  // assembly is skipped. GC-visible state (frame identity, local roots)
-  // and virtual time (work) are maintained exactly as execute_local does.
+  // invoke or frame observer is subscribed — so only the monitor slot can
+  // hear the call, and it gets the same frame-exit and invoke events
+  // dispatch_invoke would deliver, by direct call. GC-visible state (frame
+  // identity, local roots) and virtual time (work) are maintained exactly as
+  // execute_local does.
   Value call_fast(ObjectRef self, ClassId cls, MethodId mid,
                   const MethodDef& m, std::span<const Value> args) {
     if (frame_depth_ >= cfg_.max_stack_depth) [[unlikely]] {
@@ -393,10 +458,11 @@ class Vm {
     if (frame_depth_ == frames_.size()) [[unlikely]] frames_.emplace_back();
     const std::size_t frame_ix = frame_depth_++;
     Frame& f = frames_[frame_ix];
+    const SimTime t0 = clock_.now();
     f.cls = cls;
     f.self = self.id;
     f.method = mid;
-    f.start = clock_.now();
+    f.start = t0;
     f.child_time = 0;
     f.local_roots.clear();
     f.local_roots.push_back(self.id);
@@ -415,17 +481,30 @@ class Vm {
       if (frame_depth_ > 0) frames_[frame_depth_ - 1].child_time += total;
       throw;
     }
-    const SimDuration total = clock_.now() - frames_[frame_ix].start;
+    const SimDuration total = clock_.now() - t0;
+    if (monitor_ != nullptr) {
+      monitor_->on_method_exit(cfg_.node, cls, self.id, mid,
+                               total - frames_[frame_ix].child_time,
+                               clock_.now());
+    }
     --frame_depth_;
     if (frame_depth_ > 0) frames_[frame_depth_ - 1].child_time += total;
     if (ret.is_ref()) [[unlikely]] root_in_frame(ret);
     stats_.invocations += 1;
+    if (monitor_ != nullptr) {
+      monitor_->on_invoke(invoke_event(cls, self.id, mid, m,
+                                       /*is_static=*/false, /*remote=*/false,
+                                       args_wire_size(args) + ret.wire_size(),
+                                       t0));
+    }
     return ret;
   }
   Value call_site_slow(ObjectRef obj, const CallSite& site,
                        std::span<const Value> args);
   Value get_field_slow(ObjectRef obj, FieldId field);
   void put_field_slow(ObjectRef obj, FieldId field, const Value& v);
+  Value array_get_slow(ObjectRef arr, std::int64_t index);
+  void array_put_slow(ObjectRef arr, std::int64_t index, const Value& v);
   void put_field_local(Object& o, FieldId field, const Value& v);
 
   void root_in_frame(const Value& v);
@@ -444,9 +523,65 @@ class Vm {
                              : frames_[frame_depth_ - 1].self;
   }
 
+  // The one place interaction events are assembled: the inline paths hand
+  // these to the monitor slot directly, and the slow paths deliver the same
+  // events through emit().
+  [[nodiscard]] AccessEvent access_event(ClassId to_cls, ObjectId to_obj,
+                                         std::uint64_t bytes, bool is_write,
+                                         bool remote) const noexcept {
+    AccessEvent ev;
+    ev.vm = cfg_.node;
+    ev.from_cls = current_cls().valid() ? current_cls() : to_cls;
+    ev.from_obj = current_obj();
+    ev.to_cls = to_cls;
+    ev.to_obj = to_obj;
+    ev.is_write = is_write;
+    ev.is_static = !to_obj.valid();  // a static slot has no target object
+    ev.remote = remote;
+    ev.bytes = bytes;
+    ev.t = clock_.now();
+    return ev;
+  }
+  [[nodiscard]] InvokeEvent invoke_event(ClassId cls, ObjectId callee,
+                                         MethodId mid, const MethodDef& m,
+                                         bool is_static, bool remote,
+                                         std::uint64_t bytes,
+                                         SimTime t) const noexcept {
+    InvokeEvent ev;
+    ev.vm = cfg_.node;
+    ev.caller_cls = current_cls().valid() ? current_cls() : cls;
+    ev.caller_obj = current_obj();
+    ev.callee_cls = cls;
+    ev.callee_obj = is_static ? ObjectId::invalid() : callee;
+    ev.method = mid;
+    ev.is_native = (m.kind == MethodKind::native);
+    ev.is_static = is_static;
+    ev.is_stateless = m.stateless;
+    ev.remote = remote;
+    ev.bytes = bytes;
+    ev.t = t;
+    return ev;
+  }
+
+  // Whether anyone hears events of `kind`: the slot hears every kind.
+  [[nodiscard]] bool watched(EventMask kind) const noexcept {
+    return monitor_ != nullptr || (observed_ & kind) != 0;
+  }
+  // Delivers one event of `kind` to the monitor slot, then to the kind's
+  // observers in registration order.
   template <typename Fn>
-  void fire(Fn&& fn) {
-    for (VmHooks* h : hooks_) fn(*h);
+  void emit(EventMask kind, Fn&& fn) {
+    if (monitor_ != nullptr) fn(*monitor_);
+    if ((observed_ & kind) != 0) {
+      for (VmHooks* h : observers_[std::countr_zero(kind)]) fn(*h);
+    }
+  }
+  // The slow paths' access event, assembled only when someone listens.
+  void note_access(ClassId to_cls, ObjectId to_obj, std::uint64_t bytes,
+                   bool is_write, bool remote) {
+    if (!watched(kAccessEvents)) return;
+    const AccessEvent ev = access_event(to_cls, to_obj, bytes, is_write, remote);
+    emit(kAccessEvents, [&](auto& h) { h.on_access(ev); });
   }
 
   void mark_value(const Value& v, std::vector<ObjectId>& worklist) const;
@@ -457,7 +592,11 @@ class Vm {
   Heap heap_;
   Rng rng_;
 
-  std::vector<VmHooks*> hooks_;
+  // The monitor slot, then the observers of each event kind (indexed by the
+  // kind's bit) and the set of kinds that have any.
+  monitor::ExecutionMonitor* monitor_ = nullptr;
+  std::array<std::vector<VmHooks*>, kEventKinds> observers_;
+  EventMask observed_ = 0;
   RemotePeer* peer_ = nullptr;
   std::function<bool(Vm&)> low_memory_handler_;
   std::function<void(const std::function<void(ObjectId)>&)>

@@ -95,25 +95,6 @@ class ForcedOffload : public vm::VmHooks {
   int cycles_ = 0;
 };
 
-apps::AppParams small_params() {
-  apps::AppParams p;
-  p.doc_bytes = 48 * 1024;
-  p.edits = 16;
-  p.scrolls = 20;
-  p.image_size = 64;
-  p.layers = 3;
-  p.filter_passes = 3;
-  p.atoms = 80;
-  p.iterations = 4;
-  p.field_size = 49;
-  p.frames = 4;
-  p.columns = 32;
-  p.trace_w = 16;
-  p.trace_h = 12;
-  p.spheres = 6;
-  return p;
-}
-
 platform::PlatformConfig platform_config(bool batching, bool oracle = true) {
   platform::PlatformConfig cfg;
   cfg.client_heap = 64 << 20;
@@ -167,7 +148,7 @@ class BatchAppParityTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(BatchAppParityTest, BatchingPreservesOutputAndEventOrder) {
   const auto& app = apps::app_by_name(GetParam());
-  const auto params = small_params();
+  const auto params = test::small_app_params();
   const std::uint64_t expected = standalone_checksum(app, params);
 
   const RunOut batched = run_app(app, params, true);
@@ -195,7 +176,7 @@ INSTANTIATE_TEST_SUITE_P(Apps, BatchAppParityTest, ::testing::ValuesIn(kApps));
 // rider and never forces an earlier flush.
 TEST_P(BatchAppParityTest, OracleInstallIsByteIdentical) {
   const auto& app = apps::app_by_name(GetParam());
-  const auto params = small_params();
+  const auto params = test::small_app_params();
 
   const RunOut with = run_app(app, params, true, /*oracle=*/true);
   const RunOut without = run_app(app, params, true, /*oracle=*/false);

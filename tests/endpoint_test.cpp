@@ -283,6 +283,26 @@ TEST_F(EndpointTest, RemoteErrorsPropagateWithCode) {
   }
 }
 
+// A deferred store the peer refuses surfaces once, at the drain that sends
+// it, as a refused rider of a multi-op batch does; the queue keeps nothing.
+TEST_F(EndpointTest, RefusedDeferredStoreSurfacesOnce) {
+  const ObjectRef arr = client_.new_int_array(4);
+  client_.add_root(arr);
+  offload(arr);
+  client_.array_put(arr, 99, Value{1});
+  ASSERT_EQ(client_ep_.pending_ops(), 1u);
+  try {
+    client_ep_.flush_pending();
+    FAIL() << "expected bad_array_index";
+  } catch (const VmError& e) {
+    EXPECT_EQ(e.code(), VmErrorCode::bad_array_index);
+  }
+  EXPECT_EQ(client_ep_.pending_ops(), 0u);
+  EXPECT_NO_THROW(client_ep_.flush_pending());
+  client_.array_put(arr, 3, Value{22});
+  EXPECT_EQ(client_.array_get(arr, 3).as_int(), 22);
+}
+
 TEST_F(EndpointTest, RpcAdvancesSimulatedClock) {
   const ObjectRef counter = client_.new_object("Counter");
   client_.add_root(counter);

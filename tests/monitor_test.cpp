@@ -1,8 +1,9 @@
 // Tests for the execution monitor: graph construction from VM hook events,
 // pinning of native classes, object-granularity promotion (the "Array"
 // enhancement), memory tracking across alloc/resize/free, the Figure 8
-// remote counters, Table 2 metrics sampling, dead-component pruning, and a
-// differential of the monitor's caches against a cache-free replay.
+// remote counters, Table 2 metrics sampling, dead-component pruning, a
+// differential of the monitor's caches against a cache-free replay, and one
+// of a VM's monitor slot against the observer path on all five apps.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,7 +11,9 @@
 #include <utility>
 #include <vector>
 
+#include "apps/apps.hpp"
 #include "monitor/monitor.hpp"
+#include "platform/platform.hpp"
 #include "tests/test_util.hpp"
 
 namespace aide::monitor {
@@ -521,6 +524,129 @@ TEST_F(MonitorTest, CachesMatchRebuildAfterEveryEvent) {
     }
   }
 }
+
+// --- differential: the VM's monitor slot vs the observer path ---------------
+
+// Forwards every hook to a monitor, like perfbench's TimedMonitor: a monitor
+// behind it hears its VM through the observer path, so every op takes the
+// VM's slow path and builds its events there.
+class ForwardingHooks final : public vm::VmHooks {
+ public:
+  explicit ForwardingHooks(ExecutionMonitor& inner) : inner_(inner) {}
+
+  void on_invoke(const InvokeEvent& ev) override { inner_.on_invoke(ev); }
+  void on_access(const AccessEvent& ev) override { inner_.on_access(ev); }
+  void on_method_enter(NodeId vm, ClassId cls, ObjectId obj, MethodId m,
+                       SimTime t) override {
+    inner_.on_method_enter(vm, cls, obj, m, t);
+  }
+  void on_method_exit(NodeId vm, ClassId cls, ObjectId obj, MethodId m,
+                      SimDuration self_time, SimTime t) override {
+    inner_.on_method_exit(vm, cls, obj, m, self_time, t);
+  }
+  void on_alloc(NodeId vm, ObjectId obj, ClassId cls, std::int64_t bytes,
+                SimTime t) override {
+    inner_.on_alloc(vm, obj, cls, bytes, t);
+  }
+  void on_resize(NodeId vm, ObjectId obj, ClassId cls,
+                 std::int64_t delta) override {
+    inner_.on_resize(vm, obj, cls, delta);
+  }
+  void on_free(NodeId vm, ObjectId obj, ClassId cls, std::int64_t bytes,
+               SimTime t) override {
+    inner_.on_free(vm, obj, cls, bytes, t);
+  }
+  void on_gc(NodeId vm, const GcReport& report) override {
+    inner_.on_gc(vm, report);
+  }
+
+ private:
+  ExecutionMonitor& inner_;
+};
+
+// Offloads everything it can on the client's second GC, so both VMs run
+// remote traffic, at the same logical instant in both runs.
+class OffloadOnSecondGc final : public vm::VmHooks {
+ public:
+  explicit OffloadOnSecondGc(platform::Platform& p) : p_(p) {}
+  void on_gc(NodeId node, const GcReport&) override {
+    if (node != p_.client().node() || ++cycles_ != 2) return;
+    (void)p_.offload_now(std::int64_t{1});
+  }
+
+ private:
+  platform::Platform& p_;
+  int cycles_ = 0;
+};
+
+struct SlotRun {
+  std::unique_ptr<platform::Platform> platform;
+  std::uint64_t checksum = 0;
+};
+
+// One app on a platform whose monitor keeps both VMs' slots, or hears both
+// through a ForwardingHooks observer registered where perfbench's traced run
+// puts its TimedMonitor.
+SlotRun run_app(const apps::AppInfo& app, bool arrays, bool in_slot) {
+  auto reg = std::make_shared<vm::ClassRegistry>();
+  app.register_classes(*reg);
+  platform::PlatformConfig cfg;
+  cfg.client_heap = 64 << 20;
+  cfg.auto_offload = false;  // OffloadOnSecondGc drives the schedule
+  cfg.client_gc_alloc_count_threshold = 4;
+  cfg.client_gc_alloc_bytes_divisor = 512;
+  cfg.enhancements.arrays_as_objects = arrays;
+  cfg.enhancements.min_array_bytes = 256;
+  SlotRun run;
+  run.platform = std::make_unique<platform::Platform>(reg, cfg);
+  platform::Platform& p = *run.platform;
+  ExecutionMonitor& monitor = p.exec_monitor();
+  ForwardingHooks forward(monitor);
+  if (!in_slot) {
+    for (vm::Vm* v : {&p.client(), &p.surrogate()}) {
+      v->remove_hooks(&monitor);
+      v->add_hooks(&forward);
+    }
+  }
+  OffloadOnSecondGc offload(p);
+  p.client().add_hooks(&offload, vm::kGcEvents);
+  run.checksum = app.run(p.client(), test::small_app_params());
+  p.client().remove_hooks(&offload);
+  p.client().remove_hooks(&forward);
+  p.surrogate().remove_hooks(&forward);
+  return run;
+}
+
+class MonitorSlotTest
+    : public ::testing::TestWithParam<std::tuple<const char*, bool>> {};
+
+TEST_P(MonitorSlotTest, SlotMatchesObserverPath) {
+  const auto& [name, arrays] = GetParam();
+  const apps::AppInfo& app = apps::app_by_name(name);
+  const SlotRun slot = run_app(app, arrays, /*in_slot=*/true);
+  const SlotRun observed = run_app(app, arrays, /*in_slot=*/false);
+  platform::Platform& a = *slot.platform;
+  platform::Platform& b = *observed.platform;
+
+  EXPECT_EQ(slot.checksum, observed.checksum);
+  EXPECT_EQ(a.elapsed(), b.elapsed());
+  ASSERT_EQ(a.offloads().size(), 1u);
+  ASSERT_EQ(b.offloads().size(), 1u);
+  EXPECT_EQ(a.offloads()[0].objects_migrated, b.offloads()[0].objects_migrated);
+  EXPECT_TRUE(same_state(a.exec_monitor(), b.exec_monitor()));
+  const MonitorCounters& c = a.exec_monitor().counters();
+  EXPECT_GT(c.remote_accesses + c.remote_invocations, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Apps, MonitorSlotTest,
+    ::testing::Combine(::testing::Values("JavaNote", "Dia", "Biomer", "Voxel",
+                                         "Tracer"),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_Array" : "_Class");
+    });
 
 }  // namespace
 }  // namespace aide::monitor

@@ -125,6 +125,48 @@ TEST(PlatformTest, SurrogateWithoutRoomRefusesOffloadWhole) {
   }
 }
 
+// A VmError other than a refusal that escapes an offload — here a deferred
+// out-of-bounds store to an offloaded array, surfacing from the migration's
+// queue drain — surfaces once and must not leave the platform believing an
+// offload is still running: the offloads after it migrate as usual.
+TEST(PlatformTest, EscapedVmErrorLeavesLaterOffloadsWorking) {
+  auto cfg = small_config();
+  cfg.auto_offload = false;
+  Platform p(make_test_registry(), cfg);
+  vm::Vm& client = p.client();
+  seed_pinned_anchor(p);
+  const ObjectRef arr = client.new_int_array(4);
+  client.add_root(arr);
+  ASSERT_TRUE(p.offload_now(std::int64_t{1}).has_value());
+  ASSERT_FALSE(client.is_local(arr.id));
+
+  // Each offload below gets a fresh local Counter to move.
+  const auto fresh_counter = [&] {
+    const ObjectRef counter = client.new_object("Counter");
+    client.add_root(counter);
+    client.call(counter, "inc");
+    return counter;
+  };
+  fresh_counter();
+  client.array_put(arr, 100, Value{std::int64_t{7}});  // deferred
+  try {
+    (void)p.offload_now(std::int64_t{1});
+    ADD_FAILURE() << "the out-of-bounds store did not surface";
+  } catch (const VmError& e) {
+    EXPECT_EQ(e.code(), VmErrorCode::bad_array_index) << e.what();
+  }
+  for (int round = 0; round < 2; ++round) {
+    const ObjectRef counter = fresh_counter();
+    const auto report = p.offload_now(std::int64_t{1});
+    ASSERT_TRUE(report.has_value()) << "offload " << round << " after it";
+    EXPECT_GT(report->objects_migrated, 0u);
+    EXPECT_FALSE(client.is_local(counter.id));
+  }
+  EXPECT_EQ(p.offloads().size(), 3u);
+  client.array_put(arr, 3, Value{std::int64_t{9}});
+  EXPECT_EQ(client.array_get(arr, 3).as_int(), 9);
+}
+
 TEST(PlatformTest, NoBeneficialPartitioningReturnsNullopt) {
   // An empty execution history has nothing to offload.
   Platform p(make_test_registry(), small_config());

@@ -1,6 +1,7 @@
 // Shared helpers for the MiniVM test suites: a small class library with
 // plain data classes, managed methods, statics, and native (pinned /
-// stateless) methods, the golden-file comparison, and a trace event count.
+// stateless) methods, the golden-file comparison, a trace event count, and
+// reduced parameters for whole-app differential runs.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <sstream>
 #include <string>
 
+#include "apps/apps.hpp"
 #include "emul/trace.hpp"
 #include "vm/klass.hpp"
 #include "vm/vm.hpp"
@@ -134,6 +136,26 @@ inline std::shared_ptr<vm::ClassRegistry> make_test_registry() {
 
   reg->register_class(ClassBuilder("Holder").field("item").build());
   return reg;
+}
+
+// The five Table 1 apps at a size a differential test can run several times.
+inline apps::AppParams small_app_params() {
+  apps::AppParams p;
+  p.doc_bytes = 48 * 1024;
+  p.edits = 16;
+  p.scrolls = 20;
+  p.image_size = 64;
+  p.layers = 3;
+  p.filter_passes = 3;
+  p.atoms = 80;
+  p.iterations = 4;
+  p.field_size = 49;
+  p.frames = 4;
+  p.columns = 32;
+  p.trace_w = 16;
+  p.trace_h = 12;
+  p.spheres = 6;
+  return p;
 }
 
 // Invoke and access events among the trace's first `n` events.

@@ -3,7 +3,11 @@
 // and the Figure 9 self-time attribution.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
+#include "monitor/monitor.hpp"
 #include "tests/test_util.hpp"
 #include "vm/hooks.hpp"
 #include "vm/vm.hpp"
@@ -262,6 +266,138 @@ TEST_F(VmTest, HooksCanBeRemoved) {
   vm_.remove_hooks(&hooks);
   vm_.call(counter, "inc");
   EXPECT_TRUE(hooks.total_by_class_.empty());
+}
+
+// Counts every callback it hears and, on each interaction, appends its tag
+// and the slot monitor's event count at that moment to a shared log.
+class LoggingHooks : public VmHooks {
+ public:
+  LoggingHooks(char tag, std::vector<std::string>& log,
+               const monitor::ExecutionMonitor* slot = nullptr)
+      : tag_(tag), log_(log), slot_(slot) {}
+
+  void on_invoke(const InvokeEvent&) override { note("invoke"); }
+  void on_access(const AccessEvent&) override { note("access"); }
+  void on_method_enter(NodeId, ClassId, ObjectId, MethodId, SimTime) override {
+    ++calls;
+  }
+  void on_method_exit(NodeId, ClassId, ObjectId, MethodId, SimDuration,
+                      SimTime) override {
+    ++calls;
+  }
+  void on_alloc(NodeId, ObjectId, ClassId, std::int64_t, SimTime) override {
+    ++calls;
+  }
+  void on_resize(NodeId, ObjectId, ClassId, std::int64_t) override { ++calls; }
+  void on_free(NodeId, ObjectId, ClassId, std::int64_t, SimTime) override {
+    ++calls;
+  }
+  void on_gc(NodeId, const GcReport&) override { ++gcs; }
+
+  int calls = 0;
+  int gcs = 0;
+
+ private:
+  void note(const char* what) {
+    ++calls;
+    std::string entry = std::string(1, tag_) + ":" + what;
+    if (slot_ != nullptr) {
+      entry += "@" + std::to_string(slot_->counters().interaction_events());
+    }
+    log_.push_back(std::move(entry));
+  }
+
+  char tag_;
+  std::vector<std::string>& log_;
+  const monitor::ExecutionMonitor* slot_;
+};
+
+// Runs one op of every instrumented kind on `vm`: field, array, cached and
+// uncached calls, a static, an allocation and a collection.
+void exercise(Vm& vm) {
+  const ObjectRef counter = vm.new_object("Counter");
+  vm.add_root(counter);
+  const ObjectRef arr = vm.new_int_array(4);
+  vm.add_root(arr);
+  vm.put_field(counter, FieldId{0}, Value{std::int64_t{1}});
+  (void)vm.get_field(counter, FieldId{0});
+  vm.array_put(arr, 1, Value{std::int64_t{2}});
+  (void)vm.array_get(arr, 1);
+  const CallSite inc{"inc"};
+  (void)vm.call(counter, inc);
+  (void)vm.call(counter, "get");
+  vm.put_static("Calc", "memory", Value{std::int64_t{3}});
+  (void)vm.collect_garbage();
+}
+
+TEST_F(VmTest, GcOnlySubscriberHearsNoOpEvents) {
+  std::vector<std::string> log;
+  LoggingHooks gc_only('g', log);
+  vm_.add_hooks(&gc_only, kGcEvents);
+  exercise(vm_);
+  EXPECT_EQ(gc_only.gcs, 1);
+  EXPECT_EQ(gc_only.calls, 0);
+  EXPECT_TRUE(log.empty());
+
+  // The same run with every kind subscribed hears all of them.
+  LoggingHooks all('a', log);
+  vm_.add_hooks(&all);
+  exercise(vm_);
+  EXPECT_EQ(all.gcs, 1);
+  EXPECT_GT(all.calls, 0);
+  EXPECT_EQ(gc_only.calls, 0);
+}
+
+TEST_F(VmTest, ObserversOfOneKindHearInRegistrationOrderAfterTheSlot) {
+  monitor::ExecutionMonitor monitor(registry_);
+  std::vector<std::string> log;
+  LoggingHooks first('1', log, &monitor);
+  LoggingHooks invokes_only('i', log, &monitor);
+  LoggingHooks second('2', log, &monitor);
+  vm_.add_hooks(&first);
+  vm_.add_hooks(&invokes_only, kInvokeEvents);
+  vm_.add_hooks(&second, kAccessEvents);
+  vm_.add_hooks(&monitor);  // registered last, heard first
+  const ObjectRef counter = vm_.new_object("Counter");
+  const ObjectRef pair = vm_.new_object("Pair");
+  vm_.put_field(pair, FieldId{0}, Value{counter});
+  vm_.call(counter, "get");
+  // get() reads its field before the invoke event. Each observer sees the
+  // monitor's count already including the event.
+  EXPECT_EQ(log, (std::vector<std::string>{"1:access@1", "2:access@1",
+                                           "1:access@2", "2:access@2",
+                                           "1:invoke@3", "i:invoke@3"}));
+}
+
+TEST_F(VmTest, RemoveHooksEmptiesTheMonitorSlot) {
+  monitor::ExecutionMonitor monitor(registry_);
+  vm_.add_hooks(&monitor);
+  EXPECT_EQ(vm_.monitor_slot(), &monitor);
+  exercise(vm_);
+  const monitor::MonitorCounters before = monitor.counters();
+  EXPECT_GT(before.access_events, 0u);
+  EXPECT_GT(before.invoke_events, 0u);
+
+  vm_.remove_hooks(&monitor);
+  EXPECT_EQ(vm_.monitor_slot(), nullptr);
+  exercise(vm_);
+  EXPECT_EQ(monitor.counters().access_events, before.access_events);
+  EXPECT_EQ(monitor.counters().invoke_events, before.invoke_events);
+  EXPECT_EQ(monitor.counters().objects_created, before.objects_created);
+}
+
+TEST_F(VmTest, SecondMonitorObservesBehindTheSlot) {
+  monitor::ExecutionMonitor slot(registry_);
+  monitor::ExecutionMonitor observer(registry_);
+  vm_.add_hooks(&slot);
+  vm_.add_hooks(&observer);
+  EXPECT_EQ(vm_.monitor_slot(), &slot);
+  exercise(vm_);
+  EXPECT_EQ(observer.counters().interaction_events(),
+            slot.counters().interaction_events());
+  EXPECT_EQ(observer.counters().objects_created,
+            slot.counters().objects_created);
+  EXPECT_GT(slot.counters().interaction_events(), 0u);
 }
 
 TEST_F(VmTest, RemoteInvokeWithoutPeerThrows) {
