@@ -15,8 +15,8 @@
 //     min-virtual-time-first against one *shared* surrogate, so remote ops,
 //     surrogate-placed compute and migrations queue on a single busy-until
 //     window. Reported: the same throughput metrics plus the queueing share
-//     of total emulated time — the capacity story the ROADMAP's k-way fleet
-//     item starts from.
+//     of total emulated time — the capacity story the surrogate pool below
+//     starts from.
 //
 // The surrogate *pool* rides on both layers: emul-side, FleetConfig
 // pool_size gives the fleet k busy windows with deterministic
@@ -363,7 +363,7 @@ emul::FleetResult run_pool_fleet_raw(const bench::RecordedApp& app,
 }
 
 // Everything observable about a fleet run folded into one word: per-session
-// times, every op latency, the (session, part) -> member placement schedule
+// times, every op latency, the session -> member placement schedule
 // and per-member occupancy. Two runs of the same config must agree exactly.
 std::uint64_t fleet_digest(const emul::FleetResult& r) {
   std::uint64_t h = 0x5EEDF1EE7ULL;
@@ -376,7 +376,6 @@ std::uint64_t fleet_digest(const emul::FleetResult& r) {
   }
   for (const auto& p : r.placements) {
     h = mix(h, p.session);
-    h = mix(h, p.part);
     h = mix(h, p.surrogate);
     h = mix(h, static_cast<std::uint64_t>(p.at));
   }

@@ -52,7 +52,7 @@ step "disconnect smoke (hoard/journal/reconcile under mid-run outages)"
 step "fleet suite (ctest -L fleet: session isolation, admission, scheduling)"
 ctest --test-dir build-ci --output-on-failure -L fleet -j "$JOBS"
 
-step "pool suite (ctest -L pool: k-way differential, placement, failover)"
+step "pool suite (ctest -L pool: placement, failover, pooled fleet)"
 ctest --test-dir build-ci --output-on-failure -L pool -j "$JOBS"
 
 step "fleet smoke (multi-session overhead, zero-alloc dispatch + pool gates)"

@@ -1,7 +1,6 @@
 #include "emul/emulator.hpp"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -43,11 +42,9 @@ SimDuration Emulator::rpc_cost(std::uint64_t bytes) const {
   return netsim::estimate_rpc_cost(config_.link, bytes);
 }
 
-void Emulator::charge_service(SimDuration service, ServiceKind kind,
-                              std::size_t part) {
+void Emulator::charge_service(SimDuration service, ServiceKind kind) {
   if (service_ == nullptr || service <= 0) return;
-  result_.queue_time +=
-      service_->acquire(current_time(), service, kind, part);
+  result_.queue_time += service_->acquire(current_time(), service, kind);
 }
 
 void Emulator::try_offload(SimTime at, EmulationResult& result) {
@@ -63,106 +60,60 @@ void Emulator::try_offload(SimTime at, EmulationResult& result) {
   }
   placement_.resize(g.node_count(), 0);
 
-  if (!config_.manual_offload_classes.empty()) {
-    partition::PartitionDecision manual;
-    manual.offload = true;
-    std::uint64_t moved = 0;
+  partition::PartitionDecision decision;
+  if (config_.manual_offload_classes.empty()) {
+    partition::PartitionRequest req;
+    req.objective = config_.objective;
+    req.heap_capacity = config_.heap_capacity;
+    req.min_free_bytes = static_cast<std::int64_t>(
+        config_.min_free_fraction *
+        static_cast<double>(config_.heap_capacity));
+    req.client_speed = 1.0;
+    req.surrogate_speedup = config_.surrogate_speedup;
+    req.link = config_.link;
+    req.history_duration = std::max<SimDuration>(at, 1);
+    req.weight = config_.weight;
+    req.charge_migration = config_.charge_migration;
+    decision = partition::decide_partitioning(g, req);
+    if (!decision.offload) {
+      result.declined.push_back(std::move(decision));
+      return;
+    }
+  } else {
+    decision.offload = true;
     for (const std::string& name : config_.manual_offload_classes) {
       const ClassId cls = registry_->find(name);
       for (NodeIndex i = 0; i < g.node_count(); ++i) {
         if (g.key_of(i).cls != cls) continue;
-        manual.selected.offload.insert(g.key_of(i));
-        if (placement_[i] != 0) continue;
-        const std::int64_t mem = g.node_at(i).mem_bytes;
-        moved += static_cast<std::uint64_t>(std::max<std::int64_t>(mem, 0));
-        manual.selected.offload_mem_bytes += mem;
-        placement_[i] = 1;
+        if (decision.selected.offload.insert(g.key_of(i)).second &&
+            placement_[i] == 0) {
+          decision.selected.offload_mem_bytes += g.node_at(i).mem_bytes;
+        }
       }
     }
-    if (config_.charge_migration) {
-      const SimDuration cost = rpc_cost(moved);
-      charge_service(cost, ServiceKind::migration);
-      result.migration_time += cost;
-    }
-    OffloadSnapshot snap;
-    snap.at = at;
-    snap.decision = std::move(manual);
-    snap.migrated_bytes = moved;
-    snap.components = snap.decision.selected.offload.size();
-    result.offloads.push_back(std::move(snap));
-    return;
   }
-
-  partition::PartitionRequest req;
-  req.objective = config_.objective;
-  req.heap_capacity = config_.heap_capacity;
-  req.min_free_bytes = static_cast<std::int64_t>(
-      config_.min_free_fraction * static_cast<double>(config_.heap_capacity));
-  req.client_speed = 1.0;
-  req.surrogate_speedup = config_.surrogate_speedup;
-  req.min_improvement = config_.min_improvement;
-  req.link = config_.link;
-  req.history_duration = std::max<SimDuration>(at, 1);
-  req.weight = config_.weight;
-  req.charge_migration = config_.charge_migration;
-  req.k = std::max<std::size_t>(config_.surrogate_parts, 1);
-
-  const auto decision = partition::decide_partitioning(g, req);
-  if (!decision.offload) {
-    result.declined.push_back(decision);
-    return;
-  }
-
-  // Destination part (1-based placement value) for each selected key:
-  // parts from the k-way split when present, else everything on part 1
-  // (the single-surrogate path, byte-identical to the pre-pool emulator).
-  const auto target_part = [&](const graph::ComponentKey& key) -> int {
-    if (!decision.selected.offload.contains(key)) return 0;
-    for (std::size_t p = 0; p < decision.parts.size(); ++p) {
-      if (decision.parts[p].contains(key)) return static_cast<int>(p) + 1;
-    }
-    return 1;
-  };
 
   // Apply the new placement; charge migration for every component that
   // changes side (repeated repartitioning may also pull components back).
-  // With parts, each surrogate's batch ships separately and occupies only
-  // that surrogate; the parts-free path keeps the original single batch.
   std::uint64_t moved_bytes = 0;
-  std::map<std::size_t, std::uint64_t> moved_by_part;
   for (NodeIndex i = 0; i < g.node_count(); ++i) {
-    const int want = target_part(g.key_of(i));
-    const int current = placement_[i];
-    if (want == current) continue;
-    const auto bytes = static_cast<std::uint64_t>(
+    const int want = decision.selected.offload.contains(g.key_of(i)) ? 1 : 0;
+    if (want == placement_[i]) continue;
+    moved_bytes += static_cast<std::uint64_t>(
         std::max<std::int64_t>(g.node_at(i).mem_bytes, 0));
-    moved_bytes += bytes;
-    // The surrogate end of the move: the destination when offloading (or
-    // re-balancing between parts), the source when returning to the client.
-    const int surrogate_end = want != 0 ? want : current;
-    moved_by_part[static_cast<std::size_t>(surrogate_end - 1)] += bytes;
     placement_[i] = want;
   }
-
   if (config_.charge_migration) {
-    if (decision.parts.empty()) {
-      const SimDuration cost = rpc_cost(moved_bytes);
-      charge_service(cost, ServiceKind::migration);
-      result.migration_time += cost;
-    } else {
-      for (const auto& [part, bytes] : moved_by_part) {
-        const SimDuration cost = rpc_cost(bytes);
-        charge_service(cost, ServiceKind::migration, part);
-        result.migration_time += cost;
-      }
-    }
+    const SimDuration cost = rpc_cost(moved_bytes);
+    charge_service(cost, ServiceKind::migration);
+    result.migration_time += cost;
   }
 
   OffloadSnapshot snap;
   snap.at = at;
-  snap.decision = decision;
   snap.migrated_bytes = moved_bytes;
   snap.components = decision.selected.offload.size();
+  snap.decision = std::move(decision);
   result.offloads.push_back(std::move(snap));
 }
 
@@ -224,18 +175,14 @@ void Emulator::replay_event(const TraceEvent& e) {
         monitor_->on_method_exit(kEmulatedClient, e.cls_a, e.obj_a, e.method,
                                  e.bytes, e.t);
       }
-      const int p = placement_of(e.cls_a, e.obj_a);
-      const bool on_surrogate = p >= 1;
+      const bool on_surrogate = placement_of(e.cls_a, e.obj_a) != 0;
       const double speed = on_surrogate ? config_.surrogate_speedup : 1.0;
       const auto scaled =
           static_cast<SimDuration>(static_cast<double>(e.bytes) / speed);
       compute_raw_ += e.bytes;
       compute_scaled_ += scaled;
-      // Surrogate-placed self-time occupies that part's surrogate CPU.
-      if (on_surrogate) {
-        charge_service(scaled, ServiceKind::compute,
-                       static_cast<std::size_t>(p - 1));
-      }
+      // Surrogate-placed self-time occupies the surrogate CPU.
+      if (on_surrogate) charge_service(scaled, ServiceKind::compute);
       break;
     }
 
@@ -266,11 +213,7 @@ void Emulator::replay_event(const TraceEvent& e) {
         result_.remote_bytes += static_cast<std::uint64_t>(e.bytes);
         const SimDuration cost =
             rpc_cost(static_cast<std::uint64_t>(e.bytes));
-        // The surrogate end executes the op: the callee's part, or the
-        // caller's when the callee is the client.
-        const int sp = to_p >= 1 ? to_p : from_p;
-        charge_service(cost, ServiceKind::remote_op,
-                       static_cast<std::size_t>(sp - 1));
+        charge_service(cost, ServiceKind::remote_op);
         result_.comm_time += cost;
       }
       if (past_horizon_) break;
@@ -305,9 +248,7 @@ void Emulator::replay_event(const TraceEvent& e) {
         result_.remote_bytes += static_cast<std::uint64_t>(e.bytes);
         const SimDuration cost =
             rpc_cost(static_cast<std::uint64_t>(e.bytes));
-        const int sp = to_p >= 1 ? to_p : from_p;
-        charge_service(cost, ServiceKind::remote_op,
-                       static_cast<std::size_t>(sp - 1));
+        charge_service(cost, ServiceKind::remote_op);
         result_.comm_time += cost;
       }
       if (past_horizon_) break;

@@ -74,7 +74,6 @@ struct EmulatorConfig {
 
   partition::Objective objective = partition::Objective::free_memory;
   double min_free_fraction = 0.20;
-  double min_improvement = 0.0;
   std::size_t max_offloads = 1;
 
   // Client heap capacity the emulation assumes (may differ from the heap the
@@ -103,13 +102,6 @@ struct EmulatorConfig {
   // non-empty, the trigger offloads exactly the named classes instead of
   // consulting the partitioning policy.
   std::vector<std::string> manual_offload_classes;
-
-  // Number of surrogates one session's offload set may span: the partition
-  // request runs with k = surrogate_parts and the selected set is split
-  // across parts 1..k (placement value p means surrogate part p; 0 stays
-  // the client). 1 is the single-surrogate pipeline, byte-identical to the
-  // pre-pool emulator.
-  std::size_t surrogate_parts = 1;
 };
 
 struct OffloadSnapshot {
@@ -134,12 +126,11 @@ enum class ServiceKind : std::uint8_t {
 class SurrogateService {
  public:
   virtual ~SurrogateService() = default;
-  // Occupies the surrogate serving this session's part `part` (0-based; a
-  // session with surrogate_parts == 1 always passes 0) for `service`
-  // virtual ns beginning no earlier than the session-local time `now`;
-  // returns the queueing delay (0 when that surrogate is idle at `now`).
+  // Occupies the surrogate serving this session for `service` virtual ns
+  // beginning no earlier than the session-local time `now`; returns the
+  // queueing delay (0 when that surrogate is idle at `now`).
   virtual SimDuration acquire(SimTime now, SimDuration service,
-                              ServiceKind kind, std::size_t part) = 0;
+                              ServiceKind kind) = 0;
 };
 
 struct EmulationResult {
@@ -230,9 +221,9 @@ class Emulator {
  private:
   using NodeIndex = monitor::ExecutionMonitor::NodeIndex;
 
-  // Part holding the component of (cls, obj) (0 = the client). Nodes
-  // interned since the last offload sit past the vector's end, and npos (not
-  // interned yet) is past every end: both read the client.
+  // Side holding the component of (cls, obj): 1 the surrogate, 0 the
+  // client. Nodes interned since the last offload sit past the vector's end,
+  // and npos (not interned yet) is past every end: both read the client.
   [[nodiscard]] int placement_of(ClassId cls, ObjectId obj) const {
     const NodeIndex i = monitor_->index_of(cls, obj);
     return i < placement_.size() ? placement_[i] : 0;
@@ -241,16 +232,15 @@ class Emulator {
   [[nodiscard]] SimDuration rpc_cost(std::uint64_t bytes) const;
   void try_offload(SimTime at, EmulationResult& result);
   void replay_event(const TraceEvent& e);
-  // Serializes `service` on the shared surrogate serving part `part` (when
-  // one is installed) and accumulates the wait into queue_time.
-  void charge_service(SimDuration service, ServiceKind kind,
-                      std::size_t part = 0);
+  // Serializes `service` on the shared surrogate (when one is installed)
+  // and accumulates the wait into queue_time.
+  void charge_service(SimDuration service, ServiceKind kind);
 
   std::shared_ptr<const vm::ClassRegistry> registry_;
   EmulatorConfig config_;
   std::unique_ptr<monitor::ExecutionMonitor> monitor_;
   std::unique_ptr<monitor::ResourceMonitor> resource_;
-  // Dense placement, indexed by the monitor's NodeIndex: the part each node
+  // Dense placement, indexed by the monitor's NodeIndex: the side each node
   // sits on as of the last offload. prune_dead_components() is the only
   // renumbering and runs at the top of try_offload, which carries the
   // vector across it.

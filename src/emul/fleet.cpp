@@ -9,17 +9,20 @@ namespace aide::emul {
 
 namespace {
 
+// Scheduling quantum: trace events one turn replays before the scheduler
+// re-picks the furthest-behind session.
+constexpr std::size_t kEventsPerTurn = 256;
+
 // The shared pool's busy-until windows: pool_size members, each with
 // surrogate_concurrency hardware contexts. Sessions acquire in the order the
 // fleet scheduler replays their ops (min-virtual-time-first, so acquisition
 // order is the deterministic merge order of the timelines). A session never
 // queues behind its own previous acquisition on the same context: its
 // occupancy is already serialized into its virtual clock, so only a
-// *neighbor's* occupancy can push it out. Each (session, part) pair binds to
-// a pool member at its first acquire — the member free earliest, ties to the
-// lowest index — and keeps it; within the member, every charge books the
-// earliest-free context. With pool_size == 1 and concurrency == 1 everything
-// lands on one context and the arithmetic is the pre-pool single window.
+// *neighbor's* occupancy can push it out. Each session binds to one member
+// context at its first acquire (binding_of) and keeps it. With
+// pool_size == 1 and concurrency == 1 everything lands on one context: a
+// single busy-until window.
 class BusySurrogate final : public SurrogateService {
  public:
   BusySurrogate(FleetResult& out, std::size_t pool_size,
@@ -30,9 +33,9 @@ class BusySurrogate final : public SurrogateService {
 
   void set_active(std::size_t session) noexcept { active_ = session; }
 
-  SimDuration acquire(SimTime now, SimDuration service, ServiceKind kind,
-                      std::size_t part) override {
-    const Binding b = binding_of(active_, part, now);
+  SimDuration acquire(SimTime now, SimDuration service,
+                      ServiceKind kind) override {
+    const Binding b = binding_of(active_, now);
     Member& m = members_[b.member];
     Context& c = m.contexts[b.context];
     SimTime start = now;
@@ -85,29 +88,28 @@ class BusySurrogate final : public SurrogateService {
     std::size_t context = 0;
   };
 
-  // A (session, part) pair's surrogate half is *hosted*: its first acquire
-  // picks the member whose earliest context frees first, then the
-  // earliest-free context on it (ties to the lowest index both times), and
-  // every later charge lands on that same context — a serial stream cannot
-  // use two contexts at once. The schedule is a pure function of the
-  // acquire sequence.
-  Binding binding_of(std::size_t session, std::size_t part, SimTime now) {
-    const auto key = std::make_pair(session, part);
-    const auto it = binding_.find(key);
+  // A session's surrogate half is *hosted*: its first acquire picks the
+  // member whose earliest context frees first, then the earliest-free
+  // context on it (ties to the lowest index both times), and every later
+  // charge lands on that same context — a serial stream cannot use two
+  // contexts at once. The schedule is a pure function of the acquire
+  // sequence.
+  Binding binding_of(std::size_t session, SimTime now) {
+    const auto it = binding_.find(session);
     if (it != binding_.end()) return it->second;
     std::size_t best = 0;
     for (std::size_t i = 1; i < members_.size(); ++i) {
       if (members_[i].free_at() < members_[best].free_at()) best = i;
     }
     const Binding b{best, members_[best].earliest_free()};
-    binding_.emplace(key, b);
-    out_.placements.push_back(FleetPlacement{session, part, best, now});
+    binding_.emplace(session, b);
+    out_.placements.push_back(FleetPlacement{session, best, now});
     return b;
   }
 
   FleetResult& out_;
   std::vector<Member> members_;
-  std::map<std::pair<std::size_t, std::size_t>, Binding> binding_;
+  std::map<std::size_t, Binding> binding_;
   std::size_t active_ = std::numeric_limits<std::size_t>::max();
 };
 
@@ -130,12 +132,11 @@ FleetResult FleetEmulator::run(std::span<const Trace* const> traces) {
   sessions.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     auto em = std::make_unique<Emulator>(registry_, config_.session);
-    if (config_.shared_surrogate) em->set_surrogate_service(&surrogate);
+    em->set_surrogate_service(&surrogate);
     em->begin(*traces[i]);
     sessions.push_back(std::move(em));
   }
 
-  const std::size_t quantum = std::max<std::size_t>(config_.events_per_turn, 1);
   for (;;) {
     // Furthest-behind session runs next; ties break to the lowest index
     // (strict less-than), so the merge order is a pure function of the
@@ -152,7 +153,7 @@ FleetResult FleetEmulator::run(std::span<const Trace* const> traces) {
     }
     if (pick == n) break;
     surrogate.set_active(pick);
-    sessions[pick]->step(quantum);
+    sessions[pick]->step(kEventsPerTurn);
     out.turns += 1;
   }
 

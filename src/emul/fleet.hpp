@@ -12,7 +12,8 @@
 // EmulationResult::queue_time. A session never queues behind itself (its own
 // occupancy is already serialized into its virtual time by the emulated-time
 // formula), which makes a one-session fleet exactly equal to a plain
-// Emulator::run of the same trace.
+// Emulator::run of the same trace. A turn replays 256 trace events before
+// the scheduler re-picks the furthest-behind session.
 #pragma once
 
 #include <memory>
@@ -27,32 +28,24 @@ namespace aide::emul {
 struct FleetConfig {
   // Per-session emulator configuration (identical across the fleet).
   EmulatorConfig session;
-  // Scheduling quantum: trace events one turn replays before the driver
-  // re-picks the furthest-behind session.
-  std::size_t events_per_turn = 256;
-  // When false, sessions get dedicated surrogates (no queueing; queue_time
-  // stays 0 for everyone) — the "infinite surrogates" baseline.
-  bool shared_surrogate = true;
-  // Number of surrogates the shared pool holds. Each (session, part) pair
-  // binds to one pool member at its first acquire — the member whose busy
-  // window frees earliest, ties to the lowest index — and keeps it for the
-  // run. 1 is the single shared surrogate, byte-identical to the pre-pool
-  // fleet.
+  // Number of surrogates the shared pool holds. Each session binds to one
+  // pool member at its first acquire — the member whose busy window frees
+  // earliest, ties to the lowest index — and keeps it for the run. 1 is a
+  // single shared surrogate.
   std::size_t pool_size = 1;
-  // Hardware contexts per pool member. Each charge books the member context
-  // that frees earliest (ties to the lowest context index), so a member
-  // retires up to `surrogate_concurrency` sessions' charges in parallel;
-  // the charging session's own timeline still pays its full service. 1 is
-  // the legacy single-context surrogate, byte-identical to the pre-pool
-  // fleet.
+  // Hardware contexts per pool member. A session's first charge books the
+  // member context that frees earliest (ties to the lowest context index)
+  // and its later charges stay there, so a member retires up to
+  // `surrogate_concurrency` sessions' charges in parallel; the charging
+  // session's own timeline still pays its full service. 1 is a
+  // single-context surrogate.
   std::size_t surrogate_concurrency = 1;
 };
 
-// One lazy (session, part) -> pool member binding, in binding order — the
-// fleet's placement schedule, part of the determinism digest.
+// One lazy session -> pool member binding, in binding order — the fleet's
+// placement schedule, part of the determinism digest.
 struct FleetPlacement {
   std::size_t session = 0;
-  std::size_t part = 0;
   std::size_t surrogate = 0;
   SimTime at = 0;  // session-local virtual time of the first acquire
 };

@@ -264,261 +264,6 @@ GlobalCut stoer_wagner_min_cut(const ExecGraph& graph,
   return cut;
 }
 
-namespace {
-
-// Minimum cut of a dense weighted subgraph (Stoer-Wagner over local indices
-// 0..m-1). Returns the cut weight and one side as ascending local indices.
-// Deterministic: ascending scans with strict `>` selection, so ties always
-// resolve to the lowest index. A disconnected subgraph yields weight 0 with
-// one connected piece as the side.
-struct LocalCut {
-  double weight = std::numeric_limits<double>::infinity();
-  std::vector<std::size_t> side;
-};
-
-LocalCut local_min_cut(const std::vector<std::vector<double>>& w) {
-  const std::size_t m = w.size();
-  assert(m >= 2);
-
-  std::vector<std::vector<double>> adjw = w;
-  std::vector<std::vector<std::size_t>> merged(m);
-  for (std::size_t i = 0; i < m; ++i) merged[i] = {i};
-  std::vector<bool> alive(m, true);
-  std::size_t alive_count = m;
-
-  LocalCut best;
-  std::vector<double> conn(m);
-  std::vector<bool> added(m);
-  std::vector<std::size_t> order;
-  order.reserve(m);
-
-  while (alive_count > 1) {
-    std::fill(conn.begin(), conn.end(), 0.0);
-    std::fill(added.begin(), added.end(), false);
-    order.clear();
-
-    for (std::size_t step = 0; step < alive_count; ++step) {
-      std::size_t sel = m;
-      for (std::size_t v = 0; v < m; ++v) {
-        if (!alive[v] || added[v]) continue;
-        if (sel == m || conn[v] > conn[sel]) sel = v;
-      }
-      added[sel] = true;
-      order.push_back(sel);
-      for (std::size_t v = 0; v < m; ++v) {
-        if (alive[v] && !added[v]) conn[v] += adjw[sel][v];
-      }
-    }
-
-    const std::size_t t = order.back();
-    const std::size_t s = order[order.size() - 2];
-    if (conn[t] < best.weight) {
-      best.weight = conn[t];
-      best.side = merged[t];
-    }
-
-    for (std::size_t v = 0; v < m; ++v) {
-      if (!alive[v] || v == s || v == t) continue;
-      adjw[s][v] += adjw[t][v];
-      adjw[v][s] = adjw[s][v];
-    }
-    merged[s].insert(merged[s].end(), merged[t].begin(), merged[t].end());
-    merged[t].clear();
-    alive[t] = false;
-    --alive_count;
-  }
-
-  std::sort(best.side.begin(), best.side.end());
-  return best;
-}
-
-// Shared setup for the k-way functions: sorted, deduplicated member keys and
-// the dense weight matrix of the subgraph they induce (edges leaving the
-// subset are dropped — they cross the client cut regardless of how the
-// offload side is arranged).
-struct Subgraph {
-  std::vector<ComponentKey> keys;         // local index -> key (ascending)
-  std::vector<std::vector<double>> w;     // dense pairwise weight
-};
-
-Subgraph build_subgraph(const ExecGraph& graph,
-                        const std::vector<ComponentKey>& members,
-                        const EdgeWeightFn& weight) {
-  Subgraph sub;
-  sub.keys = members;
-  std::sort(sub.keys.begin(), sub.keys.end());
-  sub.keys.erase(std::unique(sub.keys.begin(), sub.keys.end()),
-                 sub.keys.end());
-
-  const std::size_t m = sub.keys.size();
-  std::unordered_map<ComponentKey, std::size_t> local;
-  local.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) local.emplace(sub.keys[i], i);
-
-  sub.w.assign(m, std::vector<double>(m, 0.0));
-  for (ExecGraph::EdgeSlot s = 0; s < graph.edge_count(); ++s) {
-    const auto [a, b] = graph.edge_ends(s);
-    const auto ia = local.find(graph.key_of(a));
-    const auto ib = local.find(graph.key_of(b));
-    if (ia == local.end() || ib == local.end()) continue;
-    if (ia->second == ib->second) continue;
-    const double wt = weight(graph.edge_at(s));
-    sub.w[ia->second][ib->second] += wt;
-    sub.w[ib->second][ia->second] += wt;
-  }
-  return sub;
-}
-
-double cross_weight_of(const std::vector<std::vector<double>>& w,
-                       const std::vector<std::size_t>& label) {
-  double total = 0.0;
-  for (std::size_t i = 0; i < label.size(); ++i) {
-    for (std::size_t j = i + 1; j < label.size(); ++j) {
-      if (label[i] != label[j]) total += w[i][j];
-    }
-  }
-  return total;
-}
-
-KWayCut finish_kway(const Subgraph& sub,
-                    const std::vector<std::size_t>& label) {
-  KWayCut cut;
-  cut.cross_weight = cross_weight_of(sub.w, label);
-  // Parts ordered by first appearance, i.e. by smallest member key: labels
-  // are renumbered in the order ascending local indices first use them.
-  std::unordered_map<std::size_t, std::size_t> renumber;
-  for (std::size_t i = 0; i < label.size(); ++i) {
-    const auto [it, fresh] =
-        renumber.emplace(label[i], cut.parts.size());
-    if (fresh) cut.parts.emplace_back();
-    cut.parts[it->second].insert(sub.keys[i]);
-  }
-  return cut;
-}
-
-}  // namespace
-
-KWayCut k_way_split(const ExecGraph& graph,
-                    const std::vector<ComponentKey>& members, std::size_t k,
-                    const EdgeWeightFn& weight) {
-  if (members.empty() || k == 0) {
-    throw std::invalid_argument("k_way_split: need members and k >= 1");
-  }
-  const Subgraph sub = build_subgraph(graph, members, weight);
-  const std::size_t m = sub.keys.size();
-  const std::size_t target = std::min(k, m);
-
-  // Each current part caches the min cut of its induced subgraph; only the
-  // two pieces produced by a split need recomputation.
-  struct Part {
-    std::vector<std::size_t> verts;  // ascending local indices
-    LocalCut cut;                    // cut.side indexes into verts
-  };
-  const auto compute_cut = [&](Part& p) {
-    if (p.verts.size() < 2) {
-      p.cut = LocalCut{};  // infinity: never selected for splitting
-      return;
-    }
-    std::vector<std::vector<double>> w(
-        p.verts.size(), std::vector<double>(p.verts.size(), 0.0));
-    for (std::size_t i = 0; i < p.verts.size(); ++i) {
-      for (std::size_t j = 0; j < p.verts.size(); ++j) {
-        w[i][j] = sub.w[p.verts[i]][p.verts[j]];
-      }
-    }
-    p.cut = local_min_cut(w);
-  };
-
-  std::vector<Part> parts(1);
-  parts[0].verts.resize(m);
-  std::iota(parts[0].verts.begin(), parts[0].verts.end(), std::size_t{0});
-  compute_cut(parts[0]);
-
-  while (parts.size() < target) {
-    // Apply the cheapest available split; ties go to the lowest part index.
-    std::size_t best = parts.size();
-    for (std::size_t p = 0; p < parts.size(); ++p) {
-      if (parts[p].verts.size() < 2) continue;
-      if (best == parts.size() ||
-          parts[p].cut.weight < parts[best].cut.weight) {
-        best = p;
-      }
-    }
-    assert(best < parts.size());  // target <= m guarantees a splittable part
-
-    Part& old = parts[best];
-    std::vector<bool> in_side(old.verts.size(), false);
-    for (const std::size_t li : old.cut.side) in_side[li] = true;
-    Part a, b;
-    for (std::size_t i = 0; i < old.verts.size(); ++i) {
-      (in_side[i] ? a : b).verts.push_back(old.verts[i]);
-    }
-    compute_cut(a);
-    compute_cut(b);
-    // The piece holding the part's smallest vertex keeps its slot; the other
-    // goes to the back. (Final ordering is canonicalized below regardless.)
-    const bool a_first = a.verts.front() < b.verts.front();
-    parts[best] = a_first ? std::move(a) : std::move(b);
-    parts.push_back(a_first ? std::move(b) : std::move(a));
-  }
-
-  std::vector<std::size_t> label(m, 0);
-  // Order parts by smallest member before labelling so the output matches
-  // the oracle's canonical first-appearance order.
-  std::sort(parts.begin(), parts.end(), [](const Part& x, const Part& y) {
-    return x.verts.front() < y.verts.front();
-  });
-  for (std::size_t p = 0; p < parts.size(); ++p) {
-    for (const std::size_t v : parts[p].verts) label[v] = p;
-  }
-  return finish_kway(sub, label);
-}
-
-KWayCut brute_force_k_way(const ExecGraph& graph,
-                          const std::vector<ComponentKey>& members,
-                          std::size_t k, const EdgeWeightFn& weight) {
-  if (members.empty() || k == 0) {
-    throw std::invalid_argument("brute_force_k_way: need members and k >= 1");
-  }
-  const Subgraph sub = build_subgraph(graph, members, weight);
-  const std::size_t m = sub.keys.size();
-  if (m > 14 || k > 6) {
-    throw std::invalid_argument("brute_force_k_way: need m <= 14, k <= 6");
-  }
-  const std::size_t target = std::min(k, m);
-
-  // Canonical set-partition enumeration via restricted growth strings:
-  // label[0] = 0 and label[i] <= max(label[0..i-1]) + 1, keeping exactly
-  // `target` labels in use. The first optimum in enumeration order wins,
-  // which is deterministic by construction.
-  std::vector<std::size_t> label(m, 0);
-  std::vector<std::size_t> best_label;
-  double best_weight = std::numeric_limits<double>::infinity();
-
-  const std::function<void(std::size_t, std::size_t)> enumerate =
-      [&](std::size_t i, std::size_t used) {
-        if (i == m) {
-          if (used != target) return;
-          const double cw = cross_weight_of(sub.w, label);
-          if (cw < best_weight) {
-            best_weight = cw;
-            best_label = label;
-          }
-          return;
-        }
-        // Prune: the remaining positions must be able to reach `target`
-        // labels, and no branch may exceed it.
-        if (used + (m - i) < target) return;
-        const std::size_t cap = std::min(used, target - 1);
-        for (std::size_t lab = 0; lab <= cap; ++lab) {
-          label[i] = lab;
-          enumerate(i + 1, std::max(used, lab + 1));
-        }
-      };
-  enumerate(1, 1);
-  return finish_kway(sub, best_label);
-}
-
 GlobalCut brute_force_min_cut(const ExecGraph& graph,
                               const EdgeWeightFn& weight) {
   const SortedIndex ix = build_index(graph, weight);

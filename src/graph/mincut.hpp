@@ -8,8 +8,11 @@
 // partitioning as a candidate. The partitioning policy then evaluates all
 // candidates and selects the one that best satisfies it.
 //
-// This module provides:
-//   * modified_mincut()      — the paper's candidate-series heuristic
+// Every cut here is two-way, the client against one surrogate: the paper's
+// prototype "performs a single offloading from a client device to a single
+// surrogate server". This module provides:
+//   * modified_mincut()      — the paper's candidate-series heuristic (and
+//                              its streaming form, modified_mincut_visit())
 //   * stoer_wagner_min_cut() — the classic global minimum cut (baseline and
 //                              ablation comparator)
 //   * brute_force_min_cut()  — exponential oracle used by property tests
@@ -86,36 +89,5 @@ struct GlobalCut {
 // Exponential-time exact minimum cut (n <= 20), test oracle only.
 [[nodiscard]] GlobalCut brute_force_min_cut(const ExecGraph& graph,
                                             const EdgeWeightFn& weight = {});
-
-// A k-way partitioning of a component subset (the surrogate-pool fleet: one
-// offload set split across k surrogates). Parts are non-empty, disjoint and
-// cover the subset; `cross_weight` is the total policy weight of edges whose
-// endpoints land in different parts (edges leaving the subset are not
-// counted — they cross the client cut however the offload side is arranged).
-struct KWayCut {
-  std::vector<std::unordered_set<ComponentKey>> parts;
-  double cross_weight = 0.0;
-
-  [[nodiscard]] std::size_t k() const noexcept { return parts.size(); }
-};
-
-// Splits `members` into exactly min(k, |members|) parts by greedy recursive
-// bisection: starting from one part, repeatedly compute the Stoer-Wagner
-// minimum cut of every current splittable part and apply the cheapest one,
-// until k parts exist. Deterministic: components are processed in sorted key
-// order, ties break toward the lowest part index, and the returned parts are
-// ordered by their smallest member key. k == 1 returns the subset unsplit
-// with cross_weight 0 (the single-surrogate path, byte-identical to not
-// calling this at all).
-[[nodiscard]] KWayCut k_way_split(const ExecGraph& graph,
-                                  const std::vector<ComponentKey>& members,
-                                  std::size_t k,
-                                  const EdgeWeightFn& weight = {});
-
-// Exponential-time exact minimum k-cut over `members` (canonical
-// set-partition enumeration; |members| <= 14, k <= 6), test oracle only.
-[[nodiscard]] KWayCut brute_force_k_way(
-    const ExecGraph& graph, const std::vector<ComponentKey>& members,
-    std::size_t k, const EdgeWeightFn& weight = {});
 
 }  // namespace aide::graph

@@ -283,38 +283,20 @@ PartitionDecision decide_partitioning(const graph::ExecGraph& graph,
     }
   }
 
-  // Split the selected set across k surrogates while it is still in
-  // cut-graph keys: hint-contracted groups are single nodes here, so
-  // statically-inseparable components land in the same part by
-  // construction. k == 1 never reaches this and stays byte-identical.
-  if (decision.offload && req.k > 1 && decision.selected.offload.size() > 1) {
-    const std::vector<graph::ComponentKey> members(
-        decision.selected.offload.begin(), decision.selected.offload.end());
-    graph::KWayCut kc =
-        graph::k_way_split(*cut_graph, members, req.k, req.weight);
-    decision.part_cross_weight = kc.cross_weight;
-    decision.parts = std::move(kc.parts);
-  }
-
   // A contracted representative stands for every component folded into it;
-  // expand the selection (and each part) back to monitor-visible keys so
-  // the platform can gather the right objects.
+  // expand the selection back to monitor-visible keys so the platform can
+  // gather the right objects.
   if (decision.offload && decision.hints_applied) {
-    const auto expand =
-        [&](const std::unordered_set<graph::ComponentKey>& set) {
-          std::unordered_set<graph::ComponentKey> expanded;
-          for (const auto& comp : set) {
-            const auto it = contracted.members.find(comp);
-            if (it == contracted.members.end()) {
-              expanded.insert(comp);
-              continue;
-            }
-            expanded.insert(it->second.begin(), it->second.end());
-          }
-          return expanded;
-        };
-    decision.selected.offload = expand(decision.selected.offload);
-    for (auto& part : decision.parts) part = expand(part);
+    std::unordered_set<graph::ComponentKey> expanded;
+    for (const auto& comp : decision.selected.offload) {
+      const auto it = contracted.members.find(comp);
+      if (it == contracted.members.end()) {
+        expanded.insert(comp);
+        continue;
+      }
+      expanded.insert(it->second.begin(), it->second.end());
+    }
+    decision.selected.offload = std::move(expanded);
   }
 
   decision.compute_seconds =

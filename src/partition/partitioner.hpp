@@ -67,12 +67,6 @@ struct PartitionRequest {
   // call.
   const analysis::StaticHints* hints = nullptr;
 
-  // Number of surrogates the selected offload set may span. With k > 1 the
-  // selected set is split into min(k, |set|) parts by recursive bisection
-  // (graph::k_way_split) over the (contracted) cut graph; k == 1 leaves the
-  // decision byte-identical to the single-surrogate pipeline.
-  std::size_t k = 1;
-
   // Post-reconcile re-offload seeding: components whose working tree was
   // rebuilt while disconnected (derived from the redo-log watch set) receive
   // a per-byte credit against their candidate's cut cost under the
@@ -105,14 +99,6 @@ struct PartitionDecision {
   std::size_t mincut_nodes = 0;
   std::size_t mincut_edges = 0;
   bool hints_applied = false;
-
-  // k-way placement (request.k > 1 only): the selected offload set split
-  // into per-surrogate parts, expanded to monitor-visible component keys,
-  // ordered by smallest member key. Empty means single-surrogate placement
-  // (the union is `selected.offload` either way). `part_cross_weight` is the
-  // policy weight of surrogate-to-surrogate edges introduced by the split.
-  std::vector<std::unordered_set<graph::ComponentKey>> parts;
-  double part_cross_weight = 0.0;
 };
 
 // Result of pre-contracting an execution graph with static hints. `members`

@@ -8,6 +8,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/simclock.hpp"
+
 namespace aide::platform {
 
 enum class LinkState : std::uint8_t {
@@ -54,7 +56,10 @@ inline constexpr std::size_t kMaxReadmissions = 4;
 inline constexpr std::size_t kMaxReconciles = 16;
 // Size of one reconnect probe, charged to the link when it delivers.
 inline constexpr std::uint64_t kProbeBytes = 64;
-// Bandwidth of the recovery channel that pulls state home on surrogate loss.
+// Recovery-channel cost model for pulling state home on surrogate loss
+// (reclaim or hoard): a flat re-handshake latency plus the pulled bytes over
+// kRecoveryBandwidthBps.
+inline constexpr SimDuration kRecoveryLatency = sim_ms(200);
 inline constexpr double kRecoveryBandwidthBps = 11e6;
 
 struct LinkStep {

@@ -17,7 +17,7 @@ namespace {
 constexpr std::uint32_t kSessionNodeBase = 16;
 
 // Allocation-gravity credit (cut-weight units per byte, scaled by the
-// platform's edge_weight.bytes_factor) that offload decisions after a
+// request's EdgeWeightFn::bytes_factor) that offload decisions after a
 // reconcile grant to components of the working tree the program used or
 // rebuilt while disconnected, so that tree outranks the cheapest-to-cut
 // sliver (DESIGN.md §11). The seed lasts until the next disconnection.
@@ -346,7 +346,7 @@ void Platform::pull_back(bool partition) {
   client_ep_->flush_pending();
 
   // Charge the recovery channel: loss detection plus shipping state home.
-  clock_.advance(config_.recovery_latency +
+  clock_.advance(kRecoveryLatency +
                  static_cast<SimDuration>(static_cast<double>(bytes) * 8.0 /
                                           kRecoveryBandwidthBps * 1e9));
 
@@ -416,11 +416,10 @@ partition::PartitionRequest Platform::make_request(
   req.link = config_.link;
   const SimTime since = offloads_.empty() ? 0 : offloads_.back().at;
   req.history_duration = std::max<SimDuration>(clock_.now() - since, 1);
-  req.weight = config_.edge_weight;
   if (!reoffload_gravity_.empty()) {
     req.reoffload_gravity = &reoffload_gravity_;
     req.gravity_credit_per_byte =
-        kReoffloadGravityCredit * config_.edge_weight.bytes_factor;
+        kReoffloadGravityCredit * req.weight.bytes_factor;
   }
   if (config_.use_static_hints) req.hints = gates_->hints();
   return req;

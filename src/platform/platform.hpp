@@ -122,10 +122,6 @@ struct PlatformConfig {
   // surrogate is away (dead or disconnected) and proactive recalls while it
   // is present.
   SimDuration probe_interval = sim_ms(250);
-  // Recovery-channel cost model for pulling state home on surrogate loss
-  // (reclaim or hoard): a flat re-handshake latency plus the pulled bytes
-  // over kRecoveryBandwidthBps.
-  SimDuration recovery_latency = sim_ms(200);
 
   monitor::TriggerPolicy trigger;                     // paper: <5% free, x3
   // Minimum client-heap fraction an acceptable partitioning must free
@@ -161,8 +157,6 @@ struct PlatformConfig {
   // The paper's prototype "performs a single offloading from a client device
   // to a single surrogate server".
   std::size_t max_offloads = 1;
-
-  graph::EdgeWeightFn edge_weight;
 };
 
 struct OffloadReport {

@@ -6,11 +6,10 @@
 // emulation path instead. It records the five apps at reduced scale and
 // prints one line per case, holding every EmulationResult field and, for
 // every offload and declined evaluation, the decision with its sorted
-// selected component keys and parts. The cases are the Figure 7 policy
-// corners, Figure 10's Native x Array grid for all five apps, a manual
-// offload, repeated repartitioning under the Array enhancement (pruning
-// renumbers the graph's nodes after a placement exists), a two-surrogate
-// split and a pooled fleet. Any change to placement, the monitor's graph or
+// selected component keys. The cases are the Figure 7 policy corners,
+// Figure 10's Native x Array grid for all five apps, a manual offload,
+// repeated repartitioning under the Array enhancement (pruning renumbers the
+// graph's nodes after a placement exists) and a pooled fleet. Any change to placement, the monitor's graph or
 // the partitioner's choice moves a number here. Regenerate
 // tests/golden/emulation_trails.txt with AIDE_UPDATE_GOLDEN=1 only after an
 // intended change to emulated outcomes.
@@ -176,8 +175,6 @@ void put_decision(std::string& out, const partition::PartitionDecision& d) {
       c.cut_weight, c.cut_bytes, c.cut_invocations, c.cut_accesses,
       c.offload_mem_bytes, c.offload_self_time);
   put_keys(out, c.offload);
-  put(out, " cross=%.9g parts=", d.part_cross_weight);
-  for (const auto& part : d.parts) put_keys(out, part);
 }
 
 std::string result_line(const std::string& name, const EmulationResult& r) {
@@ -320,24 +317,17 @@ TEST(EmulationTrailTest, EveryPathMatchesGolden) {
     out += result_line("repartition Biomer array x3", r);
   }
 
-  // Two surrogates: the k = 2 split and its per-part migration batches.
-  for (const char* name : {"Dia", "Biomer"}) {
-    EmulatorConfig cfg = memory_config(app(name), 0.50, 1, 0.10);
-    cfg.surrogate_parts = 2;
-    out += run_line(std::string("parts2 ") + name, app(name), cfg);
-  }
-
-  // A pooled fleet: four sessions on two two-context surrogates, each
-  // session split across two parts.
+  // A pooled fleet: six sessions on two two-context surrogates. Four
+  // contexts hold six sessions, so two contexts host two sessions each and
+  // those sessions queue behind one another.
   {
     const Recorded& tracer = app("Tracer");
     FleetConfig cfg;
     cfg.session = cpu_config(true, true);
-    cfg.session.surrogate_parts = 2;
     cfg.pool_size = 2;
     cfg.surrogate_concurrency = 2;
     FleetEmulator fleet(tracer.registry, cfg);
-    const FleetResult f = fleet.run(tracer.trace, 4);
+    const FleetResult f = fleet.run(tracer.trace, 6);
     for (std::size_t i = 0; i < f.sessions.size(); ++i) {
       out += result_line("fleet Tracer session " + std::to_string(i),
                          f.sessions[i]);
@@ -354,8 +344,7 @@ TEST(EmulationTrailTest, EveryPathMatchesGolden) {
     }
     out += "placements=";
     for (const FleetPlacement& p : f.placements) {
-      put(out, "{%zu/%zu->%zu at=%" PRId64 "}", p.session, p.part, p.surrogate,
-          p.at);
+      put(out, "{%zu->%zu at=%" PRId64 "}", p.session, p.surrogate, p.at);
     }
     out += "\n";
   }

@@ -263,7 +263,7 @@ TEST(PlatformFailureTest, HandlePeerFailureReclaimsAllSurrogateState) {
   EXPECT_EQ(p.client().stub_count(), 0u);
   EXPECT_FALSE(p.client_endpoint().connected());
   // The recovery channel was charged at least its flat latency.
-  EXPECT_GE(p.clock().now() - before, p.config().recovery_latency);
+  EXPECT_GE(p.clock().now() - before, kRecoveryLatency);
   // Execution continues fully local with state intact.
   EXPECT_EQ(p.client().call(counter, "get").as_int(), 5);
   EXPECT_EQ(p.client().call(counter, "inc").as_int(), 6);

@@ -6,6 +6,7 @@
 // lowest index), so two identically configured pools driven by the same
 // admission/turn/death sequence must agree byte-for-byte on every placement,
 // every replacement record, the shared clock, and the aggregated counters.
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -29,6 +30,26 @@ std::shared_ptr<vm::ClassRegistry> rec_registry() {
   vm::ClassBuilder cb("Rec");
   for (int f = 0; f < 4; ++f) cb.field("f" + std::to_string(f));
   reg->register_class(cb.build());
+  return reg;
+}
+
+// Rec plus Box, whose touch() bumps its Rec's first field: every touch is a
+// Box -> Rec access, so the session monitor's graph records an edge.
+std::shared_ptr<vm::ClassRegistry> box_registry() {
+  auto reg = rec_registry();
+  reg->register_class(
+      vm::ClassBuilder("Box")
+          .field("rec")
+          .method("touch",
+                  [](vm::Vm& vm, vm::ObjectRef self, auto) -> vm::Value {
+                    const vm::ObjectRef rec =
+                        vm.get_field(self, FieldId{0}).as_ref();
+                    const vm::Value n = vm.get_field(rec, FieldId{0});
+                    const std::int64_t v = n.is_int() ? n.as_int() : 0;
+                    vm.put_field(rec, FieldId{0}, vm::Value{v + 1});
+                    return vm::Value{v + 1};
+                  })
+          .build());
   return reg;
 }
 
@@ -239,7 +260,7 @@ TEST(PoolFailover, ReplacementsKeepTheClientsOffloadedState) {
   // Each victim's reclaim charged the recovery channel on the pool clock.
   EXPECT_GE(pool.clock().now() - killed_at,
             static_cast<SimDuration>(kSessions) *
-                platform::PlatformConfig{}.recovery_latency);
+                platform::kRecoveryLatency);
   std::vector<platform::Session*> fresh;
   for (const platform::Replacement& r : moved) {
     ASSERT_EQ(r.to, 0u);
@@ -274,6 +295,73 @@ TEST(PoolFailover, ReplacementsKeepTheClientsOffloadedState) {
     expect_memory_accounted(*s);
   }
   EXPECT_EQ(reads, kSessions * kRecs * 7);
+}
+
+std::vector<graph::ComponentKey> node_keys(platform::Session& s) {
+  const graph::ExecGraph& g = s.exec_monitor().graph();
+  std::vector<graph::ComponentKey> keys;
+  for (graph::ExecGraph::NodeIndex i = 0; i < g.node_count(); ++i) {
+    keys.push_back(g.key_of(i));
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+TEST(PoolFailover, ReplacementRelearnsTheEdgeHistory) {
+  // The replacement's monitor learns the device's objects and memory in one
+  // heap pass but starts with no edges; the turns after the failover teach
+  // it the Box -> Rec edge again. Member 1 is fastest and hosts both
+  // sessions; each offloads its Rec and touches it from a device-side Box
+  // every turn.
+  constexpr std::size_t kSessions = 2;
+  platform::SurrogatePool pool(box_registry(), pool_config({2.0, 8.0}));
+  std::vector<vm::ObjectRef> boxes;
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    platform::Session* s = pool.open_session();
+    ASSERT_NE(s, nullptr);
+    ASSERT_EQ(pool.member_of(s->id()), 1u);
+    s->driver_state = i;  // the box index rides along on failover
+    const vm::ObjectRef box = s->client().new_object("Box");
+    const vm::ObjectRef rec = s->client().new_object("Rec");
+    s->client().add_root(box);
+    s->client().put_field(box, FieldId{0}, vm::Value{rec});
+    boxes.push_back(box);
+    const ObjectId ids[] = {rec.id};
+    ASSERT_TRUE(s->offload(ids));
+  }
+  const auto turn = [&](platform::Session& s) {
+    (void)s.client().call(boxes[s.driver_state], "touch");
+    return platform::TurnOutcome::yielded;
+  };
+  pool.run_rounds(3, turn);
+
+  std::vector<std::vector<graph::ComponentKey>> keys_before;
+  for (std::uint32_t id = 0; id < kSessions; ++id) {
+    platform::Session* s = pool.find_session(SessionId{id});
+    ASSERT_NE(s, nullptr);
+    EXPECT_GT(s->exec_monitor().graph().edge_count(), 0u);
+    keys_before.push_back(node_keys(*s));
+    EXPECT_EQ(keys_before.back().size(), 2u);  // Box and Rec
+  }
+
+  const auto moved = pool.kill_surrogate(1);
+  ASSERT_EQ(moved.size(), kSessions);
+  std::vector<platform::Session*> fresh;
+  for (const platform::Replacement& r : moved) {
+    ASSERT_EQ(r.to, 0u);
+    platform::Session* s = pool.find_session(r.new_id);
+    ASSERT_NE(s, nullptr);
+    fresh.push_back(s);
+    EXPECT_EQ(node_keys(*s), keys_before[r.old_id.value()]);
+    expect_memory_accounted(*s);
+    EXPECT_EQ(s->exec_monitor().graph().edge_count(), 0u);
+  }
+
+  pool.run_rounds(2, turn);
+  for (platform::Session* s : fresh) {
+    EXPECT_GT(s->exec_monitor().graph().edge_count(), 0u);
+    expect_memory_accounted(*s);
+  }
 }
 
 // --- whole-pool determinism --------------------------------------------------
