@@ -128,6 +128,7 @@ if [[ "${AIDE_CI_SKIP_SANITIZE:-0}" != 1 ]]; then
   cmake -B build-asan -S . -DAIDE_SANITIZE=ON >/dev/null
   cmake --build build-asan -j "$JOBS"
   ctest --test-dir build-asan --output-on-failure -j "$JOBS"
+  ./build-asan/src/analysis/aidelint >/dev/null
   ./build-asan/src/analysis/aidelint --verify >/dev/null
   ./build-asan/tests/chaos_test --smoke
   ./build-asan/bench/bench_vm_hotpath --smoke

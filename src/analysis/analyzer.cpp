@@ -127,37 +127,23 @@ AnalysisReport analyze(const vm::ClassRegistry& registry) {
       edges.push_back(StaticEdge{def.id, registry.find(r), RefKind::ref});
     }
 
-    for (const auto& c : def.calls) {
-      if (!registry.contains(c.target_class)) {
-        diag(Severity::error, Rule::unknown_call_target, def,
-             "call to unknown class '" + c.target_class + "'");
-        continue;
-      }
-      const ClassId target = registry.find(c.target_class);
-      const auto& target_def = registry.get(target);
-      const MethodId mid = target_def.find_method(c.method);
-      if (!mid.valid()) {
-        diag(Severity::error, Rule::unknown_call_target, def,
-             "call to unknown method '" + c.target_class + "." + c.method +
-                 "'");
-        continue;
-      }
-      edges.push_back(StaticEdge{def.id, target, RefKind::call});
-      const auto& m = target_def.methods[mid.value()];
-      if (c.argc >= 0 && m.declared_arity >= 0 && c.argc != m.declared_arity) {
-        diag(Severity::error, Rule::arity_mismatch, def,
-             "call to '" + c.target_class + "." + c.method + "' passes " +
-                 std::to_string(c.argc) + " arguments but the method declares " +
-                 std::to_string(m.declared_arity));
-      }
-    }
-
     for (const auto& m : def.methods) {
       if (m.kind == vm::MethodKind::native &&
           m.effect == vm::NativeEffect::undeclared) {
         diag(Severity::warning, Rule::undeclared_native_effect, def,
              "stateful native method '" + m.name +
                  "' declares no side effect (expected device_state)");
+      }
+      // Call edges come from the effect IR: one per class a method invokes,
+      // other than its own. An invoke whose class does not resolve adds
+      // nothing; aideverify reports it as ir-unknown-target.
+      for (const auto& op : m.ir) {
+        if (op.kind != vm::EffectOpKind::call || op.cls == def.name ||
+            !registry.contains(op.cls)) {
+          continue;
+        }
+        edges.push_back(
+            StaticEdge{def.id, registry.find(op.cls), RefKind::call});
       }
     }
   }

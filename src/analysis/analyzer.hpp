@@ -5,9 +5,9 @@
 // CloneCloud-style systems showed that a large share of partition-safety
 // facts are knowable *before execution* from code structure alone. This
 // module is that static layer for the MiniVM: it walks registered ClassDef
-// metadata (declared field types, call sites, pin reasons — never method
-// bodies, which are opaque C++), builds a static reference graph, and
-// produces
+// metadata (declared field types and references, pin reasons, and the
+// cross-class `invokes` of each method's effect IR — never method bodies,
+// which are opaque C++), builds a static reference graph, and produces
 //
 //   1. the transitive pinned closure — classes that can never leave the
 //      client because they are pinned or hold fields of closure types,
@@ -44,11 +44,6 @@ enum class Severity : std::uint8_t { info, warning, error };
 enum class Rule : std::uint8_t {
   // WARN: a field declares a type that is not registered.
   unknown_field_type,
-  // ERROR: a declared call site names an unknown class or method.
-  unknown_call_target,
-  // ERROR: a declared call site's argument count contradicts the target
-  // method's declared arity.
-  arity_mismatch,
   // WARN: a stateful native method does not declare its side effect.
   undeclared_native_effect,
   // ERROR: a class declared migratable sits in the pinned closure (it is
@@ -76,10 +71,6 @@ enum class Rule : std::uint8_t {
   // declared type (ERROR), or stores refs into an untyped field (INFO —
   // the static reference graph understates connectivity).
   field_type_drift,
-  // WARN: class-level `calls` metadata disagrees with the inferred call
-  // graph — a declared call site no callee's IR backs (stale), or a
-  // cross-class IR call the class never declared (missing).
-  call_decl_drift,
   // INFO: a method has no declared effect IR; its summary is ⊤ (unknown)
   // and poisons every transitive caller.
   missing_ir,
@@ -94,8 +85,6 @@ enum class Rule : std::uint8_t {
 [[nodiscard]] constexpr std::string_view to_string(Rule r) noexcept {
   switch (r) {
     case Rule::unknown_field_type: return "unknown-field-type";
-    case Rule::unknown_call_target: return "unknown-call-target";
-    case Rule::arity_mismatch: return "arity-mismatch";
     case Rule::undeclared_native_effect: return "undeclared-native-effect";
     case Rule::pinned_field_in_migratable:
       return "pinned-field-in-migratable";
@@ -105,7 +94,6 @@ enum class Rule : std::uint8_t {
     case Rule::effect_drift: return "effect-drift";
     case Rule::arity_drift: return "arity-drift";
     case Rule::field_type_drift: return "field-type-drift";
-    case Rule::call_decl_drift: return "call-decl-drift";
     case Rule::missing_ir: return "missing-ir";
     case Rule::pin_unjustified: return "pin-unjustified";
     case Rule::stateless_candidate: return "stateless-candidate";

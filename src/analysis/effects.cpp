@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <deque>
 #include <string_view>
-#include <unordered_set>
 
 #include "common/log.hpp"
 
@@ -390,13 +389,11 @@ VerifyReport verify(const vm::ClassRegistry& registry, AnalysisReport base) {
 
     bool all_known = true;
     bool any_device = false;
-    bool all_have_ir = true;
     for (std::size_t mi = 0; mi < def.methods.size(); ++mi) {
       const vm::MethodDef& m = def.methods[mi];
       const MethodState& st = states[offsets[c] + mi];
       all_known = all_known && !st.fixed.unknown;
       any_device = any_device || st.fixed.device;
-      all_have_ir = all_have_ir && m.has_ir;
 
       if (!m.has_ir &&
           !(m.kind == vm::MethodKind::native && m.stateless)) {
@@ -449,54 +446,6 @@ VerifyReport verify(const vm::ClassRegistry& registry, AnalysisReport base) {
           Severity::info, Rule::pin_unjustified, def,
           "pinned '" + std::string(vm::to_string(def.pin_reason)) +
               "' but every method is proven free of device effects"));
-    }
-
-    // Class-level call-site declarations vs the inferred call graph. Both
-    // directions need full IR coverage of this class to be provable.
-    if (all_have_ir) {
-      std::vector<std::pair<std::string_view, std::string_view>> ir_calls;
-      for (std::size_t mi = 0; mi < def.methods.size(); ++mi) {
-        for (const vm::EffectOp& op : def.methods[mi].ir) {
-          if (op.kind == vm::EffectOpKind::call) {
-            ir_calls.emplace_back(op.cls, op.member);
-          }
-        }
-      }
-      for (const vm::CallSiteDecl& decl : def.calls) {
-        const bool backed = std::any_of(
-            ir_calls.begin(), ir_calls.end(), [&](const auto& c2) {
-              return c2.first == decl.target_class &&
-                     c2.second == decl.method;
-            });
-        if (!backed) {
-          diags.push_back(make_diag(
-              Severity::warning, Rule::call_decl_drift, def,
-              "declared call site '" + decl.target_class + "." +
-                  decl.method + "' is stale: no method's IR invokes it"));
-        }
-      }
-      std::unordered_set<std::string> reported;
-      for (std::size_t mi = 0; mi < def.methods.size(); ++mi) {
-        for (const vm::EffectOp& op : def.methods[mi].ir) {
-          if (op.kind != vm::EffectOpKind::call || op.cls == def.name) {
-            continue;
-          }
-          if (!registry.contains(op.cls)) continue;  // already an ERROR
-          const bool declared = std::any_of(
-              def.calls.begin(), def.calls.end(),
-              [&](const vm::CallSiteDecl& d) {
-                return d.target_class == op.cls && d.method == op.member;
-              });
-          if (!declared &&
-              reported.insert(op.cls + "." + op.member).second) {
-            diags.push_back(make_diag(
-                Severity::warning, Rule::call_decl_drift, def,
-                "method '" + def.methods[mi].name + "' invokes '" + op.cls +
-                    "." + op.member +
-                    "' but the class declares no such call site"));
-          }
-        }
-      }
     }
   }
 

@@ -23,9 +23,11 @@
 // fixpoint terminates even for recursive call graphs.
 //
 // The summaries are then used three ways:
-//  1. audit — every hand-declared NativeEffect / pin / arity / field-type /
-//     call-site annotation is cross-checked against the inferred facts
-//     (Rule::ir_unknown_target .. Rule::stateless_candidate);
+//  1. audit — every hand-declared NativeEffect / pin / arity / field-type
+//     annotation is cross-checked against the inferred facts, and every IR
+//     invoke once: ir-unknown-target for an unknown class or method,
+//     arity-drift for its argument count (Rule::ir_unknown_target ..
+//     Rule::stateless_candidate);
 //  2. batch safety — a pairwise conflict matrix over the program's deferred
 //     store locations for the report, and the two transport verdicts
 //     (known writers, known call trees) served to src/rpc through the
@@ -156,10 +158,6 @@ struct ConflictMatrix {
   // True if some summary writes ⊤ — every pair conflicts, matrix rows are
   // only the known locations.
   bool any_unknown_writes = false;
-
-  [[nodiscard]] bool commutes(const Loc& a, const Loc& b) const noexcept {
-    return !any_unknown_writes && !a.overlaps(b);
-  }
 };
 
 struct VerifyReport {

@@ -94,7 +94,6 @@ void register_classes_impl(vm::ClassRegistry& reg) {
           .field("bonds", "ArrayList")
           .references("Bio.Atom")
           .references("Bio.Bond")
-          .calls("ArrayList", "add", 1)
           .method(
               "buildMol",
               [](Vm& ctx, ObjectRef self, auto args) -> Value {
@@ -199,8 +198,6 @@ void register_classes_impl(vm::ClassRegistry& reg) {
           .entry()
           .field("steps")
           .references("Bio.Atom")
-          .calls("Bio.Molecule", "atomCount", 0)
-          .calls("Bio.Molecule", "getAtom", 1)
           .method(
               "minimizeStep",
               [](Vm& ctx, ObjectRef self, auto args) -> Value {
@@ -286,8 +283,6 @@ void register_classes_impl(vm::ClassRegistry& reg) {
           .field("ring")
           .field("pos")
           .references("Bio.Atom")
-          .calls("Bio.Molecule", "atomCount", 0)
-          .calls("Bio.Molecule", "getAtom", 1)
           // Per-iteration analysis pass: fills a fresh sample buffer and
           // retains the last few in a ring (the molecule editor's live
           // property charts). This is the application's steady allocation
@@ -344,11 +339,6 @@ void register_classes_impl(vm::ClassRegistry& reg) {
           .field("display", "Display")
           .field("frames")
           .references("Bio.Atom")
-          .calls("Bio.Molecule", "atomCount", 0)
-          .calls("Bio.Molecule", "getAtom", 1)
-          .calls("Math", "sin", 1)
-          .calls("Display", "drawPixel", 3)
-          .calls("Display", "flush", 0)
           // Pinned: the viewport rasterizes into the device framebuffer.
           .native_method(
               "drawFrame",
@@ -401,7 +391,6 @@ void register_classes_impl(vm::ClassRegistry& reg) {
           .entry()
           .field("display", "Display")
           .field("updates")
-          .calls("Display", "drawText", 3)
           .method("showEnergy",
                   [](Vm& ctx, ObjectRef self, auto args) -> Value {
                     const ObjectRef display =

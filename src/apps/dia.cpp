@@ -172,9 +172,6 @@ void register_classes_impl(vm::ClassRegistry& reg) {
           .field("w")
           .field("h")
           .references("Dia.Layer")
-          .calls("ArrayList", "add", 1)
-          .calls("ArrayList", "get", 1)
-          .calls("ArrayList", "size", 0)
           .method("initImage",
                   [](Vm& ctx, ObjectRef self, auto args) -> Value {
                     ctx.put_field(self, kImageLayers, Value{make_list(ctx)});
@@ -223,7 +220,6 @@ void register_classes_impl(vm::ClassRegistry& reg) {
           .field("passes")
           .field("console", "Console")
           .references("Dia.Layer")
-          .calls("Console", "println", 1)
           .method(
               "boxBlur",
               [](Vm& ctx, ObjectRef self, auto args) -> Value {
@@ -300,7 +296,6 @@ void register_classes_impl(vm::ClassRegistry& reg) {
           .field("entries", "ArrayList")
           .field("count")
           .references("Dia.Layer")
-          .calls("ArrayList", "add", 1)
           .method("pushLayer",
                   [](Vm& ctx, ObjectRef self, auto args) -> Value {
                     Value entries_v = ctx.get_field(self, kHistEntries);
@@ -337,7 +332,6 @@ void register_classes_impl(vm::ClassRegistry& reg) {
           .field("display", "Display")
           .field("blits")
           .references("Dia.Layer")
-          .calls("Display", "drawText", 3)
           // Native preview: the framebuffer blit must happen on the client
           // device; it reads sampled pixels from the layer raster.
           .native_method(
@@ -382,12 +376,6 @@ void register_classes_impl(vm::ClassRegistry& reg) {
           .field("display", "Display")
           .field("labels", "ArrayList")
           .references("String")
-          // buildTools appends the label list; the add call site was
-          // missing until aideverify flagged it.
-          .calls("ArrayList", "add", 1)
-          .calls("ArrayList", "size", 0)
-          .calls("ArrayList", "get", 1)
-          .calls("Display", "drawText", 3)
           .method("buildTools",
                   [](Vm& ctx, ObjectRef self, auto) -> Value {
                     const ObjectRef labels = make_list(ctx);

@@ -201,9 +201,6 @@ void register_classes_impl(vm::ClassRegistry& reg) {
           .field("count")
           .field("length")
           .references("JNote.TextSegment")
-          // checksumDoc reads every segment back through readAll; the
-          // call declaration was missing until aideverify flagged it.
-          .calls("JNote.TextSegment", "readAll", 0)
           .method("initDoc",
                   [](Vm& ctx, ObjectRef self, auto args) -> Value {
                     const std::int64_t max_segs = arg(args, 0).as_int();
@@ -284,9 +281,6 @@ void register_classes_impl(vm::ClassRegistry& reg) {
           .field("starts")
           .field("segOf")
           .field("count")
-          .calls("JNote.Document", "segmentCount", 0)
-          .calls("JNote.Document", "getSegment", 1)
-          .calls("JNote.TextSegment", "readAll", 0)
           .method(
               "rebuild",
               [](Vm& ctx, ObjectRef self, auto args) -> Value {
@@ -346,10 +340,6 @@ void register_classes_impl(vm::ClassRegistry& reg) {
           .field("highlights")
           .field("count")
           .references("String")
-          .calls("JNote.Document", "segmentCount", 0)
-          .calls("JNote.Document", "getSegment", 1)
-          .calls("JNote.TextSegment", "readAll", 0)
-          .calls("StrUtil", "copyCase", 1)
           .method(
               "build",
               [](Vm& ctx, ObjectRef self, auto args) -> Value {
@@ -462,7 +452,6 @@ void register_classes_impl(vm::ClassRegistry& reg) {
           .entry()
           .field("entries", "ArrayList")
           .field("count")
-          .calls("ArrayList", "add", 1)
           .method("pushSnap",
                   [](Vm& ctx, ObjectRef self, auto args) -> Value {
                     Value entries_v = ctx.get_field(self, kUndoEntries);
@@ -509,19 +498,6 @@ void register_classes_impl(vm::ClassRegistry& reg) {
           .field("undo", "JNote.UndoStack")
           .field("caret", "JNote.Caret")
           .references("JNote.TextSegment")
-          .calls("FileSystem", "read", 3)
-          .calls("JNote.Document", "initDoc", 1)
-          .calls("JNote.Document", "addSegment", 1)
-          .calls("JNote.Document", "getSegment", 1)
-          .calls("JNote.Document", "segmentCount", 0)
-          .calls("JNote.Document", "checksumDoc", 0)
-          .calls("JNote.TextSegment", "initSeg", 0)
-          .calls("JNote.TextSegment", "write", 2)
-          .calls("JNote.TextSegment", "snapshot", 0)
-          .calls("JNote.UndoStack", "pushSnap", 1)
-          .calls("JNote.UndoStack", "depth", 0)
-          .calls("JNote.RenderCache", "refreshLine", 2)
-          .calls("JNote.RenderCache", "lineCountC", 0)
           .method(
               "loadFile",
               [](Vm& ctx, ObjectRef self, auto args) -> Value {
@@ -638,8 +614,6 @@ void register_classes_impl(vm::ClassRegistry& reg) {
           .entry()
           .field("display", "Display")
           .field("updates")
-          .calls("System", "currentTimeMillis", 0)
-          .calls("Display", "drawText", 3)
           .method("update",
                   [](Vm& ctx, ObjectRef self, auto args) -> Value {
                     const ObjectRef display =
@@ -673,9 +647,6 @@ void register_classes_impl(vm::ClassRegistry& reg) {
           .field("display", "Display")
           .field("status", "JNote.StatusBar")
           .field("topLine")
-          .calls("JNote.RenderCache", "getLine", 1)
-          .calls("Display", "drawText", 3)
-          .calls("Display", "flush", 0)
           .method(
               "render",
               [](Vm& ctx, ObjectRef self, auto) -> Value {
@@ -732,7 +703,6 @@ void register_classes_impl(vm::ClassRegistry& reg) {
           .field("menus", "ArrayList")
           .references("JNote.MenuItem")
           .references("String")
-          .calls("ArrayList", "add", 1)
           .method("buildMenus",
                   [](Vm& ctx, ObjectRef self, auto) -> Value {
                     const ObjectRef menus = make_list(ctx);

@@ -671,9 +671,6 @@ void register_collections(vm::ClassRegistry& reg) {
           .field("entries", "ArrayList")
           .field("size")
           .references("Pair")
-          .calls("ArrayList", "size", 0)
-          .calls("ArrayList", "get", 1)
-          .calls("ArrayList", "add", 1)
           .method(
               "put",
               [](Vm& ctx, ObjectRef self, auto args) -> Value {
@@ -758,8 +755,6 @@ void register_collections(vm::ClassRegistry& reg) {
           .migratable()
           .field("list", "ArrayList")
           .field("index")
-          .calls("ArrayList", "size", 0)
-          .calls("ArrayList", "get", 1)
           .method("hasNext",
                   [](Vm& ctx, ObjectRef self, auto) -> Value {
                     const ObjectRef list =

@@ -89,8 +89,6 @@ void register_widget(vm::ClassRegistry& reg, const std::string& name,
       .field("label")
       .field("state")
       .field("display", "Display")
-      .calls("Display", "drawLine", 4)
-      .calls("Display", "drawText", 3)
       .method("paint",
               [](Vm& ctx, ObjectRef self, auto) -> Value {
                 return paint_widget(ctx, self);
@@ -206,8 +204,6 @@ void register_toolkit(vm::ClassRegistry& reg) {
           .entry()
           .field("gap")
           .references("Rect")
-          .calls("ArrayList", "size", 0)
-          .calls("ArrayList", "get", 1)
           .method(
               "layout",
               [](Vm& ctx, ObjectRef self, auto args) -> Value {
@@ -254,8 +250,6 @@ void register_toolkit(vm::ClassRegistry& reg) {
           .entry()
           .field("gap")
           .references("Rect")
-          .calls("ArrayList", "size", 0)
-          .calls("ArrayList", "get", 1)
           .method(
               "layout",
               [](Vm& ctx, ObjectRef self, auto args) -> Value {
@@ -327,24 +321,6 @@ void register_toolkit(vm::ClassRegistry& reg) {
           .field("title")
           .references("ui.FlowLayout")
           .references("ui.ColumnLayout")
-          .calls("ArrayList", "add", 1)
-          .calls("ArrayList", "size", 0)
-          .calls("ArrayList", "get", 1)
-          .calls("ui.Button", "paint", 0)
-          .calls("ui.Label", "paint", 0)
-          .calls("ui.TextField", "paint", 0)
-          .calls("ui.CheckBox", "paint", 0)
-          .calls("ui.RadioButton", "paint", 0)
-          .calls("ui.ScrollBar", "paint", 0)
-          .calls("ui.ListBox", "paint", 0)
-          .calls("ui.ComboBox", "paint", 0)
-          .calls("ui.ProgressBar", "paint", 0)
-          .calls("ui.Separator", "paint", 0)
-          .calls("ui.StatusField", "paint", 0)
-          .calls("ui.TabStrip", "paint", 0)
-          .calls("ui.Spinner", "paint", 0)
-          .calls("ui.FlowLayout", "layout", 1)
-          .calls("ui.ColumnLayout", "layout", 1)
           .method("addChild",
                   [](Vm& ctx, ObjectRef self, auto args) -> Value {
                     Value children_v = ctx.get_field(self, FieldId{0});
@@ -420,8 +396,6 @@ void register_toolkit(vm::ClassRegistry& reg) {
           .source("src/apps/toolkit.cpp")
           .entry()
           .field("bindings", "HashMap")
-          .calls("HashMap", "put", 2)
-          .calls("HashMap", "get", 1)
           .method("bind",
                   [](Vm& ctx, ObjectRef self, auto args) -> Value {
                     Value map_v = ctx.get_field(self, FieldId{0});
@@ -458,22 +432,6 @@ void register_toolkit(vm::ClassRegistry& reg) {
           .field("keymap", "ui.KeyMap")
           .field("dispatched")
           .references("ui.Panel")
-          .calls("ui.KeyMap", "lookup", 1)
-          .calls("ArrayList", "size", 0)
-          .calls("ArrayList", "get", 1)
-          .calls("ui.Button", "handle", 1)
-          .calls("ui.Label", "handle", 1)
-          .calls("ui.TextField", "handle", 1)
-          .calls("ui.CheckBox", "handle", 1)
-          .calls("ui.RadioButton", "handle", 1)
-          .calls("ui.ScrollBar", "handle", 1)
-          .calls("ui.ListBox", "handle", 1)
-          .calls("ui.ComboBox", "handle", 1)
-          .calls("ui.ProgressBar", "handle", 1)
-          .calls("ui.Separator", "handle", 1)
-          .calls("ui.StatusField", "handle", 1)
-          .calls("ui.TabStrip", "handle", 1)
-          .calls("ui.Spinner", "handle", 1)
           .method(
               "dispatch",
               [](Vm& ctx, ObjectRef self, auto args) -> Value {
@@ -536,9 +494,6 @@ void register_toolkit(vm::ClassRegistry& reg) {
           .field("dispatcher", "ui.EventDispatcher")
           .field("display", "Display")
           .field("paints")
-          .calls("Display", "drawText", 3)
-          .calls("Display", "flush", 0)
-          .calls("ui.Panel", "paintAll", 0)
           .method("paintTree",
                   [](Vm& ctx, ObjectRef self, auto) -> Value {
                     const ObjectRef display =

@@ -168,9 +168,6 @@ void register_classes_impl(vm::ClassRegistry& reg) {
           .field("h")
           .references("Trc.Sphere")
           .references("Trc.Material")
-          .calls("Trc.Scene", "getSphere", 1)
-          .calls("Math", "sqrt", 1)
-          .calls("Math", "pow", 2)
           .method(
               "renderRow",
               [](Vm& ctx, ObjectRef self, auto args) -> Value {
@@ -293,8 +290,6 @@ void register_classes_impl(vm::ClassRegistry& reg) {
           .entry()
           .field("display", "Display")
           .field("blits")
-          .calls("Display", "drawLine", 4)
-          .calls("Display", "flush", 0)
           // Pinned: progressive preview + final present on the device.
           .native_method(
               "presentRows",

@@ -118,7 +118,6 @@ void register_classes_impl(vm::ClassRegistry& reg) {
           .entry()
           .field("roughness")
           .references("Vox.HeightField")
-          .calls("Math", "noise", 3)
           .method(
               "generate",
               [](Vm& ctx, ObjectRef self, auto args) -> Value {
@@ -179,10 +178,6 @@ void register_classes_impl(vm::ClassRegistry& reg) {
           .field("buffer")
           .field("cols")
           .references("Vox.Camera")
-          .calls("Math", "cos", 1)
-          .calls("Math", "sin", 1)
-          .calls("Math", "sqrt", 1)
-          .calls("Vox.HeightField", "heightAt", 2)
           .method(
               "renderFrame",
               [](Vm& ctx, ObjectRef self, auto args) -> Value {
@@ -259,8 +254,6 @@ void register_classes_impl(vm::ClassRegistry& reg) {
           .entry()
           .field("display", "Display")
           .field("frames")
-          .calls("Display", "drawLine", 4)
-          .calls("Display", "flush", 0)
           // Pinned: presenting columns requires the device framebuffer.
           .native_method(
               "present",

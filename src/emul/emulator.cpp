@@ -72,8 +72,6 @@ void Emulator::try_offload(SimTime at, EmulationResult& result) {
     req.surrogate_speedup = config_.surrogate_speedup;
     req.link = config_.link;
     req.history_duration = std::max<SimDuration>(at, 1);
-    req.weight = config_.weight;
-    req.charge_migration = config_.charge_migration;
     decision = partition::decide_partitioning(g, req);
     if (!decision.offload) {
       result.declined.push_back(std::move(decision));
@@ -103,11 +101,9 @@ void Emulator::try_offload(SimTime at, EmulationResult& result) {
         std::max<std::int64_t>(g.node_at(i).mem_bytes, 0));
     placement_[i] = want;
   }
-  if (config_.charge_migration) {
-    const SimDuration cost = rpc_cost(moved_bytes);
-    charge_service(cost, ServiceKind::migration);
-    result.migration_time += cost;
-  }
+  const SimDuration cost = rpc_cost(moved_bytes);
+  charge_service(cost, ServiceKind::migration);
+  result.migration_time += cost;
 
   OffloadSnapshot snap;
   snap.at = at;

@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "emul/trace.hpp"
-#include "graph/mincut.hpp"
 #include "monitor/monitor.hpp"
 #include "monitor/resource_monitor.hpp"
 #include "netsim/link.hpp"
@@ -84,9 +83,6 @@ struct EmulatorConfig {
   bool stateless_natives_local = false;  // "Native"
   bool arrays_as_objects = false;        // "Array"
   std::int64_t min_array_bytes = 4096;
-
-  graph::EdgeWeightFn weight;
-  bool charge_migration = true;
 
   // GC-pressure model: as the client heap approaches exhaustion, collection
   // cycles run back-to-back ("triggered by space limitations"), each paying a

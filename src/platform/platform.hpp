@@ -334,8 +334,9 @@ class Platform : private vm::VmHooks {
   // runs the peer-lost transition and returns nullopt; migrate_objects has
   // already put the batch wherever it authoritatively lives. A surrogate
   // with no room for the batch refuses it whole: nullopt, still connected,
-  // the batch back on the client.
-  std::optional<std::uint64_t> migrate(std::span<const ObjectId> ids);
+  // the batch back on the client. A Session prices the batch against its
+  // budget first.
+  virtual std::optional<std::uint64_t> migrate(std::span<const ObjectId> ids);
 
  private:
   // VmHooks: client GC reports, invocation exits and data accesses are the

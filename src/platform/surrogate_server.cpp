@@ -12,7 +12,7 @@ Session::Session(SessionId id,
       id_(id),
       budget_(cfg.budget) {}
 
-bool Session::offload(std::span<const ObjectId> ids) {
+std::optional<std::uint64_t> Session::migrate(std::span<const ObjectId> ids) {
   // Price the batch before anything moves so a refusal has no side effects.
   std::uint64_t batch_bytes = 0;
   for (const ObjectId id : ids) {
@@ -23,11 +23,11 @@ bool Session::offload(std::span<const ObjectId> ids) {
   if (budget_.max_offloaded_bytes != 0 &&
       offloaded_bytes_ + batch_bytes > budget_.max_offloaded_bytes) {
     budget_refusals_ += 1;
-    return false;
+    return std::nullopt;
   }
-  if (!migrate(ids).has_value()) return false;
-  offloaded_bytes_ += batch_bytes;
-  return true;
+  const std::optional<std::uint64_t> bytes = Platform::migrate(ids);
+  if (bytes.has_value()) offloaded_bytes_ += batch_bytes;
+  return bytes;
 }
 
 SurrogateServer::SurrogateServer(

@@ -88,12 +88,11 @@ class Session : public Platform {
 
   [[nodiscard]] SessionId id() const noexcept { return id_; }
 
-  // Budget-checked offload of client objects to this session's surrogate
-  // heap. Refuses (returns false, nothing migrates, budget_refusals ticks)
-  // when the batch would push the session past max_offloaded_bytes. Returns
-  // false, counting no bytes, while the surrogate is away or when it is lost
-  // under the migration (the peer-lost transition has then run).
-  bool offload(std::span<const ObjectId> ids);
+  // Scripted offload of client objects to this session's surrogate heap,
+  // through the budget-checked migrate(): false when it refuses.
+  bool offload(std::span<const ObjectId> ids) {
+    return migrate(ids).has_value();
+  }
   [[nodiscard]] std::uint64_t offloaded_bytes() const noexcept {
     return offloaded_bytes_;
   }
@@ -129,6 +128,16 @@ class Session : public Platform {
   // Opaque driver slot: the turn function may park per-session script state
   // here (e.g. an iteration cursor) instead of allocating side tables.
   std::uint64_t driver_state = 0;
+
+ protected:
+  // Every offload, scripted or policy-driven, is priced here before anything
+  // moves. Refuses (nullopt, nothing migrates, budget_refusals ticks) when
+  // the batch would push the session past max_offloaded_bytes. Returns
+  // nullopt, counting no bytes, while the surrogate is away, when it refuses
+  // the batch for room, or when it is lost under the migration (the
+  // peer-lost transition has then run).
+  std::optional<std::uint64_t> migrate(
+      std::span<const ObjectId> ids) override;
 
  private:
   friend class SurrogateServer;

@@ -87,24 +87,15 @@ enum class PinReason : std::uint8_t { none, stateful_native, ui, user_pinned };
 // static analyzer can tell "touches the device" apart from "forgot to say".
 enum class NativeEffect : std::uint8_t { undeclared, pure, device_state };
 
-// A statically declared call site: code in the declaring class invokes
-// `target_class.method` with `argc` arguments (-1 = argument count unknown).
-// Purely metadata — the analyzer cross-checks it against the target's
-// declared arity; execution never consults it.
-struct CallSiteDecl {
-  std::string target_class;
-  std::string method;
-  int argc = -1;
-};
-
 // One operation of a method's declared effect IR — the method-level
 // instruction stream the interprocedural effect analyzer (src/analysis)
 // walks. Method bodies are opaque C++ callables, so the IR is declared next
 // to the body through the ClassBuilder fluent calls; the analyzer resolves
 // the names against the registry, infers whole-program summaries by fixpoint
-// and audits the coarse metadata (NativeEffect, arity, field types, call
-// declarations) against them, and the runtime effect-recorder tests audit the
-// IR itself against observed execution. Execution never consults the IR.
+// and audits the coarse metadata (NativeEffect, arity, field types) against
+// them, aidelint takes its static call edges from the cross-class `call`
+// ops, and the runtime effect-recorder tests audit the IR itself against
+// observed execution. Execution never consults the IR.
 enum class EffectOpKind : std::uint8_t {
   read_field,    // reads instance field `member` of class `cls`
   write_field,   // writes it (value_type: declared class of stored refs)
@@ -191,10 +182,8 @@ struct ClassDef {
   bool entry = false;
   // Source file anchor for diagnostics (optional).
   std::string source;
-  // Statically declared cross-class call sites (class-level).
-  std::vector<CallSiteDecl> calls;
   // Additional class references (field accesses, allocations) that are not
-  // captured by a typed field or a declared call.
+  // captured by a typed field or a method's IR call.
   std::vector<std::string> refs;
 
   // First index of this class's statics in the VM's flat statics table;
@@ -430,16 +419,7 @@ class ClassBuilder {
     return *this;
   }
 
-  // Declares that code in this class calls `target_class.method` with `argc`
-  // arguments (-1 = unknown).
-  ClassBuilder& calls(std::string target_class, std::string method,
-                      int argc = -1) {
-    def_.calls.push_back(CallSiteDecl{std::move(target_class),
-                                      std::move(method), argc});
-    return *this;
-  }
-
-  // Declares a class reference not captured by a typed field or a call.
+  // Declares a class reference not captured by a typed field or an IR call.
   ClassBuilder& references(std::string target_class) {
     def_.refs.push_back(std::move(target_class));
     return *this;

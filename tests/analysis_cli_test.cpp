@@ -1,11 +1,16 @@
 // Golden-output tests for the aidelint / aideverify CLI rendering and the
 // exit-code contract. The goldens under tests/golden/ pin the exact text and
-// JSON bytes the tool emits for a representative app (Voxel); regenerate
-// them with AIDE_UPDATE_GOLDEN=1 after an intentional format change.
+// JSON bytes the tool emits for a representative app (Voxel), the lint text
+// of the toolkit apps and every app's static edge list
+// (tests/golden/analysis/); regenerate them with AIDE_UPDATE_GOLDEN=1 after
+// an intentional change.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "analysis/effects.hpp"
 #include "analysis/report_io.hpp"
@@ -40,6 +45,13 @@ std::string verify_text(const char* app, bool hints) {
   return os.str();
 }
 
+// An app's golden file stem: "JavaNote" -> "javanote".
+std::string stem(std::string app) {
+  std::transform(app.begin(), app.end(), app.begin(),
+                 [](unsigned char c) { return std::tolower(c); });
+  return app;
+}
+
 std::string verify_json(const char* app) {
   ClassRegistry reg;
   apps::app_by_name(app).register_classes(reg);
@@ -62,6 +74,40 @@ TEST(CliGoldenTest, VoxelVerifyJson) {
 
 TEST(CliGoldenTest, TracerVerifyText) {
   check_golden("tracer_verify.txt", verify_text("Tracer", /*hints=*/false));
+}
+
+// The lint text with hints for the three apps whose registries carry the
+// toolkit's call edges; Voxel's is voxel_lint.txt above.
+TEST(CliGoldenTest, ToolkitAppsLintText) {
+  for (const char* app : {"JavaNote", "Dia", "Biomer"}) {
+    SCOPED_TRACE(app);
+    check_golden(stem(app) + "_lint.txt", lint_text(app, /*hints=*/true));
+  }
+}
+
+std::string_view kind_name(RefKind k) {
+  switch (k) {
+    case RefKind::field: return "field";
+    case RefKind::call: return "call";
+    case RefKind::ref: return "ref";
+  }
+  return "?";
+}
+
+// Every app's static reference graph, one "from -> to kind" line per edge:
+// the graph the pinned closure, the lints and the hints are derived from.
+TEST(CliGoldenTest, AppStaticEdges) {
+  for (const auto& app : apps::all_apps()) {
+    SCOPED_TRACE(app.name);
+    ClassRegistry reg;
+    app.register_classes(reg);
+    std::string out;
+    for (const StaticEdge& e : analyze(reg).edges) {
+      out += reg.get(e.from).name + " -> " + reg.get(e.to).name + " " +
+             std::string(kind_name(e.kind)) + "\n";
+    }
+    check_golden("analysis/" + stem(app.name) + "_edges.txt", out);
+  }
 }
 
 TEST(CliGoldenTest, JsonIsStructurallySane) {
@@ -112,16 +158,9 @@ TEST(CliExitCodeTest, CleanIsZeroEvenWithInfos) {
 
 TEST(CliExitCodeTest, WarningsAreOne) {
   ClassRegistry reg;
-  reg.register_class(ClassBuilder("Helper")
+  reg.register_class(ClassBuilder("Sloppy")
                          .entry()
-                         .method("h", noop())
-                         .no_effects()
-                         .build());
-  reg.register_class(ClassBuilder("Stale")
-                         .entry()
-                         .calls("Helper", "h", 0)  // nothing backs this
-                         .method("f", noop())
-                         .no_effects()
+                         .native_method("touch", noop())  // effect undeclared
                          .build());
   const VerifyReport r = verify(reg);
   ASSERT_GT(r.warnings(), 0u);
@@ -133,11 +172,12 @@ TEST(CliExitCodeTest, ErrorsAreTwoForBothReportKinds) {
   ClassRegistry reg;
   reg.register_class(ClassBuilder("Bad")
                          .entry()
-                         .calls("Nowhere", "nothing", 0)
+                         .pin(vm::PinReason::ui)
+                         .migratable()
                          .method("f", noop())
                          .invokes("Nowhere", "nothing", 0)
                          .build());
-  EXPECT_EQ(exit_code(analyze(reg)), 2);  // unknown-call-target
+  EXPECT_EQ(exit_code(analyze(reg)), 2);  // pinned-field-in-migratable
   EXPECT_EQ(exit_code(verify(reg)), 2);   // + ir-unknown-target
 }
 

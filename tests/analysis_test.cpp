@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "analysis/analyzer.hpp"
 #include "apps/apps.hpp"
@@ -132,63 +133,32 @@ TEST(LintRuleTest, MigratableOutsideClosureIsClean) {
   EXPECT_FALSE(has_rule(report, Rule::pinned_field_in_migratable));
 }
 
-TEST(LintRuleTest, UnknownCallTargetIsError) {
+// Call edges come from the methods' effect IR: a cross-class invoke is a
+// static reference, a same-class one is not, and one whose class does not
+// resolve adds nothing (aideverify reports it).
+TEST(LintRuleTest, CallEdgesComeFromMethodIr) {
   ClassRegistry reg;
-  reg.register_class(ClassBuilder("Caller")
-                         .entry()
-                         .calls("Missing", "run", 0)
-                         .build());
-  const auto report = analyze(reg);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(has_rule(report, Rule::unknown_call_target));
-}
-
-TEST(LintRuleTest, UnknownMethodOnKnownClassIsError) {
-  ClassRegistry reg;
-  reg.register_class(ClassBuilder("Target").entry().method("run", noop())
-                         .build());
-  reg.register_class(ClassBuilder("Caller")
-                         .entry()
-                         .calls("Target", "nope", 0)
-                         .build());
-  const auto report = analyze(reg);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(has_rule(report, Rule::unknown_call_target));
-}
-
-TEST(LintRuleTest, ArityMismatchIsError) {
-  ClassRegistry reg;
-  reg.register_class(ClassBuilder("Target")
-                         .entry()
+  reg.register_class(ClassBuilder("Callee")
                          .method("run", noop())
-                         .arity(2)
+                         .arity(0)
+                         .no_effects()
                          .build());
   reg.register_class(ClassBuilder("Caller")
                          .entry()
-                         .calls("Target", "run", 3)
+                         .method("go", noop())
+                         .invokes("Callee", "run", 0)
+                         .invokes("Caller", "go")
+                         .invokes("Ghost", "boo")
                          .build());
   const auto report = analyze(reg);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(has_rule(report, Rule::arity_mismatch));
-}
-
-TEST(LintRuleTest, ArityAgreementAndUndeclaredAritiesAreClean) {
-  ClassRegistry reg;
-  reg.register_class(ClassBuilder("Target")
-                         .entry()
-                         .method("run", noop())
-                         .arity(2)
-                         .method("any", noop())  // arity undeclared
-                         .build());
-  reg.register_class(ClassBuilder("Caller")
-                         .entry()
-                         .calls("Target", "run", 2)   // matches
-                         .calls("Target", "run")      // argc unknown
-                         .calls("Target", "any", 7)   // target undeclared
-                         .build());
-  const auto report = analyze(reg);
-  EXPECT_TRUE(report.ok());
-  EXPECT_FALSE(has_rule(report, Rule::arity_mismatch));
+  const ClassId caller = reg.find("Caller");
+  const ClassId callee = reg.find("Callee");
+  const std::vector<StaticEdge> expected{
+      StaticEdge{caller, callee, RefKind::call}};
+  EXPECT_EQ(report.edges, expected);
+  // Callee, reached only through Caller's IR, is not dead, and the
+  // unresolvable invoke is no lint finding.
+  EXPECT_TRUE(report.diagnostics.empty());
 }
 
 TEST(LintRuleTest, UndeclaredNativeEffectWarns) {
@@ -237,7 +207,8 @@ TEST(LintRuleTest, PinnedLeafWarnsUnlessEntry) {
   reg.register_class(ClassBuilder("Worker")
                          .entry()
                          .migratable()
-                         .calls("Beeper", "beep")
+                         .method("work", noop())
+                         .invokes("Beeper", "beep")
                          .build());
   EXPECT_TRUE(has_rule(analyze(reg), Rule::pinned_leaf));
 
@@ -252,7 +223,8 @@ TEST(LintRuleTest, PinnedLeafWarnsUnlessEntry) {
   ok.register_class(ClassBuilder("Worker")
                         .entry()
                         .migratable()
-                        .calls("Beeper", "beep")
+                        .method("work", noop())
+                        .invokes("Beeper", "beep")
                         .build());
   EXPECT_FALSE(has_rule(analyze(ok), Rule::pinned_leaf));
 }

@@ -108,7 +108,6 @@ EmulatorConfig base_config() {
   cfg.trigger.low_free_threshold = 0.10;
   cfg.trigger.consecutive_reports = 2;
   cfg.min_free_fraction = 0.20;
-  cfg.charge_migration = true;
   return cfg;
 }
 

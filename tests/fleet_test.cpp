@@ -19,6 +19,7 @@
 #include "emul/recorder.hpp"
 #include "platform/surrogate_server.hpp"
 #include "rpc/refmap.hpp"
+#include "tests/test_util.hpp"
 #include "vm/klass.hpp"
 #include "vm/vm.hpp"
 
@@ -200,6 +201,45 @@ TEST(FleetServer, OffloadedBytesBudgetRefusesWithoutSideEffects) {
   // Nothing moved: the object is still client-local and fully usable.
   s->client().put_field(o, FieldId{0}, vm::Value{std::int64_t{5}});
   EXPECT_EQ(s->client().get_field(o, FieldId{0}).as_int(), 5);
+  const rpc::EndpointStats st = platform::SurrogateServer::session_stats(*s);
+  EXPECT_EQ(st.migrations_sent, 0u);
+}
+
+// The budget prices every offload, not only scripted ones: a policy offload
+// through offload_now (the pipeline's own path) past max_offloaded_bytes is
+// refused before anything moves.
+TEST(FleetServer, OffloadedBytesBudgetRefusesPolicyOffloads) {
+  platform::ServerConfig cfg;
+  cfg.static_analysis = false;
+  cfg.effect_verify = false;
+  cfg.auto_offload = false;
+  cfg.client_heap = 256 * 1024;
+  cfg.budget.max_offloaded_bytes = 1;  // refuse any real batch
+  platform::SurrogateServer server(test::make_test_registry(), cfg);
+  platform::Session* s = server.open_session();
+  vm::Vm& client = s->client();
+
+  // A pinned anchor with some interaction history, then four 30 KiB arrays
+  // the partitioner can free by offloading.
+  const vm::ObjectRef device = client.new_object("Device");
+  client.add_root(device);
+  const vm::ObjectRef counter = client.new_object("Counter");
+  client.add_root(counter);
+  for (int i = 0; i < 4; ++i) {
+    client.call(device, "beep");
+    client.call(counter, "inc");
+  }
+  const vm::ObjectRef holder = client.new_ref_array(8);
+  client.add_root(holder);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    const vm::ObjectRef chunk = client.new_char_array(30 * 1024);
+    client.put_field(holder, FieldId{i}, vm::Value{chunk});
+  }
+
+  EXPECT_FALSE(s->offload_now(std::int64_t{60 * 1024}).has_value());
+  EXPECT_EQ(s->budget_refusals(), 1u);
+  EXPECT_EQ(s->offloaded_bytes(), 0u);
+  EXPECT_EQ(s->surrogate().heap().used(), 0);
   const rpc::EndpointStats st = platform::SurrogateServer::session_stats(*s);
   EXPECT_EQ(st.migrations_sent, 0u);
 }
