@@ -16,6 +16,7 @@
 
 #include "apps/apps.hpp"
 #include "bench_util.hpp"
+#include "forced_offload.hpp"
 #include "netsim/link.hpp"
 #include "platform/platform.hpp"
 
@@ -23,42 +24,6 @@ using namespace aide;
 using namespace aide::bench;
 
 namespace {
-
-constexpr NodeId kClientNode{1};
-
-apps::AppParams sweep_params() {
-  apps::AppParams p;
-  p.doc_bytes = 48 * 1024;
-  p.edits = 16;
-  p.scrolls = 20;
-  p.image_size = 64;
-  p.layers = 3;
-  p.filter_passes = 3;
-  p.atoms = 80;
-  p.iterations = 4;
-  p.field_size = 49;
-  p.frames = 4;
-  p.columns = 32;
-  p.trace_w = 16;
-  p.trace_h = 12;
-  p.spheres = 6;
-  return p;
-}
-
-class ForcedOffload : public vm::VmHooks {
- public:
-  explicit ForcedOffload(platform::Platform& p) : p_(p) {}
-  void on_gc(NodeId node, const vm::GcReport&) override {
-    if (node != kClientNode) return;
-    if (++cycles_ < 2) return;
-    if (p_.offloaded() || p_.surrogate_dead()) return;
-    p_.offload_now(std::int64_t{1});
-  }
-
- private:
-  platform::Platform& p_;
-  int cycles_ = 0;
-};
 
 struct Sample {
   std::uint64_t checksum = 0;
@@ -74,12 +39,7 @@ struct Sample {
 };
 
 Sample run(const apps::AppInfo& app, const netsim::FaultPlan& plan) {
-  platform::PlatformConfig cfg;
-  cfg.client_heap = 64 << 20;
-  cfg.surrogate_heap = 64 << 20;
-  cfg.auto_offload = false;
-  cfg.client_gc_alloc_count_threshold = 4;
-  cfg.client_gc_alloc_bytes_divisor = 512;
+  platform::PlatformConfig cfg = forced_offload_config();
   cfg.fault_plan = plan;
 
   auto reg = std::make_shared<vm::ClassRegistry>();
@@ -88,7 +48,7 @@ Sample run(const apps::AppInfo& app, const netsim::FaultPlan& plan) {
   ForcedOffload forced(p);
   p.client().add_hooks(&forced);
   Sample s;
-  s.checksum = app.run(p.client(), sweep_params());
+  s.checksum = app.run(p.client(), small_app_params());
   p.client().remove_hooks(&forced);
   s.end = p.elapsed();
   if (p.offloaded()) {

@@ -10,7 +10,7 @@
 //
 //  2. modified MINCUT (incremental streaming visitor) and Stoer-Wagner
 //     (adjacency lists) wall time at 50/200/800 components vs the retained
-//     dense-matrix reference implementations (src/graph/mincut_reference).
+//     dense-matrix reference implementations (tests/mincut_reference).
 //
 // Baselines are measured live in the same binary, so speedups are
 // machine-independent ratios. Full runs write BENCH_hotpath.json for
@@ -28,7 +28,7 @@
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "graph/mincut.hpp"
-#include "graph/mincut_reference.hpp"
+#include "tests/mincut_reference.hpp"
 #include "monitor/monitor.hpp"
 
 using namespace aide;

@@ -28,6 +28,7 @@
 #include "apps/apps.hpp"
 #include "bench_util.hpp"
 #include "common/rng.hpp"
+#include "forced_offload.hpp"
 #include "netsim/link.hpp"
 #include "platform/platform.hpp"
 #include "rpc/endpoint.hpp"
@@ -38,45 +39,7 @@ using namespace aide;
 
 namespace {
 
-constexpr NodeId kClientNode{1};
-
 const char* const kApps[] = {"JavaNote", "Dia", "Biomer", "Voxel", "Tracer"};
-
-// Scaled-down parameters, same shape as the chaos harness cells.
-apps::AppParams bench_params() {
-  apps::AppParams p;
-  p.doc_bytes = 48 * 1024;
-  p.edits = 16;
-  p.scrolls = 20;
-  p.image_size = 64;
-  p.layers = 3;
-  p.filter_passes = 3;
-  p.atoms = 80;
-  p.iterations = 4;
-  p.field_size = 49;
-  p.frames = 4;
-  p.columns = 32;
-  p.trace_w = 16;
-  p.trace_h = 12;
-  p.spheres = 6;
-  return p;
-}
-
-// Deterministic early offload (same driver as tests/chaos_test.cpp).
-class ForcedOffload : public vm::VmHooks {
- public:
-  explicit ForcedOffload(platform::Platform& p) : p_(p) {}
-  void on_gc(NodeId node, const vm::GcReport&) override {
-    if (node != kClientNode) return;
-    if (++cycles_ < 2) return;
-    if (p_.offloaded() || p_.surrogate_dead()) return;
-    p_.offload_now(std::int64_t{1});
-  }
-
- private:
-  platform::Platform& p_;
-  int cycles_ = 0;
-};
 
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
@@ -202,12 +165,7 @@ Cell run_trace(bool batching) {
 
 Cell run_app(const apps::AppInfo& app, const apps::AppParams& params,
              bool batching) {
-  platform::PlatformConfig cfg;
-  cfg.client_heap = 64 << 20;
-  cfg.surrogate_heap = 64 << 20;
-  cfg.auto_offload = false;  // ForcedOffload drives the schedule
-  cfg.client_gc_alloc_count_threshold = 4;
-  cfg.client_gc_alloc_bytes_divisor = 512;
+  platform::PlatformConfig cfg = bench::forced_offload_config();
   // The paper's "Native" enhancement: without it, remote rendering turns
   // every stateless Math call into its own surrogate->client round trip and
   // the invoke traffic swamps the data-access traffic batching targets.
@@ -216,7 +174,7 @@ Cell run_app(const apps::AppInfo& app, const apps::AppParams& params,
   auto reg = std::make_shared<vm::ClassRegistry>();
   app.register_classes(*reg);
   platform::Platform p(reg, cfg);
-  ForcedOffload forced(p);
+  bench::ForcedOffload forced(p);
   p.client().add_hooks(&forced);
   Cell c;
   c.checksum = app.run(p.client(), params);
@@ -269,7 +227,7 @@ Row measure_trace() {
 
 Row measure_app(const char* name) {
   const auto& app = apps::app_by_name(name);
-  const auto params = bench_params();
+  const auto params = bench::small_app_params();
   auto reg = std::make_shared<vm::ClassRegistry>();
   app.register_classes(*reg);
   SimClock clock;

@@ -264,46 +264,4 @@ GlobalCut stoer_wagner_min_cut(const ExecGraph& graph,
   return cut;
 }
 
-GlobalCut brute_force_min_cut(const ExecGraph& graph,
-                              const EdgeWeightFn& weight) {
-  const SortedIndex ix = build_index(graph, weight);
-  const std::size_t n = ix.size();
-  if (n < 2 || n > 20) {
-    throw std::invalid_argument("brute_force_min_cut: need 2 <= n <= 20");
-  }
-
-  // Small dense matrix (n <= 20) built from the adjacency lists.
-  std::vector<std::vector<double>> w(n, std::vector<double>(n, 0.0));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const auto& arc : ix.adj[i]) w[i][arc.pos] += arc.weight;
-  }
-
-  double best_weight = std::numeric_limits<double>::infinity();
-  std::uint32_t best_mask = 0;
-
-  // Fix vertex 0 on the "outside" to enumerate each cut exactly once.
-  const std::uint32_t limit = 1u << (n - 1);
-  for (std::uint32_t mask = 1; mask < limit; ++mask) {
-    double cut_w = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool side_i = (i > 0) && ((mask >> (i - 1)) & 1u);
-      for (std::size_t j = i + 1; j < n; ++j) {
-        const bool side_j = (j > 0) && ((mask >> (j - 1)) & 1u);
-        if (side_i != side_j) cut_w += w[i][j];
-      }
-    }
-    if (cut_w < best_weight) {
-      best_weight = cut_w;
-      best_mask = mask;
-    }
-  }
-
-  GlobalCut cut;
-  cut.weight = best_weight;
-  for (std::size_t i = 1; i < n; ++i) {
-    if ((best_mask >> (i - 1)) & 1u) cut.side.insert(ix.keys[i]);
-  }
-  return cut;
-}
-
 }  // namespace aide::graph

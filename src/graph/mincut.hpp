@@ -15,7 +15,6 @@
 //                              its streaming form, modified_mincut_visit())
 //   * stoer_wagner_min_cut() — the classic global minimum cut (baseline and
 //                              ablation comparator)
-//   * brute_force_min_cut()  — exponential oracle used by property tests
 #pragma once
 
 #include <cstdint>
@@ -85,9 +84,5 @@ struct GlobalCut {
 };
 [[nodiscard]] GlobalCut stoer_wagner_min_cut(const ExecGraph& graph,
                                              const EdgeWeightFn& weight = {});
-
-// Exponential-time exact minimum cut (n <= 20), test oracle only.
-[[nodiscard]] GlobalCut brute_force_min_cut(const ExecGraph& graph,
-                                            const EdgeWeightFn& weight = {});
 
 }  // namespace aide::graph

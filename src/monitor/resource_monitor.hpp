@@ -3,8 +3,10 @@
 // The prototype "tracks the amount of free space in the Java heap with
 // information obtained from the JVM's garbage collector". Partitioning is
 // triggered when N successive GC cycles indicate that additional memory
-// cannot be freed or that less than T% of memory is available — the
-// thresholds the Figure 7 policy sweep varies.
+// cannot be freed or that less than T% of memory is available. N and T are
+// the thresholds the Figure 7 policy sweep varies, so TriggerPolicy holds
+// them; what "cannot be freed" means is fixed (kNoProgressFraction,
+// kNoProgressMinUsed).
 //
 // It is not a VM hook: the platform hands it the client's GC reports, and
 // the trace-driven emulator feeds it recorded ones.
@@ -25,12 +27,13 @@ struct TriggerPolicy {
   // Number of successive low-memory GC reports required ("tolerance to
   // low-memory signals", varied from 1 to 3 in Figure 7).
   int consecutive_reports = 3;
-  // "Additional memory cannot be freed": a GC cycle that recovers less than
-  // this fraction of capacity also counts as a low-memory report, provided
-  // the heap is substantially occupied.
-  double no_progress_fraction = 0.01;
-  double no_progress_min_used = 0.90;
 };
+
+// "Additional memory cannot be freed": a GC cycle that recovers less than
+// kNoProgressFraction of capacity also counts as a low-memory report,
+// provided more than kNoProgressMinUsed of the heap is occupied.
+inline constexpr double kNoProgressFraction = 0.01;
+inline constexpr double kNoProgressMinUsed = 0.90;
 
 class ResourceMonitor {
  public:
@@ -49,8 +52,8 @@ class ResourceMonitor {
                   static_cast<double>(report.capacity)
             : 1.0;
     const bool low = free_frac < policy_.low_free_threshold;
-    const bool no_progress = freed_frac < policy_.no_progress_fraction &&
-                             (1.0 - free_frac) > policy_.no_progress_min_used;
+    const bool no_progress = freed_frac < kNoProgressFraction &&
+                             (1.0 - free_frac) > kNoProgressMinUsed;
 
     if (low || no_progress) {
       ++consecutive_low_;

@@ -154,15 +154,12 @@ SimDuration predicted_offload_time(const graph::Candidate& cand,
       sim_to_seconds(client_self) / req.client_speed;
   const double surrogate_s = sim_to_seconds(cand.offload_self_time) /
                              (req.client_speed * req.surrogate_speedup);
-  SimDuration t = static_cast<SimDuration>((client_s + surrogate_s) * 1e9) +
-                  predicted_comm_time(cand, req.link);
-  if (req.charge_migration) {
-    const double mig_s = static_cast<double>(cand.offload_mem_bytes) * 8.0 /
-                             req.link.bandwidth_bps +
-                         sim_to_seconds(req.link.null_rtt);
-    t += static_cast<SimDuration>(mig_s * 1e9);
-  }
-  return t;
+  const double mig_s = static_cast<double>(cand.offload_mem_bytes) * 8.0 /
+                           req.link.bandwidth_bps +
+                       sim_to_seconds(req.link.null_rtt);
+  return static_cast<SimDuration>((client_s + surrogate_s) * 1e9) +
+         predicted_comm_time(cand, req.link) +
+         static_cast<SimDuration>(mig_s * 1e9);
 }
 
 PartitionDecision decide_partitioning(const graph::ExecGraph& graph,
@@ -253,9 +250,6 @@ PartitionDecision decide_partitioning(const graph::ExecGraph& graph,
     }
   } else {
     SimDuration best_time = decision.predicted_original_time;
-    const SimDuration required_bound = static_cast<SimDuration>(
-        static_cast<double>(decision.predicted_original_time) *
-        (1.0 - req.min_improvement));
     SimDuration best_any = std::numeric_limits<SimDuration>::max();
     graph::modified_mincut_visit(
         *cut_graph, req.weight, [&](const graph::Candidate& cand) {
@@ -263,7 +257,7 @@ PartitionDecision decide_partitioning(const graph::ExecGraph& graph,
           if (cand.offload_self_time <= 0) return;
           const SimDuration t = predicted_offload_time(cand, total_self, req);
           best_any = std::min(best_any, t);
-          if (t <= required_bound && t < best_time) {
+          if (t < best_time) {
             ++decision.candidates_feasible;
             best_time = t;
             decision.selected = cand;

@@ -12,9 +12,11 @@
 //
 //  * speed_up objective (section 5.2) — each candidate's total execution time
 //    is predicted from per-component CPU self-times (client speed vs the
-//    3.5x surrogate) plus communication for cut-crossing interactions; the
-//    fastest candidate is selected only if it beats staying on the client
-//    (Biomer: the system "correctly decided not to offload any objects").
+//    3.5x surrogate) plus communication for cut-crossing interactions plus
+//    the one-time migration of its state (like CloneCloud's cost model, the
+//    prediction always prices the move it proposes); the fastest candidate
+//    is selected only if it beats staying on the client (Biomer: the system
+//    "correctly decided not to offload any objects").
 // Static hints (src/analysis) can pre-contract the execution graph before
 // MINCUT: never-migrate components collapse into the pinned client anchor and
 // zero-benefit merge candidates collapse into their partners, shrinking the
@@ -49,8 +51,6 @@ struct PartitionRequest {
   // --- speed_up objective ---------------------------------------------------
   double client_speed = 1.0;
   double surrogate_speedup = 3.5;
-  // Fraction of predicted-original time a candidate must beat to be selected.
-  double min_improvement = 0.0;
 
   // --- shared ----------------------------------------------------------------
   netsim::LinkParams link = netsim::LinkParams::wavelan();
@@ -59,8 +59,6 @@ struct PartitionRequest {
   // history's communication volume into the time prediction.
   SimDuration history_duration = sim_sec(1);
   graph::EdgeWeightFn weight;
-  // One-time object migration is charged into speed-up predictions.
-  bool charge_migration = true;
 
   // Optional static hints from analysis::analyze(); when set (and non-empty)
   // the graph is pre-contracted before MINCUT. Not owned; must outlive the
@@ -125,7 +123,8 @@ struct ContractedGraph {
                                               const netsim::LinkParams& link);
 
 // Predicted total execution time of the recorded history if `cand` had been
-// in effect, under the speed_up objective.
+// in effect, under the speed_up objective, including one null RTT plus the
+// serialization of the candidate's memory for migrating it.
 [[nodiscard]] SimDuration predicted_offload_time(const graph::Candidate& cand,
                                                  SimDuration total_self_time,
                                                  const PartitionRequest& req);

@@ -105,8 +105,6 @@ Platform::Platform(std::shared_ptr<const vm::ClassRegistry> registry,
   rpc::Endpoint::connect(*client_ep_, *surrogate_ep_);
 
   link_.set_fault_plan(config_.fault_plan);
-  client_ep_->set_retry_policy(config_.retry);
-  surrogate_ep_->set_retry_policy(config_.retry);
   client_ep_->set_batching(config_.batching);
   surrogate_ep_->set_batching(config_.batching);
   if (const analysis::BatchSafety* oracle = gates_->oracle()) {
@@ -122,15 +120,11 @@ Platform::Platform(std::shared_ptr<const vm::ClassRegistry> registry,
     // Arm the partition detector. Passive — counters and timestamps only —
     // so arming it never perturbs a schedule; it only changes what the
     // peer-lost transition decides when an RPC is finally abandoned.
-    rpc::PartitionPolicy pp;
-    pp.enabled = true;
-    pp.consecutive_timeouts = config_.disconnect.consecutive_timeouts;
-    pp.silence_after = config_.disconnect.silence_after;
-    client_ep_->set_partition_policy(pp);
+    client_ep_->arm_partition_detector();
     // The surrogate's endpoint carries call-backs and release traffic; a
     // partition first surfaces on whichever side happens to be mid-RPC, so
     // both detectors must be armed and the transition consults both.
-    surrogate_ep_->set_partition_policy(pp);
+    surrogate_ep_->arm_partition_detector();
   }
   client_ep_->set_peer_failure_handler([this] { return handle_peer_failure(); });
 

@@ -80,10 +80,9 @@ struct ReadmissionPolicy {
 // attempts per episode) before resuming partitioned execution. Off by
 // default: teardown remains the baseline.
 struct DisconnectPolicy {
+  // Arms both endpoints' partition detectors, whose thresholds are
+  // rpc::kSuspectTimeouts and rpc::kSuspectSilence.
   bool enabled = false;
-  // Partition-detector thresholds (see rpc::PartitionPolicy).
-  std::uint32_t consecutive_timeouts = 3;
-  SimDuration silence_after = sim_ms(60);
   // Proactive hoard on a degrading link: while connected and offloaded, if
   // the Jacobson-estimated RTT exceeds this threshold the platform recalls
   // the prefetch-eligible working set (StaticHints: encapsulated-writes
@@ -105,8 +104,6 @@ struct PlatformConfig {
   // Deterministic link-fault schedule; an inert plan (the default) keeps the
   // platform bit-identical to the fault-free model.
   netsim::FaultPlan fault_plan;
-  // RPC retry-with-backoff bounds, charged against virtual time.
-  rpc::RetryPolicy retry;
   // Batched, pipelined transport (on by default): write-behind coalescing
   // into multi-op frames plus read-ahead object snapshots seeded with the
   // MINCUT partition groups of each offload. Application-transparent — only
@@ -221,6 +218,9 @@ class Platform : private vm::VmHooks {
 
   [[nodiscard]] vm::Vm& client() noexcept { return *client_; }
   [[nodiscard]] vm::Vm& surrogate() noexcept { return *surrogate_; }
+  [[nodiscard]] const vm::Vm& surrogate() const noexcept {
+    return *surrogate_;
+  }
   [[nodiscard]] SimClock& clock() noexcept { return clock_; }
   [[nodiscard]] netsim::Link& link() noexcept { return link_; }
   [[nodiscard]] monitor::ExecutionMonitor& exec_monitor() noexcept {

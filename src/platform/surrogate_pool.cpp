@@ -55,8 +55,7 @@ double SurrogatePool::placement_score(std::size_t i) const {
                   static_cast<double>(load.live_sessions));
   }
 
-  return config_.w_cpu * cpu + config_.w_link * link_s +
-         config_.w_load * load_term;
+  return cpu + link_s + load_term;
 }
 
 std::size_t SurrogatePool::best_member() const {

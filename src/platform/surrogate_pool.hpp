@@ -5,9 +5,11 @@
 // N=256. The pool is the throughput fix: k servers share one virtual clock
 // (turns still serialize on a single timeline, so every run is exactly
 // reproducible), and a deterministic placement policy decides which member
-// admits each new session by scoring every live member on
+// admits each new session by scoring every live member with the unweighted
+// sum of three terms:
 //
-//   * CPU-speed ratio      — a faster surrogate clears turns sooner,
+//   * CPU-speed ratio      — 1 / surrogate_speedup: a faster surrogate
+//                            clears turns sooner,
 //   * link cost            — the mean smoothed RTT of the member's live
 //                            sessions (per-session EndpointStats feed the
 //                            Jacobson estimator), falling back to the
@@ -39,14 +41,6 @@ struct PoolConfig {
   // members[i].surrogate_speedup and its client link members[i].link).
   // Empty is invalid; a single entry is the single-surrogate server.
   std::vector<ServerConfig> members;
-
-  // Placement score term weights. Score =
-  //   w_cpu  * (1 / surrogate_speedup)
-  // + w_link * mean-session-srtt-seconds (configured null RTT when unprimed)
-  // + w_load * (live/max_sessions + offloaded-bytes share of budget cap).
-  double w_cpu = 1.0;
-  double w_link = 1.0;
-  double w_load = 1.0;
 };
 
 // Pool-level accounting. Same flat-uint64 layout contract as ServerStats.

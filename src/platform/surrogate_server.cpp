@@ -21,13 +21,11 @@ std::optional<std::uint64_t> Session::migrate(std::span<const ObjectId> ids) {
     }
   }
   if (budget_.max_offloaded_bytes != 0 &&
-      offloaded_bytes_ + batch_bytes > budget_.max_offloaded_bytes) {
+      offloaded_bytes() + batch_bytes > budget_.max_offloaded_bytes) {
     budget_refusals_ += 1;
     return std::nullopt;
   }
-  const std::optional<std::uint64_t> bytes = Platform::migrate(ids);
-  if (bytes.has_value()) offloaded_bytes_ += batch_bytes;
-  return bytes;
+  return Platform::migrate(ids);
 }
 
 SurrogateServer::SurrogateServer(

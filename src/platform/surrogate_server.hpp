@@ -93,8 +93,11 @@ class Session : public Platform {
   bool offload(std::span<const ObjectId> ids) {
     return migrate(ids).has_value();
   }
+  // Bytes the session holds on its surrogate: the surrogate heap, so state
+  // a pull-back or a recall brings home stops counting, and what offloaded
+  // code allocates there counts.
   [[nodiscard]] std::uint64_t offloaded_bytes() const noexcept {
-    return offloaded_bytes_;
+    return static_cast<std::uint64_t>(surrogate().heap().used());
   }
   [[nodiscard]] std::uint64_t budget_refusals() const noexcept {
     return budget_refusals_;
@@ -133,9 +136,9 @@ class Session : public Platform {
   // Every offload, scripted or policy-driven, is priced here before anything
   // moves. Refuses (nullopt, nothing migrates, budget_refusals ticks) when
   // the batch would push the session past max_offloaded_bytes. Returns
-  // nullopt, counting no bytes, while the surrogate is away, when it refuses
-  // the batch for room, or when it is lost under the migration (the
-  // peer-lost transition has then run).
+  // nullopt while the surrogate is away, when it refuses the batch for
+  // room, or when it is lost under the migration (the peer-lost transition
+  // has then run).
   std::optional<std::uint64_t> migrate(
       std::span<const ObjectId> ids) override;
 
@@ -150,7 +153,6 @@ class Session : public Platform {
 
   SessionId id_;
   SessionBudget budget_;
-  std::uint64_t offloaded_bytes_ = 0;
   std::uint64_t budget_refusals_ = 0;
   std::uint32_t ops_this_turn_ = 0;
   std::uint64_t throttled_ = 0;

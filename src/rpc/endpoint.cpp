@@ -18,6 +18,12 @@ constexpr std::uint8_t kStatusVmError = 1;
 // read-ahead miss may prefetch beside the demanded object.
 constexpr std::size_t kMaxOps = 32;
 constexpr std::size_t kPrefetchLimit = 4;
+// The rest of the retry envelope (partition_detector.hpp has the public
+// part): the backoff between attempts doubles from 25 ms up to 400 ms, and
+// the Jacobson RTO is srtt + 4 * rttvar.
+constexpr SimDuration kBackoffInitial = sim_ms(25);
+constexpr SimDuration kBackoffMax = sim_ms(400);
+constexpr double kRttDevMultiplier = 4.0;
 
 // Chaos corruption: wire byte `salt % size` arrives flipped. Copy-on-write,
 // so the shared original (still needed for retransmits) is never touched.
@@ -165,10 +171,10 @@ vm::ObjectRef Endpoint::translate_in(const WireRef& wire) {
 // --- transport ----------------------------------------------------------------
 
 SimDuration Endpoint::effective_timeout() const noexcept {
-  if (!retry_.adaptive || !rtt_.primed) return retry_.timeout;
-  const auto rto = static_cast<SimDuration>(
-      rtt_.srtt + retry_.rtt_dev_multiplier * rtt_.rttvar);
-  return std::clamp(rto, retry_.min_timeout, retry_.timeout);
+  if (!rtt_.primed) return kTimeout;
+  const auto rto =
+      static_cast<SimDuration>(rtt_.srtt + kRttDevMultiplier * rtt_.rttvar);
+  return std::clamp(rto, kMinTimeout, kTimeout);
 }
 
 bool Endpoint::ping() {
@@ -200,8 +206,7 @@ std::vector<std::uint8_t> Endpoint::transact(ByteWriter request,
   // Sealed once; every attempt (and the retransmit slot) shares this buffer.
   const SharedFrame frame = seal_frame(epoch_, seq, std::move(request).take());
 
-  const int max_attempts = std::max(retry_.max_attempts, 1);
-  SimDuration backoff = retry_.backoff_initial;
+  SimDuration backoff = kBackoffInitial;
   for (int attempt = 1;; ++attempt) {
     SharedFrame reply;  // the accepted reply frame, once one arrives
     SimDuration rtt_sample = 0;
@@ -300,18 +305,17 @@ std::vector<std::uint8_t> Endpoint::transact(ByteWriter request,
     stats_.timeouts += 1;
     vm_.clock().advance(effective_timeout());
     detector_.note_timeout(vm_.clock().now());
-    if (attempt >= max_attempts) {
-      // With the partition policy armed, an exhausted retry budget is not
+    if (attempt >= kMaxAttempts) {
+      // With the partition detector armed, an exhausted retry budget is not
       // yet proof of a *sustained* outage: traffic may have been flowing
-      // right up to the cut, so the silence window can be shorter than the
-      // policy floor when the budget runs out. Hold the RPC open — keep
+      // right up to the cut, so the silence window can be shorter than
+      // kSuspectSilence when the budget runs out. Hold the RPC open — keep
       // retrying at the current backoff — until the two resolve: a transient
       // blip delivers on a later attempt and nothing trips, while a true
       // partition crosses the silence floor and aborts into a detector that
       // now answers suspected() == true. Abandonment and suspicion coincide,
       // so the failure handler never mistakes a partition for a dead peer.
-      if (!detector_.policy().enabled ||
-          detector_.suspected(vm_.clock().now())) {
+      if (!detector_.armed() || detector_.suspected(vm_.clock().now())) {
         stats_.aborted_rpcs += 1;
         throw PeerUnavailable(seq, "rpc aborted after " +
                                        std::to_string(attempt) + " attempts");
@@ -319,10 +323,7 @@ std::vector<std::uint8_t> Endpoint::transact(ByteWriter request,
     }
     stats_.retries += 1;
     vm_.clock().advance(backoff);
-    backoff = std::min(
-        static_cast<SimDuration>(static_cast<double>(backoff) *
-                                 retry_.backoff_multiplier),
-        retry_.backoff_max);
+    backoff = std::min(2 * backoff, kBackoffMax);
   }
 }
 

@@ -13,8 +13,10 @@
 //  * the distributed-GC release protocol ("a simple distributed garbage
 //    collection scheme", paper section 4),
 //  * fault tolerance: bounded retry-with-backoff against the link's
-//    FaultPlan, at-most-once execution via a sequence-numbered reply cache,
-//    and local-fallback recovery when the peer is unrecoverably gone,
+//    FaultPlan (the retry envelope is a block of constants beside the
+//    partition detector's thresholds, in partition_detector.hpp),
+//    at-most-once execution via a sequence-numbered reply cache, and
+//    local-fallback recovery when the peer is unrecoverably gone,
 //  * crash-consistent transport: every message travels in a CRC32-checked
 //    frame carrying the sender's migration epoch and sequence number, so
 //    corrupted frames are rejected (and retried), duplicated frames are
@@ -120,27 +122,6 @@ struct EndpointStats {
   friend bool operator==(const EndpointStats&, const EndpointStats&) = default;
 };
 
-// Bounded retry-with-backoff for one RPC attempt sequence. All delays are
-// virtual time charged to the calling VM's clock.
-struct RetryPolicy {
-  int max_attempts = 4;
-  // How long the sender waits for a response before declaring the attempt
-  // lost. With `adaptive` set this is the upper bound (and the pre-sample
-  // default); the effective timeout follows the RTT estimator.
-  SimDuration timeout = sim_ms(50);
-  // Exponential backoff between attempts.
-  SimDuration backoff_initial = sim_ms(25);
-  double backoff_multiplier = 2.0;
-  SimDuration backoff_max = sim_ms(400);
-  // Jacobson-style adaptive timeout: srtt + rtt_dev_multiplier * rttvar,
-  // clamped to [min_timeout, timeout]. Timeouts are only charged on genuine
-  // delivery failure in this simulation, so adapting can only shorten the
-  // stall a failure costs, never cause a spurious abort.
-  bool adaptive = true;
-  double rtt_dev_multiplier = 4.0;
-  SimDuration min_timeout = sim_ms(2);
-};
-
 // EWMA mean + deviation of the transport round-trip (request leg + reply
 // leg, excluding remote execution), per Jacobson's TCP RTO estimator:
 // gain 1/8 on the mean, 1/4 on the deviation.
@@ -215,11 +196,6 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
   }
   [[nodiscard]] SessionId session() const noexcept { return session_; }
 
-  void set_retry_policy(RetryPolicy policy) noexcept { retry_ = policy; }
-  [[nodiscard]] const RetryPolicy& retry_policy() const noexcept {
-    return retry_;
-  }
-
   // Write-behind batching and read-ahead, on by default.
   //
   // Void operations (put_field / put_static / array_put / chars_write) are
@@ -264,8 +240,7 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
   }
 
   // The timeout the next attempt would charge: the adaptive Jacobson RTO
-  // once the estimator is primed, the configured fixed timeout before that
-  // (or whenever adaptivity is off).
+  // once the estimator is primed, kTimeout before that.
   [[nodiscard]] SimDuration effective_timeout() const noexcept;
   [[nodiscard]] const RttEstimator& rtt_estimator() const noexcept {
     return rtt_;
@@ -299,12 +274,7 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
   // expired attempt advances it. Suspicion never aborts an RPC by itself —
   // the platform consults partition_suspected() from its peer-failure
   // handler to choose Disconnected mode over teardown.
-  void set_partition_policy(const PartitionPolicy& p) noexcept {
-    detector_.set_policy(p);
-  }
-  [[nodiscard]] const PartitionDetector& partition_detector() const noexcept {
-    return detector_;
-  }
+  void arm_partition_detector() noexcept { detector_.arm(); }
   [[nodiscard]] bool partition_suspected() const noexcept {
     return detector_.suspected(vm_.clock().now());
   }
@@ -562,7 +532,6 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
   RefMap refs_;
   EndpointStats stats_;
   SessionId session_ = SessionId::invalid();
-  RetryPolicy retry_;
   bool batching_ = true;
   std::function<bool()> peer_failure_handler_;
 

@@ -7,7 +7,7 @@
 //   1. consecutive timeouts — every attempt of every RPC times out, so the
 //      consecutive-timeout run grows without ever being reset by a delivery;
 //   2. heartbeat silence — nothing at all has been heard from the peer for
-//      longer than several full retry envelopes.
+//      at least kSuspectSilence.
 //
 // Either signal alone misfires: a run of unlucky drops can produce a few
 // consecutive timeouts in a healthy link (axis 1), and an idle client hears
@@ -25,26 +25,34 @@
 
 namespace aide::rpc {
 
-struct PartitionPolicy {
-  // Off by default: the platform arms the detector only when its
-  // disconnected-operation mode is enabled.
-  bool enabled = false;
-  // Consecutive attempt timeouts (with no intervening delivery) before the
-  // link is suspect. The default retry policy exhausts 4 attempts per RPC,
-  // so 3 trips within the first failed call during a true outage.
-  std::uint32_t consecutive_timeouts = 3;
-  // Minimum silence — virtual time since the last frame was heard — before
-  // timeouts are believed. Covers the idle-link case and debounces bursts
-  // of drop-induced timeouts on a live link.
-  SimDuration silence_after = sim_ms(60);
-};
+// The retry envelope and the partition detector's thresholds: one decision,
+// since the thresholds are derived from the retry budget. All delays are
+// virtual time charged to the calling VM's clock.
+//
+// An RPC makes at most kMaxAttempts attempts. An attempt that gets no reply
+// charges the adaptive timeout (endpoint.cpp): kTimeout until the first RTT
+// sample, then the Jacobson RTO clamped to [kMinTimeout, kTimeout]. Timeouts
+// are only charged on genuine delivery failure in this simulation, so
+// adapting can only shorten the stall a failure costs, never cause a
+// spurious abort.
+inline constexpr int kMaxAttempts = 4;
+inline constexpr SimDuration kTimeout = sim_ms(50);
+inline constexpr SimDuration kMinTimeout = sim_ms(2);
+// Consecutive attempt timeouts (with no intervening delivery) before the
+// link is suspect. An RPC makes kMaxAttempts attempts, so during a true
+// outage the threshold trips within the first failed call.
+inline constexpr std::uint32_t kSuspectTimeouts = 3;
+// Minimum silence (virtual time since the last frame was heard) before
+// timeouts are believed. Covers the idle-link case and debounces bursts of
+// drop-induced timeouts on a live link.
+inline constexpr SimDuration kSuspectSilence = sim_ms(60);
 
 class PartitionDetector {
  public:
-  void set_policy(const PartitionPolicy& p) noexcept { policy_ = p; }
-  [[nodiscard]] const PartitionPolicy& policy() const noexcept {
-    return policy_;
-  }
+  // Unarmed by default, and an unarmed detector never suspects: the
+  // platform arms it only when its disconnected-operation mode is enabled.
+  void arm() noexcept { armed_ = true; }
+  [[nodiscard]] bool armed() const noexcept { return armed_; }
 
   // A frame arrived from the peer (reply delivered): the link is alive.
   void note_delivery(SimTime now) noexcept {
@@ -66,11 +74,10 @@ class PartitionDetector {
     return now - last_delivery_;
   }
 
-  // True when the policy is armed and both thresholds hold.
+  // True when the detector is armed and both thresholds hold.
   [[nodiscard]] bool suspected(SimTime now) const noexcept {
-    return policy_.enabled &&
-           consecutive_timeouts_ >= policy_.consecutive_timeouts &&
-           silence(now) >= policy_.silence_after;
+    return armed_ && consecutive_timeouts_ >= kSuspectTimeouts &&
+           silence(now) >= kSuspectSilence;
   }
 
   // Fresh connection epoch (connect/readmit): forget the old link's history
@@ -81,7 +88,7 @@ class PartitionDetector {
   }
 
  private:
-  PartitionPolicy policy_;
+  bool armed_ = false;
   std::uint32_t consecutive_timeouts_ = 0;
   SimTime last_delivery_ = 0;
 };

@@ -12,8 +12,7 @@ Vm::Vm(VmConfig cfg, std::shared_ptr<const ClassRegistry> registry,
     : cfg_(std::move(cfg)),
       registry_(std::move(registry)),
       clock_(clock),
-      heap_(cfg_.heap_capacity),
-      rng_(cfg_.rng_seed) {}
+      heap_(cfg_.heap_capacity) {}
 
 void Vm::add_hooks(monitor::ExecutionMonitor* monitor) {
   if (monitor_ == nullptr) {
@@ -497,7 +496,7 @@ Value Vm::dispatch_invoke(ObjectRef target, ClassId cls, MethodId mid,
 
 Value Vm::execute_local(ObjectRef self, ClassId cls, MethodId mid,
                         const MethodDef& m, std::span<const Value> args) {
-  if (frame_depth_ >= cfg_.max_stack_depth) {
+  if (frame_depth_ >= kMaxStackDepth) {
     throw VmError(VmErrorCode::stack_overflow, registry_->get(cls).name);
   }
   if (!m.body) {

@@ -33,7 +33,6 @@
 
 #include "common/error.hpp"
 #include "common/ids.hpp"
-#include "common/rng.hpp"
 #include "common/simclock.hpp"
 #include "monitor/monitor.hpp"
 #include "vm/heap.hpp"
@@ -62,9 +61,10 @@ struct VmConfig {
   SimDuration gc_cost_per_live_object = sim_ns(40);
   // Enhancement (paper 5.2): stateless natives execute where invoked.
   bool stateless_natives_local = false;
-  std::size_t max_stack_depth = 512;
-  std::uint64_t rng_seed = 0xA1DEA1DEULL;
 };
+
+// Frames nested deeper than this raise stack_overflow.
+inline constexpr std::size_t kMaxStackDepth = 512;
 
 struct VmStats {
   std::uint64_t allocations = 0;
@@ -131,7 +131,6 @@ class Vm {
   }
   [[nodiscard]] const VmStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const VmConfig& config() const noexcept { return cfg_; }
-  [[nodiscard]] Rng& rng() noexcept { return rng_; }
   [[nodiscard]] std::size_t stack_depth() const noexcept {
     return frame_depth_;
   }
@@ -452,7 +451,7 @@ class Vm {
   // execute_local does.
   Value call_fast(ObjectRef self, ClassId cls, MethodId mid,
                   const MethodDef& m, std::span<const Value> args) {
-    if (frame_depth_ >= cfg_.max_stack_depth) [[unlikely]] {
+    if (frame_depth_ >= kMaxStackDepth) [[unlikely]] {
       throw VmError(VmErrorCode::stack_overflow, registry_->get(cls).name);
     }
     if (frame_depth_ == frames_.size()) [[unlikely]] frames_.emplace_back();
@@ -590,7 +589,6 @@ class Vm {
   std::shared_ptr<const ClassRegistry> registry_;
   SimClock& clock_;
   Heap heap_;
-  Rng rng_;
 
   // The monitor slot, then the observers of each event kind (indexed by the
   // kind's bit) and the set of kinds that have any.

@@ -24,6 +24,7 @@
 #include <string>
 
 #include "apps/apps.hpp"
+#include "bench/forced_offload.hpp"
 #include "common/rng.hpp"
 #include "platform/platform.hpp"
 #include "tests/test_util.hpp"
@@ -35,8 +36,6 @@ namespace {
 using vm::ObjectRef;
 using vm::Value;
 using vm::Vm;
-
-constexpr NodeId kClientNode{1};
 
 const char* const kApps[] = {"JavaNote", "Dia", "Biomer", "Voxel", "Tracer"};
 
@@ -77,45 +76,11 @@ class EventOrderDigest : public vm::VmHooks {
   }
 };
 
-// Deterministic early offload, same driver as chaos_test/fault_test: fires
-// on the client's second GC so both transport configurations migrate at the
-// same logical instant.
-class ForcedOffload : public vm::VmHooks {
- public:
-  explicit ForcedOffload(platform::Platform& p) : p_(p) {}
-  void on_gc(NodeId node, const vm::GcReport&) override {
-    if (node != kClientNode) return;
-    if (++cycles_ < 2) return;
-    if (p_.offloaded() || p_.surrogate_dead()) return;
-    p_.offload_now(std::int64_t{1});
-  }
-
- private:
-  platform::Platform& p_;
-  int cycles_ = 0;
-};
-
 platform::PlatformConfig platform_config(bool batching, bool oracle = true) {
-  platform::PlatformConfig cfg;
-  cfg.client_heap = 64 << 20;
-  cfg.surrogate_heap = 64 << 20;
-  cfg.auto_offload = false;  // ForcedOffload drives the schedule
-  cfg.client_gc_alloc_count_threshold = 4;
-  cfg.client_gc_alloc_bytes_divisor = 512;
+  platform::PlatformConfig cfg = bench::forced_offload_config();
   cfg.batching = batching;
   cfg.effect_verify = oracle;  // on: BatchSafety installed (apps are 100% IR)
   return cfg;
-}
-
-std::uint64_t standalone_checksum(const apps::AppInfo& app,
-                                  const apps::AppParams& params) {
-  auto reg = std::make_shared<vm::ClassRegistry>();
-  app.register_classes(*reg);
-  SimClock clock;
-  vm::VmConfig cfg;
-  cfg.heap_capacity = 64 << 20;
-  Vm vm(cfg, reg, clock);
-  return app.run(vm, params);
 }
 
 struct RunOut {
@@ -130,7 +95,7 @@ RunOut run_app(const apps::AppInfo& app, const apps::AppParams& params,
   auto reg = std::make_shared<vm::ClassRegistry>();
   app.register_classes(*reg);
   platform::Platform p(reg, platform_config(batching, oracle));
-  ForcedOffload forced(p);
+  bench::ForcedOffload forced(p);
   EventOrderDigest order;
   p.client().add_hooks(&forced);
   p.client().add_hooks(&order);
@@ -148,8 +113,8 @@ class BatchAppParityTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(BatchAppParityTest, BatchingPreservesOutputAndEventOrder) {
   const auto& app = apps::app_by_name(GetParam());
-  const auto params = test::small_app_params();
-  const std::uint64_t expected = standalone_checksum(app, params);
+  const auto params = bench::small_app_params();
+  const std::uint64_t expected = bench::standalone_checksum(app, params);
 
   const RunOut batched = run_app(app, params, true);
   const RunOut legacy = run_app(app, params, false);
@@ -176,7 +141,7 @@ INSTANTIATE_TEST_SUITE_P(Apps, BatchAppParityTest, ::testing::ValuesIn(kApps));
 // rider and never forces an earlier flush.
 TEST_P(BatchAppParityTest, OracleInstallIsByteIdentical) {
   const auto& app = apps::app_by_name(GetParam());
-  const auto params = test::small_app_params();
+  const auto params = bench::small_app_params();
 
   const RunOut with = run_app(app, params, true, /*oracle=*/true);
   const RunOut without = run_app(app, params, true, /*oracle=*/false);

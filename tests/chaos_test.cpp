@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "apps/apps.hpp"
+#include "bench/forced_offload.hpp"
 #include "netsim/link.hpp"
 #include "platform/platform.hpp"
 #include "vm/vm.hpp"
@@ -38,7 +39,6 @@ bool g_smoke = false;
 
 namespace {
 
-constexpr NodeId kClientNode{1};
 constexpr std::size_t kFullSchedules = 25;
 constexpr std::size_t kSmokeSchedules = 5;
 
@@ -46,64 +46,6 @@ const char* const kApps[] = {"JavaNote", "Dia", "Biomer", "Voxel", "Tracer"};
 
 std::size_t schedule_count() {
   return g_smoke ? kSmokeSchedules : kFullSchedules;
-}
-
-// Scaled-down parameters: the full harness runs every app ~30 times.
-apps::AppParams chaos_params() {
-  apps::AppParams p;
-  p.doc_bytes = 48 * 1024;
-  p.edits = 16;
-  p.scrolls = 20;
-  p.image_size = 64;
-  p.layers = 3;
-  p.filter_passes = 3;
-  p.atoms = 80;
-  p.iterations = 4;
-  p.field_size = 49;
-  p.frames = 4;
-  p.columns = 32;
-  p.trace_w = 16;
-  p.trace_h = 12;
-  p.spheres = 6;
-  return p;
-}
-
-// Deterministic early offload (same driver as tests/fault_test.cpp): pins
-// the migration instant so schedules can target protocol boundaries.
-class ForcedOffload : public vm::VmHooks {
- public:
-  explicit ForcedOffload(platform::Platform& p) : p_(p) {}
-  void on_gc(NodeId node, const vm::GcReport&) override {
-    if (node != kClientNode) return;
-    if (++cycles_ < 2) return;
-    if (p_.offloaded() || p_.surrogate_dead()) return;
-    p_.offload_now(std::int64_t{1});
-  }
-
- private:
-  platform::Platform& p_;
-  int cycles_ = 0;
-};
-
-platform::PlatformConfig chaos_config() {
-  platform::PlatformConfig cfg;
-  cfg.client_heap = 64 << 20;
-  cfg.surrogate_heap = 64 << 20;
-  cfg.auto_offload = false;  // ForcedOffload drives the schedule
-  cfg.client_gc_alloc_count_threshold = 4;
-  cfg.client_gc_alloc_bytes_divisor = 512;
-  return cfg;
-}
-
-std::uint64_t standalone_checksum(const apps::AppInfo& app,
-                                  const apps::AppParams& params) {
-  auto reg = std::make_shared<vm::ClassRegistry>();
-  app.register_classes(*reg);
-  SimClock clock;
-  vm::VmConfig cfg;
-  cfg.heap_capacity = 64 << 20;
-  vm::Vm vm(cfg, reg, clock);
-  return app.run(vm, params);
 }
 
 struct Outcome {
@@ -131,7 +73,7 @@ struct Outcome {
 Outcome run(const apps::AppInfo& app, const apps::AppParams& params,
             const netsim::FaultPlan& plan, bool disconnect = false,
             SimDuration heartbeat = 0) {
-  auto cfg = chaos_config();
+  auto cfg = bench::forced_offload_config();
   cfg.fault_plan = plan;
   if (disconnect) {
     cfg.disconnect.enabled = true;
@@ -147,7 +89,7 @@ Outcome run(const apps::AppInfo& app, const apps::AppParams& params,
   auto reg = std::make_shared<vm::ClassRegistry>();
   app.register_classes(*reg);
   platform::Platform p(reg, cfg);
-  ForcedOffload forced(p);
+  bench::ForcedOffload forced(p);
   p.client().add_hooks(&forced);
   Outcome o;
   o.checksum = app.run(p.client(), params);
@@ -251,8 +193,8 @@ class BatchedFrameChaosTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(BatchedFrameChaosTest, DamagedMultiOpFramesRollBackOrRetryAtomically) {
   const auto& app = apps::app_by_name(GetParam());
-  const auto params = chaos_params();
-  const std::uint64_t expected = standalone_checksum(app, params);
+  const auto params = bench::small_app_params();
+  const std::uint64_t expected = bench::standalone_checksum(app, params);
 
   const Outcome probe = run(app, params, netsim::FaultPlan{});
   ASSERT_TRUE(probe.offloaded);
@@ -287,15 +229,15 @@ class ChaosScheduleTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ChaosScheduleTest, EverySeededScheduleKeepsOutputByteIdentical) {
   const auto& app = apps::app_by_name(GetParam());
-  const auto params = chaos_params();
-  const std::uint64_t expected = standalone_checksum(app, params);
+  const auto params = bench::small_app_params();
+  const std::uint64_t expected = bench::standalone_checksum(app, params);
 
   const Outcome probe = run(app, params, netsim::FaultPlan{});
   ASSERT_TRUE(probe.offloaded);
   ASSERT_TRUE(probe.migration.committed);
   ASSERT_EQ(probe.checksum, expected);
 
-  const int per_rpc_retries = rpc::RetryPolicy{}.max_attempts - 1;
+  const int per_rpc_retries = rpc::kMaxAttempts - 1;
   for (std::size_t i = 0; i < schedule_count(); ++i) {
     SCOPED_TRACE("schedule " + std::to_string(i));
     const Outcome o = run(app, params, schedule(i, probe));
@@ -321,7 +263,7 @@ INSTANTIATE_TEST_SUITE_P(Apps, ChaosScheduleTest, ::testing::ValuesIn(kApps));
 
 TEST(ChaosDeterminismTest, SameScheduleReproducesIdenticalStatistics) {
   const auto& app = apps::app_by_name("Dia");
-  const auto params = chaos_params();
+  const auto params = bench::small_app_params();
   const Outcome probe = run(app, params, netsim::FaultPlan{});
   ASSERT_TRUE(probe.offloaded);
 
@@ -339,8 +281,8 @@ class CrashPointSweepTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(CrashPointSweepTest, LinkDeathAtEveryMigrationBoundaryIsConsistent) {
   const auto& app = apps::app_by_name(GetParam());
-  const auto params = chaos_params();
-  const std::uint64_t expected = standalone_checksum(app, params);
+  const auto params = bench::small_app_params();
+  const std::uint64_t expected = bench::standalone_checksum(app, params);
 
   const Outcome probe = run(app, params, netsim::FaultPlan{});
   ASSERT_TRUE(probe.offloaded);
@@ -428,7 +370,7 @@ TEST_P(DisconnectChaosTest, ArmedPolicyIsInertOnAFaultFreeRun) {
   // The partition detector is passive: arming it without any fault must not
   // move a single byte of the schedule.
   const auto& app = apps::app_by_name(GetParam());
-  const auto params = chaos_params();
+  const auto params = bench::small_app_params();
   const Outcome plain = run(app, params, netsim::FaultPlan{});
   const Outcome armed = run(app, params, netsim::FaultPlan{}, true);
   EXPECT_EQ(armed.checksum, plain.checksum);
@@ -446,8 +388,8 @@ TEST_P(DisconnectChaosTest, LongOutageAtEveryMigrationBoundary) {
   // returns, and finish byte-identical, without ever declaring the
   // surrogate dead.
   const auto& app = apps::app_by_name(GetParam());
-  const auto params = chaos_params();
-  const std::uint64_t expected = standalone_checksum(app, params);
+  const auto params = bench::small_app_params();
+  const std::uint64_t expected = bench::standalone_checksum(app, params);
   const Outcome probe = run(app, params, netsim::FaultPlan{}, true, kBeat);
   ASSERT_TRUE(probe.offloaded);
   ASSERT_EQ(probe.checksum, expected);
@@ -486,8 +428,8 @@ TEST_P(DisconnectChaosTest, LongOutageAtEveryMigrationBoundary) {
 
 TEST_P(DisconnectChaosTest, RepeatedFlapDisconnectsAndReconcilesEachLap) {
   const auto& app = apps::app_by_name(GetParam());
-  const auto params = chaos_params();
-  const std::uint64_t expected = standalone_checksum(app, params);
+  const auto params = bench::small_app_params();
+  const std::uint64_t expected = bench::standalone_checksum(app, params);
   const Outcome probe = run(app, params, netsim::FaultPlan{}, true, kBeat);
   ASSERT_TRUE(probe.offloaded);
 
@@ -507,7 +449,7 @@ TEST_P(DisconnectChaosTest, RepeatedFlapDisconnectsAndReconcilesEachLap) {
 
 TEST(DisconnectDeterminismTest, SameFlapScheduleReproducesIdenticalRuns) {
   const auto& app = apps::app_by_name("Dia");
-  const auto params = chaos_params();
+  const auto params = bench::small_app_params();
   const Outcome probe = run(app, params, netsim::FaultPlan{}, true, kBeat);
   ASSERT_TRUE(probe.offloaded);
   const netsim::FaultPlan plan = netsim::make_flap_plan(
@@ -535,8 +477,8 @@ TEST_P(ReconcileCrashPointSweepTest, DeathAtEveryReconcileBoundary) {
   // and in every case the application, which finishes on the hoarded
   // replicas, produces the standalone output byte-for-byte.
   const auto& app = apps::app_by_name(GetParam());
-  const auto params = chaos_params();
-  const std::uint64_t expected = standalone_checksum(app, params);
+  const auto params = bench::small_app_params();
+  const std::uint64_t expected = bench::standalone_checksum(app, params);
   const Outcome probe = run(app, params, netsim::FaultPlan{}, true, kBeat);
   ASSERT_TRUE(probe.offloaded);
 
@@ -632,8 +574,8 @@ TEST_P(ReconcileCrashPointSweepTest, ReconnectWindowLandingMidReconcile) {
   // back. The platform must either have finished the exchange or retry it
   // on a later probe — both ways the run ends resumed and byte-identical.
   const auto& app = apps::app_by_name(GetParam());
-  const auto params = chaos_params();
-  const std::uint64_t expected = standalone_checksum(app, params);
+  const auto params = bench::small_app_params();
+  const std::uint64_t expected = bench::standalone_checksum(app, params);
   const Outcome probe = run(app, params, netsim::FaultPlan{}, true, kBeat);
   ASSERT_TRUE(probe.offloaded);
   netsim::FaultPlan outage;

@@ -25,13 +25,10 @@ using vm::Value;
 
 // --- partition detector -------------------------------------------------------
 
-rpc::PartitionPolicy detector_policy() {
-  rpc::PartitionPolicy p;
-  p.enabled = true;
-  p.consecutive_timeouts = 3;
-  p.silence_after = sim_ms(60);
-  return p;
-}
+// The rows below assume the detector's thresholds: 3 consecutive timeouts
+// and 60 ms of silence.
+static_assert(rpc::kSuspectTimeouts == 3);
+static_assert(rpc::kSuspectSilence == sim_ms(60));
 
 TEST(PartitionDetectorTest, TableDrivenThresholds) {
   // One event stream per row; `suspected` is evaluated at `ask_at` after the
@@ -44,7 +41,7 @@ TEST(PartitionDetectorTest, TableDrivenThresholds) {
   };
   struct Case {
     const char* label;
-    bool enabled;
+    bool armed;
     std::vector<Event> events;
     SimTime ask_at;
     bool expect;
@@ -90,7 +87,7 @@ TEST(PartitionDetectorTest, TableDrivenThresholds) {
         {Event::timeout, sim_ms(160)}},
        sim_ms(160),  // silence = 60 ms, inclusive edge
        true},
-      {"disabled policy never trips, whatever the stream",
+      {"an unarmed detector never trips, whatever the stream",
        false,
        {{Event::timeout, sim_ms(100)},
         {Event::timeout, sim_ms(200)},
@@ -103,9 +100,7 @@ TEST(PartitionDetectorTest, TableDrivenThresholds) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.label);
     rpc::PartitionDetector det;
-    auto pol = detector_policy();
-    pol.enabled = c.enabled;
-    det.set_policy(pol);
+    if (c.armed) det.arm();
     for (const Event& e : c.events) {
       if (e.kind == Event::delivery) {
         det.note_delivery(e.at);
@@ -119,9 +114,10 @@ TEST(PartitionDetectorTest, TableDrivenThresholds) {
 
 TEST(PartitionDetectorTest, TripTimeIsDeterministic) {
   // With a delivery at T and timeouts after, the detector trips at exactly
-  // T + silence_after (once the count threshold is met) — not a tick before.
+  // T + kSuspectSilence (once the count threshold is met) — not a tick
+  // before.
   rpc::PartitionDetector det;
-  det.set_policy(detector_policy());
+  det.arm();
   det.note_delivery(sim_ms(200));
   det.note_timeout(sim_ms(210));
   det.note_timeout(sim_ms(220));
@@ -134,7 +130,7 @@ TEST(PartitionDetectorTest, TripTimeIsDeterministic) {
 
 TEST(PartitionDetectorTest, ResetClearsBothAxes) {
   rpc::PartitionDetector det;
-  det.set_policy(detector_policy());
+  det.arm();
   det.note_delivery(sim_ms(1));
   for (int i = 0; i < 5; ++i) det.note_timeout(sim_ms(100 + 10 * i));
   ASSERT_TRUE(det.suspected(sim_ms(200)));

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "apps/apps.hpp"
+#include "bench/forced_offload.hpp"
 #include "emul/emulator.hpp"
 #include "emul/fleet.hpp"
 #include "emul/recorder.hpp"
@@ -33,26 +34,6 @@
 
 namespace aide::emul {
 namespace {
-
-// fault_test's scaled-down parameters.
-apps::AppParams trail_params() {
-  apps::AppParams p;
-  p.doc_bytes = 48 * 1024;
-  p.edits = 16;
-  p.scrolls = 20;
-  p.image_size = 64;
-  p.layers = 3;
-  p.filter_passes = 3;
-  p.atoms = 80;
-  p.iterations = 4;
-  p.field_size = 49;
-  p.frames = 4;
-  p.columns = 32;
-  p.trace_w = 16;
-  p.trace_h = 12;
-  p.spheres = 6;
-  return p;
-}
 
 struct Recorded {
   std::string name;
@@ -81,7 +62,7 @@ Recorded record(const std::string& name) {
   vm::Vm vm(cfg, out.registry, clock);
   TraceRecorder recorder;
   vm.add_hooks(&recorder);
-  (void)app.run(vm, trail_params());
+  (void)app.run(vm, bench::small_app_params());
   out.trace = recorder.take();
   std::int64_t live = 0;
   for (const TraceEvent& e : out.trace.events) {

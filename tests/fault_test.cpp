@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "apps/apps.hpp"
+#include "bench/forced_offload.hpp"
 #include "common/error.hpp"
 #include "netsim/link.hpp"
 #include "platform/platform.hpp"
@@ -30,73 +31,7 @@
 namespace aide {
 namespace {
 
-constexpr NodeId kClientNode{1};
 constexpr NodeId kSurrogateNode{2};
-
-// Scaled-down application parameters: the matrix runs every app seven times.
-apps::AppParams fault_params() {
-  apps::AppParams p;
-  p.doc_bytes = 48 * 1024;
-  p.edits = 16;
-  p.scrolls = 20;
-  p.image_size = 64;
-  p.layers = 3;
-  p.filter_passes = 3;
-  p.atoms = 80;
-  p.iterations = 4;
-  p.field_size = 49;
-  p.frames = 4;
-  p.columns = 32;
-  p.trace_w = 16;
-  p.trace_h = 12;
-  p.spheres = 6;
-  return p;
-}
-
-// Drives a deterministic early offload: from the second client GC onwards,
-// keep asking for any beneficial offload until one lands (or the surrogate
-// dies trying). This pins the offload instant for schedule derivation far
-// more tightly than the memory-pressure trigger would.
-class ForcedOffload : public vm::VmHooks {
- public:
-  explicit ForcedOffload(platform::Platform& p) : p_(p) {}
-  void on_gc(NodeId node, const vm::GcReport&) override {
-    if (node != kClientNode) return;
-    if (++cycles_ < 2) return;
-    if (p_.offloaded() || p_.surrogate_dead()) return;
-    p_.offload_now(std::int64_t{1});
-  }
-
- private:
-  platform::Platform& p_;
-  int cycles_ = 0;
-};
-
-platform::PlatformConfig fault_config() {
-  platform::PlatformConfig cfg;
-  // Recovery must be able to complete fully local, so the client heap is as
-  // generous as the standalone baseline's.
-  cfg.client_heap = 64 << 20;
-  cfg.surrogate_heap = 64 << 20;
-  cfg.auto_offload = false;  // ForcedOffload drives the schedule
-  // Very frequent GC reports give the hook plenty of chances to offload
-  // early, whatever the app's allocation profile looks like (Voxel allocates
-  // under a dozen objects at this scale).
-  cfg.client_gc_alloc_count_threshold = 4;
-  cfg.client_gc_alloc_bytes_divisor = 512;
-  return cfg;
-}
-
-std::uint64_t standalone_checksum(const apps::AppInfo& app,
-                                  const apps::AppParams& params) {
-  auto reg = std::make_shared<vm::ClassRegistry>();
-  app.register_classes(*reg);
-  SimClock clock;
-  vm::VmConfig cfg;
-  cfg.heap_capacity = 64 << 20;
-  vm::Vm vm(cfg, reg, clock);
-  return app.run(vm, params);
-}
 
 // Classifies where each method invocation actually executed, from a chosen
 // virtual instant onwards: the calling VM reports the event, so execution
@@ -149,7 +84,7 @@ RunResult run_app(const apps::AppInfo& app, const apps::AppParams& params,
   auto reg = std::make_shared<vm::ClassRegistry>();
   app.register_classes(*reg);
   platform::Platform p(reg, cfg);
-  ForcedOffload forced(p);
+  bench::ForcedOffload forced(p);
   RemoteFractionProbe remote_probe(measure_after);
   p.client().add_hooks(&forced);
   p.client().add_hooks(&remote_probe);
@@ -190,7 +125,7 @@ RunResult run_app(const apps::AppInfo& app, const apps::AppParams& params,
 
 RunResult run_cell(const apps::AppInfo& app, const apps::AppParams& params,
                    const netsim::FaultPlan& plan) {
-  auto cfg = fault_config();
+  auto cfg = bench::forced_offload_config();
   cfg.fault_plan = plan;
   return run_app(app, params, cfg);
 }
@@ -199,8 +134,8 @@ class FaultMatrixTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(FaultMatrixTest, EveryScheduleRecoversWithIdenticalOutput) {
   const auto& app = apps::app_by_name(GetParam());
-  const auto params = fault_params();
-  const std::uint64_t expected = standalone_checksum(app, params);
+  const auto params = bench::small_app_params();
+  const std::uint64_t expected = bench::standalone_checksum(app, params);
 
   // Fault-free probe: fixes this app's offload timeline exactly.
   const RunResult probe = run_cell(app, params, netsim::FaultPlan{});
@@ -222,7 +157,7 @@ TEST_P(FaultMatrixTest, EveryScheduleRecoversWithIdenticalOutput) {
     EXPECT_EQ(r.objects_reclaimed, 0u);
     EXPECT_GE(r.client_stats.aborted_rpcs, 1u);
     EXPECT_GE(r.client_stats.timeouts,
-              static_cast<std::uint64_t>(rpc::RetryPolicy{}.max_attempts));
+              static_cast<std::uint64_t>(rpc::kMaxAttempts));
     EXPECT_EQ(r.stub_count, 0u);
   }
 
@@ -343,7 +278,7 @@ INSTANTIATE_TEST_SUITE_P(Apps, FaultMatrixTest,
 
 TEST(FaultParityTest, ArmedButNeverFiringPlanMatchesFaultFreeRunExactly) {
   const auto& app = apps::app_by_name("Dia");
-  const auto params = fault_params();
+  const auto params = bench::small_app_params();
   const RunResult base = run_cell(app, params, netsim::FaultPlan{});
   ASSERT_TRUE(base.offloaded);
 
@@ -370,16 +305,16 @@ TEST(FaultParityTest, ArmedButNeverFiringPlanMatchesFaultFreeRunExactly) {
 // where the surrogate never failed.
 TEST(ReadmissionTest, RevivedSurrogateIsReAdmittedAndReOffloaded) {
   const auto& app = apps::app_by_name("Dia");
-  const auto params = fault_params();
-  const std::uint64_t expected = standalone_checksum(app, params);
+  const auto params = bench::small_app_params();
+  const std::uint64_t expected = bench::standalone_checksum(app, params);
 
   // Fault-free probe fixes the offload timeline and the steady-state remote
   // fraction (measured from the completed offload onwards).
   const RunResult probe =
-      run_app(app, params, fault_config(), /*measure_after=*/0);
+      run_app(app, params, bench::forced_offload_config(), /*measure_after=*/0);
   ASSERT_TRUE(probe.offloaded);
   const RunResult baseline =
-      run_app(app, params, fault_config(), probe.offload_done);
+      run_app(app, params, bench::forced_offload_config(), probe.offload_done);
   ASSERT_GT(baseline.invokes_measured, 0u);
   ASSERT_GT(baseline.remote_fraction, 0.0);
 
@@ -388,7 +323,7 @@ TEST(ReadmissionTest, RevivedSurrogateIsReAdmittedAndReOffloaded) {
   // post-recovery probe finds it alive). Timestamps after the failure shift
   // relative to the probe run — the revive instant only needs to land while
   // the app is still executing.
-  auto cfg = fault_config();
+  auto cfg = bench::forced_offload_config();
   cfg.fault_plan.dead_after =
       probe.offload_done + (probe.end - probe.offload_done) / 4;
   cfg.fault_plan.revive_at = cfg.fault_plan.dead_after + sim_ms(250);
@@ -419,9 +354,9 @@ TEST(ReadmissionTest, RevivedSurrogateIsReAdmittedAndReOffloaded) {
 
 TEST(FaultDeterminismTest, SameSeedsReproduceIdenticalRuns) {
   const auto& app = apps::app_by_name("Biomer");
-  const auto params = fault_params();
+  const auto params = bench::small_app_params();
 
-  auto cfg = fault_config();
+  auto cfg = bench::forced_offload_config();
   cfg.link.jitter_fraction = 0.25;
   cfg.link.jitter_seed = 7;
   cfg.fault_plan.drop_probability = 0.10;

@@ -244,6 +244,23 @@ TEST(FleetServer, OffloadedBytesBudgetRefusesPolicyOffloads) {
   EXPECT_EQ(st.migrations_sent, 0u);
 }
 
+// The offloaded-bytes gauge reads what the surrogate holds: state that a
+// pull-back brings home stops counting against the budget and the pool's
+// load term.
+TEST(FleetServer, OffloadedBytesFallWhenStateComesHome) {
+  platform::SurrogateServer server(rec_registry(), script_config());
+  platform::Session* s = server.open_session();
+  const std::vector<vm::ObjectRef> objs = offload_recs(*s, 8);
+  ASSERT_GT(s->offloaded_bytes(), 0u);
+  EXPECT_EQ(server.stats().offloaded_bytes, s->offloaded_bytes());
+
+  EXPECT_TRUE(s->handle_peer_failure());
+  for (const vm::ObjectRef& o : objs) EXPECT_TRUE(s->client().is_local(o.id));
+  EXPECT_EQ(s->surrogate().heap().used(), 0);
+  EXPECT_EQ(s->offloaded_bytes(), 0u);
+  EXPECT_EQ(server.stats().offloaded_bytes, 0u);
+}
+
 TEST(FleetServer, OpRateBudgetThrottlesPerTurn) {
   platform::ServerConfig cfg = script_config();
   cfg.budget.max_ops_per_turn = 3;

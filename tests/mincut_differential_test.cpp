@@ -3,7 +3,7 @@
 // The incremental modified_mincut (O(deg) cut deltas, one running offload
 // set) and the adjacency-list Stoer-Wagner in src/graph/mincut.cpp must be
 // observationally identical to the retained dense-matrix reference
-// implementations in src/graph/mincut_reference.cpp: same candidate sequence
+// implementations in tests/mincut_reference.cpp: same candidate sequence
 // (offload sets, cut statistics, memory/self-time accounting) and same global
 // cut weight/side, on randomized graphs from 50 to 500 nodes with mixed
 // pinning and object-granularity components. Stoer-Wagner is additionally
@@ -15,7 +15,7 @@
 
 #include "common/rng.hpp"
 #include "graph/mincut.hpp"
-#include "graph/mincut_reference.hpp"
+#include "tests/mincut_reference.hpp"
 
 namespace aide::graph {
 namespace {
@@ -137,7 +137,7 @@ TEST(MincutDifferentialTest, StoerWagnerMatchesBruteForceSmall) {
     Rng rng(seed);
     const ExecGraph g = random_rich_graph(rng, n, 0.6, 0.0);
     const auto sw = stoer_wagner_min_cut(g);
-    const auto bf = brute_force_min_cut(g);
+    const auto bf = reference::brute_force_min_cut(g);
     EXPECT_NEAR(sw.weight, bf.weight, 1e-6 * (1.0 + std::abs(bf.weight)));
   }
 }

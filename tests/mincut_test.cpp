@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "graph/mincut.hpp"
+#include "tests/mincut_reference.hpp"
 
 namespace aide::graph {
 namespace {
@@ -90,7 +91,7 @@ TEST(BruteForceTest, MatchesHandComputedSquare) {
   g.set_edge(cls(2), cls(3), e(10));
   g.set_edge(cls(3), cls(0), e(1));
   g.set_edge(cls(0), cls(2), e(1));
-  const auto cut = brute_force_min_cut(g);
+  const auto cut = reference::brute_force_min_cut(g);
   // Best cut: {0,1} vs {2,3} = 1 + 1 + 1 = 3.
   EXPECT_DOUBLE_EQ(cut.weight, 3.0);
 }
@@ -105,7 +106,7 @@ TEST_P(MinCutPropertyTest, StoerWagnerIsOptimal) {
   const EdgeWeightFn w;
 
   const auto sw = stoer_wagner_min_cut(g, w);
-  const auto bf = brute_force_min_cut(g, w);
+  const auto bf = reference::brute_force_min_cut(g, w);
   EXPECT_NEAR(sw.weight, bf.weight, 1e-6)
       << "n=" << n << " seed=" << GetParam();
   // The reported side must actually realize the reported weight.

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "apps/apps.hpp"
+#include "bench/forced_offload.hpp"
 #include "monitor/monitor.hpp"
 #include "platform/platform.hpp"
 #include "tests/test_util.hpp"
@@ -610,7 +611,7 @@ SlotRun run_app(const apps::AppInfo& app, bool arrays, bool in_slot) {
   }
   OffloadOnSecondGc offload(p);
   p.client().add_hooks(&offload, vm::kGcEvents);
-  run.checksum = app.run(p.client(), test::small_app_params());
+  run.checksum = app.run(p.client(), bench::small_app_params());
   p.client().remove_hooks(&offload);
   p.client().remove_hooks(&forward);
   p.surrogate().remove_hooks(&forward);

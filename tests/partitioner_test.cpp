@@ -148,43 +148,22 @@ TEST(SpeedupObjectiveTest, DeclinesWhenCommunicationDominates) {
   EXPECT_GT(d.predicted_offloaded_time, d.predicted_original_time);
 }
 
-TEST(SpeedupObjectiveTest, MinImprovementRaisesTheBar) {
-  ExecGraph g;
-  g.set_pinned(cls(0), true);
-  g.add_self_time(cls(0), sim_sec(10));
-  g.add_self_time(cls(1), sim_sec(1));  // marginal gain only
-  g.set_edge(cls(0), cls(1), edge(100, 1));
-
-  PartitionRequest req;
-  req.objective = Objective::speed_up;
-  req.surrogate_speedup = 3.5;
-  req.history_duration = sim_sec(11);
-  req.charge_migration = false;
-  const auto permissive = decide_partitioning(g, req);
-  EXPECT_TRUE(permissive.offload);
-
-  req.min_improvement = 0.50;  // demand a 2x win: impossible here
-  const auto strict = decide_partitioning(g, req);
-  EXPECT_FALSE(strict.offload);
-}
-
 TEST(SpeedupObjectiveTest, MigrationChargeCanFlipDecision) {
   ExecGraph g;
   g.set_pinned(cls(0), true);
   g.add_self_time(cls(0), sim_ms(100));
   g.add_self_time(cls(1), sim_ms(200));
-  g.add_memory(cls(1), 200 << 20, 1);  // enormous state to ship
   g.set_edge(cls(0), cls(1), edge(10, 1));
 
   PartitionRequest req;
   req.objective = Objective::speed_up;
   req.surrogate_speedup = 3.5;
   req.history_duration = sim_ms(300);
-
-  req.charge_migration = true;
-  EXPECT_FALSE(decide_partitioning(g, req).offload);
-  req.charge_migration = false;
   EXPECT_TRUE(decide_partitioning(g, req).offload);
+
+  // The same compute with enormous state to ship stays on the client.
+  g.add_memory(cls(1), 200 << 20, 1);
+  EXPECT_FALSE(decide_partitioning(g, req).offload);
 }
 
 TEST(PredictionHelpersTest, CommTimeMatchesLinkModel) {
@@ -201,9 +180,9 @@ TEST(PredictionHelpersTest, OffloadTimeScalesWithSpeedup) {
   PartitionRequest req;
   req.objective = Objective::speed_up;
   req.surrogate_speedup = 3.5;
-  req.charge_migration = false;
   const auto t = predicted_offload_time(cand, sim_sec(35), req);
-  EXPECT_EQ(t, sim_sec(10));
+  // Shipping the candidate's 0 bytes still costs one null RTT.
+  EXPECT_EQ(t, sim_sec(10) + req.link.null_rtt);
 }
 
 TEST(DecisionTest, ComputeTimeIsMeasured) {

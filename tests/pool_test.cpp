@@ -91,7 +91,7 @@ platform::TurnOutcome busy_turn(platform::Session& s, std::uint64_t quota) {
 TEST(PoolPlacement, ScoreMatchesTheDocumentedFormula) {
   platform::SurrogatePool pool(rec_registry(), pool_config({2.0, 8.0, 4.0}));
   // Fresh pool: no sessions, no RTT samples. Score reduces to
-  // w_cpu/speedup + w_link * null-RTT seconds.
+  // 1/speedup + null-RTT seconds.
   const double link_s =
       sim_to_seconds(netsim::LinkParams::wavelan().null_rtt);
   EXPECT_DOUBLE_EQ(pool.placement_score(0), 1.0 / 2.0 + link_s);

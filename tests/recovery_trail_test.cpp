@@ -22,6 +22,7 @@
 #include <string>
 
 #include "apps/apps.hpp"
+#include "bench/forced_offload.hpp"
 #include "netsim/link.hpp"
 #include "platform/platform.hpp"
 #include "tests/test_util.hpp"
@@ -30,58 +31,18 @@
 namespace aide {
 namespace {
 
-constexpr NodeId kClientNode{1};
 // Heartbeat idle threshold of the chaos suite's disconnect families.
 constexpr SimDuration kBeat = sim_ms(100);
-
-// The fault and chaos suites' scaled-down parameters (Dia reads image_size,
-// layers and filter_passes; the recall test uses the same three).
-apps::AppParams trail_params() {
-  apps::AppParams p;
-  p.image_size = 64;
-  p.layers = 3;
-  p.filter_passes = 3;
-  return p;
-}
-
-// fault_test's and chaos_test's config: generous heaps, frequent GC reports
-// and a forced early offload in place of the memory trigger.
-platform::PlatformConfig trail_config() {
-  platform::PlatformConfig cfg;
-  cfg.client_heap = 64 << 20;
-  cfg.surrogate_heap = 64 << 20;
-  cfg.auto_offload = false;
-  cfg.client_gc_alloc_count_threshold = 4;
-  cfg.client_gc_alloc_bytes_divisor = 512;
-  return cfg;
-}
 
 // chaos_test's disconnect families: the policy armed, fast reconnect
 // probing and an idle heartbeat.
 platform::PlatformConfig partition_config() {
-  auto cfg = trail_config();
+  auto cfg = bench::forced_offload_config();
   cfg.disconnect.enabled = true;
   cfg.probe_interval = sim_ms(20);
   cfg.heartbeat.idle_after = kBeat;
   return cfg;
 }
-
-// From the second client GC on, offload anything beneficial until one
-// offload lands or the surrogate is gone, as the fault and chaos suites do.
-class ForcedOffload : public vm::VmHooks {
- public:
-  explicit ForcedOffload(platform::Platform& p) : p_(p) {}
-  void on_gc(NodeId node, const vm::GcReport&) override {
-    if (node != kClientNode) return;
-    if (++cycles_ < 2) return;
-    if (p_.offloaded() || p_.surrogate_dead()) return;
-    p_.offload_now(std::int64_t{1});
-  }
-
- private:
-  platform::Platform& p_;
-  int cycles_ = 0;
-};
 
 void put(std::string& out, const char* fmt, auto... args) {
   char buf[256];
@@ -125,9 +86,9 @@ std::string trail(const char* name, const platform::PlatformConfig& cfg) {
   auto reg = std::make_shared<vm::ClassRegistry>();
   app.register_classes(*reg);
   platform::Platform p(reg, cfg);
-  ForcedOffload forced(p);
+  bench::ForcedOffload forced(p);
   p.client().add_hooks(&forced);
-  const std::uint64_t checksum = app.run(p.client(), trail_params());
+  const std::uint64_t checksum = app.run(p.client(), bench::small_app_params());
   p.client().remove_hooks(&forced);
 
   std::string out = name;
@@ -186,9 +147,9 @@ Timeline timeline(const platform::PlatformConfig& cfg) {
   auto reg = std::make_shared<vm::ClassRegistry>();
   app.register_classes(*reg);
   platform::Platform p(reg, cfg);
-  ForcedOffload forced(p);
+  bench::ForcedOffload forced(p);
   p.client().add_hooks(&forced);
-  (void)app.run(p.client(), trail_params());
+  (void)app.run(p.client(), bench::small_app_params());
   p.client().remove_hooks(&forced);
   Timeline t;
   EXPECT_TRUE(p.offloaded());
@@ -207,16 +168,16 @@ TEST(RecoveryTrailTest, DiaTimelinesMatchGolden) {
   std::string out;
 
   // fault_test: death mid-invoke, then death revived with readmission.
-  const Timeline plain = timeline(trail_config());
+  const Timeline plain = timeline(bench::forced_offload_config());
   {
-    auto cfg = trail_config();
+    auto cfg = bench::forced_offload_config();
     cfg.fault_plan.dead_after =
         plain.offload_done +
         std::max<SimDuration>(1, (plain.end - plain.offload_done) / 2);
     out += trail("dead-mid-invoke", cfg);
   }
   {
-    auto cfg = trail_config();
+    auto cfg = bench::forced_offload_config();
     cfg.fault_plan.dead_after =
         plain.offload_done + (plain.end - plain.offload_done) / 4;
     cfg.fault_plan.revive_at = cfg.fault_plan.dead_after + sim_ms(250);
@@ -227,7 +188,7 @@ TEST(RecoveryTrailTest, DiaTimelinesMatchGolden) {
 
   // disconnect_test: a degrade threshold any primed RTT exceeds.
   {
-    auto cfg = trail_config();
+    auto cfg = bench::forced_offload_config();
     cfg.disconnect.enabled = true;
     cfg.disconnect.degrade_rtt = 1;
     out += trail("degrade-recall", cfg);

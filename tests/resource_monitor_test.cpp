@@ -63,8 +63,6 @@ TEST(ResourceMonitorTest, NoProgressCountsAsLowWhenNearlyFull) {
   TriggerPolicy p;
   p.low_free_threshold = 0.05;
   p.consecutive_reports = 2;
-  p.no_progress_fraction = 0.01;
-  p.no_progress_min_used = 0.90;
   ResourceMonitor rm(NodeId{1}, p);
 
   // 92% used, GC frees almost nothing: "additional memory cannot be freed".
@@ -165,7 +163,6 @@ TEST_P(TriggerSweepTest, FiresAtConfiguredPoint) {
   TriggerPolicy p;
   p.low_free_threshold = threshold;
   p.consecutive_reports = consecutive;
-  p.no_progress_fraction = 0.0;  // isolate the threshold condition
   ResourceMonitor rm(NodeId{1}, p);
 
   const auto used = static_cast<std::int64_t>(

@@ -138,26 +138,6 @@ inline std::shared_ptr<vm::ClassRegistry> make_test_registry() {
   return reg;
 }
 
-// The five Table 1 apps at a size a differential test can run several times.
-inline apps::AppParams small_app_params() {
-  apps::AppParams p;
-  p.doc_bytes = 48 * 1024;
-  p.edits = 16;
-  p.scrolls = 20;
-  p.image_size = 64;
-  p.layers = 3;
-  p.filter_passes = 3;
-  p.atoms = 80;
-  p.iterations = 4;
-  p.field_size = 49;
-  p.frames = 4;
-  p.columns = 32;
-  p.trace_w = 16;
-  p.trace_h = 12;
-  p.spheres = 6;
-  return p;
-}
-
 // Invoke and access events among the trace's first `n` events.
 inline std::uint64_t interactions_in(const emul::Trace& trace, std::size_t n) {
   const auto first = trace.events.begin();
