@@ -1,41 +1,38 @@
-// Fleet bench: one surrogate serving N concurrent client sessions.
+// Fleet bench: N concurrent client sessions on a real SurrogatePool.
 //
-// Two layers, matching the two halves of the multi-session surrogate:
+// Every row comes from one function, run_fleet(k, n): n sessions on a k-member
+// pool, each owning kObjectsPerSession offloaded records and replaying the
+// fig6-style remote-access step (6 field writes and 6 reads against its
+// records, then a flush) once per turn, for kTurnsPerSession turns. Every
+// read is checked against a per-session shadow of the last value written.
 //
-//   * SurrogateServer (platform layer) — N live client/surrogate VM-pair
-//     sessions on one server: shared registry + analysis artifacts,
-//     per-session heaps/refmaps/fences, deterministic round-robin turns on
-//     the server's virtual clock. Each session replays the fig6-style
-//     remote-access step (a handful of field writes and reads against its
-//     offloaded records, then a flush) once per turn. Reported: sessions/sec,
-//     aggregate remote ops/sec, fairness spread across sessions, and
-//     p50/p95/p99 per-op virtual latency.
+//   * Server table, k = 1, N in {1, 8, 64, 256}. A one-member pool is one
+//     SurrogateServer on the pool clock. Reported: sessions/sec, aggregate
+//     remote ops/sec, fairness spread across sessions, and p50/p95/p99
+//     per-op virtual latency.
+//   * Pool table, N = 256, k in {1, 2, 4, 8}. Members share no state and each
+//     runs its own sessions' turns one at a time, and with the default
+//     config (inert fault plan, no heartbeat) a turn's virtual duration does
+//     not depend on when it runs. So k independent members finish when the
+//     busiest one has run all of its turns: the makespan is the largest
+//     per-member sum of Session::service_time(). The pool keeps one shared
+//     clock only so that every run is reproducible. Reported: makespan,
+//     sessions/sec, busy balance (busiest member over the mean member),
+//     remote ops and placements. The k=1 row is the N=256 server run.
 //
-//   * FleetEmulator (emul layer) — N recorded app traces interleaved
-//     min-virtual-time-first against one *shared* surrogate, so remote ops,
-//     surrogate-placed compute and migrations queue on a single busy-until
-//     window. Reported: the same throughput metrics plus the queueing share
-//     of total emulated time — the capacity story the surrogate pool below
-//     starts from.
-//
-// The surrogate *pool* rides on both layers: emul-side, FleetConfig
-// pool_size gives the fleet k busy windows with deterministic
-// earliest-free placement; platform-side, SurrogatePool routes admission
-// across k servers and re-places sessions on surrogate death.
-//
-// `--smoke` runs the acceptance gates only and writes nothing (CI):
+// Acceptance gates (printed first; the exit status is their verdict):
 //   1. per-session service time at N=64 within 1.5x of N=1 (the shared
 //      server adds no per-session cost);
-//   2. zero steady-state allocations in the session dispatch path —
-//      including the pool front door;
-//   3. an N=4 emulated fleet is byte-deterministic across repeats, and a
-//      1-session fleet equals the plain single-session emulator exactly;
-//   4. pool scaling on the saturating N=256 fleet: sessions/sec at k=4 is
-//      >= 2.5x k=1 and queue share at k=8 falls below 60%;
-//   5. pooled fleet runs and surrogate-death re-placement schedules are
-//      byte-deterministic (repeat-run digests).
-// Full runs additionally sweep N in {1, 8, 64, 256} on both layers plus
-// pool sizes k in {1, 2, 4, 8} at N=256, and write BENCH_fleet.json.
+//   2. zero steady-state allocations in the session dispatch path, on one
+//      member (k=1) and through the pool front door (k=4);
+//   3. pool scaling at N=256: sessions/sec at k=4 >= 2.5x k=1, and busy
+//      balance at k=8 <= 1.1 (the placement policy spreads the load);
+//   4. a 4-member, 16-session run and a surrogate-death re-placement
+//      schedule are byte-deterministic (repeat-run digests);
+//   5. every read returns the value last written (0 bad reads).
+// `--smoke` stops after the gates and writes nothing (CI); a full run also
+// prints both tables and writes BENCH_fleet.json.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,9 +44,7 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "emul/fleet.hpp"
 #include "platform/surrogate_pool.hpp"
-#include "platform/surrogate_server.hpp"
 #include "vm/klass.hpp"
 #include "vm/vm.hpp"
 
@@ -80,24 +75,45 @@ using namespace aide;
 namespace {
 
 constexpr std::size_t kFleetSizes[] = {1, 8, 64, 256};
+constexpr std::size_t kPoolSizes[] = {1, 2, 4, 8};
+constexpr std::size_t kPoolFleetN = 256;
 constexpr std::size_t kObjectsPerSession = 8;
+constexpr std::uint32_t kFields = 8;
 constexpr std::size_t kTurnsPerSession = 32;
 constexpr std::uint32_t kOpsPerTurn = 12;  // 6 writes + 6 reads, then flush
 
 std::shared_ptr<vm::ClassRegistry> rec_registry() {
   auto reg = std::make_shared<vm::ClassRegistry>();
   vm::ClassBuilder cb("Rec");
-  for (int f = 0; f < 8; ++f) cb.field("f" + std::to_string(f));
+  for (std::uint32_t f = 0; f < kFields; ++f) {
+    cb.field("f" + std::to_string(f));
+  }
   reg->register_class(cb.build());
   return reg;
 }
 
-// Per-session script state, kept outside the server (indexed by slot) so the
-// turn function touches no heap after setup.
+// k identical members, each able to admit every session.
+platform::PoolConfig pool_config(std::size_t k, std::size_t max_sessions) {
+  platform::PoolConfig pc;
+  pc.members.resize(k);
+  for (platform::ServerConfig& m : pc.members) {
+    m.max_sessions = max_sessions;
+    // A field-only registry carries no method IR: nothing for the analysis
+    // gates to chew on (fleet_test covers gates over a real app registry).
+    m.static_analysis = false;
+    m.effect_verify = false;
+  }
+  return pc;
+}
+
+// Per-session script state, kept outside the pool (indexed by session id) so
+// the turn function touches no heap after setup.
 struct Script {
   std::vector<vm::ObjectRef> objs;
   Rng rng{1};
-  std::uint64_t checksum = 0;
+  // The last value written to each (object, field): what a read must return.
+  std::vector<vm::Value> shadow =
+      std::vector<vm::Value>(kObjectsPerSession * kFields);
 };
 
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
@@ -105,36 +121,37 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-struct ServerRun {
+struct FleetRun {
+  std::size_t k = 0;
   std::size_t n = 0;
-  double total_s = 0.0;             // server virtual clock at the end
-  double sessions_per_sec = 0.0;    // N scripts completed / total_s
-  double agg_ops_per_sec = 0.0;     // logical remote data ops / total_s
-  double fairness = 0.0;            // slowest/fastest session service time
+  // Server view, over the pool clock at the end (setup offloads included).
+  double sessions_per_sec = 0.0;  // n scripts completed / clock
+  double agg_ops_per_sec = 0.0;   // logical remote data ops / clock
+  double fairness = 0.0;          // slowest/fastest session service time
+  double mean_service_s = 0.0;    // per-session service time (the gate)
   std::uint64_t frames = 0;
   std::uint64_t bytes = 0;
   std::uint64_t remote_ops = 0;
-  double mean_service_s = 0.0;      // per-session service time (the gate)
   bench::LatencySummary op_latency;
+  // Pool view: a member's busy time is its sessions' summed service time.
+  double makespan_s = 0.0;             // the busiest member's busy time
+  double pool_sessions_per_sec = 0.0;  // n / makespan_s
+  double busy_balance = 1.0;           // busiest member / mean member
+  std::uint64_t placements = 0;
+  std::uint64_t bad_reads = 0;  // reads that differ from the shadow
+  // The placement map and every session's service time in one word.
+  std::uint64_t digest = 0;
 };
 
-// N sessions, each replaying kTurnsPerSession remote-access steps against
-// its own offloaded records on one shared server.
-ServerRun run_server_fleet(std::size_t n) {
-  platform::ServerConfig cfg;
-  cfg.max_sessions = n;
-  // A field-only registry carries no method IR: nothing for the analysis
-  // gates to chew on (the fleet_test covers gates over a real app registry).
-  cfg.static_analysis = false;
-  cfg.effect_verify = false;
-  platform::SurrogateServer server(rec_registry(), cfg);
+FleetRun run_fleet(std::size_t k, std::size_t n) {
+  platform::SurrogatePool pool(rec_registry(), pool_config(k, n));
 
   std::vector<Script> scripts(n);
   std::vector<SimDuration> op_lat;
   op_lat.reserve(n * kTurnsPerSession * kOpsPerTurn);
 
   for (std::size_t i = 0; i < n; ++i) {
-    platform::Session* s = server.open_session();
+    platform::Session* s = pool.open_session();
     Script& sc = scripts[i];
     sc.rng = Rng(0xF1EE7 + 31 * static_cast<std::uint64_t>(i));
     std::vector<ObjectId> ids;
@@ -147,10 +164,11 @@ ServerRun run_server_fleet(std::size_t n) {
     s->offload(ids);
   }
 
+  std::uint64_t bad_reads = 0;
+  SimClock& clock = pool.clock();
   const auto turn = [&](platform::Session& s) {
     Script& sc = scripts[s.id().value()];
     vm::Vm& client = s.client();
-    SimClock& clock = server.clock();
     // Batched ops don't advance the clock at issue time — measuring
     // issue-to-issue would record an exact 0 for most samples (the old
     // p50=0 artifact). An op completes when the wire sees it: immediately
@@ -160,21 +178,15 @@ ServerRun run_server_fleet(std::size_t n) {
     std::uint32_t deferred = 0;
     for (std::uint32_t op = 0; op < kOpsPerTurn; ++op) {
       const SimTime t0 = clock.now();
-      const vm::ObjectRef obj =
-          sc.objs[sc.rng.next_below(kObjectsPerSession)];
-      const FieldId f{static_cast<std::uint32_t>(sc.rng.next_below(8))};
+      const std::size_t o = sc.rng.next_below(kObjectsPerSession);
+      const FieldId f{static_cast<std::uint32_t>(sc.rng.next_below(kFields))};
+      vm::Value& expect = sc.shadow[o * kFields + f.value()];
       if ((op & 1) == 0) {
-        client.put_field(obj, f,
-                         vm::Value{static_cast<std::int64_t>(
-                             s.driver_state * 7 + op)});
-      } else {
-        const vm::Value v = client.get_field(obj, f);
-        if (v.is_int()) {
-          sc.checksum =
-              mix(sc.checksum, static_cast<std::uint64_t>(v.as_int()));
-        }
+        expect = vm::Value{static_cast<std::int64_t>(s.driver_state * 7 + op)};
+        client.put_field(sc.objs[o], f, expect);
+      } else if (!(client.get_field(sc.objs[o], f) == expect)) {
+        bad_reads += 1;
       }
-      s.charge_ops(1);
       const SimTime t1 = clock.now();
       if (t1 > t0) {
         op_lat.push_back(t1 - t0);
@@ -192,223 +204,92 @@ ServerRun run_server_fleet(std::size_t n) {
     // lets the stats sweep below read them after the last round.
     return platform::TurnOutcome::yielded;
   };
-  server.run_rounds(kTurnsPerSession, turn);
+  pool.run_rounds(kTurnsPerSession, turn);
 
-  ServerRun out;
+  FleetRun out;
+  out.k = k;
   out.n = n;
-  out.total_s = sim_to_seconds(server.clock().now());
-  const rpc::EndpointStats agg = server.aggregate_stats();
+  out.bad_reads = bad_reads;
+  out.placements = pool.stats().placements;
+  const double total_s = sim_to_seconds(clock.now());
+  rpc::EndpointStats agg;
+  for (std::size_t m = 0; m < k; ++m) agg += pool.member(m).aggregate_stats();
   out.frames = agg.rpcs_sent;
   out.bytes = agg.bytes_sent;
   out.remote_ops = agg.ops_sent;
-  out.sessions_per_sec =
-      out.total_s > 0 ? static_cast<double>(n) / out.total_s : 0.0;
+  out.sessions_per_sec = total_s > 0 ? static_cast<double>(n) / total_s : 0.0;
   out.agg_ops_per_sec =
-      out.total_s > 0 ? static_cast<double>(agg.ops_sent) / out.total_s : 0.0;
+      total_s > 0 ? static_cast<double>(agg.ops_sent) / total_s : 0.0;
 
   double lo = 0.0, hi = 0.0, sum = 0.0;
-  bool first = true;
+  std::vector<SimDuration> busy(k, 0);
+  std::uint64_t h = 0x5EEDF1EE7ULL;
   for (std::size_t i = 0; i < n; ++i) {
-    platform::Session* s = server.find_session(SessionId{
-        static_cast<std::uint32_t>(i)});
-    const double svc = sim_to_seconds(s->service_time());
+    const SessionId id{static_cast<std::uint32_t>(i)};
+    const SimDuration svc_ns = pool.find_session(id)->service_time();
+    const std::size_t member = pool.member_of(id);
+    busy[member] += svc_ns;
+    h = mix(h, member);
+    h = mix(h, static_cast<std::uint64_t>(svc_ns));
+    const double svc = sim_to_seconds(svc_ns);
     sum += svc;
-    if (first || svc < lo) lo = svc;
-    if (first || svc > hi) hi = svc;
-    first = false;
+    if (i == 0 || svc < lo) lo = svc;
+    if (i == 0 || svc > hi) hi = svc;
   }
+  out.digest = h;
   out.mean_service_s = sum / static_cast<double>(n);
   out.fairness = lo > 0 ? hi / lo : 1.0;
   out.op_latency = bench::summarize_latency(op_lat);
-  return out;
-}
 
-// The dispatch-path allocation gate: a server full of sessions whose turn
-// touches only its own counters. After warmup, scheduling N sessions for
-// many rounds must allocate nothing — turn state lives in the sessions and
-// the round order is the slot table itself.
-std::uint64_t measure_dispatch_allocs(std::size_t n, std::size_t rounds) {
-  platform::ServerConfig cfg;
-  cfg.max_sessions = n;
-  cfg.static_analysis = false;
-  cfg.effect_verify = false;
-  platform::SurrogateServer server(rec_registry(), cfg);
-  for (std::size_t i = 0; i < n; ++i) server.open_session();
-
-  const platform::SurrogateServer::TurnFn turn =
-      [](platform::Session& s) {
-        s.charge_ops(1);
-        s.driver_state += 1;
-        return platform::TurnOutcome::yielded;
-      };
-  server.run_rounds(2, turn);  // warmup
-  const std::uint64_t before = g_alloc_count;
-  server.run_rounds(rounds, turn);
-  return g_alloc_count - before;
-}
-
-struct EmulRun {
-  std::size_t n = 0;
-  double makespan_s = 0.0;
-  double sessions_per_sec = 0.0;
-  double agg_ops_per_sec = 0.0;
-  double fairness = 0.0;
-  double queue_share = 0.0;  // queue time / emulated time, fleet-wide
-  std::uint64_t remote_ops = 0;
-  bench::LatencySummary op_latency;
-};
-
-emul::FleetConfig fleet_config() {
-  emul::FleetConfig cfg;
-  cfg.session.trigger_mode = emul::TriggerMode::trace_fraction;
-  cfg.session.eval_at_fraction = 0.25;
-  cfg.session.objective = partition::Objective::speed_up;
-  cfg.session.surrogate_speedup = 3.5;
-  cfg.session.heap_capacity = std::int64_t{64} << 20;
-  cfg.session.stateless_natives_local = true;
-  cfg.session.arrays_as_objects = true;
-  return cfg;
-}
-
-EmulRun run_emul_fleet(const bench::RecordedApp& app, std::size_t n) {
-  emul::FleetEmulator fleet(app.registry, fleet_config());
-  const emul::FleetResult r = fleet.run(app.trace, n);
-
-  EmulRun out;
-  out.n = n;
-  out.makespan_s = sim_to_seconds(r.makespan);
-  out.sessions_per_sec =
-      out.makespan_s > 0 ? static_cast<double>(n) / out.makespan_s : 0.0;
-  out.agg_ops_per_sec =
-      out.makespan_s > 0
-          ? static_cast<double>(r.total_remote_ops) / out.makespan_s
-          : 0.0;
-  out.fairness = r.fairness_spread();
-  out.remote_ops = r.total_remote_ops;
-  SimDuration queued = 0, emulated = 0;
-  for (const auto& s : r.sessions) {
-    queued += s.queue_time;
-    emulated += s.emulated_time;
-  }
-  out.queue_share = emulated > 0 ? static_cast<double>(queued) /
-                                       static_cast<double>(emulated)
-                                 : 0.0;
-  out.op_latency = bench::summarize_latency(r.op_latencies);
-  return out;
-}
-
-// --- surrogate pool ----------------------------------------------------------
-
-constexpr std::size_t kPoolSizes[] = {1, 2, 4, 8};
-constexpr std::size_t kPoolFleetN = 256;  // the saturating fleet size
-// The pool sweep models fleet members as multi-context surrogate boxes
-// (desktop-class: cores + async NIC retire concurrent sessions' charges in
-// parallel), held constant across k so the sweep isolates pool-size scaling.
-// The single-context k=1 legacy window stays in the emul_fleet table above.
-constexpr std::size_t kPoolConcurrency = 16;
-
-struct PoolRun {
-  std::size_t k = 0;
-  std::size_t n = 0;
-  double makespan_s = 0.0;
-  double sessions_per_sec = 0.0;
-  double agg_ops_per_sec = 0.0;
-  double queue_share = 0.0;
-  double busy_balance = 1.0;  // busiest member / mean member occupancy
-  std::uint64_t remote_ops = 0;
-  std::uint64_t placements = 0;
-};
-
-PoolRun summarize_pool_run(const emul::FleetResult& r, std::size_t n,
-                           std::size_t k) {
-  PoolRun out;
-  out.k = k;
-  out.n = n;
-  out.makespan_s = sim_to_seconds(r.makespan);
-  out.sessions_per_sec =
-      out.makespan_s > 0 ? static_cast<double>(n) / out.makespan_s : 0.0;
-  out.agg_ops_per_sec =
-      out.makespan_s > 0
-          ? static_cast<double>(r.total_remote_ops) / out.makespan_s
-          : 0.0;
-  SimDuration queued = 0, emulated = 0;
-  for (const auto& s : r.sessions) {
-    queued += s.queue_time;
-    emulated += s.emulated_time;
-  }
-  out.queue_share = emulated > 0 ? static_cast<double>(queued) /
-                                       static_cast<double>(emulated)
-                                 : 0.0;
   SimDuration busy_max = 0, busy_sum = 0;
-  for (const SimDuration b : r.surrogate_busy_each) {
-    busy_max = b > busy_max ? b : busy_max;
+  for (const SimDuration b : busy) {
+    busy_max = std::max(busy_max, b);
     busy_sum += b;
   }
+  out.makespan_s = sim_to_seconds(busy_max);
+  out.pool_sessions_per_sec =
+      out.makespan_s > 0 ? static_cast<double>(n) / out.makespan_s : 0.0;
   out.busy_balance =
       busy_sum > 0 ? static_cast<double>(busy_max) * static_cast<double>(k) /
                          static_cast<double>(busy_sum)
                    : 1.0;
-  out.remote_ops = r.total_remote_ops;
-  out.placements = r.placements.size();
   return out;
 }
 
-emul::FleetResult run_pool_fleet_raw(const bench::RecordedApp& app,
-                                     std::size_t n, std::size_t k) {
-  emul::FleetConfig cfg = fleet_config();
-  cfg.pool_size = k;
-  cfg.surrogate_concurrency = kPoolConcurrency;
-  emul::FleetEmulator fleet(app.registry, cfg);
-  return fleet.run(app.trace, n);
+// A turn that touches only its session's own counter.
+platform::TurnOutcome idle_turn(platform::Session& s) {
+  s.driver_state += 1;
+  return platform::TurnOutcome::yielded;
 }
 
-// Everything observable about a fleet run folded into one word: per-session
-// times, every op latency, the session -> member placement schedule
-// and per-member occupancy. Two runs of the same config must agree exactly.
-std::uint64_t fleet_digest(const emul::FleetResult& r) {
-  std::uint64_t h = 0x5EEDF1EE7ULL;
-  for (const auto& s : r.sessions) {
-    h = mix(h, static_cast<std::uint64_t>(s.emulated_time));
-    h = mix(h, static_cast<std::uint64_t>(s.queue_time));
-  }
-  for (const SimDuration d : r.op_latencies) {
-    h = mix(h, static_cast<std::uint64_t>(d));
-  }
-  for (const auto& p : r.placements) {
-    h = mix(h, p.session);
-    h = mix(h, p.surrogate);
-    h = mix(h, static_cast<std::uint64_t>(p.at));
-  }
-  for (const SimDuration b : r.surrogate_busy_each) {
-    h = mix(h, static_cast<std::uint64_t>(b));
-  }
-  return h;
+// The dispatch-path allocation gate: a pool full of idle sessions. After
+// warmup, scheduling them for many rounds must allocate nothing — turn state
+// lives in the sessions and the round order is each member's slot table.
+std::uint64_t measure_dispatch_allocs(std::size_t k, std::size_t n,
+                                      std::size_t rounds) {
+  platform::SurrogatePool pool(rec_registry(), pool_config(k, n));
+  for (std::size_t i = 0; i < n; ++i) (void)pool.open_session();
+
+  const platform::SurrogateServer::TurnFn turn = idle_turn;
+  pool.run_rounds(2, turn);  // warmup
+  const std::uint64_t before = g_alloc_count;
+  pool.run_rounds(rounds, turn);
+  return g_alloc_count - before;
 }
 
-// Platform-layer pool: heterogeneous members, policy-routed admission, a
-// surrogate death mid-run. The digest covers the placement map, the
-// re-placement schedule and the aggregate counters; two runs must agree
-// bit-for-bit (the fleet determinism story includes failover).
+// Heterogeneous members, policy-routed admission, a surrogate death mid-run.
+// The digest covers the placement map, the re-placement schedule and the
+// aggregate counters; two runs must agree bit-for-bit.
 std::uint64_t pool_failover_digest() {
-  platform::PoolConfig pc;
-  pc.members.resize(4);
+  platform::PoolConfig pc = pool_config(4, 8);
   for (std::size_t i = 0; i < pc.members.size(); ++i) {
-    platform::ServerConfig& m = pc.members[i];
-    m.max_sessions = 8;
-    m.static_analysis = false;
-    m.effect_verify = false;
-    m.surrogate_speedup = 2.0 + 0.5 * static_cast<double>(i);
+    pc.members[i].surrogate_speedup = 2.0 + 0.5 * static_cast<double>(i);
   }
   platform::SurrogatePool pool(rec_registry(), pc);
   constexpr std::uint32_t kSessions = 12;
   for (std::uint32_t i = 0; i < kSessions; ++i) (void)pool.open_session();
 
-  const platform::SurrogateServer::TurnFn turn =
-      [](platform::Session& s) {
-        s.charge_ops(1);
-        s.driver_state += 1;
-        return platform::TurnOutcome::yielded;
-      };
+  const platform::SurrogateServer::TurnFn turn = idle_turn;
   pool.run_rounds(4, turn);
 
   std::uint64_t h = 0xF007BA11ULL;
@@ -433,33 +314,15 @@ std::uint64_t pool_failover_digest() {
   return h;
 }
 
-// Pool front-door analogue of measure_dispatch_allocs: routing turns through
-// k members must stay allocation-free once the session tables are warm.
-std::uint64_t measure_pool_dispatch_allocs(std::size_t k, std::size_t n,
-                                           std::size_t rounds) {
-  platform::PoolConfig pc;
-  pc.members.resize(k);
-  for (platform::ServerConfig& m : pc.members) {
-    m.max_sessions = n;
-    m.static_analysis = false;
-    m.effect_verify = false;
+const FleetRun& find_run(const std::vector<FleetRun>& runs, std::size_t k,
+                         std::size_t n) {
+  for (const FleetRun& r : runs) {
+    if (r.k == k && r.n == n) return r;
   }
-  platform::SurrogatePool pool(rec_registry(), pc);
-  for (std::size_t i = 0; i < n; ++i) (void)pool.open_session();
-
-  const platform::SurrogateServer::TurnFn turn =
-      [](platform::Session& s) {
-        s.charge_ops(1);
-        s.driver_state += 1;
-        return platform::TurnOutcome::yielded;
-      };
-  pool.run_rounds(2, turn);  // warmup
-  const std::uint64_t before = g_alloc_count;
-  pool.run_rounds(rounds, turn);
-  return g_alloc_count - before;
+  std::abort();
 }
 
-void print_server_run(const ServerRun& r) {
+void print_server_run(const FleetRun& r) {
   std::printf(
       "  server N=%-4zu %8.1f sessions/s  %10.0f ops/s  fairness %5.3f  "
       "op p50/p95/p99 %6.0f/%6.0f/%6.0f ns  frames %llu\n",
@@ -468,29 +331,13 @@ void print_server_run(const ServerRun& r) {
       static_cast<unsigned long long>(r.frames));
 }
 
-void print_emul_run(const EmulRun& r) {
+void print_pool_run(const FleetRun& r) {
   std::printf(
-      "  emul   N=%-4zu %8.1f sessions/s  %10.0f ops/s  fairness %5.3f  "
-      "op p50/p95/p99 %6.0f/%6.0f/%6.0f ns  queue share %4.1f%%\n",
-      r.n, r.sessions_per_sec, r.agg_ops_per_sec, r.fairness,
-      r.op_latency.p50_ns, r.op_latency.p95_ns, r.op_latency.p99_ns,
-      r.queue_share * 100.0);
-}
-
-void print_pool_run(const PoolRun& r) {
-  std::printf(
-      "  pool   k=%-2zu N=%-4zu %8.1f sessions/s  %10.0f ops/s  "
-      "queue share %5.1f%%  busy balance %5.3f\n",
-      r.k, r.n, r.sessions_per_sec, r.agg_ops_per_sec, r.queue_share * 100.0,
-      r.busy_balance);
-}
-
-apps::AppParams fleet_app_params() {
-  apps::AppParams p;
-  p.trace_w = 12;
-  p.trace_h = 8;
-  p.spheres = 4;
-  return p;
+      "  pool   k=%-2zu N=%-4zu %8.1f sessions/s  makespan %7.3f s  "
+      "busy balance %5.3f  remote ops %llu  placements %llu\n",
+      r.k, r.n, r.pool_sessions_per_sec, r.makespan_s, r.busy_balance,
+      static_cast<unsigned long long>(r.remote_ops),
+      static_cast<unsigned long long>(r.placements));
 }
 
 }  // namespace
@@ -502,142 +349,99 @@ int main(int argc, char** argv) {
   }
 
   bench::print_header(
-      "Fleet: one surrogate server, N concurrent sessions "
-      "(WaveLAN; remote-access scripts + emulated app-trace fleet)");
+      "Fleet: N concurrent sessions on a pool of k surrogate servers "
+      "(WaveLAN; remote-access scripts)");
 
-  // --- gates (always run) ----------------------------------------------------
-  const ServerRun one = run_server_fleet(1);
-  const ServerRun sixty_four = run_server_fleet(64);
+  std::vector<FleetRun> runs;
+  for (const std::size_t n : kFleetSizes) runs.push_back(run_fleet(1, n));
+  for (const std::size_t k : kPoolSizes) {
+    if (k != 1) runs.push_back(run_fleet(k, kPoolFleetN));
+  }
+
+  // --- gates -----------------------------------------------------------------
+  const FleetRun& one = find_run(runs, 1, 1);
+  const FleetRun& sixty_four = find_run(runs, 1, 64);
   const double overhead_ratio =
       one.mean_service_s > 0 ? sixty_four.mean_service_s / one.mean_service_s
                              : 0.0;
   const bool overhead_ok = overhead_ratio <= 1.5;
 
-  const std::uint64_t dispatch_allocs = measure_dispatch_allocs(64, 64);
-  const bool alloc_ok = dispatch_allocs == 0;
+  const std::uint64_t dispatch_allocs = measure_dispatch_allocs(1, 64, 64);
+  const std::uint64_t pool_allocs = measure_dispatch_allocs(4, 64, 64);
+  const bool alloc_ok = dispatch_allocs == 0 && pool_allocs == 0;
 
-  // Determinism: an emulated fleet is a pure function of trace + config, and
-  // a 1-session fleet equals the plain emulator exactly.
-  const bench::RecordedApp app = bench::record_app("Tracer",
-                                                   fleet_app_params());
-  emul::FleetEmulator fleet(app.registry, fleet_config());
-  const emul::FleetResult fa = fleet.run(app.trace, 4);
-  const emul::FleetResult fb = fleet.run(app.trace, 4);
-  bool deterministic = fa.sessions.size() == fb.sessions.size() &&
-                       fa.op_latencies == fb.op_latencies;
-  for (std::size_t i = 0; deterministic && i < fa.sessions.size(); ++i) {
-    deterministic = fa.sessions[i].emulated_time ==
-                        fb.sessions[i].emulated_time &&
-                    fa.sessions[i].queue_time == fb.sessions[i].queue_time;
-  }
-  emul::Emulator solo(app.registry, fleet_config().session);
-  const emul::EmulationResult solo_r = solo.run(app.trace);
-  const emul::FleetResult f1 = fleet.run(app.trace, 1);
-  const bool parity =
-      f1.sessions.size() == 1 &&
-      f1.sessions[0].emulated_time == solo_r.emulated_time &&
-      f1.sessions[0].queue_time == 0 && solo_r.queue_time == 0;
+  const FleetRun& pool_k1 = find_run(runs, 1, kPoolFleetN);
+  const FleetRun& pool_k4 = find_run(runs, 4, kPoolFleetN);
+  const FleetRun& pool_k8 = find_run(runs, 8, kPoolFleetN);
+  const double pool_speedup =
+      pool_k1.pool_sessions_per_sec > 0
+          ? pool_k4.pool_sessions_per_sec / pool_k1.pool_sessions_per_sec
+          : 0.0;
+  const bool pool_scaling_ok = pool_speedup >= 2.5;
+  const bool pool_balance_ok = pool_k8.busy_balance <= 1.1;
+  const bool pool_run_deterministic =
+      run_fleet(4, 16).digest == run_fleet(4, 16).digest;
+  const bool pool_failover_deterministic =
+      pool_failover_digest() == pool_failover_digest();
+
+  std::uint64_t bad_reads = 0;
+  for (const FleetRun& r : runs) bad_reads += r.bad_reads;
+  const bool reads_ok = bad_reads == 0;
 
   std::printf(
       "\n  gate: per-session service N=64 %.6f s vs N=1 %.6f s  "
       "(%.3fx %s 1.5x)\n",
       sixty_four.mean_service_s, one.mean_service_s, overhead_ratio,
       overhead_ok ? "<=" : "EXCEEDS");
-  std::printf("  gate: dispatch allocations over 64 rounds x 64 sessions: "
-              "%llu %s\n",
+  std::printf("  gate: dispatch allocations over 64 rounds x 64 sessions, "
+              "k=1: %llu, k=4: %llu %s\n",
               static_cast<unsigned long long>(dispatch_allocs),
+              static_cast<unsigned long long>(pool_allocs),
               alloc_ok ? "(zero OK)" : "(GATE FAILED)");
-  std::printf("  gate: N=4 fleet deterministic: %s   N=1 fleet == emulator: "
-              "%s\n",
-              deterministic ? "yes" : "NO", parity ? "yes" : "NO");
-
-  // --- pool gates -------------------------------------------------------------
-  // The saturating Tracer fleet (N=256, queue share ~99%) is where the
-  // single surrogate dies; the pool has to buy the throughput back.
-  const emul::FleetResult pr1 = run_pool_fleet_raw(app, kPoolFleetN, 1);
-  const emul::FleetResult pr4 = run_pool_fleet_raw(app, kPoolFleetN, 4);
-  const emul::FleetResult pr8 = run_pool_fleet_raw(app, kPoolFleetN, 8);
-  const PoolRun pool_k1 = summarize_pool_run(pr1, kPoolFleetN, 1);
-  const PoolRun pool_k4 = summarize_pool_run(pr4, kPoolFleetN, 4);
-  const PoolRun pool_k8 = summarize_pool_run(pr8, kPoolFleetN, 8);
-  const double pool_speedup =
-      pool_k1.sessions_per_sec > 0
-          ? pool_k4.sessions_per_sec / pool_k1.sessions_per_sec
-          : 0.0;
-  const bool pool_scaling_ok = pool_speedup >= 2.5;
-  const bool pool_queue_ok = pool_k8.queue_share < 0.6;
-  const bool pool_fleet_deterministic =
-      fleet_digest(run_pool_fleet_raw(app, 8, 4)) ==
-      fleet_digest(run_pool_fleet_raw(app, 8, 4));
-  const bool pool_failover_deterministic =
-      pool_failover_digest() == pool_failover_digest();
-  const std::uint64_t pool_allocs = measure_pool_dispatch_allocs(4, 64, 64);
-  const bool pool_alloc_ok = pool_allocs == 0;
-
   std::printf(
       "  gate: pool N=%zu sessions/s k=4 %.1f vs k=1 %.1f  (%.2fx %s 2.5x)\n",
-      kPoolFleetN, pool_k4.sessions_per_sec, pool_k1.sessions_per_sec,
-      pool_speedup, pool_scaling_ok ? ">=" : "BELOW");
-  std::printf("  gate: pool N=%zu queue share k=8 %.1f%% %s 60%%\n",
-              kPoolFleetN, pool_k8.queue_share * 100.0,
-              pool_queue_ok ? "<" : "EXCEEDS");
-  std::printf("  gate: pool fleet digest deterministic: %s   "
+      kPoolFleetN, pool_k4.pool_sessions_per_sec,
+      pool_k1.pool_sessions_per_sec, pool_speedup,
+      pool_scaling_ok ? ">=" : "BELOW");
+  std::printf("  gate: pool N=%zu busy balance k=8 %.3f %s 1.1\n", kPoolFleetN,
+              pool_k8.busy_balance, pool_balance_ok ? "<=" : "EXCEEDS");
+  std::printf("  gate: pooled run digest deterministic: %s   "
               "failover schedule deterministic: %s\n",
-              pool_fleet_deterministic ? "yes" : "NO",
+              pool_run_deterministic ? "yes" : "NO",
               pool_failover_deterministic ? "yes" : "NO");
-  std::printf("  gate: pool dispatch allocations over 64 rounds x 64 "
-              "sessions x 4 members: %llu %s\n",
-              static_cast<unsigned long long>(pool_allocs),
-              pool_alloc_ok ? "(zero OK)" : "(GATE FAILED)");
+  std::printf("  gate: bad reads over %zu runs: %llu %s\n", runs.size(),
+              static_cast<unsigned long long>(bad_reads),
+              reads_ok ? "(zero OK)" : "(GATE FAILED)");
 
-  const bool pool_ok = pool_scaling_ok && pool_queue_ok &&
-                       pool_fleet_deterministic &&
-                       pool_failover_deterministic && pool_alloc_ok;
-  const bool gates_ok =
-      overhead_ok && alloc_ok && deterministic && parity && pool_ok;
+  const bool pool_ok = pool_scaling_ok && pool_balance_ok &&
+                       pool_run_deterministic && pool_failover_deterministic &&
+                       pool_allocs == 0;
+  const bool gates_ok = overhead_ok && alloc_ok && reads_ok && pool_ok;
 
   if (smoke) {
     std::printf("  %s\n", gates_ok ? "OK" : "FAILED");
     return gates_ok ? 0 : 1;
   }
 
-  // --- full sweep ------------------------------------------------------------
+  // --- tables ----------------------------------------------------------------
   std::printf("\n");
-  std::vector<ServerRun> server_runs;
   for (const std::size_t n : kFleetSizes) {
-    server_runs.push_back(n == 1    ? one
-                          : n == 64 ? sixty_four
-                                    : run_server_fleet(n));
-    print_server_run(server_runs.back());
+    print_server_run(find_run(runs, 1, n));
   }
   std::printf("\n");
-  std::vector<EmulRun> emul_runs;
-  for (const std::size_t n : kFleetSizes) {
-    emul_runs.push_back(run_emul_fleet(app, n));
-    print_emul_run(emul_runs.back());
-  }
-  std::printf("\n");
-  std::vector<PoolRun> pool_runs;
   for (const std::size_t k : kPoolSizes) {
-    pool_runs.push_back(
-        k == 1   ? pool_k1
-        : k == 4 ? pool_k4
-        : k == 8 ? pool_k8
-                 : summarize_pool_run(run_pool_fleet_raw(app, kPoolFleetN, k),
-                                      kPoolFleetN, k));
-    print_pool_run(pool_runs.back());
+    print_pool_run(find_run(runs, k, kPoolFleetN));
   }
 
   std::ofstream json("BENCH_fleet.json");
   json << "{\n  \"gate\": {\"overhead_ratio_n64\": " << overhead_ratio
        << ", \"overhead_limit\": 1.5"
        << ", \"dispatch_allocs\": " << dispatch_allocs
-       << ", \"deterministic\": " << (deterministic ? "true" : "false")
-       << ", \"single_session_parity\": " << (parity ? "true" : "false")
+       << ", \"bad_reads\": " << bad_reads
        << ", \"gate_ok\": " << (gates_ok ? "true" : "false") << "},\n";
   json << "  \"server\": [\n";
-  for (std::size_t i = 0; i < server_runs.size(); ++i) {
-    const ServerRun& r = server_runs[i];
+  for (std::size_t i = 0; i < std::size(kFleetSizes); ++i) {
+    const FleetRun& r = find_run(runs, 1, kFleetSizes[i]);
     json << "    {\"n\": " << r.n
          << ", \"sessions_per_sec\": " << r.sessions_per_sec
          << ", \"agg_remote_ops_per_sec\": " << r.agg_ops_per_sec
@@ -646,50 +450,33 @@ int main(int argc, char** argv) {
          << ", \"frames\": " << r.frames << ", \"bytes\": " << r.bytes
          << ", \"remote_ops\": " << r.remote_ops
          << ", \"op_latency\": " << bench::latency_json(r.op_latency) << "}"
-         << (i + 1 < server_runs.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n  \"emul_fleet\": [\n";
-  for (std::size_t i = 0; i < emul_runs.size(); ++i) {
-    const EmulRun& r = emul_runs[i];
-    json << "    {\"n\": " << r.n << ", \"workload\": \"Tracer\""
-         << ", \"makespan_s\": " << r.makespan_s
-         << ", \"sessions_per_sec\": " << r.sessions_per_sec
-         << ", \"agg_remote_ops_per_sec\": " << r.agg_ops_per_sec
-         << ", \"fairness_spread\": " << r.fairness
-         << ", \"queue_share\": " << r.queue_share
-         << ", \"remote_ops\": " << r.remote_ops
-         << ", \"op_latency\": " << bench::latency_json(r.op_latency) << "}"
-         << (i + 1 < emul_runs.size() ? "," : "") << "\n";
+         << (i + 1 < std::size(kFleetSizes) ? "," : "") << "\n";
   }
   json << "  ],\n  \"pool\": {\n    \"gate\": {\"n\": " << kPoolFleetN
        << ", \"speedup_k4_vs_k1\": " << pool_speedup
        << ", \"speedup_floor\": 2.5"
-       << ", \"queue_share_k8\": " << pool_k8.queue_share
-       << ", \"queue_share_limit\": 0.6"
+       << ", \"busy_balance_k8\": " << pool_k8.busy_balance
+       << ", \"busy_balance_limit\": 1.1"
        << ", \"dispatch_allocs\": " << pool_allocs
-       << ", \"fleet_deterministic\": "
-       << (pool_fleet_deterministic ? "true" : "false")
+       << ", \"pooled_run_deterministic\": "
+       << (pool_run_deterministic ? "true" : "false")
        << ", \"failover_deterministic\": "
        << (pool_failover_deterministic ? "true" : "false")
        << ", \"gate_ok\": " << (pool_ok ? "true" : "false") << "},\n";
   json << "    \"sweep\": [\n";
-  for (std::size_t i = 0; i < pool_runs.size(); ++i) {
-    const PoolRun& r = pool_runs[i];
+  for (std::size_t i = 0; i < std::size(kPoolSizes); ++i) {
+    const FleetRun& r = find_run(runs, kPoolSizes[i], kPoolFleetN);
     json << "      {\"k\": " << r.k << ", \"n\": " << r.n
-         << ", \"workload\": \"Tracer\""
          << ", \"makespan_s\": " << r.makespan_s
-         << ", \"sessions_per_sec\": " << r.sessions_per_sec
-         << ", \"agg_remote_ops_per_sec\": " << r.agg_ops_per_sec
-         << ", \"queue_share\": " << r.queue_share
+         << ", \"sessions_per_sec\": " << r.pool_sessions_per_sec
          << ", \"busy_balance\": " << r.busy_balance
          << ", \"remote_ops\": " << r.remote_ops
          << ", \"placements\": " << r.placements << "}"
-         << (i + 1 < pool_runs.size() ? "," : "") << "\n";
+         << (i + 1 < std::size(kPoolSizes) ? "," : "") << "\n";
   }
   json << "    ]\n  }\n}\n";
-  std::printf("\n  wrote BENCH_fleet.json (%zu fleet sizes, %zu pool sizes, "
-              "2 layers)\n",
-              server_runs.size(), pool_runs.size());
+  std::printf("\n  wrote BENCH_fleet.json (%zu fleet sizes, %zu pool sizes)\n",
+              std::size(kFleetSizes), std::size(kPoolSizes));
 
   std::printf("  %s\n", gates_ok ? "OK" : "FAILED");
   return gates_ok ? 0 : 1;

@@ -52,10 +52,10 @@ step "disconnect smoke (hoard/journal/reconcile under mid-run outages)"
 step "fleet suite (ctest -L fleet: session isolation, admission, scheduling)"
 ctest --test-dir build-ci --output-on-failure -L fleet -j "$JOBS"
 
-step "pool suite (ctest -L pool: placement, failover, pooled fleet)"
+step "pool suite (ctest -L pool: placement, busy time, failover)"
 ctest --test-dir build-ci --output-on-failure -L pool -j "$JOBS"
 
-step "fleet smoke (multi-session overhead, zero-alloc dispatch + pool gates)"
+step "fleet smoke (multi-session overhead, zero-alloc dispatch, pool scaling and balance, determinism, read checks)"
 ./build-ci/bench/bench_fleet --smoke
 
 step "virtual-time artefacts (full benches' BENCH_*.json, fig5 DOTs and the examples' and benches' output vs committed)"

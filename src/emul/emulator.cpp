@@ -42,11 +42,6 @@ SimDuration Emulator::rpc_cost(std::uint64_t bytes) const {
   return netsim::estimate_rpc_cost(config_.link, bytes);
 }
 
-void Emulator::charge_service(SimDuration service, ServiceKind kind) {
-  if (service_ == nullptr || service <= 0) return;
-  result_.queue_time += service_->acquire(current_time(), service, kind);
-}
-
 void Emulator::try_offload(SimTime at, EmulationResult& result) {
   const std::vector<NodeIndex> remap = monitor_->prune_dead_components();
   const graph::ExecGraph& g = monitor_->graph();
@@ -101,9 +96,7 @@ void Emulator::try_offload(SimTime at, EmulationResult& result) {
         std::max<std::int64_t>(g.node_at(i).mem_bytes, 0));
     placement_[i] = want;
   }
-  const SimDuration cost = rpc_cost(moved_bytes);
-  charge_service(cost, ServiceKind::migration);
-  result.migration_time += cost;
+  result.migration_time += rpc_cost(moved_bytes);
 
   OffloadSnapshot snap;
   snap.at = at;
@@ -113,7 +106,7 @@ void Emulator::try_offload(SimTime at, EmulationResult& result) {
   result.offloads.push_back(std::move(snap));
 }
 
-void Emulator::begin(const Trace& trace) {
+EmulationResult Emulator::run(const Trace& trace) {
   monitor::MonitorConfig mon_cfg;
   mon_cfg.granularity.arrays_as_objects = config_.arrays_as_objects;
   mon_cfg.granularity.min_array_bytes = config_.min_array_bytes;
@@ -127,9 +120,6 @@ void Emulator::begin(const Trace& trace) {
   freed_since_gc_ = 0;
   alloc_since_gc_ = 0;
 
-  trace_ = &trace;
-  event_ix_ = 0;
-  last_event_t_ = 0;
   result_ = EmulationResult{};
   result_.base_time = trace.duration();
   compute_raw_ = 0;
@@ -141,10 +131,20 @@ void Emulator::begin(const Trace& trace) {
       static_cast<double>(trace.size()) *
       std::min(config_.eval_at_fraction, 1.0));
   past_horizon_ = config_.max_offloads == 0;
+
+  for (event_ix_ = 0; event_ix_ < trace.size(); ++event_ix_) {
+    replay_event(trace.events[event_ix_]);
+  }
+
+  // Unattributed trace time (driver-level work, GC outside frames) stays on
+  // the client; attributed self-time is re-scaled by placement.
+  result_.emulated_time = result_.base_time - compute_raw_ + compute_scaled_ +
+                          result_.comm_time + result_.migration_time +
+                          result_.gc_pressure_time;
+  return std::move(result_);
 }
 
 void Emulator::replay_event(const TraceEvent& e) {
-  last_event_t_ = e.t;
   switch (e.type) {
     case TraceEventType::alloc:
       monitor_->on_alloc(kEmulatedClient, e.obj_a, e.cls_a, e.bytes, e.t);
@@ -171,14 +171,12 @@ void Emulator::replay_event(const TraceEvent& e) {
         monitor_->on_method_exit(kEmulatedClient, e.cls_a, e.obj_a, e.method,
                                  e.bytes, e.t);
       }
-      const bool on_surrogate = placement_of(e.cls_a, e.obj_a) != 0;
-      const double speed = on_surrogate ? config_.surrogate_speedup : 1.0;
-      const auto scaled =
-          static_cast<SimDuration>(static_cast<double>(e.bytes) / speed);
+      const double speed = placement_of(e.cls_a, e.obj_a) != 0
+                               ? config_.surrogate_speedup
+                               : 1.0;
       compute_raw_ += e.bytes;
-      compute_scaled_ += scaled;
-      // Surrogate-placed self-time occupies the surrogate CPU.
-      if (on_surrogate) charge_service(scaled, ServiceKind::compute);
+      compute_scaled_ +=
+          static_cast<SimDuration>(static_cast<double>(e.bytes) / speed);
       break;
     }
 
@@ -207,10 +205,7 @@ void Emulator::replay_event(const TraceEvent& e) {
         result_.remote_invocations += 1;
         if (is_native) result_.remote_native_invocations += 1;
         result_.remote_bytes += static_cast<std::uint64_t>(e.bytes);
-        const SimDuration cost =
-            rpc_cost(static_cast<std::uint64_t>(e.bytes));
-        charge_service(cost, ServiceKind::remote_op);
-        result_.comm_time += cost;
+        result_.comm_time += rpc_cost(static_cast<std::uint64_t>(e.bytes));
       }
       if (past_horizon_) break;
 
@@ -242,10 +237,7 @@ void Emulator::replay_event(const TraceEvent& e) {
       if (remote) {
         result_.remote_accesses += 1;
         result_.remote_bytes += static_cast<std::uint64_t>(e.bytes);
-        const SimDuration cost =
-            rpc_cost(static_cast<std::uint64_t>(e.bytes));
-        charge_service(cost, ServiceKind::remote_op);
-        result_.comm_time += cost;
+        result_.comm_time += rpc_cost(static_cast<std::uint64_t>(e.bytes));
       }
       if (past_horizon_) break;
 
@@ -319,36 +311,6 @@ void Emulator::replay_event(const TraceEvent& e) {
     try_offload(e.t, result_);
     past_horizon_ = true;  // the mode's one evaluation has run
   }
-}
-
-bool Emulator::step() {
-  if (done()) return false;
-  replay_event(trace_->events[event_ix_]);
-  event_ix_ += 1;
-  return true;
-}
-
-std::size_t Emulator::step(std::size_t n) {
-  std::size_t taken = 0;
-  while (taken < n && step()) taken += 1;
-  return taken;
-}
-
-EmulationResult Emulator::finish() {
-  // Unattributed trace time (driver-level work, GC outside frames) stays on
-  // the client; attributed self-time is re-scaled by placement.
-  result_.emulated_time = result_.base_time - compute_raw_ + compute_scaled_ +
-                          result_.comm_time + result_.migration_time +
-                          result_.gc_pressure_time + result_.queue_time;
-  trace_ = nullptr;
-  return std::move(result_);
-}
-
-EmulationResult Emulator::run(const Trace& trace) {
-  begin(trace);
-  while (step()) {
-  }
-  return finish();
 }
 
 }  // namespace aide::emul

@@ -24,15 +24,9 @@
 // feeds the monitor only allocations, frees and resizes. Every
 // EmulationResult field is the same as with the full feed.
 //
-// Replay is resumable: begin()/step()/finish() expose the event loop one
-// event at a time so a fleet driver can interleave many sessions' traces in
-// virtual time against one shared surrogate (run() remains the one-shot
-// single-session form and is bit-identical to the pre-stepping emulator).
-// With a SurrogateService installed, every unit of surrogate occupancy —
-// remote interactions, surrogate-placed compute, migrations — is serialized
-// through it and the resulting queueing delay accumulates in
-// EmulationResult::queue_time; without one (the default) nothing queues and
-// queue_time stays zero.
+// Each emulated session has a dedicated surrogate, as in the paper: nothing
+// queues. Multi-surrogate numbers come from the real SurrogatePool
+// (platform/surrogate_pool.hpp), not from replayed traces.
 #pragma once
 
 #include <cstdint>
@@ -107,37 +101,12 @@ struct OffloadSnapshot {
   std::size_t components = 0;
 };
 
-// What a unit of shared-surrogate occupancy is for (fleet accounting).
-enum class ServiceKind : std::uint8_t {
-  remote_op,  // one remote invocation or data access (link cost)
-  compute,    // surrogate-placed method self-time
-  migration,  // shipping an offload batch
-};
-
-// The shared surrogate of a multi-session emulation. One instance is
-// installed into every session's Emulator; each unit of surrogate occupancy
-// is serialized through acquire(), which returns how long the session had to
-// wait for the surrogate to come free. The single-session emulator has no
-// service installed: a dedicated surrogate never queues.
-class SurrogateService {
- public:
-  virtual ~SurrogateService() = default;
-  // Occupies the surrogate serving this session for `service` virtual ns
-  // beginning no earlier than the session-local time `now`; returns the
-  // queueing delay (0 when that surrogate is idle at `now`).
-  virtual SimDuration acquire(SimTime now, SimDuration service,
-                              ServiceKind kind) = 0;
-};
-
 struct EmulationResult {
   SimDuration base_time = 0;      // client-only execution of the trace
   SimDuration emulated_time = 0;  // with offloading and stretching
   SimDuration comm_time = 0;      // stretching added for remote interactions
   SimDuration migration_time = 0;
   SimDuration gc_pressure_time = 0;  // near-exhaustion collection overhead
-  // Time spent waiting for a shared surrogate occupied by other sessions
-  // (always 0 with a dedicated surrogate, i.e. without a SurrogateService).
-  SimDuration queue_time = 0;
 
   std::uint64_t total_invocations = 0;
   std::uint64_t remote_invocations = 0;
@@ -175,37 +144,6 @@ class Emulator {
 
   [[nodiscard]] EmulationResult run(const Trace& trace);
 
-  // --- resumable replay (fleet interleaving) --------------------------------
-  //
-  // begin() arms the replay; each step() consumes one trace event; finish()
-  // folds the accumulators into the final EmulationResult. run() is exactly
-  // begin + step-to-exhaustion + finish. The trace must outlive the replay.
-
-  void begin(const Trace& trace);
-  // Replays one event; returns false once the trace is exhausted.
-  bool step();
-  // Replays up to `n` events; returns the number actually replayed.
-  std::size_t step(std::size_t n);
-  [[nodiscard]] bool done() const noexcept {
-    return trace_ == nullptr || event_ix_ >= trace_->events.size();
-  }
-  EmulationResult finish();
-
-  // Emulated session-local time so far: trace time replayed plus every
-  // stretch accumulated to this point. This is the virtual-time axis the
-  // fleet scheduler orders session turns by.
-  [[nodiscard]] SimTime current_time() const noexcept {
-    return last_event_t_ - compute_raw_ + compute_scaled_ +
-           result_.comm_time + result_.migration_time +
-           result_.gc_pressure_time + result_.queue_time;
-  }
-
-  // Installs (or clears, with nullptr) the shared surrogate this session
-  // queues on. Must be set before begin()/run().
-  void set_surrogate_service(SurrogateService* svc) noexcept {
-    service_ = svc;
-  }
-
   // The monitor of the last run (Figure 5 rendering). Edges, self-times,
   // counters and GC samples stop at the decision horizon, the run's last
   // possible partitioning evaluation; components that allocate, and every
@@ -228,9 +166,6 @@ class Emulator {
   [[nodiscard]] SimDuration rpc_cost(std::uint64_t bytes) const;
   void try_offload(SimTime at, EmulationResult& result);
   void replay_event(const TraceEvent& e);
-  // Serializes `service` on the shared surrogate (when one is installed)
-  // and accumulates the wait into queue_time.
-  void charge_service(SimDuration service, ServiceKind kind);
 
   std::shared_ptr<const vm::ClassRegistry> registry_;
   EmulatorConfig config_;
@@ -241,17 +176,14 @@ class Emulator {
   // renumbering and runs at the top of try_offload, which carries the
   // vector across it.
   std::vector<int> placement_;
-  SurrogateService* service_ = nullptr;
 
   // Emulated heap model.
   std::int64_t live_bytes_ = 0;
   std::int64_t freed_since_gc_ = 0;
   std::int64_t alloc_since_gc_ = 0;
 
-  // Resumable-replay state (valid between begin() and finish()).
-  const Trace* trace_ = nullptr;
+  // Per-run replay state, reset at the top of run().
   std::size_t event_ix_ = 0;
-  SimTime last_event_t_ = 0;
   EmulationResult result_;
   SimDuration compute_raw_ = 0;     // self-time as recorded (client speed)
   SimDuration compute_scaled_ = 0;  // self-time under the emulated placement

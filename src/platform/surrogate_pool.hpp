@@ -1,12 +1,15 @@
 // Surrogate pool: k SurrogateServers behind one admission front door.
 //
-// One SurrogateServer multiplexes sessions on ONE surrogate; the fleet bench
-// shows that wall — sessions/sec flat while queueing climbs past 99% at
-// N=256. The pool is the throughput fix: k servers share one virtual clock
-// (turns still serialize on a single timeline, so every run is exactly
-// reproducible), and a deterministic placement policy decides which member
-// admits each new session by scoring every live member with the unweighted
-// sum of three terms:
+// One SurrogateServer multiplexes sessions on ONE surrogate, and its
+// sessions/sec stays flat as sessions are added. The pool adds capacity: k
+// servers share one virtual clock (turns still serialize on a single
+// timeline, so every run is exactly reproducible), yet members share no
+// state and each runs its own sessions' turns one at a time, so a member's
+// busy time is its sessions' summed Session::service_time() and the pool
+// finishes when its busiest member does (bench_fleet's pool table). A
+// deterministic placement policy decides which member admits each new
+// session by scoring every live member with the unweighted sum of three
+// terms:
 //
 //   * CPU-speed ratio      — 1 / surrogate_speedup: a faster surrogate
 //                            clears turns sooner,

@@ -86,7 +86,6 @@ ServerStats SurrogateServer::stats() const {
   for (const std::size_t slot : order_) {
     s.offloaded_bytes += slots_[slot]->offloaded_bytes();
     s.budget_refusals += slots_[slot]->budget_refusals();
-    s.throttles += slots_[slot]->throttles();
   }
   return s;
 }
@@ -131,7 +130,7 @@ std::size_t SurrogateServer::run_rounds(std::size_t max_rounds,
     for (std::size_t i = 0; i < round_len; ++i) {
       Session& s = *slots_[order_[i]];
       if (s.finished_) continue;
-      s.begin_turn();
+      s.turns_ += 1;
       stats_.turns += 1;
       const SimTime t0 = clock_->now();
       const TurnOutcome out = turn(s);

@@ -24,10 +24,8 @@
 //                       aborts never fence a neighbor's frames.
 //   admission/budget  — max_sessions caps concurrent sessions (open_session
 //                       refuses beyond it), and each session carries an
-//                       offloaded-bytes budget (offload refuses migrations
-//                       that would exceed it) plus an op-rate budget (ops per
-//                       scheduling turn; the turn driver yields when it is
-//                       exhausted).
+//                       offloaded-bytes budget (every migration that would
+//                       exceed it is refused).
 //   scheduling        — deterministic round-robin turns: each round visits
 //                       every live session in ascending session-id order and
 //                       runs its turn function to the next yield point. All
@@ -51,14 +49,11 @@
 
 namespace aide::platform {
 
-// Per-session resource budgets. Zero means unlimited.
+// Per-session resource budget. Zero means unlimited.
 struct SessionBudget {
   // Total bytes a session may hold offloaded on the surrogate; an offload
   // that would exceed it is refused (the session keeps running client-local).
   std::uint64_t max_offloaded_bytes = 0;
-  // Logical remote operations one session may issue per scheduling turn; the
-  // turn driver checks charge_ops() and yields once the allowance is spent.
-  std::uint32_t max_ops_per_turn = 0;
 };
 
 // Every session runs the PlatformConfig part; the startup gates it selects
@@ -103,27 +98,12 @@ class Session : public Platform {
     return budget_refusals_;
   }
 
-  // Op-rate budget: charges `n` logical remote ops against this turn's
-  // allowance. Returns false — and counts a throttle — once the allowance
-  // would be exceeded; the driver must yield and retry next turn.
-  bool charge_ops(std::uint32_t n = 1) noexcept {
-    if (budget_.max_ops_per_turn != 0 &&
-        ops_this_turn_ + n > budget_.max_ops_per_turn) {
-      throttled_ += 1;
-      return false;
-    }
-    ops_this_turn_ += n;
-    return true;
-  }
-  [[nodiscard]] std::uint32_t ops_this_turn() const noexcept {
-    return ops_this_turn_;
-  }
-  [[nodiscard]] std::uint64_t throttles() const noexcept { return throttled_; }
   [[nodiscard]] std::uint64_t turns_taken() const noexcept { return turns_; }
 
   // Virtual time this session's turns have consumed (its own service time,
   // excluding the rounds where neighbors held the clock). The fleet bench's
-  // per-session overhead gate compares this across fleet sizes.
+  // per-session overhead gate compares this across fleet sizes, and its
+  // pool table sums it per member as that member's busy time.
   [[nodiscard]] SimDuration service_time() const noexcept {
     return service_time_;
   }
@@ -146,16 +126,9 @@ class Session : public Platform {
   friend class SurrogateServer;
   friend class SurrogatePool;  // failover releases the client VM
 
-  void begin_turn() noexcept {
-    ops_this_turn_ = 0;
-    turns_ += 1;
-  }
-
   SessionId id_;
   SessionBudget budget_;
   std::uint64_t budget_refusals_ = 0;
-  std::uint32_t ops_this_turn_ = 0;
-  std::uint64_t throttled_ = 0;
   std::uint64_t turns_ = 0;
   SimDuration service_time_ = 0;
   bool finished_ = false;  // marked by run_rounds, closed at round end
@@ -168,7 +141,7 @@ class Session : public Platform {
 //
 // Layout contract (same as rpc::EndpointStats): every field is a uint64_t
 // counter, so operator+= (the pool's aggregation) sums the struct as a flat
-// array via accumulate_counters. The last four fields are load gauges
+// array via accumulate_counters. The last three fields are load gauges
 // snapshotted over the live sessions at stats() time; a pool's placement
 // policy reads them as the member's current load.
 struct ServerStats {
@@ -180,7 +153,6 @@ struct ServerStats {
   std::uint64_t live_sessions = 0;    // gauge: sessions currently admitted
   std::uint64_t offloaded_bytes = 0;  // gauge: sum over live sessions
   std::uint64_t budget_refusals = 0;  // gauge: sum over live sessions
-  std::uint64_t throttles = 0;        // gauge: sum over live sessions
 
   ServerStats& operator+=(const ServerStats& o) noexcept {
     return accumulate_counters(*this, o);

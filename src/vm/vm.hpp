@@ -298,9 +298,6 @@ class Vm {
   // automatically so C++ locals can never dangle across a GC; the driver
   // releases them in bulk when its scenario finishes.
   void clear_driver_roots() { driver_roots_.clear(); }
-  [[nodiscard]] std::size_t driver_root_count() const noexcept {
-    return driver_roots_.size();
-  }
 
   // Forces a GC cycle now (also runs automatically per the thresholds).
   GcReport collect_garbage();
@@ -317,9 +314,6 @@ class Vm {
   // VM.
 
   void set_journal_enabled(bool on) noexcept { journal_enabled_ = on; }
-  [[nodiscard]] bool journal_enabled() const noexcept {
-    return journal_enabled_;
-  }
   // Opens a scope; returns the mark to pass to journal_rollback.
   std::size_t journal_begin() noexcept;
   // Closes the current scope keeping its effects.
@@ -328,9 +322,6 @@ class Vm {
   // the current scope. Objects that left the heap in the meantime are
   // skipped.
   void journal_rollback(std::size_t mark);
-  [[nodiscard]] std::size_t journal_size() const noexcept {
-    return journal_.size();
-  }
 
   // --- disconnected-operation redo log -------------------------------------
   //
@@ -369,8 +360,6 @@ class Vm {
   void reserve(std::int64_t bytes);
   // Registers a stub for a remote object this VM just learned about.
   void install_stub(ObjectId id, ClassId cls, ObjectKind kind);
-  // Drops a stub (peer released the object or it migrated here).
-  void drop_stub(ObjectId id) { stubs_.erase(id); }
 
   // --- incoming remote operations (called by the rpc endpoint) ------------
 

@@ -1,16 +1,15 @@
 // Emulation outcomes pinned byte-for-byte.
 //
-// The emulator and fleet suites check properties of trace replay: offloading
-// stretches time, the enhancements cut remote calls, a one-session fleet
-// equals the plain emulator. This test pins the exact outcome of every
-// emulation path instead. It records the five apps at reduced scale and
-// prints one line per case, holding every EmulationResult field and, for
-// every offload and declined evaluation, the decision with its sorted
-// selected component keys. The cases are the Figure 7 policy corners,
-// Figure 10's Native x Array grid for all five apps, a manual offload,
+// The emulator suite checks properties of trace replay: offloading
+// stretches time and the enhancements cut remote calls. This test pins the
+// exact outcome of every emulation path instead. It records the five apps at
+// reduced scale and prints one line per case, holding every EmulationResult
+// field and, for every offload and declined evaluation, the decision with its
+// sorted selected component keys. The cases are the Figure 7 policy corners,
+// Figure 10's Native x Array grid for all five apps, a manual offload and
 // repeated repartitioning under the Array enhancement (pruning renumbers the
-// graph's nodes after a placement exists) and a pooled fleet. Any change to placement, the monitor's graph or
-// the partitioner's choice moves a number here. Regenerate
+// graph's nodes after a placement exists). Any change to placement, the
+// monitor's graph or the partitioner's choice moves a number here. Regenerate
 // tests/golden/emulation_trails.txt with AIDE_UPDATE_GOLDEN=1 only after an
 // intended change to emulated outcomes.
 #include <gtest/gtest.h>
@@ -27,7 +26,6 @@
 #include "apps/apps.hpp"
 #include "bench/forced_offload.hpp"
 #include "emul/emulator.hpp"
-#include "emul/fleet.hpp"
 #include "emul/recorder.hpp"
 #include "tests/test_util.hpp"
 #include "vm/vm.hpp"
@@ -161,9 +159,9 @@ void put_decision(std::string& out, const partition::PartitionDecision& d) {
 std::string result_line(const std::string& name, const EmulationResult& r) {
   std::string out = name;
   put(out, " base=%" PRId64 " emulated=%" PRId64 " comm=%" PRId64
-           " migration=%" PRId64 " gc=%" PRId64 " queue=%" PRId64,
+           " migration=%" PRId64 " gc=%" PRId64,
       r.base_time, r.emulated_time, r.comm_time, r.migration_time,
-      r.gc_pressure_time, r.queue_time);
+      r.gc_pressure_time);
   put(out, " invokes=%" PRIu64 "/%" PRIu64 "/%" PRIu64 " accesses=%" PRIu64
            "/%" PRIu64 " remote_bytes=%" PRIu64 " peak=%" PRId64,
       r.total_invocations, r.remote_invocations, r.remote_native_invocations,
@@ -296,38 +294,6 @@ TEST(EmulationTrailTest, EveryPathMatchesGolden) {
     }
     EXPECT_TRUE(later_survives);
     out += result_line("repartition Biomer array x3", r);
-  }
-
-  // A pooled fleet: six sessions on two two-context surrogates. Four
-  // contexts hold six sessions, so two contexts host two sessions each and
-  // those sessions queue behind one another.
-  {
-    const Recorded& tracer = app("Tracer");
-    FleetConfig cfg;
-    cfg.session = cpu_config(true, true);
-    cfg.pool_size = 2;
-    cfg.surrogate_concurrency = 2;
-    FleetEmulator fleet(tracer.registry, cfg);
-    const FleetResult f = fleet.run(tracer.trace, 6);
-    for (std::size_t i = 0; i < f.sessions.size(); ++i) {
-      out += result_line("fleet Tracer session " + std::to_string(i),
-                         f.sessions[i]);
-    }
-    SimDuration latency_sum = 0;
-    for (const SimDuration d : f.op_latencies) latency_sum += d;
-    put(out, "fleet Tracer makespan=%" PRId64 " busy=%" PRId64
-             " remote_ops=%" PRIu64 " turns=%" PRIu64 " latencies=%zu/%" PRId64
-             " busy_each=",
-        f.makespan, f.surrogate_busy, f.total_remote_ops, f.turns,
-        f.op_latencies.size(), latency_sum);
-    for (const SimDuration b : f.surrogate_busy_each) {
-      put(out, "%" PRId64 " ", b);
-    }
-    out += "placements=";
-    for (const FleetPlacement& p : f.placements) {
-      put(out, "{%zu->%zu at=%" PRId64 "}", p.session, p.surrogate, p.at);
-    }
-    out += "\n";
   }
 
   test::check_golden("emulation_trails.txt", out);

@@ -173,7 +173,6 @@ void expect_same_result(const EmulationResult& a, const EmulationResult& b) {
   EXPECT_EQ(a.comm_time, b.comm_time);
   EXPECT_EQ(a.migration_time, b.migration_time);
   EXPECT_EQ(a.gc_pressure_time, b.gc_pressure_time);
-  EXPECT_EQ(a.queue_time, b.queue_time);
   EXPECT_EQ(a.total_invocations, b.total_invocations);
   EXPECT_EQ(a.remote_invocations, b.remote_invocations);
   EXPECT_EQ(a.remote_native_invocations, b.remote_native_invocations);

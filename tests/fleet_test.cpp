@@ -1,11 +1,10 @@
-// Multi-session surrogate server + fleet emulation tests.
+// Multi-session surrogate server tests.
 //
 // Covers the session-isolation guarantees (cross-session references rejected
 // at the refmap boundary, epoch fencing scoped to one session, per-session
 // stats namespacing), the admission/budget layer, deterministic round-robin
-// scheduling, a session's exact parity with a lone Platform on the five
-// paper apps, and the emulated fleet (byte-determinism at N=16, exact
-// single-session parity with the plain emulator).
+// scheduling and a session's exact parity with a lone Platform on the five
+// paper apps.
 #include <array>
 #include <bit>
 #include <memory>
@@ -15,8 +14,6 @@
 
 #include "apps/apps.hpp"
 #include "common/error.hpp"
-#include "emul/fleet.hpp"
-#include "emul/recorder.hpp"
 #include "platform/surrogate_server.hpp"
 #include "rpc/refmap.hpp"
 #include "tests/test_util.hpp"
@@ -261,25 +258,6 @@ TEST(FleetServer, OffloadedBytesFallWhenStateComesHome) {
   EXPECT_EQ(server.stats().offloaded_bytes, 0u);
 }
 
-TEST(FleetServer, OpRateBudgetThrottlesPerTurn) {
-  platform::ServerConfig cfg = script_config();
-  cfg.budget.max_ops_per_turn = 3;
-  platform::SurrogateServer server(rec_registry(), cfg);
-  server.open_session();
-
-  std::vector<std::uint32_t> ops_per_turn;
-  server.run_rounds(2, [&](platform::Session& s) {
-    std::uint32_t done = 0;
-    while (s.charge_ops(1)) done += 1;
-    ops_per_turn.push_back(done);
-    return platform::TurnOutcome::yielded;
-  });
-  ASSERT_EQ(ops_per_turn.size(), 2u);
-  EXPECT_EQ(ops_per_turn[0], 3u);  // allowance enforced...
-  EXPECT_EQ(ops_per_turn[1], 3u);  // ...and reset each turn
-  EXPECT_EQ(server.find_session(SessionId{0})->throttles(), 2u);
-}
-
 // --- scheduling --------------------------------------------------------------
 
 TEST(FleetServer, RoundRobinVisitsInSessionOrderAndClosesAtRoundEnd) {
@@ -437,117 +415,6 @@ TEST(FleetServer, SessionRunsEachPaperAppExactlyLikeALonePlatform) {
     if (got.offloads > 0) offloading_apps += 1;
   }
   EXPECT_GT(offloading_apps, 0u);
-}
-
-// --- emulated fleet ----------------------------------------------------------
-
-apps::AppParams tiny_tracer() {
-  apps::AppParams p;
-  p.trace_w = 8;
-  p.trace_h = 6;
-  p.spheres = 3;
-  return p;
-}
-
-struct RecordedTrace {
-  std::shared_ptr<vm::ClassRegistry> registry;
-  emul::Trace trace;
-};
-
-RecordedTrace record_tiny_tracer() {
-  RecordedTrace out;
-  out.registry = std::make_shared<vm::ClassRegistry>();
-  const auto& app = apps::app_by_name("Tracer");
-  app.register_classes(*out.registry);
-  SimClock clock;
-  vm::VmConfig cfg;
-  cfg.name = "prototype";
-  cfg.heap_capacity = std::int64_t{64} << 20;
-  cfg.gc_alloc_count_threshold = 1024;
-  cfg.gc_alloc_bytes_divisor = 256;
-  vm::Vm vm(cfg, out.registry, clock);
-  emul::TraceRecorder recorder;
-  vm.add_hooks(&recorder);
-  app.run(vm, tiny_tracer());
-  out.trace = recorder.take();
-  return out;
-}
-
-emul::FleetConfig fleet_cfg() {
-  emul::FleetConfig cfg;
-  cfg.session.trigger_mode = emul::TriggerMode::trace_fraction;
-  cfg.session.eval_at_fraction = 0.25;
-  cfg.session.objective = partition::Objective::speed_up;
-  cfg.session.surrogate_speedup = 3.5;
-  cfg.session.heap_capacity = std::int64_t{64} << 20;
-  cfg.session.stateless_natives_local = true;
-  return cfg;
-}
-
-TEST(FleetEmul, SixteenSessionsAreByteDeterministic) {
-  const RecordedTrace rec = record_tiny_tracer();
-  emul::FleetEmulator fleet(rec.registry, fleet_cfg());
-  const emul::FleetResult a = fleet.run(rec.trace, 16);
-  const emul::FleetResult b = fleet.run(rec.trace, 16);
-
-  ASSERT_EQ(a.sessions.size(), 16u);
-  ASSERT_EQ(b.sessions.size(), 16u);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.surrogate_busy, b.surrogate_busy);
-  EXPECT_EQ(a.total_remote_ops, b.total_remote_ops);
-  EXPECT_EQ(a.turns, b.turns);
-  EXPECT_EQ(a.op_latencies, b.op_latencies);
-  for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(a.sessions[i].emulated_time, b.sessions[i].emulated_time);
-    EXPECT_EQ(a.sessions[i].comm_time, b.sessions[i].comm_time);
-    EXPECT_EQ(a.sessions[i].queue_time, b.sessions[i].queue_time);
-    EXPECT_EQ(a.sessions[i].remote_invocations,
-              b.sessions[i].remote_invocations);
-    EXPECT_EQ(a.sessions[i].remote_accesses, b.sessions[i].remote_accesses);
-  }
-}
-
-TEST(FleetEmul, SingleSessionFleetMatchesPlainEmulator) {
-  const RecordedTrace rec = record_tiny_tracer();
-  emul::FleetEmulator fleet(rec.registry, fleet_cfg());
-  const emul::FleetResult f = fleet.run(rec.trace, 1);
-
-  emul::Emulator solo(rec.registry, fleet_cfg().session);
-  const emul::EmulationResult r = solo.run(rec.trace);
-
-  ASSERT_EQ(f.sessions.size(), 1u);
-  const emul::EmulationResult& s = f.sessions[0];
-  // A one-session fleet queues on nobody: every number matches the plain
-  // single-session emulator exactly.
-  EXPECT_EQ(s.queue_time, 0);
-  EXPECT_EQ(r.queue_time, 0);
-  EXPECT_EQ(s.emulated_time, r.emulated_time);
-  EXPECT_EQ(s.base_time, r.base_time);
-  EXPECT_EQ(s.comm_time, r.comm_time);
-  EXPECT_EQ(s.migration_time, r.migration_time);
-  EXPECT_EQ(s.gc_pressure_time, r.gc_pressure_time);
-  EXPECT_EQ(s.remote_invocations, r.remote_invocations);
-  EXPECT_EQ(s.remote_accesses, r.remote_accesses);
-  EXPECT_EQ(s.remote_bytes, r.remote_bytes);
-  EXPECT_EQ(s.peak_client_live, r.peak_client_live);
-}
-
-TEST(FleetEmul, ContentionOnlyAddsQueueTime) {
-  const RecordedTrace rec = record_tiny_tracer();
-  emul::FleetEmulator fleet(rec.registry, fleet_cfg());
-  const emul::FleetResult f = fleet.run(rec.trace, 8);
-
-  emul::Emulator solo(rec.registry, fleet_cfg().session);
-  const emul::EmulationResult r = solo.run(rec.trace);
-
-  // Identical traces + identical config: each session's own work is exactly
-  // the solo run; sharing the surrogate can only add queueing delay.
-  for (const emul::EmulationResult& s : f.sessions) {
-    EXPECT_EQ(s.comm_time, r.comm_time);
-    EXPECT_EQ(s.migration_time, r.migration_time);
-    EXPECT_EQ(s.remote_invocations, r.remote_invocations);
-    EXPECT_EQ(s.emulated_time, r.emulated_time + s.queue_time);
-  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// Surrogate-pool tests: deterministic placement policy and failover onto the
-// next-best surviving peer with the client's state intact.
+// Surrogate-pool tests: deterministic placement policy, per-member busy time
+// and failover onto the next-best surviving peer with the client's state
+// intact.
 //
 // The placement policy must be a pure function of the pool's observable
 // state (score arithmetic pinned against the documented formula, ties to the
@@ -138,6 +139,83 @@ TEST(PoolPlacement, MembersShareThePoolClock) {
   for (std::size_t i = 0; i < pool.size(); ++i) {
     EXPECT_EQ(&pool.member(i).clock(), &pool.clock());
   }
+}
+
+// --- busy time ---------------------------------------------------------------
+
+constexpr std::uint32_t kScriptSessions = 16;
+constexpr std::size_t kScriptRecs = 4;
+constexpr std::size_t kScriptTurns = 6;
+
+// Opens kScriptSessions sessions on `host` (a SurrogateServer or a
+// SurrogatePool), each offloading kScriptRecs records, then runs
+// kScriptTurns rounds in which session i writes and reads back 1 + i % 3
+// fields and flushes. Returns every session's service time, by id.
+template <class Host>
+std::vector<SimDuration> run_scripted(Host& host) {
+  std::vector<std::vector<vm::ObjectRef>> recs(kScriptSessions);
+  for (std::uint32_t i = 0; i < kScriptSessions; ++i) {
+    platform::Session* s = host.open_session();
+    EXPECT_NE(s, nullptr);
+    if (s == nullptr) return {};
+    std::vector<ObjectId> ids;
+    for (std::size_t o = 0; o < kScriptRecs; ++o) {
+      recs[i].push_back(s->client().new_object("Rec"));
+      s->client().add_root(recs[i].back());
+      ids.push_back(recs[i].back().id);
+    }
+    EXPECT_TRUE(s->offload(ids));
+  }
+  host.run_rounds(kScriptTurns, [&](platform::Session& s) {
+    const std::uint32_t id = s.id().value();
+    for (std::uint32_t op = 0; op <= id % 3; ++op) {
+      const vm::ObjectRef rec = recs[id][(s.driver_state + op) % kScriptRecs];
+      const FieldId f{op};
+      const vm::Value v{static_cast<std::int64_t>(s.driver_state * 10 + op)};
+      s.client().put_field(rec, f, v);
+      EXPECT_EQ(s.client().get_field(rec, f), v);
+    }
+    s.client_endpoint().flush_pending();
+    s.driver_state += 1;
+    return platform::TurnOutcome::yielded;
+  });
+  std::vector<SimDuration> service;
+  for (std::uint32_t i = 0; i < kScriptSessions; ++i) {
+    service.push_back(host.find_session(SessionId{i})->service_time());
+  }
+  return service;
+}
+
+// bench_fleet's pool table rests on this: a turn takes the same virtual time
+// on a lone server, on a one-member pool and on any member of a larger pool,
+// so a member's busy time is its sessions' summed service time and members
+// do not slow one another.
+TEST(PoolBusyTime, ServiceTimesMatchALoneServer) {
+  platform::SurrogateServer server(rec_registry(), member_config(3.0));
+  const std::vector<SimDuration> lone = run_scripted(server);
+  platform::SurrogatePool one(rec_registry(), pool_config({3.0}));
+  const std::vector<SimDuration> single = run_scripted(one);
+  platform::SurrogatePool four(rec_registry(),
+                               pool_config({3.0, 3.0, 3.0, 3.0}));
+  const std::vector<SimDuration> pooled = run_scripted(four);
+
+  ASSERT_EQ(lone.size(), kScriptSessions);
+  EXPECT_EQ(single, lone);
+  EXPECT_EQ(pooled, lone);
+  EXPECT_EQ(one.clock().now(), server.clock().now());
+
+  std::vector<SimDuration> busy(four.size(), 0);
+  SimDuration total = 0;
+  for (std::uint32_t i = 0; i < kScriptSessions; ++i) {
+    busy[four.member_of(SessionId{i})] += pooled[i];
+    total += lone[i];
+  }
+  SimDuration busy_sum = 0;
+  for (const SimDuration b : busy) {
+    EXPECT_GT(b, 0);
+    busy_sum += b;
+  }
+  EXPECT_EQ(busy_sum, total);
 }
 
 // --- failover ----------------------------------------------------------------
