@@ -13,8 +13,9 @@
 //     dense-matrix reference implementations (tests/mincut_reference).
 //
 // Baselines are measured live in the same binary, so speedups are
-// machine-independent ratios. Full runs write BENCH_hotpath.json for
-// cross-PR comparison; `--smoke` runs a quick subset (CI) without writing.
+// machine-independent ratios. Full runs write BENCH_hotpath.json, naming
+// the clock, build type and compiler, for cross-PR comparison; `--smoke` runs
+// a quick subset (CI) without writing.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -421,7 +422,8 @@ int main(int argc, char** argv) {
     }
 
     std::ofstream json("BENCH_hotpath.json");
-    json << "{\n  \"monitor\": {\n";
+    json << "{\n" << wall_clock_provenance_json(AIDE_BUILD_TYPE);
+    json << "  \"monitor\": {\n";
     json << "    \"events\": " << mon.events << ",\n";
     json << "    \"new_events_per_sec\": " << std::llround(
         mon.new_events_per_sec) << ",\n";

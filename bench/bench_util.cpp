@@ -52,6 +52,16 @@ std::string latency_json(const LatencySummary& s) {
   return std::string(buf);
 }
 
+std::string wall_clock_provenance_json(const char* build_type) {
+#if defined(__clang__)
+  const char* compiler = "clang " __clang_version__;
+#else
+  const char* compiler = "gcc " __VERSION__;
+#endif
+  return std::string("  \"clock\": \"wall\",\n  \"build_type\": \"") +
+         build_type + "\",\n  \"compiler\": \"" + compiler + "\",\n";
+}
+
 RecordedApp record_app(const std::string& name, apps::AppParams params) {
   RecordedApp out;
   out.params = params;

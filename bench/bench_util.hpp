@@ -76,6 +76,11 @@ emul::EmulationResult emulate_cpu(const RecordedApp& app,
                                   double surrogate_speedup = 3.5,
                                   double eval_at_fraction = 0.25);
 
+// The opening members of a wall-clock BENCH file: the clock its numbers
+// read, the CMAKE_BUILD_TYPE the bench was compiled under and the compiler.
+// Each line is indented two spaces and ends with a comma.
+std::string wall_clock_provenance_json(const char* build_type);
+
 // Formatting helpers shared by the harness main()s.
 inline void print_header(const char* title) {
   std::printf("\n================================================================\n");

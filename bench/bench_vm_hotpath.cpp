@@ -13,8 +13,9 @@
 // status is non-zero when a steady-state loop allocates (full and --smoke
 // runs) or, in the full run, when the monitored/hook-free ratio exceeds
 // kMaxMonitoredRatio for field access or invoke. Every figure is wall-clock
-// time on the machine that runs it. The full run writes BENCH_vm.json;
-// `--smoke` runs fewer ops and writes nothing.
+// time on the machine that runs it. The full run writes BENCH_vm.json,
+// naming the build type and compiler; `--smoke` runs fewer ops and writes
+// nothing.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -330,7 +331,7 @@ int main(int argc, char** argv) {
     }
 
     std::ofstream json("BENCH_vm.json");
-    json << "{\n  \"clock\": \"wall\",\n";
+    json << "{\n" << wall_clock_provenance_json(AIDE_BUILD_TYPE);
     json << "  \"max_monitored_ratio\": " << kMaxMonitoredRatio << ",\n";
     write_loop(json, "field_access", field, false);
     write_loop(json, "array_access", array, false);

@@ -125,6 +125,7 @@ EmulationResult Emulator::run(const Trace& trace) {
   compute_raw_ = 0;
   compute_scaled_ = 0;
   gc_cycle_ = 0;
+  aux_ix_ = 0;
   // Any fraction of 1 or more never evaluates; the clamp keeps the cast
   // defined for huge and infinite ones.
   eval_index_ = static_cast<std::size_t>(
@@ -132,8 +133,8 @@ EmulationResult Emulator::run(const Trace& trace) {
       std::min(config_.eval_at_fraction, 1.0));
   past_horizon_ = config_.max_offloads == 0;
 
-  for (event_ix_ = 0; event_ix_ < trace.size(); ++event_ix_) {
-    replay_event(trace.events[event_ix_]);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    replay_event(trace.events, i);
   }
 
   // Unattributed trace time (driver-level work, GC outside frames) stays on
@@ -144,34 +145,65 @@ EmulationResult Emulator::run(const Trace& trace) {
   return std::move(result_);
 }
 
-void Emulator::replay_event(const TraceEvent& e) {
+EventObjects Emulator::interaction_objects(const TraceEvents& events,
+                                           std::size_t i) const {
+  // Under class granularity no object id changes a component:
+  // ExecutionMonitor::index_of reads the id only when arrays_as_objects is
+  // set, and record_event then keys on the class pair alone. So the replay
+  // reads the objects column for interactions and frame exits only under
+  // the Array enhancement.
+  return config_.arrays_as_objects ? events.objects()[i] : EventObjects{};
+}
+
+std::int64_t Emulator::resize_delta(const TraceEvents& events,
+                                    std::size_t i) {
+  // Events arrive in index order, so one forward cursor walks the sparse aux
+  // list past the GC reports' entries. A resize without an entry has delta 0.
+  const std::vector<AuxEntry>& aux = events.aux();
+  while (aux_ix_ < aux.size() && aux[aux_ix_].index < i) ++aux_ix_;
+  return aux_ix_ < aux.size() && aux[aux_ix_].index == i ? aux[aux_ix_].aux1
+                                                          : 0;
+}
+
+// The hooks fed below read no event time: on_alloc, on_free,
+// on_method_exit and record_event (behind on_invoke and on_access) ignore
+// it, so they get 0 and the time column is read only where a decision reads
+// it, at an evaluation.
+void Emulator::replay_event(const TraceEvents& events, std::size_t i) {
+  const HotEvent& e = events.hot()[i];
   switch (e.type) {
     case TraceEventType::alloc:
-      monitor_->on_alloc(kEmulatedClient, e.obj_a, e.cls_a, e.bytes, e.t);
+      monitor_->on_alloc(kEmulatedClient, events.objects()[i].a, e.cls_a,
+                         e.bytes, 0);
       live_bytes_ += e.bytes;
       alloc_since_gc_ += e.bytes;
       break;
 
     case TraceEventType::free_obj:
-      monitor_->on_free(kEmulatedClient, e.obj_a, e.cls_a, e.bytes, e.t);
+      monitor_->on_free(kEmulatedClient, events.objects()[i].a, e.cls_a,
+                        e.bytes, 0);
       live_bytes_ -= e.bytes;
       freed_since_gc_ += e.bytes;
       break;
 
-    case TraceEventType::resize:
-      monitor_->on_resize(kEmulatedClient, e.obj_a, e.cls_a, e.aux1);
-      live_bytes_ += e.aux1;
+    case TraceEventType::resize: {
+      const std::int64_t delta = resize_delta(events, i);
+      monitor_->on_resize(kEmulatedClient, events.objects()[i].a, e.cls_a,
+                          delta);
+      live_bytes_ += delta;
       break;
+    }
 
     case TraceEventType::method_enter:
       break;
 
     case TraceEventType::method_exit: {
+      const ObjectId obj = interaction_objects(events, i).a;
       if (!past_horizon_) {
-        monitor_->on_method_exit(kEmulatedClient, e.cls_a, e.obj_a, e.method,
-                                 e.bytes, e.t);
+        monitor_->on_method_exit(kEmulatedClient, e.cls_a, obj, e.method,
+                                 e.bytes, 0);
       }
-      const double speed = placement_of(e.cls_a, e.obj_a) != 0
+      const double speed = placement_of(e.cls_a, obj) != 0
                                ? config_.surrogate_speedup
                                : 1.0;
       compute_raw_ += e.bytes;
@@ -184,8 +216,9 @@ void Emulator::replay_event(const TraceEvent& e) {
       const bool is_native = (e.flags & kFlagNative) != 0;
       const bool is_static = (e.flags & kFlagStatic) != 0;
       const bool is_stateless = (e.flags & kFlagStateless) != 0;
+      const EventObjects objs = interaction_objects(events, i);
 
-      const int from_p = placement_of(e.cls_a, e.obj_a);
+      const int from_p = placement_of(e.cls_a, objs.a);
       int to_p;
       if (is_native) {
         // Natives execute on the client — unless stateless and the
@@ -196,7 +229,7 @@ void Emulator::replay_event(const TraceEvent& e) {
         // Managed statics run on the invoking VM.
         to_p = from_p;
       } else {
-        to_p = placement_of(e.cls_b, e.obj_b);
+        to_p = placement_of(e.cls_b, objs.b);
       }
       const bool remote = from_p != to_p;
 
@@ -212,25 +245,25 @@ void Emulator::replay_event(const TraceEvent& e) {
       vm::InvokeEvent ev;
       ev.vm = kEmulatedClient;
       ev.caller_cls = e.cls_a;
-      ev.caller_obj = e.obj_a;
+      ev.caller_obj = objs.a;
       ev.callee_cls = e.cls_b;
-      ev.callee_obj = e.obj_b;
+      ev.callee_obj = objs.b;
       ev.method = e.method;
       ev.is_native = is_native;
       ev.is_static = is_static;
       ev.is_stateless = is_stateless;
       ev.remote = remote;
       ev.bytes = static_cast<std::uint64_t>(e.bytes);
-      ev.t = e.t;
       monitor_->on_invoke(ev);
       break;
     }
 
     case TraceEventType::access: {
       const bool is_static = (e.flags & kFlagStatic) != 0;
-      const int from_p = placement_of(e.cls_a, e.obj_a);
+      const EventObjects objs = interaction_objects(events, i);
+      const int from_p = placement_of(e.cls_a, objs.a);
       // Static data lives on the client; object data follows placement.
-      const int to_p = is_static ? 0 : placement_of(e.cls_b, e.obj_b);
+      const int to_p = is_static ? 0 : placement_of(e.cls_b, objs.b);
       const bool remote = from_p != to_p;
 
       result_.total_accesses += 1;
@@ -244,14 +277,13 @@ void Emulator::replay_event(const TraceEvent& e) {
       vm::AccessEvent ev;
       ev.vm = kEmulatedClient;
       ev.from_cls = e.cls_a;
-      ev.from_obj = e.obj_a;
+      ev.from_obj = objs.a;
       ev.to_cls = e.cls_b;
-      ev.to_obj = e.obj_b;
+      ev.to_obj = objs.b;
       ev.is_write = (e.flags & kFlagWrite) != 0;
       ev.is_static = is_static;
       ev.remote = remote;
       ev.bytes = static_cast<std::uint64_t>(e.bytes);
-      ev.t = e.t;
       monitor_->on_access(ev);
       break;
     }
@@ -260,10 +292,10 @@ void Emulator::replay_event(const TraceEvent& e) {
       // Emulated client heap: total live bytes minus what has been
       // offloaded to the surrogate.
       std::int64_t offloaded = 0;
-      for (NodeIndex i = 0; i < placement_.size(); ++i) {
-        if (placement_[i] == 0) continue;
+      for (NodeIndex n = 0; n < placement_.size(); ++n) {
+        if (placement_[n] == 0) continue;
         offloaded += std::max<std::int64_t>(
-            monitor_->graph().node_at(i).mem_bytes, 0);
+            monitor_->graph().node_at(n).mem_bytes, 0);
       }
       const std::int64_t client_live =
           std::max<std::int64_t>(live_bytes_ - offloaded, 0);
@@ -299,7 +331,7 @@ void Emulator::replay_event(const TraceEvent& e) {
       if (config_.trigger_mode == TriggerMode::memory_gc &&
           resource_->triggered()) {
         resource_->consume_trigger();
-        try_offload(e.t, result_);
+        try_offload(events.times()[i], result_);
         past_horizon_ = result_.offloads.size() >= config_.max_offloads;
       }
       break;
@@ -307,8 +339,8 @@ void Emulator::replay_event(const TraceEvent& e) {
   }
 
   if (config_.trigger_mode == TriggerMode::trace_fraction && !past_horizon_ &&
-      event_ix_ >= eval_index_) {
-    try_offload(e.t, result_);
+      i >= eval_index_) {
+    try_offload(events.times()[i], result_);
     past_horizon_ = true;  // the mode's one evaluation has run
   }
 }

@@ -24,6 +24,12 @@
 // feeds the monitor only allocations, frees and resizes. Every
 // EmulationResult field is the same as with the full feed.
 //
+// The replay reads the trace's columns (trace.hpp), not whole events: the
+// 24-byte hot record of every event; the object ids for allocations, frees
+// and resizes, and for interactions and frame exits only under the Array
+// enhancement; the time only at an evaluation; and a resize's delta through
+// one forward cursor into the sparse aux list.
+//
 // Each emulated session has a dedicated surrogate, as in the paper: nothing
 // queues. Multi-surrogate numbers come from the real SurrogatePool
 // (platform/surrogate_pool.hpp), not from replayed traces.
@@ -165,7 +171,13 @@ class Emulator {
 
   [[nodiscard]] SimDuration rpc_cost(std::uint64_t bytes) const;
   void try_offload(SimTime at, EmulationResult& result);
-  void replay_event(const TraceEvent& e);
+  void replay_event(const TraceEvents& events, std::size_t i);
+  // Event i's object ids where they can change a component, else invalid.
+  [[nodiscard]] EventObjects interaction_objects(const TraceEvents& events,
+                                                 std::size_t i) const;
+  // Resize event i's delta, read through the aux cursor.
+  [[nodiscard]] std::int64_t resize_delta(const TraceEvents& events,
+                                          std::size_t i);
 
   std::shared_ptr<const vm::ClassRegistry> registry_;
   EmulatorConfig config_;
@@ -183,12 +195,13 @@ class Emulator {
   std::int64_t alloc_since_gc_ = 0;
 
   // Per-run replay state, reset at the top of run().
-  std::size_t event_ix_ = 0;
   EmulationResult result_;
   SimDuration compute_raw_ = 0;     // self-time as recorded (client speed)
   SimDuration compute_scaled_ = 0;  // self-time under the emulated placement
   std::uint32_t gc_cycle_ = 0;
   std::size_t eval_index_ = 0;
+  // First entry of the trace's aux list not yet behind the replay.
+  std::size_t aux_ix_ = 0;
   // Past the decision horizon (header comment); it also gates both modes'
   // evaluations. alloc/free/resize keep feeding the monitor past it: the GC
   // event's offloaded-bytes sum reads the placed nodes' mem_bytes, and an

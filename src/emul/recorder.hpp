@@ -3,7 +3,9 @@
 // Attached as VM hooks during a prototype run ("the traces for an application
 // were extracted from the prototype while running the application to
 // completion on a single PC", paper section 4), the recorder captures every
-// instrumented event into a Trace for later emulator playback.
+// instrumented event into a Trace for later emulator playback. Each hook
+// builds one TraceEvent and appends it to the trace's columns; resizes and
+// GC reports carry no time of their own and take the last event's.
 #pragma once
 
 #include "emul/trace.hpp"
@@ -87,7 +89,7 @@ class TraceRecorder : public vm::VmHooks {
                  std::int64_t delta) override {
     TraceEvent e;
     e.type = TraceEventType::resize;
-    e.t = trace_.events.empty() ? 0 : trace_.events.back().t;
+    e.t = trace_.duration();
     e.cls_a = cls;
     e.obj_a = obj;
     e.aux1 = delta;
@@ -108,7 +110,7 @@ class TraceRecorder : public vm::VmHooks {
   void on_gc(NodeId, const vm::GcReport& report) override {
     TraceEvent e;
     e.type = TraceEventType::gc;
-    e.t = trace_.events.empty() ? 0 : trace_.events.back().t;
+    e.t = trace_.duration();
     e.bytes = report.used_after;
     e.aux1 = report.capacity;
     e.aux2 = report.freed;

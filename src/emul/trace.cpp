@@ -1,11 +1,35 @@
 #include "emul/trace.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
 namespace aide::emul {
+
+void TraceEvents::push_back(const TraceEvent& e) {
+  hot_.push_back({e.type, e.flags, e.method, e.cls_a, e.cls_b, e.bytes});
+  objects_.push_back({e.obj_a, e.obj_b});
+  times_.push_back(e.t);
+  if (e.aux1 != 0 || e.aux2 != 0) {
+    aux_.push_back({hot_.size() - 1, e.aux1, e.aux2});
+  }
+}
+
+void TraceEvents::clear() noexcept {
+  hot_.clear();
+  objects_.clear();
+  times_.clear();
+  aux_.clear();
+}
+
+std::size_t TraceEvents::aux_at(std::size_t i) const {
+  const auto it = std::partition_point(
+      aux_.begin(), aux_.end(),
+      [i](const AuxEntry& a) { return a.index < i; });
+  return static_cast<std::size_t>(it - aux_.begin());
+}
 
 void Trace::save_csv(std::ostream& os) const {
   os << "type,flags,t,cls_a,cls_b,obj_a,obj_b,method,bytes,aux1,aux2\n";

@@ -11,7 +11,9 @@
 // graph's nodes after a placement exists). Any change to placement, the
 // monitor's graph or the partitioner's choice moves a number here. Regenerate
 // tests/golden/emulation_trails.txt with AIDE_UPDATE_GOLDEN=1 only after an
-// intended change to emulated outcomes.
+// intended change to emulated outcomes. Two differentials ride along: the
+// decision horizon changes no result, and a recorded trace replays the same
+// after a CSV round trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +21,7 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -337,6 +340,57 @@ TEST(EmulationTrailTest, HorizonChangesNoResult) {
                 test::interactions_in(r.trace, eval_ix + 1))
           << r.name;
     }
+  }
+}
+
+// A recorded trace saved as CSV and loaded back is the same trace: every
+// field of every event, and every emulation result. JavaNote's trace has
+// resizes and GC reports, so the copy's aux list, the replay's aux cursor and
+// (under the Array enhancement) its objects column are all on the path.
+TEST(EmulationTrailTest, CsvRoundTripReplaysIdentically) {
+  const Recorded& r = app("JavaNote");
+  std::stringstream csv;
+  r.trace.save_csv(csv);
+  const Trace copy = Trace::load_csv(csv);
+
+  ASSERT_EQ(copy.size(), r.trace.size());
+  std::size_t resizes = 0, gcs = 0, i = 0;
+  auto orig = r.trace.events.begin();
+  for (const TraceEvent& e : copy.events) {
+    ASSERT_TRUE(e == *orig) << "event " << i;
+    resizes += e.type == TraceEventType::resize && e.aux1 != 0 ? 1 : 0;
+    gcs += e.type == TraceEventType::gc ? 1 : 0;
+    ++orig;
+    ++i;
+  }
+  EXPECT_GT(resizes, 0u);
+  EXPECT_GT(gcs, 0u);
+
+  // Replays both traces under cfg and compares every result field.
+  const auto replay_both = [&](const EmulatorConfig& cfg) {
+    Emulator a(r.registry, cfg);
+    Emulator b(r.registry, cfg);
+    EmulationResult original = a.run(r.trace);
+    EXPECT_FALSE(original.offloads.empty());
+    EXPECT_EQ(result_line("copy", b.run(copy)),
+              result_line("copy", original));
+    return original;
+  };
+  // JavaNote declines to offload for speed, so the trace_fraction run places
+  // by hand the classes the memory policy offloads: placement then decides
+  // remote interactions past the evaluation in both modes.
+  for (const bool array : {false, true}) {
+    EmulatorConfig memory = memory_config(r, 0.02, 1, 0.10);
+    memory.arrays_as_objects = array;
+    const EmulationResult by_memory = replay_both(memory);
+    ASSERT_FALSE(by_memory.offloads.empty());
+    EmulatorConfig fraction = cpu_config(false, array);
+    for (const graph::ComponentKey& key :
+         by_memory.offloads.front().decision.selected.offload) {
+      fraction.manual_offload_classes.push_back(
+          r.registry->get(key.cls).name);
+    }
+    (void)replay_both(fraction);
   }
 }
 

@@ -1,5 +1,6 @@
 // Tests for the trace model: recorder fidelity against live VM execution,
-// the CSV round-trip, and the CSV loader's rejection of out-of-range fields.
+// the column store's value view, the CSV round-trip, and the CSV loader's
+// rejection of out-of-range fields.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -259,6 +260,67 @@ TEST(TraceCsvTest, RejectsMethodIdWiderThan32Bits) {
   EXPECT_EQ(load_with_field(7, "4294967295").events[0].method,
             MethodId{0xFFFFFFFFu});
   expect_bad_field(7, "4294967296");
+}
+
+// One event of each type, every field distinct. Aux sits on types that never
+// record one (alloc, invoke, method_enter) as well as on resize and gc, only
+// aux2 on the invoke, and zero-aux events lie between aux-carrying ones.
+std::vector<TraceEvent> every_event_type() {
+  constexpr std::int64_t kAux[8][2] = {{501, 601}, {0, 0},     {-503, 0},
+                                       {0, 604},   {0, 0},     {506, 606},
+                                       {0, 0},     {507, 607}};
+  std::vector<TraceEvent> events;
+  for (std::uint32_t k = 0; k < 8; ++k) {
+    TraceEvent e;
+    e.type = static_cast<TraceEventType>(k);
+    e.flags = static_cast<std::uint8_t>(0x10 + k);
+    e.method = MethodId{100 + k};
+    e.t = 1000 + 10 * k;
+    e.cls_a = ClassId{200 + k};
+    e.cls_b = ClassId{300 + k};
+    e.obj_a = ObjectId{0x100000000ULL + k};
+    e.obj_b = ObjectId{0x200000000ULL + k};
+    e.bytes = -400 - static_cast<std::int64_t>(k);
+    e.aux1 = kAux[k][0];
+    e.aux2 = kAux[k][1];
+    events.push_back(e);
+  }
+  return events;
+}
+
+TEST(TraceTest, ColumnStoreKeepsEveryField) {
+  const std::vector<TraceEvent> want = every_event_type();
+  Trace t;
+  for (const TraceEvent& e : want) t.events.push_back(e);
+
+  ASSERT_EQ(t.size(), want.size());
+  EXPECT_EQ(t.events.hot().size(), want.size());
+  EXPECT_EQ(t.events.objects().size(), want.size());
+  EXPECT_EQ(t.events.times().size(), want.size());
+  EXPECT_EQ(t.events.aux().size(), 5u);  // the zero-aux events store none
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(t.events[i] == want[i]) << "operator[] " << i;
+    EXPECT_TRUE(*(t.events.begin() + static_cast<std::ptrdiff_t>(i)) ==
+                want[i])
+        << "begin() + " << i;
+  }
+  std::size_t walked = 0;
+  for (const TraceEvent& e : t.events) {
+    ASSERT_LT(walked, want.size());
+    EXPECT_TRUE(e == want[walked]) << "walk " << walked;
+    ++walked;
+  }
+  EXPECT_EQ(walked, want.size());
+  EXPECT_EQ((t.events.begin() + 5)->aux2, 606);
+  EXPECT_TRUE(t.events.back() == want.back());
+  EXPECT_EQ(t.duration(), want.back().t);
+
+  t.events.clear();
+  EXPECT_TRUE(t.empty());
+  EXPECT_TRUE(t.events.aux().empty());
+  EXPECT_EQ(t.duration(), 0);
+  EXPECT_TRUE(t.events.begin() == t.events.end());
+  for (const TraceEvent& e : t.events) ADD_FAILURE() << "walked " << e.t;
 }
 
 TEST(TraceTest, DurationIsLastEventTime) {
