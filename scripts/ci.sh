@@ -24,7 +24,7 @@ ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 step "aidelint (static partition-safety) over all apps"
 ./build-ci/src/analysis/aidelint
 
-step "aideverify (effect inference + metadata audit + batch-safety proofs)"
+step "aideverify (effect inference + metadata audit)"
 ./build-ci/src/analysis/aidelint --verify
 ./build-ci/src/analysis/aidelint --verify --json >/dev/null
 
@@ -68,16 +68,13 @@ step "virtual-time artefacts (full benches' BENCH_*.json, fig5 DOTs and the exam
 # wall-clock hot-path and micro benches.
 root="$PWD"
 artefacts=$(mktemp -d)
-examples="quickstart adhoc_surrogates policy_lab raytrace_speedup"
-benches="chaos fault_recovery disconnect rpc_batch fleet fig5_graph
-  fig6_overhead fig7_policy fig8_native fig10_cpu table1_apps table2_metrics
-  sec51_memory ablation_link ablation_mincut"
+source scripts/pinned.sh
 (
   cd "$artefacts"
-  for bench in $benches; do
+  for bench in $pinned_benches; do
     "$root/build-ci/bench/bench_$bench" >"$bench.txt" 2>&1
   done
-  for example in $examples; do
+  for example in $pinned_examples; do
     "$root/build-ci/examples/$example" >"$example.txt" 2>&1
   done
 )
@@ -88,13 +85,13 @@ for f in BENCH_chaos.json BENCH_fault.json BENCH_disconnect.json \
     exit 1
   fi
 done
-for example in $examples; do
+for example in $pinned_examples; do
   if ! cmp "$artefacts/$example.txt" "$root/tests/golden/examples/$example.txt"; then
     echo "examples/$example: output differs from tests/golden/examples/$example.txt" >&2
     exit 1
   fi
 done
-for bench in $benches; do
+for bench in $pinned_benches; do
   if ! cmp "$artefacts/$bench.txt" "$root/tests/golden/benches/$bench.txt"; then
     echo "bench_$bench: output differs from tests/golden/benches/$bench.txt" >&2
     exit 1

@@ -1,5 +1,5 @@
 // Implementation of aideverify: IR resolution, interprocedural fixpoint,
-// metadata audits, conflict matrix, and the BatchSafety oracle.
+// metadata audits, conflict matrix and hints.
 #include "analysis/effects.hpp"
 
 #include <algorithm>
@@ -529,33 +529,6 @@ VerifyReport verify(const vm::ClassRegistry& registry, AnalysisReport base) {
   return report;
 }
 
-// ----------------------------------------------------------- BatchSafety --
-
-BatchSafety::BatchSafety(const VerifyReport& report)
-    : any_unknown_writes_(report.matrix.any_unknown_writes) {
-  for (const MethodFacts& f : report.methods) {
-    const std::size_t c = f.cls.value();
-    const std::size_t mi = f.method.value();
-    if (known_.size() <= c) known_.resize(c + 1);
-    if (known_[c].size() <= mi) known_[c].resize(mi + 1, false);
-    known_[c][mi] = !f.summary.unknown;
-  }
-}
-
-bool BatchSafety::store_deferrable() const noexcept {
-  // With any ⊤ writer in the program the analysis cannot bound who else
-  // observes a location; nothing is provably deferrable.
-  return !any_unknown_writes_;
-}
-
-bool BatchSafety::invoke_accepts_riders(ClassId cls,
-                                        MethodId method) const noexcept {
-  const std::size_t c = cls.value();
-  if (c >= known_.size()) return false;
-  const std::size_t m = method.value();
-  return m < known_[c].size() && known_[c][m];
-}
-
 // ------------------------------------------------------------ startup gates
 
 StartupGates run_startup_gates(const vm::ClassRegistry& registry,
@@ -579,10 +552,6 @@ StartupGates run_startup_gates(const vm::ClassRegistry& registry,
       auto merged = gates.verify->base;
       merged.diagnostics = gates.verify->diagnostics;
       throw AnalysisError(merged);
-    }
-    if (gates.verify->methods_total > 0 &&
-        gates.verify->methods_with_ir == gates.verify->methods_total) {
-      gates.batch_safety.emplace(*gates.verify);
     }
   }
   return gates;

@@ -28,12 +28,13 @@
 //     invoke once: ir-unknown-target for an unknown class or method,
 //     arity-drift for its argument count (Rule::ir_unknown_target ..
 //     Rule::stateless_candidate);
-//  2. batch safety — a pairwise conflict matrix over the program's deferred
-//     store locations for the report, and the two transport verdicts
-//     (known writers, known call trees) served to src/rpc through the
-//     BatchSafetyOracle interface (batch_oracle.hpp);
+//  2. conflicts — a pairwise conflict matrix over the program's store
+//     locations, printed in aidelint's report;
 //  3. hints — pure methods become StaticHints::replay_safe, encapsulated-
 //     write classes become StaticHints::prefetch_eligible.
+//
+// None of it gates the transport: write-behind is safe by the endpoint's
+// flush rules alone (rpc/endpoint.hpp), whatever the registry declares.
 //
 // Like analyze(), verify() is pure and deterministic: same registry, same
 // report.
@@ -47,7 +48,6 @@
 #include <vector>
 
 #include "analysis/analyzer.hpp"
-#include "analysis/batch_oracle.hpp"
 #include "common/ids.hpp"
 #include "vm/klass.hpp"
 
@@ -203,23 +203,6 @@ struct VerifyReport {
 [[nodiscard]] VerifyReport verify(const vm::ClassRegistry& registry,
                                   AnalysisReport base);
 
-// The oracle implementation served to src/rpc. Holds an immutable snapshot
-// of the verify verdicts (one flag and a dense id-indexed table; queries are
-// O(1)), so the endpoint never touches analyzer types.
-class BatchSafety final : public BatchSafetyOracle {
- public:
-  explicit BatchSafety(const VerifyReport& report);
-
-  [[nodiscard]] bool store_deferrable() const noexcept override;
-  [[nodiscard]] bool invoke_accepts_riders(ClassId cls, MethodId method)
-      const noexcept override;
-
- private:
-  bool any_unknown_writes_ = false;
-  // Per-class bitsets, indexed by MethodId: summary known.
-  std::vector<std::vector<bool>> known_;
-};
-
 // ------------------------------------------------------------ startup gates
 
 // What the runtimes that execute a registry (Platform, SurrogateServer) keep
@@ -227,17 +210,12 @@ class BatchSafety final : public BatchSafetyOracle {
 struct StartupGates {
   std::optional<AnalysisReport> analysis;  // aidelint ran
   std::optional<VerifyReport> verify;      // aideverify ran
-  // Only with 100% effect-IR coverage: partial IR proves nothing usable.
-  std::optional<BatchSafety> batch_safety;
 
   // Verify's hints (a superset: replay/prefetch facts) when it ran, else
   // aidelint's, else none.
   [[nodiscard]] const StaticHints* hints() const noexcept {
     if (verify.has_value()) return &verify->hints;
     return analysis.has_value() ? &analysis->hints : nullptr;
-  }
-  [[nodiscard]] const BatchSafety* oracle() const noexcept {
-    return batch_safety.has_value() ? &*batch_safety : nullptr;
   }
 };
 

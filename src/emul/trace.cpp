@@ -51,14 +51,23 @@ Trace Trace::load_csv(std::istream& is) {
     std::istringstream ls(line);
     TraceEvent e;
     std::uint64_t v = 0;
-    char comma = 0;
+    int fields = 0;
+    // The first ten fields end at a ',' and the eleventh at the end of the
+    // row: another separator or a twelfth field is malformed, never skipped.
+    auto end_field = [&] {
+      constexpr int kFields = 11;
+      const bool ok = ++fields < kFields
+                          ? ls.get() == ','
+                          : ls.peek() == std::istringstream::traits_type::eof();
+      if (!ok) throw std::runtime_error("trace csv: bad field");
+    };
     auto read_u64 = [&](std::uint64_t& out) {
       if (!(ls >> out)) throw std::runtime_error("trace csv: bad field");
-      ls >> comma;
+      end_field();
     };
     auto read_i64 = [&](std::int64_t& out) {
       if (!(ls >> out)) throw std::runtime_error("trace csv: bad field");
-      ls >> comma;
+      end_field();
     };
     // A field wider than its event member is rejected, never truncated.
     auto read_bounded = [&](std::uint64_t max) {

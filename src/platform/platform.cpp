@@ -107,10 +107,6 @@ Platform::Platform(std::shared_ptr<const vm::ClassRegistry> registry,
   link_.set_fault_plan(config_.fault_plan);
   client_ep_->set_batching(config_.batching);
   surrogate_ep_->set_batching(config_.batching);
-  if (const analysis::BatchSafety* oracle = gates_->oracle()) {
-    client_ep_->set_batch_safety(oracle);
-    surrogate_ep_->set_batch_safety(oracle);
-  }
   // Exactly-once recovery needs the undo journal; fault-free runs keep it
   // off (an adopted device's too) so they stay bit-identical to the
   // unjournaled platform.

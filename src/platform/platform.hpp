@@ -135,11 +135,8 @@ struct PlatformConfig {
   // Run the interprocedural effect verifier (aideverify) over the registry
   // at startup: infers per-method summaries from the declared effect IR and
   // audits every hand-declared annotation against them; declared-metadata
-  // drift refuses startup exactly like the static_analysis gate. When every
-  // registered method carries IR (100% coverage) the resulting
-  // BatchSafetyOracle is installed into both endpoints — a partially
-  // annotated registry still verifies, but proves nothing the transport
-  // could use, so nothing is installed.
+  // drift refuses startup exactly like the static_analysis gate. The
+  // transport does not consult the result: write-behind needs no proof.
   bool effect_verify = true;
   // Feed the analyzer's static hints into the partitioner so the execution
   // graph is pre-contracted before MINCUT. Off by default: the purely
@@ -247,11 +244,6 @@ class Platform : private vm::VmHooks {
   [[nodiscard]] const std::optional<analysis::VerifyReport>& verify_report()
       const noexcept {
     return gates_->verify;
-  }
-  // The batch-safety oracle serving both endpoints; null unless
-  // effect_verify ran over a registry with 100% effect-IR coverage.
-  [[nodiscard]] const analysis::BatchSafety* batch_safety() const noexcept {
-    return gates_->oracle();
   }
 
   [[nodiscard]] const std::vector<OffloadReport>& offloads() const noexcept {
@@ -380,7 +372,7 @@ class Platform : private vm::VmHooks {
   SimClock& clock_;
   netsim::Link link_;
   std::shared_ptr<const vm::ClassRegistry> registry_;
-  // Declared before the endpoints: they hold a pointer to its oracle.
+  // The startup-gate reports; a server's sessions share its one copy.
   std::shared_ptr<const analysis::StartupGates> gates_;
 
   std::unique_ptr<vm::Vm> client_;

@@ -7,10 +7,10 @@
 //
 //   shared-immutable  — one ClassRegistry (interned symbol tables, call-site
 //                       epochs, effect summaries) plus the aidelint /
-//                       aideverify reports and the BatchSafety oracle derived
-//                       from it, all computed once at server startup and
-//                       referenced read-only by every session. Opening a
-//                       session pays zero class-metadata cost.
+//                       aideverify reports derived from it, all computed
+//                       once at server startup and referenced read-only by
+//                       every session. Opening a session pays zero
+//                       class-metadata cost.
 //   per-session       — everything mutable: each session is a Platform
 //                       (platform.hpp) on the server clock — its client and
 //                       surrogate VMs (each with its own slab heap), its
@@ -186,9 +186,6 @@ class SurrogateServer {
   [[nodiscard]] const std::optional<analysis::VerifyReport>& verify_report()
       const noexcept {
     return gates_->verify;
-  }
-  [[nodiscard]] const analysis::BatchSafety* batch_safety() const noexcept {
-    return gates_->oracle();
   }
 
   // Admission control: opens a new isolated session, or returns nullptr

@@ -361,12 +361,6 @@ void Endpoint::set_prefetch_groups(std::vector<std::vector<ObjectId>> groups) {
   }
 }
 
-void Endpoint::set_batch_safety(const analysis::BatchSafetyOracle* oracle) {
-  // Queued proofs were made against the old oracle; drain before switching.
-  if (oracle != oracle_) flush_pending();
-  oracle_ = oracle;
-}
-
 // Strict queue drain: the whole queue goes out as one frame (one op as a
 // bit-identical legacy frame) and is cleared once the peer owns it, refused
 // stores included: a store's semantic error surfaces once. Throws
@@ -652,15 +646,6 @@ vm::Value Endpoint::invoke_remote(Op op, ObjectId target, ClassId cls,
   stats_.ops_sent += 1;
   // The peer is about to execute code: read-ahead snapshots go stale now.
   invalidate_snapshots();
-  if (oracle_ != nullptr && !pending_.empty() &&
-      !oracle_->invoke_accepts_riders(cls, method)) {
-    // The callee's effects are not proven disjoint from the queued stores:
-    // flush them as their own frame before the call (never as riders).
-    stats_.unproven_riders_flushed += 1;
-    flush_or_recover();
-    // A drain that lost the peer pulled the callee home: run it here.
-    if (peer_ == nullptr) return run_invoke(op, target, cls, method, args);
-  }
   ByteWriter w;
   w.write_u8(static_cast<std::uint8_t>(op));
   if (op == Op::invoke) write_target(w, target);
@@ -700,20 +685,10 @@ vm::Value Endpoint::invoke_static(ClassId cls, MethodId method,
 void Endpoint::store(PendingOp&& rec, ByteWriter encoded) {
   stats_.ops_sent += 1;
   if (batching_live()) {
-    if (oracle_ == nullptr || oracle_->store_deferrable()) {
-      enqueue_pending(std::move(rec), std::move(encoded));
-      return;
-    }
-    // The oracle refuses this store: drain the queue so program order is
-    // preserved, then write through eagerly (flush earlier, never reorder).
-    stats_.unproven_stores_flushed += 1;
-    flush_or_recover();
+    enqueue_pending(std::move(rec), std::move(encoded));
+    return;
   }
-  // A drain that lost the peer already pulled every target home.
-  if (peer_ == nullptr ||
-      !transact_or_recover(std::move(encoded)).has_value()) {
-    apply_locally(rec);
-  }
+  if (!transact_or_recover(std::move(encoded)).has_value()) apply_locally(rec);
 }
 
 vm::Value Endpoint::get_field(ObjectId target, FieldId field) {

@@ -55,7 +55,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "analysis/batch_oracle.hpp"
 #include "common/counters.hpp"
 #include "common/error.hpp"
 #include "netsim/link.hpp"
@@ -97,9 +96,9 @@ struct EndpointStats {
   std::uint64_t snapshots_fetched = 0;   // whole-object snapshots shipped
   std::uint64_t objects_prefetched = 0;  // snapshots beyond the demanded one
   std::uint64_t pending_applied_locally = 0;  // write-behind ops recovered locally
-  // Batch-safety accounting (all zero without a BatchSafetyOracle installed).
-  std::uint64_t unproven_stores_flushed = 0;  // stores written through eagerly
-  std::uint64_t unproven_riders_flushed = 0;  // pre-invoke queue flushes
+  // Stores written through while batching is live: always zero, since every
+  // store then defers. perfbench's rpc.writethrough_share reads it.
+  std::uint64_t unproven_stores_flushed = 0;
   // Disconnected-operation accounting (all zero unless the platform's
   // DisconnectPolicy is enabled and a partition actually happens).
   std::uint64_t disconnects_detected = 0;   // partitions the detector tripped
@@ -185,16 +184,14 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
   [[nodiscard]] RefMap& refs() noexcept { return refs_; }
   [[nodiscard]] const EndpointStats& stats() const noexcept { return stats_; }
 
-  // Session tag for multi-session surrogate serving: namespaces this
-  // endpoint's stats (and its RefMap's handle space) under one session id.
-  // The single-session platform never calls this — stats and handles stay
-  // exactly as before.
+  // Multi-session surrogate serving: gives this endpoint's RefMap a
+  // session-unique handle namespace, so a handle leaked across sessions is
+  // rejected. The single-session platform never calls this — its handles
+  // stay exactly as before.
   void set_session(SessionId id) {
-    session_ = id;
     refs_.set_handle_namespace(
         static_cast<std::uint16_t>((id.value() % 0xFFFEu) + 1));
   }
-  [[nodiscard]] SessionId session() const noexcept { return session_; }
 
   // Write-behind batching and read-ahead, on by default.
   //
@@ -205,6 +202,10 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
   // a yield point (GC entry, migration, the end of serving an incoming
   // invoke). A queue of exactly one op flushes as a bit-identical legacy
   // frame; an empty flush sends nothing.
+  //
+  // Every store may wait, whatever the program: the peer runs code only
+  // while serving a frame, and every frame carries the queue ahead of its
+  // own op, so no read on either VM can see a deferred store early or late.
   //
   // A remote get_field miss fetches a snapshot of the whole target object —
   // plus up to 4 not-yet-cached neighbors from its MINCUT partition group —
@@ -221,18 +222,6 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
   // mates are prefetched in the same frame. Each group must be sorted so the
   // candidate order — and thus the wire traffic — is deterministic.
   void set_prefetch_groups(std::vector<std::vector<ObjectId>> groups);
-
-  // Batch-safety oracle (non-owning; the platform keeps it alive for the
-  // connection's lifetime, nullptr uninstalls). Both verdicts are consumed
-  // flush-earlier-only: a refusal sends the same ops in the same order
-  // across more frames, never reorders them — so an oracle that proves
-  // everything leaves the wire byte-identical to no oracle at all. Installing
-  // or replacing one flushes the queue first: queued proofs don't transfer.
-  void set_batch_safety(const analysis::BatchSafetyOracle* oracle);
-  [[nodiscard]] const analysis::BatchSafetyOracle* batch_safety()
-      const noexcept {
-    return oracle_;
-  }
 
   // The number of write-behind ops currently queued (test/bench visibility).
   [[nodiscard]] std::size_t pending_ops() const noexcept {
@@ -442,9 +431,8 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
                                           std::size_t riders);
 
   // The one store path (put_field / put_static / array_put / chars_write):
-  // defers `rec` when batching and the oracle allow it; otherwise drains the
-  // queue and writes `encoded` through, landing the store locally when the
-  // peer is lost on the way.
+  // defers `rec` while batching is live; otherwise writes `encoded` through,
+  // landing the store locally when recovery pulls the target home.
   void store(PendingOp&& rec, ByteWriter encoded);
   void apply_locally(const PendingOp& p);
 
@@ -531,11 +519,8 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
   Endpoint* peer_ = nullptr;
   RefMap refs_;
   EndpointStats stats_;
-  SessionId session_ = SessionId::invalid();
   bool batching_ = true;
   std::function<bool()> peer_failure_handler_;
-
-  const analysis::BatchSafetyOracle* oracle_ = nullptr;
 
   // Write-behind queue: encoded-but-unsent void ops awaiting coalescing.
   std::vector<PendingOp> pending_;

@@ -1,8 +1,7 @@
 // Tests for aideverify (interprocedural effect inference): the Loc/LocSet
 // abstract domain, the per-method fixpoint, every audit rule against an
-// injected violation, the pairwise store-conflict matrix, the BatchSafety
-// oracle verdicts, hint export, and full-coverage runs over the five paper
-// applications.
+// injected violation, the pairwise store-conflict matrix, hint export, and
+// full-coverage runs over the five paper applications.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -430,51 +429,6 @@ TEST(ConflictMatrixTest, UnknownWritesPoisonEverything) {
                          .build());
   const VerifyReport r = verify(reg);
   EXPECT_TRUE(r.matrix.any_unknown_writes);  // nothing commutes under ⊤
-}
-
-// --- BatchSafety oracle ------------------------------------------------------
-
-ClassRegistry oracle_registry() {
-  ClassRegistry reg;
-  reg.register_class(ClassBuilder("P")
-                         .entry()
-                         .field("a")
-                         .field("b")
-                         .method("setA", noop())
-                         .writes("P", "a")
-                         .method("getA", noop())
-                         .reads("P", "a")
-                         .build());
-  return reg;
-}
-
-TEST(BatchSafetyTest, FullCoverageVerdicts) {
-  const ClassRegistry reg = oracle_registry();
-  const VerifyReport r = verify(reg);
-  ASSERT_EQ(r.methods_with_ir, r.methods_total);
-  const BatchSafety oracle(r);
-  const ClassId p = reg.find("P");
-  const MethodId set_a = reg.get(p).find_method("setA");
-
-  EXPECT_TRUE(oracle.store_deferrable());
-  EXPECT_TRUE(oracle.invoke_accepts_riders(p, set_a));
-  // Out-of-range ids answer conservatively.
-  EXPECT_FALSE(oracle.invoke_accepts_riders(ClassId{1000}, MethodId{0}));
-}
-
-TEST(BatchSafetyTest, UnknownWritesRefuseAllDeferral) {
-  ClassRegistry reg;
-  reg.register_class(ClassBuilder("Q")
-                         .entry()
-                         .field("x")
-                         .method("dark", noop())  // no IR
-                         .build());
-  const VerifyReport r = verify(reg);
-  const BatchSafety oracle(r);
-  const ClassId q = reg.find("Q");
-  EXPECT_FALSE(oracle.store_deferrable());
-  EXPECT_FALSE(
-      oracle.invoke_accepts_riders(q, reg.get(q).find_method("dark")));
 }
 
 // --- hints export ------------------------------------------------------------

@@ -844,6 +844,22 @@ TEST_F(EndpointTest, SnapshotMissPrefetchesFourGroupMates) {
   EXPECT_EQ(client_ep_.stats().rpcs_sent - before.rpcs_sent, 2u);
 }
 
+TEST_F(EndpointTest, ReadAheadPrefetchesEveryMate) {
+  const ObjectRef a = client_.new_object("Pair");
+  const ObjectRef b = client_.new_object("Holder");
+  client_.add_root(a);
+  client_.add_root(b);
+  client_.put_field(a, FieldId{0}, Value{1});
+  {
+    const ObjectId ids[] = {a.id, b.id};
+    client_ep_.migrate_objects(ids);
+  }
+  client_ep_.set_prefetch_groups({{a.id, b.id}});
+  EXPECT_EQ(client_.get_field(a, FieldId{0}).as_int(), 1);
+  const auto stats = client_ep_.stats();
+  EXPECT_EQ(stats.objects_prefetched, 1u);
+}
+
 TEST_F(EndpointTest, RtoExpiryVoidsWholeBatchExactlyOnce) {
   const ObjectRef pair = client_.new_object("Pair");
   const ObjectRef counter = client_.new_object("Counter");

@@ -348,15 +348,13 @@ TEST(FleetServer, SharedGatesRunOncePerServer) {
   ASSERT_TRUE(server.verify_report().has_value());
 
   // Admission after the gates is pure construction: no re-analysis, and
-  // every session holds the server's reports and oracle themselves.
+  // every session holds the server's reports themselves.
   for (int i = 0; i < 8; ++i) {
     const platform::Session* s = server.open_session();
     ASSERT_NE(s, nullptr);
     EXPECT_EQ(&s->analysis_report(), &server.analysis_report());
     EXPECT_EQ(&s->verify_report(), &server.verify_report());
-    EXPECT_EQ(s->batch_safety(), server.batch_safety());
   }
-  EXPECT_NE(server.batch_safety(), nullptr);
   EXPECT_EQ(server.stats().sessions_opened, 8u);
 }
 

@@ -1,6 +1,6 @@
 // Tests for the trace model: recorder fidelity against live VM execution,
 // the column store's value view, the CSV round-trip, and the CSV loader's
-// rejection of out-of-range fields.
+// rejection of out-of-range fields and malformed rows.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -206,18 +206,24 @@ TEST(TraceCsvTest, RecordedTraceRoundTrips) {
   }
 }
 
+// A one-row CSV trace: the header, then `row`.
+Trace load_row(const std::string& row) {
+  std::stringstream ss(
+      "type,flags,t,cls_a,cls_b,obj_a,obj_b,method,bytes,aux1,aux2\n" + row +
+      "\n");
+  return Trace::load_csv(ss);
+}
+
 // One valid invoke row with column `col` replaced by `value`.
 Trace load_with_field(std::size_t col, const std::string& value) {
   std::vector<std::string> fields = {"3", "1", "10", "2", "4",
                                      "5", "6", "7", "8", "0", "0"};
   fields[col] = value;
-  std::string csv = "type,flags,t,cls_a,cls_b,obj_a,obj_b,method,bytes,aux1,"
-                    "aux2\n";
+  std::string row;
   for (std::size_t i = 0; i < fields.size(); ++i) {
-    csv += (i == 0 ? "" : ",") + fields[i];
+    row += (i == 0 ? "" : ",") + fields[i];
   }
-  std::stringstream ss(csv + "\n");
-  return Trace::load_csv(ss);
+  return load_row(row);
 }
 
 void expect_bad_field(std::size_t col, const std::string& value) {
@@ -260,6 +266,21 @@ TEST(TraceCsvTest, RejectsMethodIdWiderThan32Bits) {
   EXPECT_EQ(load_with_field(7, "4294967295").events[0].method,
             MethodId{0xFFFFFFFFu});
   expect_bad_field(7, "4294967296");
+}
+
+// A row is eleven comma-separated fields and nothing else. Read leniently,
+// the space-separated row loads with its fields shifted (flags=0, t=5): each
+// separator skip swallows the first digit of the next field.
+TEST(TraceCsvTest, RejectsMalformedRows) {
+  for (const char* row : {"3;1;10;2;4;5;6;7;8;0;0", "3,1,10,2,4,5,6,7,8,0,0,9",
+                          "3 10 25 12 14 15 16 17 18 10 20"}) {
+    try {
+      (void)load_row(row);
+      ADD_FAILURE() << "accepted " << row;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "trace csv: bad field") << row;
+    }
+  }
 }
 
 // One event of each type, every field distinct. Aux sits on types that never
