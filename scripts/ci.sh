@@ -140,15 +140,20 @@ if [[ "${AIDE_CI_SKIP_SANITIZE:-0}" != 1 ]]; then
   ./build-asan/bench/bench_fleet --smoke
   # ctest's traces are tiny. Figure 10 replays all five paper-size traces
   # with and without the Array enhancement, so the trace columns, the object
-  # reads and the aux cursor run under the sanitizers at full size.
-  fig10=$(mktemp)
-  ./build-asan/bench/bench_fig10_cpu >"$fig10" 2>&1
-  if ! cmp "$fig10" tests/golden/benches/fig10_cpu.txt; then
-    echo "bench_fig10_cpu (build-asan): output differs from" \
-      "tests/golden/benches/fig10_cpu.txt" >&2
-    exit 1
-  fi
-  rm -f "$fig10"
+  # reads and the aux cursor run under the sanitizers at full size. Its runs
+  # are all trace_fraction; Figure 6's memory_gc runs add the GC-pressure
+  # model, try_offload and the class side table's refill, in both the
+  # monitored and the post-horizon replay loop.
+  for bench in fig10_cpu fig6_overhead; do
+    out=$(mktemp)
+    ./build-asan/bench/bench_"$bench" >"$out" 2>&1
+    if ! cmp "$out" tests/golden/benches/"$bench".txt; then
+      echo "bench_$bench (build-asan): output differs from" \
+        "tests/golden/benches/$bench.txt" >&2
+      exit 1
+    fi
+    rm -f "$out"
+  done
 else
   step "sanitizer job skipped (AIDE_CI_SKIP_SANITIZE=1)"
 fi

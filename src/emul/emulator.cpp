@@ -88,9 +88,16 @@ void Emulator::try_offload(SimTime at, EmulationResult& result) {
 
   // Apply the new placement; charge migration for every component that
   // changes side (repeated repartitioning may also pull components back).
+  // A class-granularity node's side goes to its class's byte too; the
+  // declined path above changes no side.
   std::uint64_t moved_bytes = 0;
+  std::fill(class_side_.begin(), class_side_.end(), 0);
   for (NodeIndex i = 0; i < g.node_count(); ++i) {
-    const int want = decision.selected.offload.contains(g.key_of(i)) ? 1 : 0;
+    const graph::ComponentKey& key = g.key_of(i);
+    const int want = decision.selected.offload.contains(key) ? 1 : 0;
+    if (!key.is_object_granularity()) {
+      class_side_[key.cls.value()] = static_cast<std::uint8_t>(want);
+    }
     if (want == placement_[i]) continue;
     moved_bytes += static_cast<std::uint64_t>(
         std::max<std::int64_t>(g.node_at(i).mem_bytes, 0));
@@ -116,81 +123,136 @@ EmulationResult Emulator::run(const Trace& trace) {
   resource_ = std::make_unique<monitor::ResourceMonitor>(kEmulatedClient,
                                                          config_.trigger);
   placement_.clear();
-  live_bytes_ = 0;
-  freed_since_gc_ = 0;
-  alloc_since_gc_ = 0;
-
+  class_side_.assign(registry_->size(), 0);
   result_ = EmulationResult{};
   result_.base_time = trace.duration();
-  compute_raw_ = 0;
-  compute_scaled_ = 0;
-  gc_cycle_ = 0;
-  aux_ix_ = 0;
-  // Any fraction of 1 or more never evaluates; the clamp keeps the cast
-  // defined for huge and infinite ones.
-  eval_index_ = static_cast<std::size_t>(
-      static_cast<double>(trace.size()) *
-      std::min(config_.eval_at_fraction, 1.0));
-  past_horizon_ = config_.max_offloads == 0;
-
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    replay_event(trace.events, i);
+  if (config_.arrays_as_objects) {
+    replay<true>(trace.events);
+  } else {
+    replay<false>(trace.events);
   }
-
-  // Unattributed trace time (driver-level work, GC outside frames) stays on
-  // the client; attributed self-time is re-scaled by placement.
-  result_.emulated_time = result_.base_time - compute_raw_ + compute_scaled_ +
-                          result_.comm_time + result_.migration_time +
-                          result_.gc_pressure_time;
   return std::move(result_);
 }
 
-EventObjects Emulator::interaction_objects(const TraceEvents& events,
-                                           std::size_t i) const {
-  // Under class granularity no object id changes a component:
-  // ExecutionMonitor::index_of reads the id only when arrays_as_objects is
-  // set, and record_event then keys on the class pair alone. So the replay
-  // reads the objects column for interactions and frame exits only under
-  // the Array enhancement.
-  return config_.arrays_as_objects ? events.objects()[i] : EventObjects{};
+// One replay's accumulators and heap model, local to replay() and written
+// into result_ once, when the trace ends: no call can reach them, so the
+// per-event body need not store and reload them around the monitor's calls.
+struct Emulator::Replay {
+  SimDuration compute_raw = 0;     // self-time as recorded (client speed)
+  SimDuration compute_scaled = 0;  // self-time under the emulated placement
+  SimDuration comm_time = 0;
+  SimDuration gc_pressure_time = 0;
+  std::uint64_t total_invocations = 0;
+  std::uint64_t remote_invocations = 0;
+  std::uint64_t remote_native_invocations = 0;
+  std::uint64_t total_accesses = 0;
+  std::uint64_t remote_accesses = 0;
+  std::uint64_t remote_bytes = 0;
+  std::int64_t peak_client_live = 0;
+
+  // Emulated heap model.
+  std::int64_t live_bytes = 0;
+  std::int64_t freed_since_gc = 0;
+  std::int64_t alloc_since_gc = 0;
+  std::uint32_t gc_cycle = 0;
+  // First entry of the trace's aux list not yet behind the replay.
+  std::size_t aux_ix = 0;
+};
+
+template <bool kObjects>
+void Emulator::replay(const TraceEvents& events) {
+  Replay r;
+  const std::size_t n = events.size();
+  std::size_t i = 0;
+
+  // Short of the horizon. memory_gc runs until a GC report's offload
+  // reaches it. trace_fraction evaluates once, right after the event at
+  // eval_index; any fraction of 1 or more never evaluates, and the clamp
+  // keeps the cast defined for huge and infinite ones.
+  if (config_.max_offloads != 0) {
+    const bool by_fraction =
+        config_.trigger_mode == TriggerMode::trace_fraction;
+    const auto eval_index = static_cast<std::size_t>(
+        static_cast<double>(n) * std::min(config_.eval_at_fraction, 1.0));
+    const std::size_t end = by_fraction ? std::min(eval_index + 1, n) : n;
+    while (i < end) {
+      if (replay_event<true, kObjects>(events, i++, r)) break;
+    }
+    if (by_fraction && eval_index < n) {
+      try_offload(events.times()[eval_index], result_);
+    }
+  }
+
+  // Past the horizon.
+  for (; i < n; ++i) replay_event<false, kObjects>(events, i, r);
+
+  result_.comm_time = r.comm_time;
+  result_.gc_pressure_time = r.gc_pressure_time;
+  result_.total_invocations = r.total_invocations;
+  result_.remote_invocations = r.remote_invocations;
+  result_.remote_native_invocations = r.remote_native_invocations;
+  result_.total_accesses = r.total_accesses;
+  result_.remote_accesses = r.remote_accesses;
+  result_.remote_bytes = r.remote_bytes;
+  result_.peak_client_live = r.peak_client_live;
+  // Unattributed trace time (driver-level work, GC outside frames) stays on
+  // the client; attributed self-time is re-scaled by placement.
+  result_.emulated_time = result_.base_time - r.compute_raw +
+                          r.compute_scaled + result_.comm_time +
+                          result_.migration_time + result_.gc_pressure_time;
 }
 
-std::int64_t Emulator::resize_delta(const TraceEvents& events,
-                                    std::size_t i) {
-  // Events arrive in index order, so one forward cursor walks the sparse aux
-  // list past the GC reports' entries. A resize without an entry has delta 0.
-  const std::vector<AuxEntry>& aux = events.aux();
-  while (aux_ix_ < aux.size() && aux[aux_ix_].index < i) ++aux_ix_;
-  return aux_ix_ < aux.size() && aux[aux_ix_].index == i ? aux[aux_ix_].aux1
-                                                          : 0;
+template <bool kObjects>
+int Emulator::side_of(ClassId cls, ObjectId obj) const {
+  if constexpr (kObjects) {
+    const NodeIndex i = monitor_->index_of(cls, obj);
+    return i < placement_.size() ? placement_[i] : 0;
+  } else {
+    // A class id past the registry has no node and reads the client.
+    return cls.value() < class_side_.size() ? class_side_[cls.value()] : 0;
+  }
 }
 
 // The hooks fed below read no event time: on_alloc, on_free,
 // on_method_exit and record_event (behind on_invoke and on_access) ignore
 // it, so they get 0 and the time column is read only where a decision reads
-// it, at an evaluation.
-void Emulator::replay_event(const TraceEvents& events, std::size_t i) {
+// it, at an evaluation. Under class granularity no object id changes a
+// component: ExecutionMonitor::index_of reads the id only when
+// arrays_as_objects is set, and record_event then keys on the class pair
+// alone. So the objects column is read for interactions and frame exits
+// only under the Array enhancement.
+template <bool kFeed, bool kObjects>
+bool Emulator::replay_event(const TraceEvents& events, std::size_t i,
+                            Replay& r) {
   const HotEvent& e = events.hot()[i];
   switch (e.type) {
     case TraceEventType::alloc:
       monitor_->on_alloc(kEmulatedClient, events.objects()[i].a, e.cls_a,
                          e.bytes, 0);
-      live_bytes_ += e.bytes;
-      alloc_since_gc_ += e.bytes;
+      r.live_bytes += e.bytes;
+      r.alloc_since_gc += e.bytes;
       break;
 
     case TraceEventType::free_obj:
       monitor_->on_free(kEmulatedClient, events.objects()[i].a, e.cls_a,
                         e.bytes, 0);
-      live_bytes_ -= e.bytes;
-      freed_since_gc_ += e.bytes;
+      r.live_bytes -= e.bytes;
+      r.freed_since_gc += e.bytes;
       break;
 
     case TraceEventType::resize: {
-      const std::int64_t delta = resize_delta(events, i);
+      // Events arrive in index order, so one forward cursor walks the sparse
+      // aux list past the GC reports' entries. A resize without an entry has
+      // delta 0.
+      const std::vector<AuxEntry>& aux = events.aux();
+      while (r.aux_ix < aux.size() && aux[r.aux_ix].index < i) ++r.aux_ix;
+      const std::int64_t delta =
+          r.aux_ix < aux.size() && aux[r.aux_ix].index == i
+              ? aux[r.aux_ix].aux1
+              : 0;
       monitor_->on_resize(kEmulatedClient, events.objects()[i].a, e.cls_a,
                           delta);
-      live_bytes_ += delta;
+      r.live_bytes += delta;
       break;
     }
 
@@ -198,16 +260,16 @@ void Emulator::replay_event(const TraceEvents& events, std::size_t i) {
       break;
 
     case TraceEventType::method_exit: {
-      const ObjectId obj = interaction_objects(events, i).a;
-      if (!past_horizon_) {
+      const ObjectId obj = kObjects ? events.objects()[i].a : ObjectId{};
+      if constexpr (kFeed) {
         monitor_->on_method_exit(kEmulatedClient, e.cls_a, obj, e.method,
                                  e.bytes, 0);
       }
-      const double speed = placement_of(e.cls_a, obj) != 0
+      const double speed = side_of<kObjects>(e.cls_a, obj) != 0
                                ? config_.surrogate_speedup
                                : 1.0;
-      compute_raw_ += e.bytes;
-      compute_scaled_ +=
+      r.compute_raw += e.bytes;
+      r.compute_scaled +=
           static_cast<SimDuration>(static_cast<double>(e.bytes) / speed);
       break;
     }
@@ -216,9 +278,9 @@ void Emulator::replay_event(const TraceEvents& events, std::size_t i) {
       const bool is_native = (e.flags & kFlagNative) != 0;
       const bool is_static = (e.flags & kFlagStatic) != 0;
       const bool is_stateless = (e.flags & kFlagStateless) != 0;
-      const EventObjects objs = interaction_objects(events, i);
+      const EventObjects objs = kObjects ? events.objects()[i] : EventObjects{};
 
-      const int from_p = placement_of(e.cls_a, objs.a);
+      const int from_p = side_of<kObjects>(e.cls_a, objs.a);
       int to_p;
       if (is_native) {
         // Natives execute on the client — unless stateless and the
@@ -229,18 +291,18 @@ void Emulator::replay_event(const TraceEvents& events, std::size_t i) {
         // Managed statics run on the invoking VM.
         to_p = from_p;
       } else {
-        to_p = placement_of(e.cls_b, objs.b);
+        to_p = side_of<kObjects>(e.cls_b, objs.b);
       }
       const bool remote = from_p != to_p;
 
-      result_.total_invocations += 1;
+      r.total_invocations += 1;
       if (remote) {
-        result_.remote_invocations += 1;
-        if (is_native) result_.remote_native_invocations += 1;
-        result_.remote_bytes += static_cast<std::uint64_t>(e.bytes);
-        result_.comm_time += rpc_cost(static_cast<std::uint64_t>(e.bytes));
+        r.remote_invocations += 1;
+        if (is_native) r.remote_native_invocations += 1;
+        r.remote_bytes += static_cast<std::uint64_t>(e.bytes);
+        r.comm_time += rpc_cost(static_cast<std::uint64_t>(e.bytes));
       }
-      if (past_horizon_) break;
+      if constexpr (!kFeed) break;
 
       vm::InvokeEvent ev;
       ev.vm = kEmulatedClient;
@@ -260,19 +322,19 @@ void Emulator::replay_event(const TraceEvents& events, std::size_t i) {
 
     case TraceEventType::access: {
       const bool is_static = (e.flags & kFlagStatic) != 0;
-      const EventObjects objs = interaction_objects(events, i);
-      const int from_p = placement_of(e.cls_a, objs.a);
+      const EventObjects objs = kObjects ? events.objects()[i] : EventObjects{};
+      const int from_p = side_of<kObjects>(e.cls_a, objs.a);
       // Static data lives on the client; object data follows placement.
-      const int to_p = is_static ? 0 : placement_of(e.cls_b, objs.b);
+      const int to_p = is_static ? 0 : side_of<kObjects>(e.cls_b, objs.b);
       const bool remote = from_p != to_p;
 
-      result_.total_accesses += 1;
+      r.total_accesses += 1;
       if (remote) {
-        result_.remote_accesses += 1;
-        result_.remote_bytes += static_cast<std::uint64_t>(e.bytes);
-        result_.comm_time += rpc_cost(static_cast<std::uint64_t>(e.bytes));
+        r.remote_accesses += 1;
+        r.remote_bytes += static_cast<std::uint64_t>(e.bytes);
+        r.comm_time += rpc_cost(static_cast<std::uint64_t>(e.bytes));
       }
-      if (past_horizon_) break;
+      if constexpr (!kFeed) break;
 
       vm::AccessEvent ev;
       ev.vm = kEmulatedClient;
@@ -298,17 +360,16 @@ void Emulator::replay_event(const TraceEvents& events, std::size_t i) {
             monitor_->graph().node_at(n).mem_bytes, 0);
       }
       const std::int64_t client_live =
-          std::max<std::int64_t>(live_bytes_ - offloaded, 0);
-      result_.peak_client_live =
-          std::max(result_.peak_client_live, client_live);
+          std::max<std::int64_t>(r.live_bytes - offloaded, 0);
+      r.peak_client_live = std::max(r.peak_client_live, client_live);
 
       vm::GcReport rep;
-      rep.cycle = ++gc_cycle_;
-      rep.used_before = client_live + freed_since_gc_;
+      rep.cycle = ++r.gc_cycle;
+      rep.used_before = client_live + r.freed_since_gc;
       rep.used_after = client_live;
       rep.capacity = config_.heap_capacity;
-      rep.freed = freed_since_gc_;
-      freed_since_gc_ = 0;
+      rep.freed = r.freed_since_gc;
+      r.freed_since_gc = 0;
 
       // GC-pressure model: near exhaustion, every consumed byte of
       // headroom costs another collection cycle over the live set.
@@ -317,13 +378,13 @@ void Emulator::replay_event(const TraceEvents& events, std::size_t i) {
             static_cast<double>(config_.heap_capacity - client_live),
             static_cast<double>(config_.heap_capacity) / 64.0);
         const double cycles =
-            static_cast<double>(alloc_since_gc_) / headroom;
-        result_.gc_pressure_time += static_cast<SimDuration>(
+            static_cast<double>(r.alloc_since_gc) / headroom;
+        r.gc_pressure_time += static_cast<SimDuration>(
             cycles * static_cast<double>(client_live) *
             config_.gc_pressure_cost_ns_per_live_byte);
       }
-      alloc_since_gc_ = 0;
-      if (past_horizon_) break;
+      r.alloc_since_gc = 0;
+      if constexpr (!kFeed) break;
 
       monitor_->on_gc(kEmulatedClient, rep);
       resource_->feed(rep);
@@ -332,17 +393,12 @@ void Emulator::replay_event(const TraceEvents& events, std::size_t i) {
           resource_->triggered()) {
         resource_->consume_trigger();
         try_offload(events.times()[i], result_);
-        past_horizon_ = result_.offloads.size() >= config_.max_offloads;
+        return result_.offloads.size() >= config_.max_offloads;
       }
       break;
     }
   }
-
-  if (config_.trigger_mode == TriggerMode::trace_fraction && !past_horizon_ &&
-      i >= eval_index_) {
-    try_offload(events.times()[i], result_);
-    past_horizon_ = true;  // the mode's one evaluation has run
-  }
+  return false;
 }
 
 }  // namespace aide::emul

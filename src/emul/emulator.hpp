@@ -24,6 +24,19 @@
 // feeds the monitor only allocations, frees and resizes. Every
 // EmulationResult field is the same as with the full feed.
 //
+// So run() replays a trace in two loops split at the horizon: the first
+// feeds the monitor and evaluates, the second neither feeds it interactions
+// nor tests for an evaluation. Both inline one per-event body, and its
+// accumulators live in a struct local to the replay, written into the
+// result once, at the end.
+//
+// Placement under class granularity is a side table: one byte per registry
+// class, filled at every offload, so a lookup reads one byte. No class
+// changes side between two evaluations, and a class interned after the last
+// one is not placed yet and reads the client. Under the Array enhancement a
+// promotion changes what index_of answers between evaluations, so there the
+// lookup goes through the monitor's node index to the per-node placement.
+//
 // The replay reads the trace's columns (trace.hpp), not whole events: the
 // 24-byte hot record of every event; the object ids for allocations, frees
 // and resizes, and for interactions and frame exits only under the Array
@@ -160,53 +173,47 @@ class Emulator {
 
  private:
   using NodeIndex = monitor::ExecutionMonitor::NodeIndex;
+  // One replay's accumulators (emulator.cpp).
+  struct Replay;
 
+  // Replays the whole trace into result_; kObjects is arrays_as_objects.
+  template <bool kObjects>
+  void replay(const TraceEvents& events);
+  // Replays event i. kFeed: the run is short of its decision horizon, so
+  // the event feeds the monitor and a GC report may evaluate; returns true
+  // when that evaluation reaches the horizon. Allocations, frees and resizes
+  // feed the monitor either way: the GC report's offloaded-bytes sum reads
+  // the placed nodes' mem_bytes, and an Array promotion changes what
+  // index_of answers. Inlined into both loops: no call per event, and the
+  // accumulators' address never escapes to a call.
+  template <bool kFeed, bool kObjects>
+  [[gnu::always_inline]] inline bool replay_event(const TraceEvents& events,
+                                                  std::size_t i, Replay& r);
   // Side holding the component of (cls, obj): 1 the surrogate, 0 the
-  // client. Nodes interned since the last offload sit past the vector's end,
-  // and npos (not interned yet) is past every end: both read the client.
-  [[nodiscard]] int placement_of(ClassId cls, ObjectId obj) const {
-    const NodeIndex i = monitor_->index_of(cls, obj);
-    return i < placement_.size() ? placement_[i] : 0;
-  }
+  // client (header comment).
+  template <bool kObjects>
+  [[nodiscard, gnu::always_inline]] inline int side_of(ClassId cls,
+                                                       ObjectId obj) const;
 
   [[nodiscard]] SimDuration rpc_cost(std::uint64_t bytes) const;
   void try_offload(SimTime at, EmulationResult& result);
-  void replay_event(const TraceEvents& events, std::size_t i);
-  // Event i's object ids where they can change a component, else invalid.
-  [[nodiscard]] EventObjects interaction_objects(const TraceEvents& events,
-                                                 std::size_t i) const;
-  // Resize event i's delta, read through the aux cursor.
-  [[nodiscard]] std::int64_t resize_delta(const TraceEvents& events,
-                                          std::size_t i);
 
   std::shared_ptr<const vm::ClassRegistry> registry_;
   EmulatorConfig config_;
   std::unique_ptr<monitor::ExecutionMonitor> monitor_;
   std::unique_ptr<monitor::ResourceMonitor> resource_;
   // Dense placement, indexed by the monitor's NodeIndex: the side each node
-  // sits on as of the last offload. prune_dead_components() is the only
-  // renumbering and runs at the top of try_offload, which carries the
-  // vector across it.
+  // sits on as of the last offload. Nodes interned since then sit past the
+  // vector's end, and npos (not interned yet) is past every end: both read
+  // the client. prune_dead_components() is the only renumbering and runs at
+  // the top of try_offload, which carries the vector across it.
   std::vector<int> placement_;
+  // placement_ by ClassId for the class-granularity nodes, 0 for every
+  // class without a placed node; sized to the registry at the top of run()
+  // and refilled by try_offload.
+  std::vector<std::uint8_t> class_side_;
 
-  // Emulated heap model.
-  std::int64_t live_bytes_ = 0;
-  std::int64_t freed_since_gc_ = 0;
-  std::int64_t alloc_since_gc_ = 0;
-
-  // Per-run replay state, reset at the top of run().
   EmulationResult result_;
-  SimDuration compute_raw_ = 0;     // self-time as recorded (client speed)
-  SimDuration compute_scaled_ = 0;  // self-time under the emulated placement
-  std::uint32_t gc_cycle_ = 0;
-  std::size_t eval_index_ = 0;
-  // First entry of the trace's aux list not yet behind the replay.
-  std::size_t aux_ix_ = 0;
-  // Past the decision horizon (header comment); it also gates both modes'
-  // evaluations. alloc/free/resize keep feeding the monitor past it: the GC
-  // event's offloaded-bytes sum reads the placed nodes' mem_bytes, and an
-  // Array promotion changes what index_of answers.
-  bool past_horizon_ = false;
 };
 
 }  // namespace aide::emul

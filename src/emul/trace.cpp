@@ -1,10 +1,12 @@
 #include "emul/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <system_error>
 
 namespace aide::emul {
 
@@ -48,48 +50,48 @@ Trace Trace::load_csv(std::istream& is) {
   if (!std::getline(is, line)) return trace;  // header (or empty)
   while (std::getline(is, line)) {
     if (line.empty()) continue;
-    std::istringstream ls(line);
-    TraceEvent e;
-    std::uint64_t v = 0;
+    // A row is eleven comma-separated fields and nothing else. std::from_chars
+    // reads each one whole: it skips no whitespace and takes no '+', and it
+    // takes a '-' only into a signed member (t, bytes, aux1, aux2), so every
+    // field starts with a digit or, there, with one '-'. A value wider than
+    // its event member is rejected, never truncated or wrapped.
+    const char* p = line.data();
+    const char* const end = p + line.size();
     int fields = 0;
-    // The first ten fields end at a ',' and the eleventh at the end of the
-    // row: another separator or a twelfth field is malformed, never skipped.
-    auto end_field = [&] {
+    const auto read = [&](auto& out) {
       constexpr int kFields = 11;
-      const bool ok = ++fields < kFields
-                          ? ls.get() == ','
-                          : ls.peek() == std::istringstream::traits_type::eof();
-      if (!ok) throw std::runtime_error("trace csv: bad field");
+      const auto [next, ec] = std::from_chars(p, end, out);
+      const bool last = ++fields == kFields;
+      const bool ended = last ? next == end : next != end && *next == ',';
+      if (ec != std::errc{} || !ended) {
+        throw std::runtime_error("trace csv: bad field");
+      }
+      p = last ? next : next + 1;
     };
-    auto read_u64 = [&](std::uint64_t& out) {
-      if (!(ls >> out)) throw std::runtime_error("trace csv: bad field");
-      end_field();
-    };
-    auto read_i64 = [&](std::int64_t& out) {
-      if (!(ls >> out)) throw std::runtime_error("trace csv: bad field");
-      end_field();
-    };
-    // A field wider than its event member is rejected, never truncated.
-    auto read_bounded = [&](std::uint64_t max) {
-      read_u64(v);
-      if (v > max) throw std::runtime_error("trace csv: bad field");
-      return v;
-    };
-    constexpr std::uint64_t kMaxU32 = 0xFFFFFFFFu;
-    e.type = static_cast<TraceEventType>(
-        read_bounded(static_cast<std::uint64_t>(TraceEventType::gc)));
-    e.flags = static_cast<std::uint8_t>(read_bounded(0xFF));
-    read_i64(e.t);
-    e.cls_a = ClassId{static_cast<std::uint32_t>(read_bounded(kMaxU32))};
-    e.cls_b = ClassId{static_cast<std::uint32_t>(read_bounded(kMaxU32))};
-    read_u64(v);
-    e.obj_a = ObjectId{v};
-    read_u64(v);
-    e.obj_b = ObjectId{v};
-    e.method = MethodId{static_cast<std::uint32_t>(read_bounded(kMaxU32))};
-    read_i64(e.bytes);
-    read_i64(e.aux1);
-    read_i64(e.aux2);
+    TraceEvent e;
+    std::uint8_t type = 0;
+    std::uint32_t u32 = 0;
+    std::uint64_t u64 = 0;
+    read(type);
+    if (type > static_cast<std::uint8_t>(TraceEventType::gc)) {
+      throw std::runtime_error("trace csv: bad field");
+    }
+    e.type = static_cast<TraceEventType>(type);
+    read(e.flags);
+    read(e.t);
+    read(u32);
+    e.cls_a = ClassId{u32};
+    read(u32);
+    e.cls_b = ClassId{u32};
+    read(u64);
+    e.obj_a = ObjectId{u64};
+    read(u64);
+    e.obj_b = ObjectId{u64};
+    read(u32);
+    e.method = MethodId{u32};
+    read(e.bytes);
+    read(e.aux1);
+    read(e.aux2);
     trace.events.push_back(e);
   }
   return trace;

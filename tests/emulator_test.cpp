@@ -1,8 +1,9 @@
 // Tests for the trace-driven emulator: time stretching for remote
 // interactions, CPU re-scaling under placement, trigger modes, the native and
-// array enhancements, repeated repartitioning, the emulated heap model,
-// traces naming unknown class ids, the decision horizon past which the
-// monitor is no longer fed, and out-of-range configuration values.
+// array enhancements, repeated repartitioning and the class placement each
+// offload sets, the emulated heap model, traces naming unknown class ids, the
+// decision horizon past which the monitor is no longer fed, and out-of-range
+// configuration values.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -413,6 +414,37 @@ TEST(EmulatorTest, RepeatedRepartitioningAllowed) {
   const auto result = emu.run(b.trace());
   EXPECT_GE(result.offloads.size() + result.declined.size(), 1u);
   EXPECT_LE(result.offloads.size(), 3u);
+}
+
+TEST(EmulatorTest, EveryOffloadRefreshesClassPlacement) {
+  // Two manual offloads of Counter. Counter is interned only after the
+  // first, which finds no Counter node, so the device's calls into it stay
+  // local until the second places it; the same calls past that last
+  // offload cross the link. Class placement must follow each offload.
+  auto reg = make_test_registry();
+  TraceBuilder b(*reg);
+  b.alloc(ObjectId{1}, b.device_, 64);
+  b.alloc(ObjectId{100}, b.pair_, 950 * 1024);
+  b.gc();
+  b.alloc(ObjectId{2}, b.counter_, 64);
+  const int kLocalCalls = 7, kRemoteCalls = 11;
+  for (int i = 0; i < kLocalCalls; ++i) b.invoke(b.device_, b.counter_, 16);
+  b.gc();
+  for (int i = 0; i < kRemoteCalls; ++i) b.invoke(b.device_, b.counter_, 16);
+
+  EmulatorConfig cfg = base_config();
+  cfg.trigger.consecutive_reports = 1;
+  cfg.max_offloads = 2;
+  cfg.manual_offload_classes = {"Counter"};
+  Emulator emu(reg, cfg);
+  const EmulationResult r = emu.run(b.trace());
+  ASSERT_EQ(r.offloads.size(), 2u);
+  EXPECT_TRUE(r.offloads[0].decision.selected.offload.empty());
+  EXPECT_TRUE(r.offloads[1].decision.selected.offload.contains(
+      graph::ComponentKey{b.counter_}));
+  EXPECT_EQ(r.total_invocations,
+            static_cast<std::uint64_t>(kLocalCalls + kRemoteCalls));
+  EXPECT_EQ(r.remote_invocations, static_cast<std::uint64_t>(kRemoteCalls));
 }
 
 TEST(EmulatorTest, UnknownClassIdThrowsBeforeAnyWrite) {

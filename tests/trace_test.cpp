@@ -270,10 +270,16 @@ TEST(TraceCsvTest, RejectsMethodIdWiderThan32Bits) {
 
 // A row is eleven comma-separated fields and nothing else. Read leniently,
 // the space-separated row loads with its fields shifted (flags=0, t=5): each
-// separator skip swallows the first digit of the next field.
+// separator skip swallows the first digit of the next field. Every field
+// starts with a digit, or with one '-' in a signed column (t, bytes, aux1,
+// aux2): read leniently, the -1 object id loads as its unsigned wrap, and a
+// blank or tab after a comma or a '+' is skipped.
 TEST(TraceCsvTest, RejectsMalformedRows) {
-  for (const char* row : {"3;1;10;2;4;5;6;7;8;0;0", "3,1,10,2,4,5,6,7,8,0,0,9",
-                          "3 10 25 12 14 15 16 17 18 10 20"}) {
+  for (const char* row :
+       {"3;1;10;2;4;5;6;7;8;0;0", "3,1,10,2,4,5,6,7,8,0,0,9",
+        "3 10 25 12 14 15 16 17 18 10 20", "3,1,10,2,4,-1,6,7,8,0,0",
+        "3, 1,\t10,2,4,5,6,7,8,0,0", "3,+1,10,2,4,5,6,7,8,0,0",
+        "3,1,10,2,4,5,6,7,8,0, 0"}) {
     try {
       (void)load_row(row);
       ADD_FAILURE() << "accepted " << row;
