@@ -1,10 +1,14 @@
 // Microbenchmarks (google-benchmark) for the platform's building blocks:
 // the partitioning heuristic's scaling, wire serialization, RPC round trips,
-// garbage collection, monitoring hook overhead, and the link model.
+// garbage collection, monitoring hook overhead, the link model, and the
+// frame checksum's two kernels (bytes/s per input size).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "graph/mincut.hpp"
 #include "monitor/monitor.hpp"
@@ -193,6 +197,41 @@ void BM_LinkCost(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LinkCost);
+
+// --- frame checksum ---------------------------------------------------------
+
+std::vector<std::uint8_t> checksum_input(benchmark::State& state) {
+  Rng rng(0xC3C);
+  std::vector<std::uint8_t> buf(static_cast<std::size_t>(state.range(0)));
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  return buf;
+}
+
+// Each pass continues the previous checksum, so passes run back to back
+// like the frames of one connection instead of overlapping.
+void BM_Crc32Table(benchmark::State& state) {
+  const auto buf = checksum_input(state);
+  std::uint32_t reg = ~0u;
+  for (auto _ : state) {
+    reg = detail::crc32_table(buf.data(), buf.size(), reg);
+    benchmark::DoNotOptimize(reg);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32Table)->Arg(64)->Arg(1 << 10)->Arg(64 << 10)->Arg(1 << 20);
+
+// The public checksum: the carry-less-multiply fold from 64 bytes up where
+// the CPU has it, the table otherwise.
+void BM_Crc32(benchmark::State& state) {
+  const auto buf = checksum_input(state);
+  std::uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = crc32(buf, crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(1 << 10)->Arg(64 << 10)->Arg(1 << 20);
 
 }  // namespace
 

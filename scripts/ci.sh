@@ -21,6 +21,22 @@ cmake --build build-ci -j "$JOBS"
 step "unit + integration tests"
 ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 
+step "CRC-32 kernels (Crc32* must run, not skip, on a CPU with PCLMULQDQ)"
+# The carry-less-multiply fold runs only where the CPU reports PCLMULQDQ and
+# SSE4.1, and its tests skip elsewhere. On such a CPU a skip means the
+# dispatch never reaches the fold, which the passing table tests would hide.
+if grep -qw pclmulqdq /proc/cpuinfo && grep -qw sse4_1 /proc/cpuinfo; then
+  crc_out=$(./build-ci/tests/common_test --gtest_filter='Crc32*')
+  if grep -q 'SKIPPED' <<<"$crc_out"; then
+    echo "$crc_out" >&2
+    echo "common_test Crc32*: a test skipped on a CPU with PCLMULQDQ" >&2
+    exit 1
+  fi
+  echo "Crc32*: all ran"
+else
+  echo "CPU lacks PCLMULQDQ or SSE4.1: crc32 runs the table alone"
+fi
+
 step "aidelint (static partition-safety) over all apps"
 ./build-ci/src/analysis/aidelint
 

@@ -9,6 +9,7 @@ ExecutionMonitor::ExecutionMonitor(
     : registry_(std::move(registry)), config_(std::move(config)) {
   for (const ClassId cls : config_.granularity.object_granularity_classes) {
     object_granularity_classes_.insert(cls);
+    mark_may_promote(cls);
   }
   class_only_ = !config_.granularity.arrays_as_objects;
 }
@@ -247,6 +248,7 @@ void ExecutionMonitor::rebuild_caches() {
       // A freed object keeps its node until the next prune, but already
       // resolves to its class (on_free dropped the mapping).
       if (graph_.node_at(i).live_objects > 0) object_node_[key.object] = i;
+      mark_may_promote(key.cls);
     } else {
       if (key.cls.value() >= class_node_.size()) {
         class_node_.resize(key.cls.value() + 1, graph::ExecGraph::npos);

@@ -145,8 +145,10 @@ class ExecutionMonitor final : public vm::VmHooks {
   // placement) look components up without building or hashing a key.
   [[nodiscard]] NodeIndex index_of(ClassId cls, ObjectId obj) const {
     // Object-granularity promotion only ever happens under the Array
-    // enhancement, so the common configuration skips the object lookup.
-    if (config_.granularity.arrays_as_objects && obj.valid()) {
+    // enhancement, and only to objects of a class marked in may_promote_, so
+    // the common configuration and every other class skip the object lookup.
+    if (config_.granularity.arrays_as_objects && obj.valid() &&
+        cls.value() < may_promote_.size() && may_promote_[cls.value()] != 0) {
       const auto it = object_node_.find(obj);
       if (it != object_node_.end()) return it->second;
     }
@@ -180,6 +182,14 @@ class ExecutionMonitor final : public vm::VmHooks {
   // event, and apply the pinning rule (which creates the class node). Throws
   // VmError(unknown_class) for an id past the registry, before any write.
   void note_class_seen(ClassId cls);
+
+  void mark_may_promote(ClassId cls) {
+    if (!cls.valid()) return;
+    if (cls.value() >= may_promote_.size()) {
+      may_promote_.resize(cls.value() + 1, 0);
+    }
+    may_promote_[cls.value()] = 1;
+  }
 
   // Dense index of the class-granularity node for `cls` (interned on first
   // use, then a vector load). Same unknown-class throw as note_class_seen.
@@ -252,6 +262,10 @@ class ExecutionMonitor final : public vm::VmHooks {
   // Live promoted object -> its object-granularity node.
   std::unordered_map<ObjectId, NodeIndex> object_node_;
   std::unordered_set<ClassId> object_granularity_classes_;
+  // ClassId -> 1 when objects of the class may sit in object_node_: set for
+  // object_granularity_classes_ and, by rebuild_caches(), for the class of
+  // any object-keyed node. Never cleared, so a set byte only costs a probe.
+  std::vector<std::uint8_t> may_promote_;
   std::vector<MetricsSample> samples_;
   // Dense seen-class bitmap: this sits on the hot path of every interaction
   // event (the monitoring-overhead experiment measures exactly this code).

@@ -167,10 +167,11 @@ TEST(BytesTest, TakeMovesBuffer) {
   EXPECT_EQ(buf.size(), 4u);
 }
 
-// Byte-at-a-time CRC32 straight from the polynomial: the oracle the sliced
-// implementation must match bit for bit.
-std::uint32_t reference_crc32(std::span<const std::uint8_t> data) {
-  std::uint32_t crc = 0xFFFFFFFFu;
+// Byte-at-a-time CRC32 straight from the polynomial: the oracle both
+// kernels must match bit for bit. Chains like crc32().
+std::uint32_t reference_crc32(std::span<const std::uint8_t> data,
+                              std::uint32_t crc = 0) {
+  crc = ~crc;
   for (const std::uint8_t b : data) {
     crc ^= b;
     for (int k = 0; k < 8; ++k) {
@@ -187,6 +188,18 @@ std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
+using Crc32Kernel = std::uint32_t (*)(const std::uint8_t*, std::size_t,
+                                      std::uint32_t) noexcept;
+
+// The carry-less-multiply kernel when this CPU runs it, else nullptr (crc32()
+// then runs the table alone).
+Crc32Kernel fold_kernel() {
+#if defined(__x86_64__)
+  if (detail::cpu_has_crc32_fold()) return &detail::crc32_fold;
+#endif
+  return nullptr;
+}
+
 TEST(Crc32Test, KnownAnswers) {
   const std::string check = "123456789";
   EXPECT_EQ(crc32({reinterpret_cast<const std::uint8_t*>(check.data()),
@@ -196,11 +209,12 @@ TEST(Crc32Test, KnownAnswers) {
 }
 
 TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
-  // Lengths straddle the 8-byte slice boundary and every start offset
-  // exercises the unaligned head and the byte-wise tail.
-  const auto buf = random_bytes(64 + 8, 0xC3C32);
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t len = 0; len <= 64; ++len) {
+  // Lengths straddle the 8-byte slice boundary, the fold's 64-byte entry
+  // (63/64/65), its 16-byte blocks with a table tail (79/80) and its 64-byte
+  // loop (127/128); every start offset exercises unaligned loads.
+  const auto buf = random_bytes(300 + 16, 0xC3C32);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
       const auto data = std::span(buf).subspan(offset, len);
       EXPECT_EQ(crc32(data), reference_crc32(data))
           << "offset " << offset << " length " << len;
@@ -214,12 +228,56 @@ TEST(Crc32Test, MatchesBytewiseReferenceOnLargeBuffer) {
 }
 
 TEST(Crc32Test, ChainsAcrossSplitPoints) {
-  const auto buf = random_bytes(100, 0x5B117);
+  const auto buf = random_bytes(1024, 0x5B117);
   const std::uint32_t whole = crc32(buf);
+  EXPECT_EQ(whole, reference_crc32(buf));
   for (std::size_t cut = 0; cut <= buf.size(); ++cut) {
     const auto head = std::span(buf).first(cut);
     const auto tail = std::span(buf).subspan(cut);
     EXPECT_EQ(crc32(tail, crc32(head)), whole) << "cut at " << cut;
+  }
+}
+
+TEST(Crc32Test, FoldMatchesTableAndReference) {
+  const Crc32Kernel fold = fold_kernel();
+  if (fold == nullptr) GTEST_SKIP() << "CPU lacks PCLMULQDQ or SSE4.1";
+  // Every length the fold accepts from 64 B to 70 KiB can come up, but most
+  // cases are frame-sized (up to 1 KiB) so that 100,000 of them stay quick
+  // against the bit-serial reference. Each case starts from the register
+  // the previous one left.
+  constexpr std::size_t kMaxBlocks = (std::size_t{70} << 10) / 16;
+  const auto buf = random_bytes(kMaxBlocks * 16 + 63, 0xF01D);
+  Rng rng(0xC1A55);
+  auto state = static_cast<std::uint32_t>(rng.next_u64());
+  for (int i = 0; i < 100'000; ++i) {
+    const std::size_t offset = rng.next_below(64);
+    const std::size_t max_blocks = rng.next_below(64) == 0 ? kMaxBlocks : 64;
+    const std::size_t len = 16 * (4 + rng.next_below(max_blocks - 3));
+    const auto data = std::span(buf).subspan(offset, len);
+    const std::uint32_t got = fold(data.data(), len, state);
+    ASSERT_EQ(got, detail::crc32_table(data.data(), len, state))
+        << "case " << i << " offset " << offset << " length " << len;
+    ASSERT_EQ(got, ~reference_crc32(data, ~state))
+        << "case " << i << " offset " << offset << " length " << len;
+    state = got;
+  }
+}
+
+TEST(Crc32Test, EverySingleByteFlipChangesBothKernels) {
+  // The chaos injector's corrupted_copy XORs one byte with 0xFF.
+  auto buf = random_bytes(4096, 0xF11F);
+  std::vector<Crc32Kernel> kernels{&detail::crc32_table};
+  if (const Crc32Kernel fold = fold_kernel()) kernels.push_back(fold);
+  for (const Crc32Kernel kernel : kernels) {
+    const std::uint32_t clean = kernel(buf.data(), buf.size(), ~0u);
+    for (std::size_t at = 0; at < buf.size(); ++at) {
+      buf[at] ^= 0xFF;
+      EXPECT_NE(kernel(buf.data(), buf.size(), ~0u), clean) << "byte " << at;
+      buf[at] ^= 0xFF;
+    }
+  }
+  if (kernels.size() == 1) {
+    GTEST_SKIP() << "table checked; CPU lacks PCLMULQDQ or SSE4.1";
   }
 }
 

@@ -185,6 +185,18 @@ TEST_F(MonitorTest, NonArrayClassesNeverPromoted) {
   EXPECT_FALSE(mon.component_of(pair_cls_, ObjectId{9}).is_object_granularity());
 }
 
+TEST_F(MonitorTest, ObjectNodeAddedThroughGraphResolvesAfterRebuild) {
+  // rebuild_caches() maps every live object-keyed node, so one of a class
+  // outside object_granularity_classes resolves too, once it is rebuilt.
+  auto mon = make_monitor(/*arrays_as_objects=*/true, /*min_bytes=*/100);
+  mon.on_alloc(NodeId{1}, ObjectId{9}, pair_cls_, 64, 0);
+  const ComponentKey key{pair_cls_, ObjectId{9}};
+  mon.graph().add_memory(key, 64, +1);
+  mon.rebuild_caches();
+  EXPECT_EQ(mon.component_of(pair_cls_, ObjectId{9}), key);
+  EXPECT_EQ(mon.component_of(pair_cls_, ObjectId{8}), ComponentKey{pair_cls_});
+}
+
 TEST_F(MonitorTest, RemoteCountersForFigure8) {
   auto mon = make_monitor();
   mon.on_invoke(invoke(counter_cls_, pair_cls_, 8, true, false));
