@@ -159,8 +159,10 @@ if [[ "${AIDE_CI_SKIP_SANITIZE:-0}" != 1 ]]; then
   # reads and the aux cursor run under the sanitizers at full size. Its runs
   # are all trace_fraction; Figure 6's memory_gc runs add the GC-pressure
   # model, try_offload and the class side table's refill, in both the
-  # monitored and the post-horizon replay loop.
-  for bench in fig10_cpu fig6_overhead; do
+  # monitored and the post-horizon replay loop. Figure 7's 180 memory_gc
+  # runs reach their horizons at GC reports inside blocks, so they run the
+  # block summaries and the memory-event list most.
+  for bench in fig10_cpu fig6_overhead fig7_policy; do
     out=$(mktemp)
     ./build-asan/bench/bench_"$bench" >"$out" 2>&1
     if ! cmp "$out" tests/golden/benches/"$bench".txt; then

@@ -19,7 +19,8 @@
 //   without the fold. Input words are assembled from bytes, so its result
 //   does not depend on host byte order.
 //
-// crc32() picks between them per call from the input size and the CPU. The
+// crc32() picks between them per call from the input size and the CPU
+// (crc32_fold_bytes says how much of an input it folds). The
 // SSE4.2 `crc32` instruction computes a different polynomial (Castagnoli),
 // so it cannot stand in for either.
 #pragma once
@@ -166,6 +167,16 @@ inline constexpr Crc32Tables kCrc32Tables = make_crc32_tables();
 
 #endif  // __x86_64__
 
+// How many leading bytes of an n-byte input crc32() folds: the largest
+// multiple of 16 when n >= 64 on a CPU that runs crc32_fold, else 0 (the
+// table takes the whole input).
+[[nodiscard]] inline std::size_t crc32_fold_bytes(std::size_t n) noexcept {
+#if defined(__x86_64__)
+  if (n >= 64 && cpu_has_crc32_fold()) return n & ~std::size_t{15};
+#endif
+  return 0;
+}
+
 }  // namespace detail
 
 // CRC32 of `data`. Chainable like zlib's crc32(): passing the checksum of a
@@ -176,8 +187,7 @@ inline constexpr Crc32Tables kCrc32Tables = make_crc32_tables();
   std::size_t n = data.size();
   std::uint32_t state = ~crc;
 #if defined(__x86_64__)
-  if (n >= 64 && detail::cpu_has_crc32_fold()) {
-    const std::size_t folded = n & ~std::size_t{15};
+  if (const std::size_t folded = detail::crc32_fold_bytes(n); folded != 0) {
     state = detail::crc32_fold(p, folded, state);
     p += folded;
     n -= folded;

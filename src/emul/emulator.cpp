@@ -183,7 +183,28 @@ void Emulator::replay(const TraceEvents& events) {
     }
   }
 
-  // Past the horizon.
+  // Past the horizon. Under class granularity each whole block left is
+  // charged from its summary, its memory events replayed in order after it.
+  if constexpr (!kObjects) {
+    const std::size_t first_block = (i + kBlockEvents - 1) / kBlockEvents;
+    if (first_block < events.blocks()) {
+      for (; i < first_block * kBlockEvents; ++i) {
+        replay_event<false, false>(events, i, r);
+      }
+      const std::vector<std::size_t>& memory = events.memory_events();
+      auto m = std::lower_bound(memory.begin(), memory.end(), i);
+      for (std::size_t b = first_block; b < events.blocks(); ++b) {
+        for (const SummaryEntry& s : events.summary(b)) {
+          charge<false>(s.key, {}, s.count, r);
+        }
+        const std::size_t block_end = (b + 1) * kBlockEvents;
+        for (; m != memory.end() && *m < block_end; ++m) {
+          replay_event<false, false>(events, *m, r);
+        }
+      }
+      i = events.blocks() * kBlockEvents;
+    }
+  }
   for (; i < n; ++i) replay_event<false, kObjects>(events, i, r);
 
   result_.comm_time = r.comm_time;
@@ -210,6 +231,75 @@ int Emulator::side_of(ClassId cls, ObjectId obj) const {
   } else {
     // A class id past the registry has no node and reads the client.
     return cls.value() < class_side_.size() ? class_side_[cls.value()] : 0;
+  }
+}
+
+// The routing and charging rules of frame exits, invocations and accesses.
+// Every term is an integer that depends only on e's summary key and the
+// class placement, so `count` equal events cost count times one.
+template <bool kObjects>
+bool Emulator::charge(const HotEvent& e, EventObjects objs,
+                      std::uint64_t count, Replay& r) const {
+  const auto times = static_cast<std::int64_t>(count);
+  switch (e.type) {
+    case TraceEventType::method_exit: {
+      const double speed = side_of<kObjects>(e.cls_a, objs.a) != 0
+                               ? config_.surrogate_speedup
+                               : 1.0;
+      r.compute_raw += times * e.bytes;
+      r.compute_scaled +=
+          times *
+          static_cast<SimDuration>(static_cast<double>(e.bytes) / speed);
+      return false;
+    }
+
+    case TraceEventType::invoke: {
+      const bool is_native = (e.flags & kFlagNative) != 0;
+      const bool is_static = (e.flags & kFlagStatic) != 0;
+      const bool is_stateless = (e.flags & kFlagStateless) != 0;
+      const int from_p = side_of<kObjects>(e.cls_a, objs.a);
+      int to_p;
+      if (is_native) {
+        // Natives execute on the client — unless stateless and the
+        // "Native" enhancement is on, in which case they run where invoked.
+        to_p = (is_stateless && config_.stateless_natives_local) ? from_p
+                                                                 : 0;
+      } else if (is_static) {
+        // Managed statics run on the invoking VM.
+        to_p = from_p;
+      } else {
+        to_p = side_of<kObjects>(e.cls_b, objs.b);
+      }
+      const bool remote = from_p != to_p;
+
+      r.total_invocations += count;
+      if (remote) {
+        r.remote_invocations += count;
+        if (is_native) r.remote_native_invocations += count;
+        r.remote_bytes += count * static_cast<std::uint64_t>(e.bytes);
+        r.comm_time += times * rpc_cost(static_cast<std::uint64_t>(e.bytes));
+      }
+      return remote;
+    }
+
+    case TraceEventType::access: {
+      const bool is_static = (e.flags & kFlagStatic) != 0;
+      const int from_p = side_of<kObjects>(e.cls_a, objs.a);
+      // Static data lives on the client; object data follows placement.
+      const int to_p = is_static ? 0 : side_of<kObjects>(e.cls_b, objs.b);
+      const bool remote = from_p != to_p;
+
+      r.total_accesses += count;
+      if (remote) {
+        r.remote_accesses += count;
+        r.remote_bytes += count * static_cast<std::uint64_t>(e.bytes);
+        r.comm_time += times * rpc_cost(static_cast<std::uint64_t>(e.bytes));
+      }
+      return remote;
+    }
+
+    default:
+      return false;
   }
 }
 
@@ -261,47 +351,17 @@ bool Emulator::replay_event(const TraceEvents& events, std::size_t i,
 
     case TraceEventType::method_exit: {
       const ObjectId obj = kObjects ? events.objects()[i].a : ObjectId{};
+      charge<kObjects>(e, {obj, ObjectId{}}, 1, r);
       if constexpr (kFeed) {
         monitor_->on_method_exit(kEmulatedClient, e.cls_a, obj, e.method,
                                  e.bytes, 0);
       }
-      const double speed = side_of<kObjects>(e.cls_a, obj) != 0
-                               ? config_.surrogate_speedup
-                               : 1.0;
-      r.compute_raw += e.bytes;
-      r.compute_scaled +=
-          static_cast<SimDuration>(static_cast<double>(e.bytes) / speed);
       break;
     }
 
     case TraceEventType::invoke: {
-      const bool is_native = (e.flags & kFlagNative) != 0;
-      const bool is_static = (e.flags & kFlagStatic) != 0;
-      const bool is_stateless = (e.flags & kFlagStateless) != 0;
       const EventObjects objs = kObjects ? events.objects()[i] : EventObjects{};
-
-      const int from_p = side_of<kObjects>(e.cls_a, objs.a);
-      int to_p;
-      if (is_native) {
-        // Natives execute on the client — unless stateless and the
-        // "Native" enhancement is on, in which case they run where invoked.
-        to_p = (is_stateless && config_.stateless_natives_local) ? from_p
-                                                                 : 0;
-      } else if (is_static) {
-        // Managed statics run on the invoking VM.
-        to_p = from_p;
-      } else {
-        to_p = side_of<kObjects>(e.cls_b, objs.b);
-      }
-      const bool remote = from_p != to_p;
-
-      r.total_invocations += 1;
-      if (remote) {
-        r.remote_invocations += 1;
-        if (is_native) r.remote_native_invocations += 1;
-        r.remote_bytes += static_cast<std::uint64_t>(e.bytes);
-        r.comm_time += rpc_cost(static_cast<std::uint64_t>(e.bytes));
-      }
+      const bool remote = charge<kObjects>(e, objs, 1, r);
       if constexpr (!kFeed) break;
 
       vm::InvokeEvent ev;
@@ -311,9 +371,9 @@ bool Emulator::replay_event(const TraceEvents& events, std::size_t i,
       ev.callee_cls = e.cls_b;
       ev.callee_obj = objs.b;
       ev.method = e.method;
-      ev.is_native = is_native;
-      ev.is_static = is_static;
-      ev.is_stateless = is_stateless;
+      ev.is_native = (e.flags & kFlagNative) != 0;
+      ev.is_static = (e.flags & kFlagStatic) != 0;
+      ev.is_stateless = (e.flags & kFlagStateless) != 0;
       ev.remote = remote;
       ev.bytes = static_cast<std::uint64_t>(e.bytes);
       monitor_->on_invoke(ev);
@@ -321,19 +381,8 @@ bool Emulator::replay_event(const TraceEvents& events, std::size_t i,
     }
 
     case TraceEventType::access: {
-      const bool is_static = (e.flags & kFlagStatic) != 0;
       const EventObjects objs = kObjects ? events.objects()[i] : EventObjects{};
-      const int from_p = side_of<kObjects>(e.cls_a, objs.a);
-      // Static data lives on the client; object data follows placement.
-      const int to_p = is_static ? 0 : side_of<kObjects>(e.cls_b, objs.b);
-      const bool remote = from_p != to_p;
-
-      r.total_accesses += 1;
-      if (remote) {
-        r.remote_accesses += 1;
-        r.remote_bytes += static_cast<std::uint64_t>(e.bytes);
-        r.comm_time += rpc_cost(static_cast<std::uint64_t>(e.bytes));
-      }
+      const bool remote = charge<kObjects>(e, objs, 1, r);
       if constexpr (!kFeed) break;
 
       vm::AccessEvent ev;
@@ -343,7 +392,7 @@ bool Emulator::replay_event(const TraceEvents& events, std::size_t i,
       ev.to_cls = e.cls_b;
       ev.to_obj = objs.b;
       ev.is_write = (e.flags & kFlagWrite) != 0;
-      ev.is_static = is_static;
+      ev.is_static = (e.flags & kFlagStatic) != 0;
       ev.remote = remote;
       ev.bytes = static_cast<std::uint64_t>(e.bytes);
       monitor_->on_access(ev);

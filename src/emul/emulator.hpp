@@ -30,6 +30,22 @@
 // accumulators live in a struct local to the replay, written into the
 // result once, at the end.
 //
+// Under class granularity the second loop reads the trace's block
+// summaries (trace.hpp) in three parts: events one by one up to the next
+// block boundary; then, for each whole block, every summary entry charged
+// `count` times in one step, followed by the block's allocations, frees,
+// resizes and GC reports one by one, in order; then the tail after the last
+// whole block one by one. The result is exact. No offload follows the
+// horizon, so class placement is fixed. Every charge of an interaction or a
+// frame exit is an integer that depends only on its summary key, so c equal
+// events cost c times one. The heap model reads no interaction accumulator,
+// so charging a block's interactions before its memory events changes
+// nothing. And the monitor is fed no interaction, so no node is interned in
+// a new order. One function, charge(), holds the routing and charging rules
+// for both the per-event body (count 1) and a summary entry. Under the Array
+// enhancement the second loop stays per event: an int[]'s side follows its
+// object, and a promotion past the horizon changes it.
+//
 // Placement under class granularity is a side table: one byte per registry
 // class, filled at every offload, so a lookup reads one byte. No class
 // changes side between two evaluations, and a class interned after the last
@@ -38,10 +54,12 @@
 // lookup goes through the monitor's node index to the per-node placement.
 //
 // The replay reads the trace's columns (trace.hpp), not whole events: the
-// 24-byte hot record of every event; the object ids for allocations, frees
-// and resizes, and for interactions and frame exits only under the Array
-// enhancement; the time only at an evaluation; and a resize's delta through
-// one forward cursor into the sparse aux list.
+// 24-byte hot record of every event it replays one by one; the object ids
+// for allocations, frees and resizes, and for interactions and frame exits
+// only under the Array enhancement; the time only at an evaluation; a
+// resize's delta through one forward cursor into the sparse aux list; and
+// past the horizon under class granularity, the block summaries and the
+// memory-event list.
 //
 // Each emulated session has a dedicated surrogate, as in the paper: nothing
 // queues. Multi-surrogate numbers come from the real SurrogatePool
@@ -189,6 +207,15 @@ class Emulator {
   template <bool kFeed, bool kObjects>
   [[gnu::always_inline]] inline bool replay_event(const TraceEvents& events,
                                                   std::size_t i, Replay& r);
+  // Charges `count` frame exits, invocations or accesses that share e's
+  // summary key (trace.hpp), objs being the event's objects under kObjects:
+  // count 1 from replay_event, an entry's count from a block summary.
+  // Returns whether an invocation or access crosses the link.
+  template <bool kObjects>
+  [[gnu::always_inline]] inline bool charge(const HotEvent& e,
+                                            EventObjects objs,
+                                            std::uint64_t count,
+                                            Replay& r) const;
   // Side holding the component of (cls, obj): 1 the surrogate, 0 the
   // client (header comment).
   template <bool kObjects>

@@ -8,7 +8,38 @@
 #include <string>
 #include <system_error>
 
+#include "common/rng.hpp"
+
 namespace aide::emul {
+
+namespace {
+
+// The summary key of an invoke, access or method_exit (SummaryEntry).
+HotEvent summary_key(const HotEvent& e) {
+  HotEvent key;
+  key.type = e.type;
+  key.cls_a = e.cls_a;
+  key.bytes = e.bytes;
+  if (e.type == TraceEventType::invoke) {
+    key.flags = static_cast<std::uint8_t>(
+        e.flags & (kFlagNative | kFlagStatic | kFlagStateless));
+    key.cls_b = e.cls_b;
+  } else if (e.type == TraceEventType::access) {
+    key.flags = static_cast<std::uint8_t>(e.flags & kFlagStatic);
+    key.cls_b = e.cls_b;
+  }
+  return key;
+}
+
+std::uint64_t hash_key(const HotEvent& key) {
+  std::uint64_t state =
+      ((std::uint64_t{key.cls_a.value()} << 32) | key.cls_b.value()) ^
+      static_cast<std::uint64_t>(key.bytes);
+  state += (static_cast<std::uint64_t>(key.type) << 8) | key.flags;
+  return splitmix64(state);
+}
+
+}  // namespace
 
 void TraceEvents::push_back(const TraceEvent& e) {
   hot_.push_back({e.type, e.flags, e.method, e.cls_a, e.cls_b, e.bytes});
@@ -17,6 +48,43 @@ void TraceEvents::push_back(const TraceEvent& e) {
   if (e.aux1 != 0 || e.aux2 != 0) {
     aux_.push_back({hot_.size() - 1, e.aux1, e.aux2});
   }
+  switch (e.type) {
+    case TraceEventType::alloc:
+    case TraceEventType::free_obj:
+    case TraceEventType::resize:
+    case TraceEventType::gc:
+      memory_events_.push_back(hot_.size() - 1);
+      break;
+    default:
+      break;
+  }
+  if (hot_.size() % kBlockEvents == 0) seal_block();
+}
+
+void TraceEvents::seal_block() {
+  // Open addressing over twice as many slots as the block has events, each
+  // 0 (empty) or 1 + the entry's offset from the block's first entry.
+  constexpr std::size_t kSlots = 2 * kBlockEvents;
+  std::vector<std::uint32_t> slots(kSlots, 0);
+  const std::size_t first = summaries_.size();
+  for (std::size_t i = hot_.size() - kBlockEvents; i < hot_.size(); ++i) {
+    const TraceEventType type = hot_[i].type;
+    if (type != TraceEventType::invoke && type != TraceEventType::access &&
+        type != TraceEventType::method_exit) {
+      continue;
+    }
+    const HotEvent key = summary_key(hot_[i]);
+    std::size_t s = hash_key(key) % kSlots;
+    while (slots[s] != 0 && summaries_[first + slots[s] - 1].key != key) {
+      s = (s + 1) % kSlots;
+    }
+    if (slots[s] == 0) {
+      summaries_.push_back({key, 0});
+      slots[s] = static_cast<std::uint32_t>(summaries_.size() - first);
+    }
+    ++summaries_[first + slots[s] - 1].count;
+  }
+  block_end_.push_back(summaries_.size());
 }
 
 void TraceEvents::clear() noexcept {
@@ -24,6 +92,9 @@ void TraceEvents::clear() noexcept {
   objects_.clear();
   times_.clear();
   aux_.clear();
+  summaries_.clear();
+  block_end_.clear();
+  memory_events_.clear();
 }
 
 std::size_t TraceEvents::aux_at(std::size_t i) const {

@@ -14,12 +14,23 @@
 // ids and the time where they are read, and the aux pair of the few events
 // that carry one (resizes and GC reports) from a sparse list. TraceEvent is
 // the one value type the recorder, the CSV code and tests read and append.
+//
+// The store also pre-aggregates the trace in blocks of kBlockEvents events,
+// for a replay that no longer feeds the monitor (emulator.hpp). Each time
+// push_back completes a block it seals the block's summary: every distinct
+// key of its invocations, accesses and frame exits with how many events
+// carry it, the key being exactly what a class-granularity replay reads of
+// such an event once placement is fixed. Beside the summaries, one
+// ascending list holds the position of every allocation, free, resize and
+// GC report, the events whose effect depends on their order. The events
+// after the last whole block are in no summary.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,8 +83,25 @@ struct HotEvent {
   ClassId cls_a;
   ClassId cls_b;
   std::int64_t bytes = 0;
+
+  friend bool operator==(const HotEvent&, const HotEvent&) = default;
 };
 static_assert(sizeof(HotEvent) == 24);
+
+// Events per summarised block.
+inline constexpr std::size_t kBlockEvents = 4096;
+
+// One key of a block summary and the number of the block's events that
+// carry it. The key is a HotEvent holding the type (invoke, access or
+// method_exit), the routing flags (native, static and stateless for an
+// invoke; static for an access; none for an exit), cls_a, cls_b (0 for an
+// exit) and bytes; its method is 0.
+struct SummaryEntry {
+  HotEvent key;
+  std::uint64_t count = 0;
+
+  friend bool operator==(const SummaryEntry&, const SummaryEntry&) = default;
+};
 
 struct EventObjects {
   ObjectId a;
@@ -90,7 +118,8 @@ struct AuxEntry {
 // A column store of TraceEvents with a value view: indexing and iteration
 // assemble a TraceEvent from the columns. Events whose aux1 and aux2 are both
 // zero store no aux entry, so a trace costs 48 bytes per event plus 24 per
-// aux-carrying event.
+// aux-carrying event, 8 per allocation, free, resize or GC report, and 32
+// per summary entry (a paper-size trace has 9 to 150 per block).
 class TraceEvents {
  public:
   // Yields TraceEvents by value. It carries its position in the aux list, so
@@ -174,16 +203,37 @@ class TraceEvents {
     return aux_;
   }
 
+  // The sealed blocks: block k holds events [k * kBlockEvents,
+  // (k + 1) * kBlockEvents), and summary(k) is its entries, in the order of
+  // each key's first event.
+  [[nodiscard]] std::size_t blocks() const noexcept {
+    return block_end_.size();
+  }
+  [[nodiscard]] std::span<const SummaryEntry> summary(std::size_t k) const {
+    const std::size_t first = k == 0 ? 0 : block_end_[k - 1];
+    return std::span(summaries_).subspan(first, block_end_[k] - first);
+  }
+  // Positions of every alloc, free_obj, resize and gc event, ascending.
+  [[nodiscard]] const std::vector<std::size_t>& memory_events()
+      const noexcept {
+    return memory_events_;
+  }
+
  private:
   // Position of the first aux entry at or after event i.
   [[nodiscard]] std::size_t aux_at(std::size_t i) const;
   // Event i, whose aux entry, if it has one, is aux_[aux].
   [[nodiscard]] TraceEvent assemble(std::size_t i, std::size_t aux) const;
+  // Appends the summary of the last kBlockEvents events.
+  void seal_block();
 
   std::vector<HotEvent> hot_;
   std::vector<EventObjects> objects_;
   std::vector<SimTime> times_;
   std::vector<AuxEntry> aux_;
+  std::vector<SummaryEntry> summaries_;  // every block's, in block order
+  std::vector<std::size_t> block_end_;   // end of block k's in summaries_
+  std::vector<std::size_t> memory_events_;
 };
 
 inline TraceEvent TraceEvents::assemble(std::size_t i, std::size_t aux) const {

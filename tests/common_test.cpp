@@ -238,6 +238,20 @@ TEST(Crc32Test, ChainsAcrossSplitPoints) {
   }
 }
 
+TEST(Crc32Test, FoldsEveryWhole16ByteBlockFrom64Bytes) {
+  // crc32() folds what crc32_fold_bytes names and runs the table on the
+  // rest, so a dispatch that never reaches the fold fails here, though
+  // every checksum would still match.
+  for (std::size_t n = 0; n < 64; ++n) {
+    EXPECT_EQ(detail::crc32_fold_bytes(n), 0u) << "length " << n;
+  }
+  if (fold_kernel() == nullptr) GTEST_SKIP() << "CPU lacks PCLMULQDQ or SSE4.1";
+  for (std::size_t n = 64; n <= 300; ++n) {
+    EXPECT_EQ(detail::crc32_fold_bytes(n), n & ~std::size_t{15})
+        << "length " << n;
+  }
+}
+
 TEST(Crc32Test, FoldMatchesTableAndReference) {
   const Crc32Kernel fold = fold_kernel();
   if (fold == nullptr) GTEST_SKIP() << "CPU lacks PCLMULQDQ or SSE4.1";

@@ -11,9 +11,9 @@
 // graph's nodes after a placement exists). Any change to placement, the
 // monitor's graph or the partitioner's choice moves a number here. Regenerate
 // tests/golden/emulation_trails.txt with AIDE_UPDATE_GOLDEN=1 only after an
-// intended change to emulated outcomes. Two differentials ride along: the
-// decision horizon changes no result, and a recorded trace replays the same
-// after a CSV round trip.
+// intended change to emulated outcomes. Three differentials ride along: the
+// decision horizon changes no result, neither do the block summaries charged
+// past it, and a recorded trace replays the same after a CSV round trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +24,7 @@
 #include <sstream>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "apps/apps.hpp"
@@ -339,6 +340,54 @@ TEST(EmulationTrailTest, HorizonChangesNoResult) {
       EXPECT_EQ(emu.last_monitor().counters().interaction_events(),
                 test::interactions_in(r.trace, eval_ix + 1))
           << r.name;
+    }
+  }
+}
+
+// Past the horizon a class-granularity replay charges each whole block from
+// its summary. Under the Array enhancement with no array large enough to be
+// its own component, every component is still a class node, but the replay
+// charges event by event. Every result field must match, over the Figure 7
+// corners with 0, 1 and 2 offloads and trace_fraction evaluations from the
+// first event to 90 % of the trace, each with and without Native.
+TEST(EmulationTrailTest, BlockSummariesChangeNoResult) {
+  for (const Recorded& r : recorded()) {
+    ASSERT_GT(r.trace.size(), 2 * kBlockEvents) << r.name;
+    std::vector<std::pair<std::string, EmulatorConfig>> cases;
+    for (const double threshold : {0.02, 0.50}) {
+      for (const int tolerance : {1, 3}) {
+        for (const double min_free : {0.10, 0.80}) {
+          for (const std::size_t offloads : {0u, 1u, 2u}) {
+            EmulatorConfig cfg =
+                memory_config(r, threshold, tolerance, min_free);
+            cfg.max_offloads = offloads;
+            char label[96];
+            std::snprintf(label, sizeof(label), "%s %.2f x%d %.2f max%zu",
+                          r.name.c_str(), threshold, tolerance, min_free,
+                          offloads);
+            cases.emplace_back(label, cfg);
+          }
+        }
+      }
+    }
+    for (const double fraction : {0.0, 0.10, 0.25, 0.90}) {
+      EmulatorConfig cfg = cpu_config(false, false);
+      cfg.eval_at_fraction = fraction;
+      cases.emplace_back(r.name + " fraction " + std::to_string(fraction),
+                         cfg);
+    }
+    for (auto& [label, cfg] : cases) {
+      for (const bool native : {false, true}) {
+        cfg.stateless_natives_local = native;
+        EmulatorConfig per_event = cfg;
+        per_event.arrays_as_objects = true;
+        per_event.min_array_bytes = std::numeric_limits<std::int64_t>::max();
+        Emulator summary(r.registry, cfg);
+        Emulator each(r.registry, per_event);
+        const std::string name = label + (native ? " native" : " -");
+        EXPECT_EQ(result_line(name, summary.run(r.trace)),
+                  result_line(name, each.run(r.trace)));
+      }
     }
   }
 }

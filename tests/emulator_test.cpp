@@ -2,13 +2,14 @@
 // interactions, CPU re-scaling under placement, trigger modes, the native and
 // array enhancements, repeated repartitioning and the class placement each
 // offload sets, the emulated heap model, traces naming unknown class ids, the
-// decision horizon past which the monitor is no longer fed, and out-of-range
-// configuration values.
+// decision horizon past which the monitor is no longer fed, the block
+// summaries charged past it, and out-of-range configuration values.
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "emul/emulator.hpp"
@@ -166,8 +167,8 @@ EmulatorConfig compute_config() {
   return cfg;
 }
 
-// Every EmulationResult field. Offloads and declined evaluations compare by
-// count: the runs compared here have none.
+// Every EmulationResult field. Offloads compare by time, migrated bytes and
+// selected components; declined evaluations by count.
 void expect_same_result(const EmulationResult& a, const EmulationResult& b) {
   EXPECT_EQ(a.base_time, b.base_time);
   EXPECT_EQ(a.emulated_time, b.emulated_time);
@@ -181,7 +182,15 @@ void expect_same_result(const EmulationResult& a, const EmulationResult& b) {
   EXPECT_EQ(a.remote_accesses, b.remote_accesses);
   EXPECT_EQ(a.remote_bytes, b.remote_bytes);
   EXPECT_EQ(a.peak_client_live, b.peak_client_live);
-  EXPECT_EQ(a.offloads.size(), b.offloads.size());
+  ASSERT_EQ(a.offloads.size(), b.offloads.size());
+  for (std::size_t i = 0; i < a.offloads.size(); ++i) {
+    EXPECT_EQ(a.offloads[i].at, b.offloads[i].at) << "offload " << i;
+    EXPECT_EQ(a.offloads[i].migrated_bytes, b.offloads[i].migrated_bytes)
+        << "offload " << i;
+    EXPECT_EQ(a.offloads[i].decision.selected.offload,
+              b.offloads[i].decision.selected.offload)
+        << "offload " << i;
+  }
   EXPECT_EQ(a.declined.size(), b.declined.size());
 }
 
@@ -632,6 +641,139 @@ TEST(EmulatorHorizonTest, ArrayPromotedPastTheHorizonReadsTheClient) {
   EXPECT_EQ(r.total_invocations,
             static_cast<std::uint64_t>(201 + kBigCalls + kSmallCalls));
   EXPECT_EQ(r.remote_invocations, static_cast<std::uint64_t>(kSmallCalls));
+}
+
+// --- block summaries past the horizon ---------------------------------------
+
+// Three whole blocks and a tail. Each step: Device calls Counter, Counter
+// runs, calls Pair (managed static every fourth time), reads and writes Pair,
+// reads Calc's static data, calls Util's stateless native and Device's
+// native, and Device runs. Pair objects come and go, Counter objects pile
+// up, a Pair is resized now and then, and a GC report comes every 40 steps.
+Trace block_trace(const std::shared_ptr<vm::ClassRegistry>& reg) {
+  const ClassId util = reg->find("Util");
+  const ClassId calc = reg->find("Calc");
+  TraceBuilder b(*reg);
+  b.alloc(ObjectId{1}, b.device_, 64);
+  for (std::uint64_t s = 0; b.trace().size() < 3 * kBlockEvents + 150; ++s) {
+    TraceEvent enter;
+    enter.type = TraceEventType::method_enter;
+    enter.cls_a = b.counter_;
+    b.raw(enter);
+    b.invoke(b.device_, b.counter_, 16 + 8 * (s % 3));
+    b.self_time(b.counter_, sim_us(100 + static_cast<SimDuration>(s % 7)));
+    b.invoke(b.counter_, b.pair_, 32, s % 4 == 0 ? kFlagStatic : 0);
+    TraceEvent access;
+    access.type = TraceEventType::access;
+    access.cls_a = b.counter_;
+    access.cls_b = b.pair_;
+    access.flags = s % 2 == 0 ? kFlagWrite : 0;
+    access.bytes = 8;
+    b.raw(access);
+    access.cls_b = calc;
+    access.flags = kFlagStatic;
+    b.raw(access);
+    b.invoke(b.counter_, util, 16, kFlagNative | kFlagStatic | kFlagStateless);
+    b.invoke(b.counter_, b.device_, 64, kFlagNative);
+    b.self_time(b.device_, sim_us(50));
+    if (s % 5 == 0) b.alloc(ObjectId{1000 + s}, b.pair_, 256);
+    if (s % 5 == 4) b.free_obj(ObjectId{996 + s}, b.pair_, 256);
+    if (s % 7 == 0) b.alloc(ObjectId{50000 + s}, b.counter_, 128);
+    if (s % 11 == 0) {
+      TraceEvent resize;
+      resize.type = TraceEventType::resize;
+      resize.cls_a = b.pair_;
+      resize.obj_a = ObjectId{1000 + s - s % 5};
+      resize.aux1 = 64;
+      b.raw(resize);
+    }
+    if (s % 40 == 39) b.gc();
+  }
+  return b.trace();
+}
+
+// cfg on the per-event path: under the Array enhancement, with no array
+// large enough to be its own component, the replay keeps every component a
+// class node, as under class granularity, but charges event by event.
+EmulationResult per_event_run(const std::shared_ptr<vm::ClassRegistry>& reg,
+                              EmulatorConfig cfg, const Trace& trace) {
+  cfg.arrays_as_objects = true;
+  cfg.min_array_bytes = std::numeric_limits<std::int64_t>::max();
+  Emulator emu(reg, cfg);
+  return emu.run(trace);
+}
+
+TEST(EmulatorBlockTest, SummaryPathMatchesPerEventAtFractionHorizons) {
+  // The evaluation follows event h, so the replay past it starts one event
+  // short of a block boundary, on one, one past it, on the second, and at
+  // the trace's end.
+  auto reg = make_test_registry();
+  const Trace trace = block_trace(reg);
+  const std::size_t n = trace.size();
+  ASSERT_GT(n, 3 * kBlockEvents);
+  constexpr std::size_t kB = kBlockEvents;
+  for (const std::size_t h : {kB - 2, kB - 1, kB, 2 * kB - 1, n - 1}) {
+    for (const bool manual : {false, true}) {
+      for (const bool native : {false, true}) {
+        EmulatorConfig cfg = compute_config();
+        cfg.eval_at_fraction =
+            (static_cast<double>(h) + 0.5) / static_cast<double>(n);
+        cfg.stateless_natives_local = native;
+        if (manual) cfg.manual_offload_classes = {"Counter"};
+        SCOPED_TRACE(::testing::Message()
+                     << "horizon " << h << (manual ? " manual" : "")
+                     << (native ? " native" : ""));
+        Emulator emu(reg, cfg);
+        const EmulationResult summary = emu.run(trace);
+        ASSERT_EQ(summary.offloads.size() + summary.declined.size(), 1u);
+        EXPECT_EQ(emu.last_monitor().counters().interaction_events(),
+                  interactions_in(trace, h + 1));
+        if (manual && h + 1 < n) {
+          EXPECT_GT(summary.remote_invocations, 0u);
+          EXPECT_GT(summary.remote_accesses, 0u);
+          EXPECT_LT(summary.emulated_time - summary.comm_time -
+                        summary.migration_time,
+                    summary.base_time);
+        }
+        expect_same_result(summary, per_event_run(reg, cfg, trace));
+      }
+    }
+  }
+}
+
+TEST(EmulatorBlockTest, SummaryPathMatchesPerEventPastGcHorizons) {
+  // Every GC report is a low-memory one, so the run's horizon is its
+  // max_offloads-th report: the trace's start, then inside blocks 0, 1 and
+  // 2. Past it the GC reports replay in order between the summaries, with
+  // the GC-pressure model on and Counter objects offloaded.
+  auto reg = make_test_registry();
+  const Trace trace = block_trace(reg);
+  std::vector<std::size_t> gcs;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (trace.events[i].type == TraceEventType::gc) gcs.push_back(i);
+  }
+  for (const std::size_t offloads : {0u, 2u, 12u, 25u}) {
+    EmulatorConfig cfg = base_config();
+    cfg.trigger.low_free_threshold = 2.0;
+    cfg.trigger.consecutive_reports = 1;
+    cfg.max_offloads = offloads;
+    cfg.manual_offload_classes = {"Counter"};
+    cfg.gc_pressure_cost_ns_per_live_byte = 100.0;
+    SCOPED_TRACE(::testing::Message() << "max_offloads " << offloads);
+    Emulator emu(reg, cfg);
+    const EmulationResult summary = emu.run(trace);
+    ASSERT_EQ(summary.offloads.size(), offloads);
+    if (offloads > 0) {
+      const std::size_t horizon = gcs.at(offloads - 1);
+      EXPECT_EQ(horizon / kBlockEvents, offloads / 12);
+      EXPECT_NE(horizon % kBlockEvents, kBlockEvents - 1);
+      EXPECT_EQ(emu.last_monitor().counters().interaction_events(),
+                interactions_in(trace, horizon + 1));
+      EXPECT_GT(summary.remote_invocations, 0u);
+    }
+    EXPECT_GT(summary.gc_pressure_time, 0);
+    expect_same_result(summary, per_event_run(reg, cfg, trace));
+  }
 }
 
 // --- configuration checks ----------------------------------------------------

@@ -1,13 +1,17 @@
 // Tests for the trace model: recorder fidelity against live VM execution,
-// the column store's value view, the CSV round-trip, and the CSV loader's
-// rejection of out-of-range fields and malformed rows.
+// the column store's value view and block summaries, the CSV round-trip,
+// and the CSV loader's rejection of out-of-range fields and malformed rows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "emul/recorder.hpp"
 #include "emul/trace.hpp"
 #include "tests/test_util.hpp"
@@ -348,6 +352,136 @@ TEST(TraceTest, ColumnStoreKeepsEveryField) {
   EXPECT_EQ(t.duration(), 0);
   EXPECT_TRUE(t.events.begin() == t.events.end());
   for (const TraceEvent& e : t.events) ADD_FAILURE() << "walked " << e.t;
+}
+
+// Three whole blocks and 17 events more, drawn from small domains so that
+// keys repeat: every event type with every flag byte 0-15 (write included),
+// three source and two target classes, three sizes. Resizes and GC reports
+// carry aux values.
+std::vector<TraceEvent> block_events() {
+  Rng rng(0xB10C5);
+  std::vector<TraceEvent> events;
+  for (std::size_t i = 0; i < 3 * kBlockEvents + 17; ++i) {
+    TraceEvent e;
+    e.type = static_cast<TraceEventType>(rng.next_below(8));
+    e.flags = static_cast<std::uint8_t>(rng.next_below(16));
+    e.method = MethodId{static_cast<std::uint32_t>(rng.next_below(5))};
+    e.t = static_cast<SimTime>(10 * i);
+    e.cls_a = ClassId{static_cast<std::uint32_t>(1 + rng.next_below(3))};
+    e.cls_b = ClassId{static_cast<std::uint32_t>(1 + rng.next_below(2))};
+    e.obj_a = ObjectId{1 + rng.next_below(50)};
+    e.obj_b = ObjectId{1 + rng.next_below(50)};
+    e.bytes = std::int64_t{8} << rng.next_below(3);
+    if (e.type == TraceEventType::resize || e.type == TraceEventType::gc) {
+      e.aux1 = 1 + static_cast<std::int64_t>(rng.next_below(100));
+      e.aux2 = static_cast<std::int64_t>(rng.next_below(100));
+    }
+    events.push_back(e);
+  }
+  return events;
+}
+
+bool summarised(TraceEventType type) {
+  return type == TraceEventType::invoke || type == TraceEventType::access ||
+         type == TraceEventType::method_exit;
+}
+
+// Block k's summary counted one event at a time, straight from the key's
+// definition: type, routing flags, cls_a, cls_b except for an exit, bytes.
+std::vector<SummaryEntry> brute_summary(const std::vector<TraceEvent>& events,
+                                        std::size_t k) {
+  std::vector<SummaryEntry> out;
+  for (std::size_t i = k * kBlockEvents; i < (k + 1) * kBlockEvents; ++i) {
+    const TraceEvent& e = events[i];
+    if (!summarised(e.type)) continue;
+    HotEvent key;
+    key.type = e.type;
+    key.cls_a = e.cls_a;
+    key.bytes = e.bytes;
+    if (e.type == TraceEventType::invoke) {
+      key.flags = static_cast<std::uint8_t>(
+          e.flags & (kFlagNative | kFlagStatic | kFlagStateless));
+      key.cls_b = e.cls_b;
+    } else if (e.type == TraceEventType::access) {
+      key.flags = static_cast<std::uint8_t>(e.flags & kFlagStatic);
+      key.cls_b = e.cls_b;
+    }
+    const auto it = std::find_if(out.begin(), out.end(),
+                                 [&](const auto& s) { return s.key == key; });
+    if (it == out.end()) {
+      out.push_back({key, 1});
+    } else {
+      ++it->count;
+    }
+  }
+  return out;
+}
+
+// Every sealed block's summary, copied out of the store.
+std::vector<std::vector<SummaryEntry>> summaries_of(const TraceEvents& e) {
+  std::vector<std::vector<SummaryEntry>> out;
+  for (std::size_t k = 0; k < e.blocks(); ++k) {
+    out.emplace_back(e.summary(k).begin(), e.summary(k).end());
+  }
+  return out;
+}
+
+TEST(TraceTest, BlockSummariesAggregateEachWholeBlock) {
+  const std::vector<TraceEvent> events = block_events();
+  std::set<std::pair<TraceEventType, std::uint8_t>> type_flags;
+  for (const TraceEvent& e : events) type_flags.insert({e.type, e.flags});
+  ASSERT_EQ(type_flags.size(), 8u * 16u);
+
+  Trace t;
+  for (const TraceEvent& e : events) t.events.push_back(e);
+  ASSERT_EQ(t.events.blocks(), 3u);
+  const auto sealed = summaries_of(t.events);
+
+  std::size_t repeated = 0;
+  for (std::size_t k = 0; k < sealed.size(); ++k) {
+    std::uint64_t counted = 0;
+    for (const SummaryEntry& s : sealed[k]) {
+      counted += s.count;
+      repeated += s.count > 1 ? 1 : 0;
+    }
+    const auto first = events.begin() + static_cast<std::ptrdiff_t>(
+                                            k * kBlockEvents);
+    const auto want = std::count_if(
+        first, first + static_cast<std::ptrdiff_t>(kBlockEvents),
+        [](const TraceEvent& e) { return summarised(e.type); });
+    EXPECT_EQ(counted, static_cast<std::uint64_t>(want)) << "block " << k;
+    EXPECT_EQ(sealed[k], brute_summary(events, k)) << "block " << k;
+  }
+  EXPECT_GT(repeated, 0u);
+
+  std::vector<std::size_t> memory;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    switch (events[i].type) {
+      case TraceEventType::alloc:
+      case TraceEventType::free_obj:
+      case TraceEventType::resize:
+      case TraceEventType::gc:
+        memory.push_back(i);
+        break;
+      default:
+        break;
+    }
+  }
+  EXPECT_EQ(t.events.memory_events(), memory);
+
+  t.events.clear();
+  EXPECT_EQ(t.events.blocks(), 0u);
+  EXPECT_TRUE(t.events.memory_events().empty());
+  for (const TraceEvent& e : events) t.events.push_back(e);
+  EXPECT_EQ(summaries_of(t.events), sealed);
+  EXPECT_EQ(t.events.memory_events(), memory);
+
+  std::stringstream ss;
+  t.save_csv(ss);
+  const Trace copy = Trace::load_csv(ss);
+  EXPECT_EQ(copy.events.blocks(), 3u);
+  EXPECT_EQ(summaries_of(copy.events), sealed);
+  EXPECT_EQ(copy.events.memory_events(), memory);
 }
 
 TEST(TraceTest, DurationIsLastEventTime) {
